@@ -1,8 +1,6 @@
-"""Pure-Python DTW accumulation kernel (fallback for the compiled one)."""
+"""DTW accumulation kernel: min-sum alignment over a framewise cost matrix."""
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def dtw_accumulate(cost):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,28 +75,6 @@ def _as_dist(metric):
     return lambda x, y: dtw_distance(x, y, metric)
 
 
-def _score_cell(a_tokens, b_tokens, x_tokens, dist, skip_same_index: bool) -> float:
-    total = 0.0
-    count = 0
-    for ix, x in enumerate(x_tokens):
-        d_ax = []
-        for ia, a in enumerate(a_tokens):
-            if skip_same_index and ia == ix:
-                continue
-            d_ax.append(dist(a, x))
-        d_bx = [dist(b, x) for b in b_tokens]
-        for da in d_ax:
-            for db in d_bx:
-                if db < da:
-                    total += 1.0
-                elif db == da:
-                    total += 0.5
-                count += 1
-    if count == 0:
-        raise ValidationError("empty ABX cell")
-    return total / count
-
-
 def asymmetric_abx(a, b, metric="angular", x=None) -> float:
     """Asymmetric cell score e(A, B) in [0, 1].
 
@@ -112,16 +89,21 @@ def asymmetric_abx(a, b, metric="angular", x=None) -> float:
     b_tokens = _token_matrices(b)
     if not b_tokens:
         raise ValidationError("category B is empty")
-    dist = _as_dist(metric)
     if x is None:
         if len(a_tokens) < 2:
             raise ValidationError(
                 f"need at least 2 tokens in A to draw (a, x) pairs, got {len(a_tokens)}")
-        return _score_cell(a_tokens, b_tokens, a_tokens, dist, skip_same_index=True)
-    x_tokens = _token_matrices(x)
-    if not a_tokens or not x_tokens:
-        raise ValidationError("categories A and X must be non-empty")
-    return _score_cell(a_tokens, b_tokens, x_tokens, dist, skip_same_index=False)
+        x_tokens = []
+    else:
+        x_tokens = _token_matrices(x)
+        if not a_tokens or not x_tokens:
+            raise ValidationError("categories A and X must be non-empty")
+    tokens = a_tokens + b_tokens + x_tokens
+    na, nb = len(a_tokens), len(b_tokens)
+    a_idx = range(na)
+    x_idx = a_idx if x is None else range(na + nb, len(tokens))
+    return _score_cell(a_idx, range(na, na + nb), x_idx,
+                       _CachedDist(tokens, metric), skip_same=x is None)
 
 
 def symmetrized_cell(a, b, metric="angular") -> float:
@@ -171,7 +153,8 @@ class _CachedDist:
         return value
 
 
-def _index_score_cell(a_idx, b_idx, x_idx, dist, skip_same: bool) -> float:
+def _score_cell(a_idx, b_idx, x_idx, dist, skip_same: bool) -> float:
+    """Directed cell score over token indices; ``dist`` maps (i, j) to d."""
     total = 0.0
     count = 0
     for x in x_idx:
@@ -184,11 +167,12 @@ def _index_score_cell(a_idx, b_idx, x_idx, dist, skip_same: bool) -> float:
                 elif db == da:
                     total += 0.5
                 count += 1
+    if count == 0:
+        raise ValidationError("empty ABX cell")
     return total / count
 
 
-def abx_evaluate(items, features, mode: str, metric="angular",
-                 threads: int = 1) -> AbxResult:
+def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     """Evaluate the ABX error rate over an item set.
 
     ``features`` is a FeatureArchive or a directory path. Cells lacking
@@ -251,16 +235,10 @@ def abx_evaluate(items, features, mode: str, metric="angular",
     if not jobs:
         raise ValidationError(f"no valid ABX cells in {mode} mode")
 
-    def run_job(job):
-        _, _, directions = job
-        scores = [_index_score_cell(a, b, x, dist, skip) for a, b, x, skip in directions]
-        return sum(scores) / len(scores)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cell_scores = list(pool.map(run_job, jobs))
-    else:
-        cell_scores = [run_job(job) for job in jobs]
+    cell_scores = []
+    for _, _, directions in jobs:
+        scores = [_score_cell(a, b, x, dist, skip) for a, b, x, skip in directions]
+        cell_scores.append(sum(scores) / len(scores))
 
     # speaker assignments -> context -> phone pair, uniform means at each level
     per_pair_context: dict = {}

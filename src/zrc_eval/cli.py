@@ -7,7 +7,6 @@ diagnostic on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -25,14 +24,6 @@ class UsageError(Exception):
     """Bad flag combinations detected after parsing."""
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ZRC_EVAL_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zrc-eval",
@@ -44,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="feature archive directory")
     p.add_argument("--mode", choices=("within", "across"), default="within")
     p.add_argument("--distance", choices=("angular", "kl"), default="angular")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("tsv", "json"), default=None)
     p.set_defaults(func=cmd_abx)
@@ -132,15 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_abx(args) -> int:
     items = io.read_item_file(args.items)
-    result = abx_mod.abx_evaluate(
-        items, args.features, args.mode, args.distance, threads=args.threads)
+    result = abx_mod.abx_evaluate(items, args.features, args.mode, args.distance)
     report = MetricReport(
         metric="abx",
         aggregate=result.error_rate,
         subsets=result.by_phone_pair,
         counts={"cells": result.cell_count},
-        config={"mode": args.mode, "distance": args.distance,
-                "threads": str(args.threads)},
+        config={"mode": args.mode, "distance": args.distance},
     )
     io.write_report(report, args.out, args.format)
     return 0
@@ -234,10 +222,8 @@ def cmd_score_semantic(args) -> int:
     records = io.read_similarity_gold(args.gold)
     needed = set()
     for record in records:
-        refs_a = record.refs_a or (("", record.word_a),)
-        refs_b = record.refs_b or (("", record.word_b),)
-        needed.update(utt for _, utt in refs_a)
-        needed.update(utt for _, utt in refs_b)
+        for refs in metrics_mod.record_refs(record):
+            needed.update(utt for _, utt in refs)
     layers = []
     for directory in args.features:
         archive = io.FeatureArchive(directory)
@@ -247,16 +233,15 @@ def cmd_score_semantic(args) -> int:
         layer, pooling, score = metrics_mod.layer_sweep(
             layers, records, args.subset)
     else:
-        layer, pooling = args.layer, args.pooling
+        layer, pooling, score = args.layer, args.pooling, None
         if not (0 <= layer < len(layers)):
             raise UsageError(f"--layer {layer} out of range for "
                              f"{len(layers)} archives")
-        reprs = {utt: metrics_mod.pool(mat, pooling)
-                 for utt, mat in layers[layer].items()}
-        score = metrics_mod.similarity_score(records, reprs, args.subset)
 
     reprs = {utt: metrics_mod.pool(mat, pooling)
              for utt, mat in layers[layer].items()}
+    if score is None:
+        score = metrics_mod.similarity_score(records, reprs, args.subset)
     subsets = {}
     counts = {}
     by_dataset: dict = {}

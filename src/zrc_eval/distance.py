@@ -11,29 +11,16 @@ anchored at both corners, minimizes the summed framewise distance, and
 reports the mean distance over the optimal path (ties in the alignment
 broken by preferring diagonal, then vertical, then horizontal steps).
 
-The inner accumulation loop runs in a compiled extension when available;
-a pure-Python kernel is selected at import time otherwise (or when the
-``ZRC_EVAL_NO_EXT`` environment variable is set).
+The accumulation loop over the cost matrix lives in ``_dtw_py``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from . import _dtw_py
-
-if os.environ.get("ZRC_EVAL_NO_EXT"):
-    _kernel = _dtw_py
-else:
-    try:
-        from . import _dtw as _kernel
-    except ImportError:
-        _kernel = _dtw_py
-
-KERNEL_BACKEND = _kernel.BACKEND
+from . import _dtw_py as _kernel
 
 FRAME_METRICS = ("angular", "kl")
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +67,9 @@ def read_item_file(path) -> list[TriphoneToken]:
         except ValueError:
             raise FormatError(
                 f"{path}: line {lineno}: non-numeric onset/offset") from None
+        if not (math.isfinite(onset) and math.isfinite(offset)):
+            raise FormatError(
+                f"{path}: line {lineno}: non-finite onset/offset")
         token = TriphoneToken(file_id, onset, offset, center, left, right, speaker)
         key = (file_id, onset, offset)
         if key in seen:
@@ -220,20 +222,17 @@ def list_archive(path) -> list[str]:
 
 
 class FeatureArchive:
-    """Lazy, thread-safe view of a feature archive directory."""
+    """Lazy view of a feature archive directory; each utterance is read once."""
 
     def __init__(self, path):
         self.root = Path(path)
         self._cache: dict[str, FeatureSequence] = {}
-        self._lock = threading.Lock()
 
     def load(self, utt_id: str) -> FeatureSequence:
-        with self._lock:
-            fs = self._cache.get(utt_id)
+        fs = self._cache.get(utt_id)
         if fs is None:
             fs = read_feature_archive(self.root, utt_id)
-            with self._lock:
-                self._cache[utt_id] = fs
+            self._cache[utt_id] = fs
         return fs
 
 

@@ -76,13 +76,6 @@ def paired_accuracy(pairs, scores: dict, tie_policy: str = "half") -> AccuracyRe
 # pooled embeddings and similarity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PooledEmbedding:
-    vector: np.ndarray
-    pooling: str = "mean"
-    layer_index: int = 0
-
-
 def pool(hidden, kind: str = "mean") -> np.ndarray:
     """Elementwise mean/max/min over the time axis of a T x D matrix."""
     hidden = np.asarray(hidden, dtype=np.float64)
@@ -97,13 +90,10 @@ def pool(hidden, kind: str = "mean") -> np.ndarray:
     raise ValueError(f"unknown pooling {kind!r}")
 
 
-def _vector(x) -> np.ndarray:
-    return np.asarray(getattr(x, "vector", x), dtype=np.float64)
-
-
 def semantic_distance(ex, ey) -> float:
     """Cosine similarity between two pooled embeddings, in [-1, 1]."""
-    x, y = _vector(ex), _vector(ey)
+    x = np.asarray(ex, dtype=np.float64)
+    y = np.asarray(ey, dtype=np.float64)
     if x.shape != y.shape:
         raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
@@ -126,16 +116,24 @@ def spearman(model_scores, human_scores) -> float:
     return float(rho) * 100.0
 
 
+def record_refs(record) -> tuple:
+    """The (voice, utt_id) refs of both words of a gold record.
+
+    A word with no refs falls back to the word itself as its only
+    utterance key.
+    """
+    return (record.refs_a or (("", record.word_a),),
+            record.refs_b or (("", record.word_b),))
+
+
 def record_similarity(record, reprs: dict, subset: str) -> float:
     """Model similarity for one gold record.
 
     The synthetic subset averages cosine over same-voice token pairs;
     the natural subset averages over all cross-word token pairs (minus
-    any pair built from one single token). A word with no refs falls
-    back to the word itself as its only utterance key.
+    any pair built from one single token).
     """
-    refs_a = record.refs_a or (("", record.word_a),)
-    refs_b = record.refs_b or (("", record.word_b),)
+    refs_a, refs_b = record_refs(record)
     if subset == "synthetic":
         pairs = [(ua, ub) for va, ua in refs_a for vb, ub in refs_b if va == vb]
     elif subset == "natural":

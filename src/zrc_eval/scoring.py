@@ -142,7 +142,10 @@ class NgramModel:
             return _START
         if text == "</s>":
             return _END
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise FormatError(f"non-integer token {text!r}") from None
 
     def to_json(self) -> dict:
         counts = {}
@@ -155,8 +158,12 @@ class NgramModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "NgramModel":
+        if not isinstance(doc["counts"], dict):
+            raise FormatError("'counts' is not a JSON object")
         counts = {}
         for key, bucket in doc["counts"].items():
+            if not isinstance(bucket, dict):
+                raise FormatError(f"counts for context {key!r} are not a JSON object")
             ctx = tuple(cls._token_int(t) for t in key.split()) if key else ()
             counts[ctx] = {cls._token_int(u): int(c) for u, c in bucket.items()}
         return cls(int(doc["order"]), float(doc["alpha"]), doc["vocab"], counts)
@@ -171,10 +178,15 @@ def load_ngram_model(path) -> NgramModel:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid model JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: model JSON is not an object")
     for key in ("order", "alpha", "vocab", "counts"):
         if key not in doc:
             raise FormatError(f"{path}: model JSON is missing {key!r}")
-    return NgramModel.from_json(doc)
+    try:
+        return NgramModel.from_json(doc)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def ngram_train(corpus, order: int, alpha: float = 1.0) -> NgramModel:

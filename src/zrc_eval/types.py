@@ -26,6 +26,10 @@ class TriphoneToken:
     speaker: str
 
     def __post_init__(self):
+        if not (math.isfinite(self.onset) and math.isfinite(self.offset)):
+            raise ValidationError(
+                f"non-finite onset/offset ({self.onset}, {self.offset}) "
+                f"in {self.file_id}")
         if self.onset < 0:
             raise ValidationError(f"negative onset {self.onset} in {self.file_id}")
         if self.offset <= self.onset:
@@ -72,15 +76,6 @@ class FeatureSequence:
     def __repr__(self) -> str:
         t, d = self.frames.shape
         return f"FeatureSequence({self.utt_id!r}, rate={self.frame_rate}, {t}x{d})"
-
-    def validate_probability_rows(self, tol: float = 1e-6) -> None:
-        """Check the posteriorgram contract: rows non-negative, summing to 1."""
-        if (self.frames < 0).any():
-            raise ValidationError(f"{self.utt_id}: negative entry in probability frames")
-        sums = self.frames.sum(axis=1)
-        if np.abs(sums - 1.0).max() > tol:
-            raise ValidationError(
-                f"{self.utt_id}: probability rows must sum to 1 within {tol}")
 
 
 @dataclass(frozen=True)

@@ -265,14 +265,6 @@ class TestAbxEvaluate:
             assert result.by_phone_pair[f"{p1}-{p2}"] == pytest.approx(
                 100.0 * score, abs=1e-12)
 
-    def test_threads_do_not_change_result(self, tmp_path):
-        rng = np.random.default_rng(9)
-        tokens = self._random_setup(tmp_path, rng)
-        r1 = abx.abx_evaluate(tokens, tmp_path, "within", "angular", threads=1)
-        r4 = abx.abx_evaluate(tokens, tmp_path, "within", "angular", threads=4)
-        assert r1.error_rate == r4.error_rate
-        assert r1.by_phone_pair == r4.by_phone_pair
-
     def test_no_cells_is_error(self, tmp_path):
         rng = np.random.default_rng(10)
         # single category: no contrasting center phone anywhere

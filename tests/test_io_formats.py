@@ -5,7 +5,8 @@ import pytest
 
 from zrc_eval import io_formats as io
 from zrc_eval.errors import FormatError, ValidationError
-from zrc_eval.types import FeatureSequence, MetricReport, ScoredPair, UnitSequence
+from zrc_eval.types import (FeatureSequence, MetricReport, ScoredPair, TriphoneToken,
+                            UnitSequence)
 
 
 # ---------------------------------------------------------------------------
@@ -41,16 +42,21 @@ class TestItemFile:
 
     def test_non_numeric_time_cites_line(self, tmp_path):
         path = tmp_path / "dev.item"
-        path.write_text(io.ITEM_HEADER
-                        + "\ns1.wav 0.1 0.2 B AH P spk1\ns2.wav x 0.2 B AH P spk1\n")
-        with pytest.raises(FormatError, match="line 3"):
-            io.read_item_file(path)
+        for times, reason in (("x 0.2", "non-numeric"), ("0.1 inf", "non-finite"),
+                              ("nan 0.2", "non-finite")):
+            path.write_text(io.ITEM_HEADER + "\ns1.wav 0.1 0.2 B AH P spk1"
+                            + f"\ns2.wav {times} B AH P spk1\n")
+            with pytest.raises(FormatError, match=f"line 3: {reason}"):
+                io.read_item_file(path)
 
     def test_offset_not_after_onset(self, tmp_path):
         path = tmp_path / "dev.item"
         path.write_text(io.ITEM_HEADER + "\ns1.wav 0.5 0.5 B AH P spk1\n")
         with pytest.raises(ValidationError):
             io.read_item_file(path)
+        for onset, offset in ((0.1, float("inf")), (float("nan"), 0.2)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                TriphoneToken("s1.wav", onset, offset, "B", "AH", "P", "spk1")
 
     def test_duplicate_token_key(self, tmp_path):
         path = tmp_path / "dev.item"

@@ -118,8 +118,8 @@ class TestSemanticDistance:
             metrics.semantic_distance([0.0, 0.0], [1.0, 0.0])
 
     def test_accepts_pooled_embedding(self):
-        e1 = metrics.PooledEmbedding(np.array([1.0, 0.0]))
-        e2 = metrics.PooledEmbedding(np.array([2.0, 0.0]))
+        e1 = metrics.pool([[1.0, 0.0]])
+        e2 = np.array([2.0, 0.0])
         assert metrics.semantic_distance(e1, e2) == pytest.approx(1.0, abs=1e-15)
 
 

@@ -1,13 +1,15 @@
 """N-gram training, chain-rule scoring and masked span scoring."""
 
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from zrc_eval import scoring
-from zrc_eval.errors import ValidationError
+from zrc_eval.errors import FormatError, ValidationError
 from zrc_eval.types import UnitSequence
 
 
@@ -78,6 +80,34 @@ class TestNgramTrain:
         probe = UnitSequence("p", rng.integers(0, 6, size=7).tolist())
         assert (scoring.chain_rule_logprob(loaded, probe).log_score
                 == scoring.chain_rule_logprob(model, probe).log_score)
+
+    def _write_model(self, tmp_path, **fields):
+        path = tmp_path / "model.json"
+        doc = {"order": 2, "alpha": 1.0, "vocab": [0, 1], "counts": {}}
+        path.write_text(json.dumps(dict(doc, **fields)))
+        return path
+
+    def test_non_object_counts_names_path(self, tmp_path):
+        path = self._write_model(tmp_path, counts=[])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: 'counts' is not")):
+            scoring.load_ngram_model(path)
+
+    def test_non_object_bucket_names_path(self, tmp_path):
+        path = self._write_model(tmp_path, counts={"<s>": [1, 2]})
+        with pytest.raises(FormatError, match=re.escape(f"{path}: counts for context '<s>'")):
+            scoring.load_ngram_model(path)
+
+    def test_non_integer_token_names_path(self, tmp_path):
+        path = self._write_model(tmp_path, counts={"x y": {"0": 1}})
+        with pytest.raises(FormatError, match=re.escape(f"{path}: non-integer token 'x'")):
+            scoring.load_ngram_model(path)
+
+    @pytest.mark.parametrize("field, value", [("counts", {"<s>": {"0": None}}),
+                                              ("order", "x"), ("vocab", 5)])
+    def test_malformed_field_names_path(self, tmp_path, field, value):
+        path = self._write_model(tmp_path, **{field: value})
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
+            scoring.load_ngram_model(path)
 
 
 class TestChainRule:
