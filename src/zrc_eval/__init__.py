@@ -9,7 +9,7 @@ scoring and the pair-balancing sampler).
 
 __version__ = "0.1.0"
 
-from .abx import AbxCategory, AbxResult, abx_evaluate, asymmetric_abx, one_hot_encode, symmetrized_cell
+from .abx import AbxResult, abx_evaluate, asymmetric_abx, one_hot_encode, symmetrized_cell
 from .distance import angular_frame_distance, dtw_distance, kl_frame_distance
 from .errors import FormatError, ValidationError
 from .metrics import paired_accuracy, pool, semantic_distance, similarity_score, spearman

@@ -1,54 +1,52 @@
-"""DTW accumulation kernel: min-sum alignment over a framewise cost matrix."""
+"""DTW accumulation kernel: min-sum alignment over a batch of cost matrices."""
 
 import numpy as np
 
 
-def dtw_accumulate(cost):
-    """Min-sum DTW over a framewise cost matrix.
+def dtw_accumulate(cost, t_len, s_len):
+    """Min-sum DTW over a padded ``T x S x B`` stack of cost matrices.
 
-    Steps are (1,0), (0,1) and (1,1); endpoints are anchored at both
-    corners. Returns ``(path_sum, path_length)`` for the optimal path,
-    ties broken by preferring diagonal, then vertical, then horizontal
-    predecessors.
+    Pair ``b`` owns ``cost[:t_len[b], :s_len[b], b]``; whatever lies below
+    or right of that block is padding, which no real cell reads. Steps are
+    (1,0), (0,1) and (1,1); endpoints are anchored at both corners. Each
+    cell ``(i, j)`` is computed once for the whole batch, its predecessor
+    chosen with strict ``<`` in the order diagonal, then vertical, then
+    horizontal, and the path length is carried forward (the chosen
+    predecessor's plus one), so no backtrace is needed and only two rows
+    of the accumulated matrix are kept.
+
+    Returns arrays ``(path_sum, path_length)`` of length B, each read at
+    the pair's own corner ``(t_len[b] - 1, s_len[b] - 1)``.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    t, s = cost.shape
+    t, s, b = cost.shape
     if t == 0 or s == 0:
         raise ValueError("empty cost matrix")
+    t_len, s_len = np.asarray(t_len), np.asarray(s_len)
 
-    acc = np.empty((t, s), dtype=np.float64)
-    move = np.zeros((t, s), dtype=np.int8)
-    acc[0, 0] = cost[0, 0]
-    for j in range(1, s):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
-        move[0, j] = 2
-    for i in range(1, t):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-        move[i, 0] = 1
-        row, above = acc[i], acc[i - 1]
-        crow, mrow = cost[i], move[i]
-        for j in range(1, s):
-            best = above[j - 1]
-            m = 0
-            if above[j] < best:
-                best = above[j]
-                m = 1
-            if row[j - 1] < best:
-                best = row[j - 1]
-                m = 2
-            row[j] = best + crow[j]
-            mrow[j] = m
-
-    i, j = t - 1, s - 1
-    length = 1
-    while i > 0 or j > 0:
-        m = move[i, j]
-        if m == 0:
-            i -= 1
-            j -= 1
-        elif m == 1:
-            i -= 1
-        else:
-            j -= 1
-        length += 1
-    return float(acc[t - 1, s - 1]), length
+    # Column 0 and the row above the first are an infinite border (but for
+    # the zero before the start), so the first real row and column take
+    # the same predecessors as the interior.
+    above = np.full((s + 1, b), np.inf)
+    above[0] = 0.0
+    above_steps = np.zeros((s + 1, b), dtype=np.int32)
+    total, length = np.empty(b), np.empty(b, dtype=np.int32)
+    for i in range(t):
+        diag, up = above[:-1], above[1:]
+        vertical = up < diag
+        best = np.where(vertical, up, diag)
+        best_steps = np.where(vertical, above_steps[1:], above_steps[:-1])
+        row = np.empty_like(above)
+        row[0] = np.inf
+        steps = np.zeros_like(above_steps)
+        crow = cost[i]
+        for j in range(s):
+            horizontal = row[j] < best[j]
+            np.add(np.where(horizontal, row[j], best[j]), crow[j], out=row[j + 1])
+            np.add(np.where(horizontal, steps[j], best_steps[j]), 1,
+                   out=steps[j + 1])
+        done = np.flatnonzero(t_len == i + 1)
+        total[done] = row[s_len[done], done]
+        length[done] = steps[s_len[done], done]
+        above, above_steps = row, steps
+    return total, length

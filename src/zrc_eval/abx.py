@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import dtw_distance
+from .distance import FRAME_METRICS, dtw_pairs, prepare
+from .distance import dtw_distance  # noqa: F401  (perfbench/spans.py wraps abx.dtw_distance)
 from .errors import ValidationError
 from .io_formats import FeatureArchive
 from .types import FeatureSequence, UnitSequence
@@ -43,18 +44,6 @@ def one_hot_encode(seq: UnitSequence, n_units: int,
 
 
 @dataclass
-class AbxCategory:
-    """All tokens sharing one phone triple and one speaker."""
-
-    phone_triple: tuple  # (left, center, right)
-    speaker: str
-    tokens: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass
 class AbxResult:
     mode: str
     error_rate: float  # percent in [0, 100]
@@ -62,31 +51,57 @@ class AbxResult:
     by_phone_pair: dict = field(default_factory=dict)  # percent per pair
 
 
-def _token_matrices(category) -> list:
-    if isinstance(category, AbxCategory):
-        return list(category.tokens)
-    return list(category)
+def _distance_table(tokens, directions, metric) -> np.ndarray:
+    """Directed distances ``table[i, j] = d(tokens[i], tokens[j])``.
 
-
-def _as_dist(metric):
-    """Accept a frame-metric name or any pairwise distance callable."""
+    Filled for every (token, probe) pair that one of ``directions`` (the
+    ``(a_idx, b_idx, x_idx, skip_same)`` arguments of ``_score_cell``)
+    compares, NaN elsewhere. ``tokens`` are ``prepare``d sequences for a
+    frame-metric name, run through the batched DTW driver; for a distance
+    callable they are passed as given, one call per needed pair.
+    """
+    need = np.zeros((len(tokens), len(tokens)), dtype=bool)
+    for a_idx, b_idx, x_idx, _ in directions:
+        x_idx = np.asarray(x_idx)
+        need[np.asarray(a_idx)[:, None], x_idx] = True
+        need[np.asarray(b_idx)[:, None], x_idx] = True
+    np.fill_diagonal(need, False)  # d(x, x) is never compared
+    rows, cols = np.nonzero(need)
+    table = np.full(need.shape, np.nan)
     if callable(metric):
-        return metric
-    return lambda x, y: dtw_distance(x, y, metric)
+        table[rows, cols] = [metric(tokens[i], tokens[j])
+                             for i, j in zip(rows, cols)]
+    else:
+        table[rows, cols] = dtw_pairs(tokens, rows, cols, metric)
+    return table
+
+
+def _score_cell(table, a_idx, b_idx, x_idx, skip_same: bool) -> float:
+    """Directed cell score over token indices into a distance table."""
+    a_idx, x_idx = np.asarray(a_idx), np.asarray(x_idx)
+    d_ax = table[a_idx[:, None], x_idx][:, None, :]  # a x 1 x x
+    d_bx = table[np.asarray(b_idx)[:, None], x_idx][None, :, :]  # 1 x b x x
+    errors = (d_bx < d_ax).sum(axis=1)  # per (a, x), over b
+    ties = (d_bx == d_ax).sum(axis=1)
+    if skip_same:
+        keep = a_idx[:, None] != x_idx[None, :]
+        errors, ties = errors[keep], ties[keep]
+    count = errors.size * d_bx.shape[1]
+    if count == 0:
+        raise ValidationError("empty ABX cell")
+    return (float(errors.sum()) + 0.5 * float(ties.sum())) / count
 
 
 def asymmetric_abx(a, b, metric="angular", x=None) -> float:
     """Asymmetric cell score e(A, B) in [0, 1].
 
-    ``a``/``b`` are AbxCategory values or plain lists of frame matrices;
-    ``metric`` is a frame-metric name or a pairwise distance callable.
-    With ``x`` unset, probes are drawn from ``a`` itself (excluding the
-    token playing a), which requires at least two a-tokens. Passing a
-    separate probe pool ``x`` (across-speaker case) lifts that
-    requirement.
+    ``a``/``b`` are lists of frame matrices; ``metric`` is a frame-metric
+    name or a pairwise distance callable. With ``x`` unset, probes are
+    drawn from ``a`` itself (excluding the token playing a), which
+    requires at least two a-tokens. Passing a separate probe pool ``x``
+    (across-speaker case) lifts that requirement.
     """
-    a_tokens = _token_matrices(a)
-    b_tokens = _token_matrices(b)
+    a_tokens, b_tokens = list(a), list(b)
     if not b_tokens:
         raise ValidationError("category B is empty")
     if x is None:
@@ -95,15 +110,17 @@ def asymmetric_abx(a, b, metric="angular", x=None) -> float:
                 f"need at least 2 tokens in A to draw (a, x) pairs, got {len(a_tokens)}")
         x_tokens = []
     else:
-        x_tokens = _token_matrices(x)
+        x_tokens = list(x)
         if not a_tokens or not x_tokens:
             raise ValidationError("categories A and X must be non-empty")
     tokens = a_tokens + b_tokens + x_tokens
+    if not callable(metric):
+        tokens = [prepare(t, metric) for t in tokens]
     na, nb = len(a_tokens), len(b_tokens)
     a_idx = range(na)
     x_idx = a_idx if x is None else range(na + nb, len(tokens))
-    return _score_cell(a_idx, range(na, na + nb), x_idx,
-                       _CachedDist(tokens, metric), skip_same=x is None)
+    direction = (a_idx, range(na, na + nb), x_idx, x is None)
+    return _score_cell(_distance_table(tokens, [direction], metric), *direction)
 
 
 def symmetrized_cell(a, b, metric="angular") -> float:
@@ -115,6 +132,10 @@ def symmetrized_cell(a, b, metric="angular") -> float:
 # full evaluation over an item set
 # ---------------------------------------------------------------------------
 
+def _token_name(token) -> str:
+    return f"token ({token.file_id}, {token.onset}, {token.offset})"
+
+
 def extract_token_frames(archive: FeatureArchive, token) -> np.ndarray | None:
     """Slice a token's frames out of its utterance; None when empty.
 
@@ -125,7 +146,7 @@ def extract_token_frames(archive: FeatureArchive, token) -> np.ndarray | None:
         fs = archive.load(token.file_id)
     except FileNotFoundError:
         raise ValidationError(
-            f"token ({token.file_id}, {token.onset}, {token.offset}): "
+            f"{_token_name(token)}: "
             f"utterance {token.file_id!r} missing from archive") from None
     rate = fs.frame_rate
     start = math.floor(token.onset * rate)
@@ -136,115 +157,98 @@ def extract_token_frames(archive: FeatureArchive, token) -> np.ndarray | None:
     return fs.frames[start:stop]
 
 
-class _CachedDist:
-    """Pairwise token distance with memoization on (token index, probe index)."""
+def _context_cells(by_center, mode: str, context) -> list:
+    """The symmetrized cells of one context, in aggregation order.
 
-    def __init__(self, matrices, metric):
-        self._matrices = matrices
-        self._dist = _as_dist(metric)
-        self._cache: dict = {}
-
-    def __call__(self, i: int, j: int) -> float:
-        key = (i, j)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._dist(self._matrices[i], self._matrices[j])
-            self._cache[key] = value
-        return value
-
-
-def _score_cell(a_idx, b_idx, x_idx, dist, skip_same: bool) -> float:
-    """Directed cell score over token indices; ``dist`` maps (i, j) to d."""
-    total = 0.0
-    count = 0
-    for x in x_idx:
-        d_ax = [dist(a, x) for a in a_idx if not (skip_same and a == x)]
-        d_bx = [dist(b, x) for b in b_idx]
-        for da in d_ax:
-            for db in d_bx:
-                if db < da:
-                    total += 1.0
-                elif db == da:
-                    total += 0.5
-                count += 1
-    if count == 0:
-        raise ValidationError("empty ABX cell")
-    return total / count
+    Each is ``(phone_pair, [direction, direction])``, a direction being
+    the ``(a_idx, b_idx, x_idx, skip_same)`` arguments of ``_score_cell``.
+    """
+    cells = []
+    centers = sorted(by_center)
+    for i, c1 in enumerate(centers):
+        for c2 in centers[i + 1:]:
+            pair = (c1, c2)
+            cat1, cat2 = by_center[c1], by_center[c2]
+            speakers = sorted(set(cat1) & set(cat2))
+            if mode == "within":
+                for speaker in speakers:
+                    a_idx, b_idx = cat1[speaker], cat2[speaker]
+                    if len(a_idx) < 2 or len(b_idx) < 2:
+                        log.info(
+                            "skipping within cell %s/%s @%s %s: "
+                            "needs 2+ tokens on both sides",
+                            c1, c2, speaker, context)
+                        continue
+                    cells.append((pair, [
+                        (a_idx, b_idx, a_idx, True),
+                        (b_idx, a_idx, b_idx, True),
+                    ]))
+            else:
+                for s1 in speakers:
+                    for s2 in speakers:
+                        if s1 == s2:
+                            continue
+                        cells.append((pair, [
+                            (cat1[s1], cat2[s1], cat1[s2], False),
+                            (cat2[s1], cat1[s1], cat2[s2], False),
+                        ]))
+    return cells
 
 
 def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     """Evaluate the ABX error rate over an item set.
 
-    ``features`` is a FeatureArchive or a directory path. Cells lacking
-    enough tokens are skipped with a logged reason; an item set producing
-    no valid cell at all is an error.
+    ``features`` is a FeatureArchive or a directory path. Each token is
+    extracted, validated and prepared once; a token whose frames the
+    metric rejects is an error naming it. Contexts are evaluated one at a
+    time from one distance table each, so memory is bounded by the
+    largest context. Cells lacking enough tokens are skipped with a
+    logged reason; an item set producing no valid cell at all is an error.
     """
     if mode not in ("within", "across"):
         raise ValueError(f"unknown ABX mode {mode!r}")
+    if not callable(metric) and metric not in FRAME_METRICS:
+        raise ValueError(f"unknown frame metric {metric!r}")
     archive = features if isinstance(features, FeatureArchive) else FeatureArchive(features)
 
-    matrices = []
-    groups: dict = {}  # (left, right) -> center -> speaker -> [token index]
+    # (left, right) -> ([token], center -> speaker -> [index into that list])
+    contexts: dict = {}
     for token in items:
         frames = extract_token_frames(archive, token)
         if frames is None:
             log.warning("dropping token (%s, %s, %s): empty frame extraction",
                         token.file_id, token.onset, token.offset)
             continue
-        idx = len(matrices)
-        matrices.append(frames)
-        groups.setdefault((token.left, token.right), {}) \
-              .setdefault(token.center, {}) \
-              .setdefault(token.speaker, []).append(idx)
+        if not callable(metric):
+            try:
+                frames = prepare(frames, metric)
+            except ValueError as exc:
+                raise ValidationError(f"{_token_name(token)}: {exc}") from None
+        tokens, by_center = contexts.setdefault((token.left, token.right), ([], {}))
+        by_center.setdefault(token.center, {}) \
+                 .setdefault(token.speaker, []).append(len(tokens))
+        tokens.append(frames)
 
-    dist = _CachedDist(matrices, metric)
+    # phone pair -> context -> [symmetrized cell score]
+    per_pair_context: dict = {}
+    cell_count = 0
+    for context in sorted(contexts):
+        tokens, by_center = contexts.pop(context)
+        cells = _context_cells(by_center, mode, context)
+        if not cells:
+            continue
+        table = _distance_table(
+            tokens, [d for _, directions in cells for d in directions], metric)
+        for pair, directions in cells:
+            scores = [_score_cell(table, *d) for d in directions]
+            per_pair_context.setdefault(pair, {}).setdefault(context, []) \
+                            .append(sum(scores) / len(scores))
+        cell_count += len(cells)
 
-    # A job is one symmetrized cell: two directed scores to average.
-    jobs = []  # (phone_pair, context, [(a_idx, b_idx, x_idx, skip_same), ...])
-    for context in sorted(groups):
-        by_center = groups[context]
-        centers = sorted(by_center)
-        for i, c1 in enumerate(centers):
-            for c2 in centers[i + 1:]:
-                pair = (c1, c2)
-                cat1, cat2 = by_center[c1], by_center[c2]
-                if mode == "within":
-                    for speaker in sorted(set(cat1) & set(cat2)):
-                        a_idx, b_idx = cat1[speaker], cat2[speaker]
-                        if len(a_idx) < 2 or len(b_idx) < 2:
-                            log.info(
-                                "skipping within cell %s/%s @%s %s: "
-                                "needs 2+ tokens on both sides",
-                                c1, c2, speaker, context)
-                            continue
-                        jobs.append((pair, context, [
-                            (a_idx, b_idx, a_idx, True),
-                            (b_idx, a_idx, b_idx, True),
-                        ]))
-                else:
-                    speakers = sorted(set(cat1) & set(cat2))
-                    for s1 in speakers:
-                        for s2 in speakers:
-                            if s1 == s2:
-                                continue
-                            jobs.append((pair, context, [
-                                (cat1[s1], cat2[s1], cat1[s2], False),
-                                (cat2[s1], cat1[s1], cat2[s2], False),
-                            ]))
-
-    if not jobs:
+    if not cell_count:
         raise ValidationError(f"no valid ABX cells in {mode} mode")
 
-    cell_scores = []
-    for _, _, directions in jobs:
-        scores = [_score_cell(a, b, x, dist, skip) for a, b, x, skip in directions]
-        cell_scores.append(sum(scores) / len(scores))
-
     # speaker assignments -> context -> phone pair, uniform means at each level
-    per_pair_context: dict = {}
-    for (pair, context, _), score in zip(jobs, cell_scores):
-        per_pair_context.setdefault(pair, {}).setdefault(context, []).append(score)
-
     pair_scores = {}
     for pair in sorted(per_pair_context):
         context_means = [sum(v) / len(v)
@@ -255,7 +259,7 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     return AbxResult(
         mode=mode,
         error_rate=100.0 * aggregate,
-        cell_count=len(jobs),
+        cell_count=cell_count,
         by_phone_pair={f"{p1}-{p2}": 100.0 * s
                        for (p1, p2), s in sorted(pair_scores.items())},
     )

@@ -11,7 +11,20 @@ anchored at both corners, minimizes the summed framewise distance, and
 reports the mean distance over the optimal path (ties in the alignment
 broken by preferring diagonal, then vertical, then horizontal steps).
 
-The accumulation loop over the cost matrix lives in ``_dtw_py``.
+Work is split in three pieces that every caller shares:
+
+* ``prepare`` validates one sequence and computes, once, what every pair
+  cost involving it needs (unit-normalized frames for ``angular``; the
+  floored frames, their log and the row term ``sum p log p`` for ``kl``);
+* ``pair_cost`` builds one pair's T x S cost matrix from two prepared
+  sequences;
+* ``_dtw_py.dtw_accumulate`` runs the DTW recursion over a padded
+  T x S x B stack of cost matrices.
+
+``dtw_pairs`` drives many pairs at once: it sorts them by shape and runs
+the kernel over chunks whose padded tensor holds at most ``CHUNK_CELLS``
+cells, so memory stays bounded whatever the number of pairs.
+``frame_cost_matrix`` and ``dtw_distance`` are the one-pair case.
 """
 
 from __future__ import annotations
@@ -25,6 +38,10 @@ from . import _dtw_py as _kernel
 FRAME_METRICS = ("angular", "kl")
 
 KL_EPS = 1e-10
+
+# Padded cells per kernel call; larger chunks save little time and cost
+# peak memory.
+CHUNK_CELLS = 1 << 16
 
 
 def angular_frame_distance(x, y) -> float:
@@ -62,35 +79,96 @@ def _frames(x) -> np.ndarray:
     return arr
 
 
-def frame_cost_matrix(rx, ry, metric: str = "angular") -> np.ndarray:
-    """All pairwise framewise distances between two sequences (T x S)."""
-    fx, fy = _frames(rx), _frames(ry)
-    if fx.shape[1] != fy.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {fx.shape[1]} vs {fy.shape[1]}")
+def prepare(x, metric: str) -> tuple:
+    """Validate one frame sequence and precompute its share of pair costs.
+
+    Returns ``(u,)`` for ``angular`` (unit-normalized frames) and
+    ``(p, log p, sum p log p per row)`` for ``kl`` (frames floored at
+    ``KL_EPS``). Raises ValueError on zero-norm frames (``angular``),
+    non-probability frames (``kl``) or an unknown metric.
+    """
+    f = _frames(x)
     if metric == "angular":
-        nx = np.linalg.norm(fx, axis=1)
-        ny = np.linalg.norm(fy, axis=1)
-        if (nx == 0).any() or (ny == 0).any():
+        norms = np.linalg.norm(f, axis=1)
+        if (norms == 0).any():
             raise ValueError("angular distance undefined for zero-norm frames")
-        ux = fx / nx[:, None]
-        uy = fy / ny[:, None]
-        diff = ux[:, None, :] - uy[None, :, :]
+        return (f / norms[:, None],)
+    if metric == "kl":
+        if (f < 0).any() or np.abs(f.sum(axis=1) - 1.0).max() > 1e-6:
+            raise ValueError("KL distance requires probability frames")
+        p = np.maximum(f, KL_EPS)
+        log_p = np.log(p)
+        return (p, log_p, np.sum(p * log_p, axis=1))
+    raise ValueError(f"unknown frame metric {metric!r}")
+
+
+def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
+    """T x S framewise cost matrix between two prepared sequences."""
+    if metric == "angular":
+        diff = x[0][:, None, :] - y[0][None, :, :]
         chord = np.sqrt(np.einsum("tsd,tsd->ts", diff, diff))
         return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
-    if metric == "kl":
-        for f in (fx, fy):
-            if (f < 0).any() or np.abs(f.sum(axis=1) - 1.0).max() > 1e-6:
-                raise ValueError("KL distance requires probability frames")
-        px = np.maximum(fx, KL_EPS)
-        qy = np.maximum(fy, KL_EPS)
-        row_term = np.sum(px * np.log(px), axis=1)
-        return row_term[:, None] - px @ np.log(qy).T
-    raise ValueError(f"unknown frame metric {metric!r}")
+    p, _, row_term = x
+    return row_term[:, None] - p @ y[1].T
+
+
+def _check_dims(prepared) -> None:
+    dims = sorted({x[0].shape[1] for x in prepared})
+    if len(dims) > 1:
+        raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
+
+
+def frame_cost_matrix(rx, ry, metric: str = "angular") -> np.ndarray:
+    """All pairwise framewise distances between two sequences (T x S)."""
+    x, y = prepare(rx, metric), prepare(ry, metric)
+    _check_dims((x, y))
+    return pair_cost(x, y, metric)
 
 
 def dtw_distance(rx, ry, metric: str = "angular") -> float:
     """Mean framewise distance along the optimal DTW alignment path."""
-    cost = np.ascontiguousarray(frame_cost_matrix(rx, ry, metric))
-    total, length = _kernel.dtw_accumulate(cost)
-    return float(total) / length
+    cost = frame_cost_matrix(rx, ry, metric)
+    t, s = cost.shape
+    total, length = _kernel.dtw_accumulate(cost[:, :, None], [t], [s])
+    return float(total[0]) / int(length[0])
+
+
+def dtw_pairs(prepared, rows, cols, metric: str) -> np.ndarray:
+    """``dtw_distance`` of ``prepared[rows[k]]`` to ``prepared[cols[k]]`` for
+    every k, from sequences already passed through ``prepare``.
+
+    Pairs are sorted by shape and cut into chunks whose padded T x S x B
+    cost tensor stays within ``CHUNK_CELLS`` cells (a pair larger than
+    that runs alone), so only one chunk's costs are alive at a time.
+    """
+    _check_dims(prepared)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    t_all = np.array([x[0].shape[0] for x in prepared], dtype=np.intp)
+    t_len, s_len = t_all[rows], t_all[cols]
+    order = np.lexsort((s_len, t_len))
+    shapes = list(zip(t_len[order].tolist(), s_len[order].tolist()))
+    pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
+
+    # Sorted by T, so a chunk pads to its last T and its largest S.
+    bounds = []
+    start = t_max = s_max = 0
+    for k, (t, s) in enumerate(shapes):
+        t_next, s_next = max(t_max, t), max(s_max, s)
+        if k > start and t_next * s_next * (k - start + 1) > CHUNK_CELLS:
+            bounds.append((start, k, t_max, s_max))
+            start, t_next, s_next = k, t, s
+        t_max, s_max = t_next, s_next
+    if shapes:
+        bounds.append((start, len(shapes), t_max, s_max))
+
+    out = np.empty(len(order))
+    for start, stop, t_max, s_max in bounds:
+        cost = np.zeros((t_max, s_max, stop - start))
+        for b in range(stop - start):
+            (t, s), (i, j) = shapes[start + b], pairs[start + b]
+            cost[:t, :s, b] = pair_cost(prepared[i], prepared[j], metric)
+        chunk = order[start:stop]
+        total, length = _kernel.dtw_accumulate(cost, t_len[chunk], s_len[chunk])
+        out[chunk] = total / length
+    return out

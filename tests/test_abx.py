@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import abx_oracle
-from zrc_eval import abx, io_formats
+from zrc_eval import abx, distance, io_formats
 from zrc_eval.distance import dtw_distance
 from zrc_eval.errors import ValidationError
 from zrc_eval.types import FeatureSequence, TriphoneToken, UnitSequence
@@ -264,6 +264,28 @@ class TestAbxEvaluate:
         for (p1, p2), score in pair_scores.items():
             assert result.by_phone_pair[f"{p1}-{p2}"] == pytest.approx(
                 100.0 * score, abs=1e-12)
+
+    @pytest.mark.parametrize("chunk_cells", [64, distance.CHUNK_CELLS])
+    @pytest.mark.parametrize("mode", ["within", "across"])
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_batched_engine_equals_callable_path(self, tmp_path, monkeypatch,
+                                                 metric, mode, chunk_cells):
+        # probability frames of mixed lengths (1-7) within every context; a
+        # small chunk budget splits each context's pairs over many kernel calls
+        monkeypatch.setattr(distance, "CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(14)
+        cats = []
+        for left, right in (("A", "T"), ("I", "K")):
+            for center in ("B", "P", "D"):
+                for speaker in ("s1", "s2", "s3"):
+                    mats = [rng.dirichlet(np.ones(3), size=int(rng.integers(1, 8)))
+                            for _ in range(int(rng.integers(2, 5)))]
+                    cats.append((center, left, right, speaker, mats))
+        tokens = build_items(cats, tmp_path)
+        batched = abx.abx_evaluate(tokens, tmp_path, mode, metric)
+        called = abx.abx_evaluate(tokens, tmp_path, mode,
+                                  lambda x, y: dtw_distance(x, y, metric))
+        assert batched == called
 
     def test_no_cells_is_error(self, tmp_path):
         rng = np.random.default_rng(10)

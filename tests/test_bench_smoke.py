@@ -1,0 +1,29 @@
+"""The benchmark harness runs the ABX workloads to a well-formed result.
+
+Each workload runs once with a zero time budget (the minimum number of
+passes plus the seed-0 reference pass), in its own process, exactly as
+the benchmark command does. A library change that breaks a name the
+harness imports, calls or wraps, or that changes an ABX result, ends
+here as a non-zero exit, a malformed last line or ``correct: false``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["abx-dense", "abx-units"])
+def test_workload_reports_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -1,6 +1,10 @@
 """CLI wiring: exit codes, report writing, determinism."""
 
+import numpy as np
+import pytest
+
 from zrc_eval import cli, io_formats, quantizer, sampler, scoring
+from zrc_eval.types import FeatureSequence, TriphoneToken
 
 
 def run(argv):
@@ -31,6 +35,30 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("distance, bad_frame",
+                             [("angular", [0.0, 0.0]), ("kl", [0.5, 0.6])])
+    def test_bad_frame_names_its_token(self, tmp_path, capsys, distance, bad_frame):
+        # one token whose frames the metric rejects, among valid ones
+        features = tmp_path / "features"
+        tokens = []
+        for k, (center, unit) in enumerate([("B", 0), ("B", 0), ("P", 1), ("P", 1)]):
+            frames = np.eye(2)[[unit, unit]]
+            utt = "bad_utt" if k == 3 else f"u{k}"
+            if k == 3:
+                frames[1] = bad_frame
+            io_formats.write_feature_archive(
+                features, FeatureSequence(utt, 100.0, frames), "binary")
+            tokens.append(TriphoneToken(utt, 0.0, 0.02, center, "A", "T", "s1"))
+        items = tmp_path / "x.item"
+        io_formats.write_item_file(tokens, items)
+        code = run(["abx", "--items", str(items), "--features", str(features),
+                    "--mode", "within", "--distance", distance,
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bad_utt" in err
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = run(["ngram-train", "--units", str(tmp_path / "nope.txt"),

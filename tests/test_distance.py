@@ -104,8 +104,46 @@ class TestDtw:
         for _ in range(200):
             cost = rng.integers(0, 3, size=(int(rng.integers(1, 7)),
                                             int(rng.integers(1, 7)))).astype(float)
-            total, length = _dtw_py.dtw_accumulate(cost)
-            assert total / length == dtw_oracle(cost)
+            t, s = cost.shape
+            total, length = _dtw_py.dtw_accumulate(cost[:, :, None], [t], [s])
+            assert total[0] / length[0] == dtw_oracle(cost)
+
+    def test_padded_batch_matches_oracle_and_single_runs(self):
+        # mixed shapes padded into one tensor, including {0, 1, 2} integer
+        # costs whose ties exercise the predecessor order
+        rng = np.random.default_rng(11)
+        costs = []
+        for k in range(120):
+            shape = (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+            if k % 2:
+                costs.append(rng.integers(0, 3, size=shape).astype(float))
+            else:
+                costs.append(rng.uniform(0.0, 2.0, size=shape))
+        t_len = [c.shape[0] for c in costs]
+        s_len = [c.shape[1] for c in costs]
+        padded = np.full((max(t_len), max(s_len), len(costs)), 9.0)
+        for b, c in enumerate(costs):
+            padded[:c.shape[0], :c.shape[1], b] = c
+        total, length = _dtw_py.dtw_accumulate(padded, t_len, s_len)
+        for b, c in enumerate(costs):
+            alone_total, alone_length = _dtw_py.dtw_accumulate(
+                c[:, :, None], [c.shape[0]], [c.shape[1]])
+            assert total[b] == alone_total[0] and length[b] == alone_length[0]
+            assert total[b] / length[b] == dtw_oracle(c)
+
+    def test_pairs_driver_matches_dtw_distance(self, monkeypatch):
+        # a chunk budget smaller than most pairs forces many chunks and
+        # single-pair chunks
+        monkeypatch.setattr(distance, "CHUNK_CELLS", 40)
+        rng = np.random.default_rng(12)
+        for metric in distance.FRAME_METRICS:
+            seqs = [rng.dirichlet(np.ones(4), size=int(rng.integers(1, 9)))
+                    for _ in range(12)]
+            prepared = [distance.prepare(x, metric) for x in seqs]
+            rows, cols = np.nonzero(~np.eye(12, dtype=bool))
+            got = distance.dtw_pairs(prepared, rows, cols, metric)
+            for k, (i, j) in enumerate(zip(rows, cols)):
+                assert got[k] == distance.dtw_distance(seqs[i], seqs[j], metric)
 
     def test_symmetry_angular(self):
         rng = np.random.default_rng(8)
