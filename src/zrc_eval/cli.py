@@ -289,8 +289,7 @@ def cmd_sample_pairs(args) -> int:
         report = MetricReport(
             metric="sampler-balance",
             aggregate=assignment.objective,
-            subsets={s: sampler_mod.balance_objective(chosen, cs)
-                     for s, chosen in sorted(by_stratum.items())},
+            subsets=sampler_mod._stratum_objectives(by_stratum, cs),
             counts={s: len(chosen) for s, chosen in sorted(by_stratum.items())},
             config={"mode": args.mode, "seed": str(args.seed),
                     "restarts": str(args.restarts),

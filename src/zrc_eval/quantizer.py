@@ -3,6 +3,42 @@
 Lloyd's algorithm with seeded k-means++ initialization. Clustering uses
 squared Euclidean distance; determinism is part of the contract: the same
 (frames, K, seed, max_iter, tol) always produces a bit-identical codebook.
+
+Labels and distances are defined by the difference form
+``sum_d (x_d - c_d)**2`` (``_squared_distances``), ties to the lowest
+index. ``_assign`` reaches the same labels without building a
+``frames x K x D`` tensor. Per chunk of frames it computes the Gram form
+``D~_j = (|x|**2 - 2 x.c_j) + |c_j|**2`` with one matrix product and
+bounds how far it can lie from the difference form.
+
+Bound. Let ``u = 2**-53`` and ``gamma_m = m u / (1 - m u)``. A sum of
+products evaluated in floating point, in any order, is within
+``gamma_m * sum |term|`` of its exact value when every term passes through
+at most ``m`` roundings. In the difference form a term ``(x_d - c_d)**2``
+takes a subtraction, a product and at most ``D - 1`` additions: ``D + 1``.
+In the Gram form a term ``x_d**2``, ``x_d c_d`` or ``c_d**2`` takes a
+product, at most ``D - 1`` additions inside its dot product and two
+additions combining the three dot products: ``D + 2``. The absolute terms
+sum to ``|x - c_j|**2`` and ``|x|**2 + 2 sum_d |x_d c_jd| + |c_j|**2``,
+both at most ``(|x| + |c_j|)**2`` by Cauchy-Schwarz. So each form is within
+``gamma_{D+2} (|x| + |c_j|)**2`` of the exact distance, and the two forms
+are within ``E_j = 2 gamma_{D+2} (|x| + |c_j|)**2`` of each other. Only a
+centroid with ``D~_j - E_j <= min_i (D~_i + E_i)`` can be the
+difference-form minimum.
+
+Margin. ``E_j`` is used times 5/4. Evaluating it from the computed norms
+is off by a relative ``(D + 9) u`` at most. The subtraction and the
+addition of the candidate test each round by at most ``u (|x| + |c|)**2``,
+which is ``E / (2 (D + 2)) <= E / 6``; the spare quarter covers both.
+Underflow to subnormals breaks the relative model. It adds at most
+``2**-1075`` per product, over ``4 D`` products in both forms, so
+``2 (D + 2) 2**-1074`` is added to every ``E_j``.
+
+Re-score. A row with exactly one candidate takes it. Every other row, and
+every row with a non-finite ``D~`` or ``E``, is labelled by the difference
+form over all K centroids. Every row's distance is then the difference
+form at its label, so labels, distances, inertia and everything fitted
+from them are bit-identical to the all-pairs difference form.
 """
 
 from __future__ import annotations
@@ -60,15 +96,44 @@ def _squared_distances(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _assign(frames: np.ndarray, centroids: np.ndarray, chunk: int = 2048):
-    """Labels and squared distance to the nearest centroid, ties to lowest index."""
-    n = frames.shape[0]
+    """Labels and squared distance to the nearest centroid, ties to lowest index.
+
+    Exactly the labels and distances of ``_squared_distances`` over all
+    centroids; the module docstring derives the bound that lets the Gram
+    form pick the label.
+    """
+    n, dim = frames.shape
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
+    centroids_t = np.ascontiguousarray(centroids.T)
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    c_norm = np.sqrt(c_sq)
+    # E_j = scale (|x| + |c_j|)**2 + floor: 2 gamma_{D+2} with the 5/4 margin
+    unit_m = (dim + 2) * 2.0 ** -53
+    scale = 1.25 * 2.0 * unit_m / (1.0 - unit_m)
+    floor = 2.0 * (dim + 2) * 2.0 ** -1074
     for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        d = _squared_distances(frames[start:stop], centroids)
-        labels[start:stop] = np.argmin(d, axis=1)
-        dists[start:stop] = d[np.arange(stop - start), labels[start:stop]]
+        x = frames[start:start + chunk]
+        x_sq = np.einsum("nd,nd->n", x, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = x_sq[:, None] - 2.0 * (x @ centroids_t) + c_sq
+            bound = np.sqrt(x_sq)[:, None] + c_norm
+            bound *= bound
+            bound *= scale
+            bound += floor
+            best = np.min(gram + bound, axis=1)
+            candidates = gram - bound <= best[:, None]
+            # any non-finite entry makes its row sum non-finite; a sum of
+            # finite entries that overflows only costs a re-score
+            finite = np.isfinite(gram.sum(axis=1) + bound.sum(axis=1))
+        lab = np.argmax(candidates, axis=1)
+        unsure = (np.count_nonzero(candidates, axis=1) != 1) | ~finite
+        if unsure.any():
+            rows = np.flatnonzero(unsure)
+            lab[rows] = np.argmin(_squared_distances(x[rows], centroids), axis=1)
+        diff = x - centroids[lab]
+        labels[start:start + chunk] = lab
+        dists[start:start + chunk] = np.einsum("nd,nd->n", diff, diff)
     return labels, dists
 
 
@@ -94,10 +159,10 @@ def _reservoir_subsample(frames: np.ndarray, size: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Reservoir sampling (algorithm R) over the frame rows."""
     reservoir = np.arange(size)
-    for i in range(size, frames.shape[0]):
-        j = int(rng.integers(i + 1))
-        if j < size:
-            reservoir[j] = i
+    # one call draws the same stream as rng.integers(i + 1) for each i in turn
+    draws = rng.integers(np.arange(size + 1, frames.shape[0] + 1))
+    for offset in np.flatnonzero(draws < size).tolist():
+        reservoir[draws[offset]] = size + offset
     return frames[reservoir]
 
 

@@ -125,16 +125,24 @@ def _objective_value(sums, n: int, m: int) -> float:
 def balance_objective(assignment, cs: CandidateSet) -> float:
     """Eq-style balance objective of a (possibly partial) assignment."""
     chosen = assignment.chosen if isinstance(assignment, Assignment) else assignment
+    return _stratum_objectives({None: chosen}, cs)[None]
+
+
+def _stratum_objectives(chosen_by_stratum: dict, cs: CandidateSet) -> dict:
+    """``balance_objective`` of each stratum's choices, from one outcome table."""
     outcomes = _outcomes(cs)
     m = cs.n_scores
-    sums = [0] * m
-    n = 0
     by_id = {a.anchor_id: i for i, a in enumerate(cs.anchors)}
-    for anchor_id, cand_idx in chosen.items():
-        row = outcomes[by_id[anchor_id]][cand_idx]
-        sums = [s + o for s, o in zip(sums, row)]
-        n += 1
-    return _objective_value(sums, n, m)
+    objectives = {}
+    for stratum, chosen in chosen_by_stratum.items():
+        sums = [0] * m
+        n = 0
+        for anchor_id, cand_idx in chosen.items():
+            row = outcomes[by_id[anchor_id]][cand_idx]
+            sums = [s + o for s, o in zip(sums, row)]
+            n += 1
+        objectives[stratum] = _objective_value(sums, n, m)
+    return objectives
 
 
 def _exact_word_stratum(indices, outcomes, m: int):
@@ -249,6 +257,13 @@ def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
     With ``per_stratum``, the target is split across strata
     proportionally (largest remainder) and each stratum is sampled
     independently.
+
+    Each greedy step computes the trial numerators of all unchosen pairs
+    in one array and takes the first acceptable one in the step's
+    permutation order. That is the pair a one-by-one walk of the
+    permutation would stop at, and the step draws the same ``permutation``
+    and ``integers`` calls, so the RNG stream and the chosen sets are those
+    of the walk.
     """
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
@@ -263,6 +278,7 @@ def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
             f"k_target must be in [1, {n_total}], got {k_target}")
     outcomes = _outcomes(pool)
     m = pool.n_scores
+    rows = np.array([row[0] for row in outcomes], dtype=np.int64)
 
     strata: dict = {}
     for idx, anchor in enumerate(pool.anchors):
@@ -304,23 +320,30 @@ def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
                 total_sums = [t + s for t, s in zip(total_sums, sums)]
                 total_n += quota
                 continue
-            unchosen = list(indices)
-            sums = [0] * m
+            unchosen = np.asarray(indices, dtype=np.int64)
+            sums = np.zeros(m, dtype=np.int64)
             n = 0
+            num = 0  # _numerator(sums, n)
             while n < quota:
-                accepted = None
-                for pos in rng.permutation(len(unchosen)):
-                    idx = unchosen[int(pos)]
-                    row = outcomes[idx][0]
-                    trial = [s + o for s, o in zip(sums, row)]
-                    if _not_worse(trial, n + 1, sums, n, m):
-                        accepted = idx
-                        break
-                if accepted is None:
-                    accepted = unchosen[int(rng.integers(len(unchosen)))]
-                unchosen.remove(accepted)
+                # every trial numerator at once; the first acceptable one in
+                # permutation order is where the walk over it would stop
+                order = rng.permutation(len(unchosen))
+                trial = np.abs(rows[unchosen] + (sums - (n + 1))).sum(axis=1)
+                if n == 0:  # against the empty list, which scores m/2
+                    ok = trial <= m
+                else:
+                    ok = trial * n <= num * (n + 1)
+                hits = ok[order]
+                first = int(np.argmax(hits))
+                if hits[first]:
+                    pos = int(order[first])
+                else:
+                    pos = int(rng.integers(len(unchosen)))
+                accepted = int(unchosen[pos])
+                num = int(trial[pos])
+                unchosen = np.concatenate((unchosen[:pos], unchosen[pos + 1:]))
                 row = outcomes[accepted][0]
-                sums = [s + o for s, o in zip(sums, row)]
+                sums += row
                 n += 1
                 chosen[pool.anchors[accepted].anchor_id] = 0
                 total_sums = [t + o for t, o in zip(total_sums, row)]

@@ -114,7 +114,7 @@ class NgramModel:
         if target != _END:
             self._check_unit(target)
         if self.order > 1:
-            tail = [int(h) for h in history][-(self.order - 1):]
+            tail = [int(h) for h in list(history)[-(self.order - 1):]]
             for h in tail:
                 self._check_unit(h)
             ctx = tuple([_START] * (self.order - 1 - len(tail)) + tail)

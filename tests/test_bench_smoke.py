@@ -1,10 +1,11 @@
-"""The benchmark harness runs the ABX workloads to a well-formed result.
+"""The benchmark harness runs every workload to a well-formed result.
 
 Each workload runs once with a zero time budget (the minimum number of
 passes plus the seed-0 reference pass), in its own process, exactly as
 the benchmark command does. A library change that breaks a name the
-harness imports, calls or wraps, or that changes an ABX result, ends
-here as a non-zero exit, a malformed last line or ``correct: false``.
+harness imports, calls or wraps, or that changes a result, unit file,
+codebook or assignment the harness checks, ends here as a non-zero exit,
+a malformed last line or ``correct: false``.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["abx-dense", "abx-units"])
+@pytest.mark.parametrize("workload", ["abx-dense", "abx-units", "lm-pipeline"])
 def test_workload_reports_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

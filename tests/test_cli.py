@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zrc_eval import cli, io_formats, quantizer, sampler, scoring
-from zrc_eval.types import FeatureSequence, TriphoneToken
+from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken
 
 
 def run(argv):
@@ -168,6 +168,35 @@ class TestPipelines:
                     "--mode", "sentences", "--k-target", "20",
                     "--per-stratum", "--out", str(tmp_path / "x.tsv")]) == 0
         assert len(sampler.read_assignment(tmp_path / "x.tsv")) == 20
+
+
+    def test_sample_pairs_report_per_stratum(self, mini_benchmark, tmp_path):
+        # the candidate set has six strata; each subset is the stratum's
+        # balance_objective, as if computed on its own
+        cands = mini_benchmark / "candidates.tsv"
+        report = tmp_path / "samp.json"
+        out = tmp_path / "asgn.tsv"
+        assert run(["sample-pairs", "--candidates", str(cands), "--seed", "5",
+                    "--restarts", "4", "--out", str(out),
+                    "--report", str(report)]) == 0
+        cs = sampler.read_candidate_set(cands)
+        assignment = sampler.sample_word_pairs(cs, seed=5, restarts=4)
+        by_stratum = {}
+        for a in cs.anchors:
+            by_stratum.setdefault(a.stratum, {})[a.anchor_id] = \
+                assignment.chosen[a.anchor_id]
+        assert len(by_stratum) == 6
+        expected = tmp_path / "expected.json"
+        io_formats.write_report(MetricReport(
+            metric="sampler-balance",
+            aggregate=assignment.objective,
+            subsets={s: sampler.balance_objective(chosen, cs)
+                     for s, chosen in sorted(by_stratum.items())},
+            counts={s: len(chosen) for s, chosen in sorted(by_stratum.items())},
+            config={"mode": "words", "seed": "5", "restarts": "4",
+                    "restart_index": str(assignment.restart_index),
+                    "k_target": "None"}), expected)
+        assert report.read_bytes() == expected.read_bytes()
 
 
 class TestDeterminism:

@@ -31,6 +31,134 @@ def partition_search_minimum(points, k):
     return best
 
 
+def difference_form_assign(frames, centroids):
+    """All-pairs difference form, the definition ``_assign`` must reproduce."""
+    with np.errstate(over="ignore"):
+        diff = frames[:, None, :] - centroids[None, :, :]
+        d = np.einsum("nkd,nkd->nk", diff, diff)
+    labels = np.argmin(d, axis=1)
+    return labels, d[np.arange(len(frames)), labels]
+
+
+def scalar_reservoir(frames, size, rng):
+    """Algorithm R with one ``rng.integers`` call per frame."""
+    reservoir = np.arange(size)
+    for i in range(size, frames.shape[0]):
+        j = int(rng.integers(i + 1))
+        if j < size:
+            reservoir[j] = i
+    return frames[reservoir]
+
+
+@pytest.fixture
+def rescored_rows(monkeypatch):
+    """Record how many rows each difference-form re-score receives."""
+    calls = []
+    exact = quantizer._squared_distances
+
+    def spy(frames, centroids):
+        calls.append(frames.shape[0])
+        return exact(frames, centroids)
+
+    monkeypatch.setattr(quantizer, "_squared_distances", spy)
+    return calls
+
+
+class TestAssign:
+    def assert_matches(self, frames, centroids, chunk=2048):
+        labels, dists = quantizer._assign(frames, centroids, chunk=chunk)
+        want_labels, want_dists = difference_form_assign(frames, centroids)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(dists, want_dists)
+
+    @pytest.mark.parametrize("dim", [1, 3, 64, 129])
+    @pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (3.0, 1e-3),
+                                                (1e6, 1e-7)])
+    def test_matches_difference_form(self, dim, offset, spread):
+        rng = np.random.default_rng(dim)
+        centroids = offset + spread * rng.standard_normal((23, dim))
+        frames = offset + spread * rng.standard_normal((300, dim))
+        frames[:23] = centroids  # distance exactly zero
+        self.assert_matches(frames, centroids)
+        self.assert_matches(frames, centroids, chunk=7)
+
+    @pytest.mark.parametrize("dim", [1, 3, 64, 129])
+    def test_planted_exact_ties_go_to_lowest_index(self, dim):
+        # integer centroids and half-integer frames: every distance is exact
+        rng = np.random.default_rng(10 + dim)
+        centroids = np.unique(rng.integers(-2, 3, size=(40, dim)), axis=0)
+        centroids = rng.permutation(centroids).astype(np.float64)
+        frames = (rng.integers(-2, 3, size=(500, dim))
+                  + 0.5 * rng.integers(0, 2, size=(500, dim))).astype(np.float64)
+        self.assert_matches(frames, centroids)
+        # the midpoint of two centroids is equidistant: index 1 beats index 3
+        pair = np.zeros((5, dim))
+        pair[1, 0], pair[3, 0] = -1.0, 1.0
+        pair[[0, 2, 4], 0] = [7.0, 9.0, 11.0]
+        labels, dists = quantizer._assign(np.zeros((1, dim)), pair)
+        assert labels.tolist() == [1] and dists.tolist() == [1.0]
+
+    @pytest.mark.parametrize("dim", [1, 3, 64, 129])
+    def test_near_ties_inside_the_bound(self, dim, rescored_rows):
+        rng = np.random.default_rng(20 + dim)
+        centroids = rng.standard_normal((12, dim))
+        centroids[[0, 1, 2, 3, 5, 6, 7, 8, 10, 11]] += 50.0  # 4 and 9 are nearest
+        mid = (centroids[4] + centroids[9]) / 2
+        step = centroids[9] - centroids[4]
+        frames = np.array([mid + t * step
+                           for t in (-1e-12, -1e-15, -1e-17, 0.0, 1e-17, 1e-15)])
+        self.assert_matches(frames, centroids)
+        assert sum(rescored_rows) >= 1
+
+    def test_cancellation_takes_the_rescore_path(self, rescored_rows):
+        rng = np.random.default_rng(30)
+        centroids = 1e6 + 1e-7 * rng.standard_normal((20, 64))
+        frames = 1e6 + 1e-7 * rng.standard_normal((200, 64))
+        self.assert_matches(frames, centroids)
+        assert sum(rescored_rows) == 200
+
+    def test_separated_clusters_skip_the_rescore(self, rescored_rows):
+        rng = np.random.default_rng(31)
+        centroids = 10.0 * rng.standard_normal((50, 64))
+        frames = (centroids[rng.integers(50, size=3000)]
+                  + rng.standard_normal((3000, 64)))
+        self.assert_matches(frames, centroids)
+        assert rescored_rows == []
+
+    def test_gram_overflow_is_rescored(self, rescored_rows):
+        centroids = np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 0.0]])
+        frames = np.array([[1e200, 0.5], [1e160, 1e160], [3.0, 4.0],
+                           [-1e200, 0.9]])
+        self.assert_matches(frames, centroids)
+        assert sum(rescored_rows) >= 3
+
+    def test_infinite_gram_entry_of_the_nearest_centroid(self):
+        # |c_1|**2 overflows, so D~_1 = inf while D~_0 is finite; centroid 1
+        # is still the nearer one and only the re-score can find it
+        centroids = np.array([[0.0, 1e154], [1.35e154, 0.0]])
+        frames = np.array([[6e153, 0.0]])
+        assert difference_form_assign(frames, centroids)[0].tolist() == [1]
+        self.assert_matches(frames, centroids)
+
+    def test_subnormal_inputs(self):
+        rng = np.random.default_rng(32)
+        centroids = 1e-160 * rng.standard_normal((10, 4))
+        frames = 1e-160 * rng.standard_normal((300, 4))
+        self.assert_matches(frames, centroids)
+
+
+class TestReservoir:
+    @pytest.mark.parametrize("n, size, seed", [(10, 3, 0), (101, 100, 1),
+                                               (5000, 40, 2), (40000, 8000, 3)])
+    def test_matches_one_draw_per_frame(self, n, size, seed):
+        frames = np.arange(n, dtype=np.float64)[:, None]
+        rng_fast, rng_loop = (np.random.default_rng(seed) for _ in range(2))
+        fast = quantizer._reservoir_subsample(frames, size, rng_fast)
+        assert np.array_equal(fast, scalar_reservoir(frames, size, rng_loop))
+        assert rng_fast.integers(1 << 62) == rng_loop.integers(1 << 62)
+
+
 class TestKmeansFit:
     def test_k_equals_n_distinct_points(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,8 @@
 """Balance objective and the greedy samplers vs exhaustive enumeration."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,114 @@ class TestSentenceSampler:
         cs = fixed_set([["win", "loss"]])
         with pytest.raises(ValidationError, match="exactly"):
             sampler.sample_sentence_pairs(cs, 1, seed=0)
+
+
+def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
+    """Sentence sampler visiting each step's permutation one pair at a time.
+
+    The reference for ``sample_sentence_pairs``: same quotas, exact
+    enumeration, RNG calls and acceptance rule, with the greedy step
+    written as the walk it replaces.
+    """
+    outcomes = sampler._outcomes(pool)
+    m = pool.n_scores
+    strata = {}
+    for idx, a in enumerate(pool.anchors):
+        strata.setdefault(a.stratum, []).append(idx)
+    if per_stratum:
+        quotas = sampler._largest_remainder(
+            {s: len(v) for s, v in strata.items()}, k_target)
+        groups = [(s, strata[s], quotas[s]) for s in sorted(strata) if quotas[s] > 0]
+    else:
+        groups = [("", [i for s in sorted(strata) for i in strata[s]], k_target)]
+    exact = {}
+    for name, indices, quota in groups:
+        if math.comb(len(indices), quota) <= sampler.EXACT_SEARCH_LIMIT:
+            best = None
+            for subset in itertools.combinations(indices, quota):
+                sums = [0] * m
+                for idx in subset:
+                    sums = [s + o for s, o in zip(sums, outcomes[idx][0])]
+                num = sampler._numerator(sums, quota)
+                if best is None or num < best[0]:
+                    best = (num, subset, sums)
+            exact[name] = (best[1], best[2])
+    results = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        chosen, total_sums, total_n = {}, [0] * m, 0
+        for name, indices, quota in groups:
+            if name in exact:
+                subset, sums = exact[name]
+                chosen.update((pool.anchors[idx].anchor_id, 0) for idx in subset)
+                total_sums = [t + s for t, s in zip(total_sums, sums)]
+                total_n += quota
+                continue
+            unchosen, sums, n = list(indices), [0] * m, 0
+            while n < quota:
+                accepted = None
+                for pos in rng.permutation(len(unchosen)):
+                    idx = unchosen[int(pos)]
+                    trial = [s + o for s, o in zip(sums, outcomes[idx][0])]
+                    if sampler._not_worse(trial, n + 1, sums, n, m):
+                        accepted = idx
+                        break
+                if accepted is None:
+                    accepted = unchosen[int(rng.integers(len(unchosen)))]
+                unchosen.remove(accepted)
+                row = outcomes[accepted][0]
+                sums = [s + o for s, o in zip(sums, row)]
+                n += 1
+                chosen[pool.anchors[accepted].anchor_id] = 0
+                total_sums = [t + o for t, o in zip(total_sums, row)]
+                total_n += 1
+        results.append((sampler._numerator(total_sums, total_n), chosen,
+                        sampler._numerator(total_sums, total_n) / (2.0 * total_n)))
+    best = min(range(restarts), key=lambda r: (results[r][0], r))
+    return results[best][1], [obj for _, _, obj in results], best
+
+
+class TestSentenceScan:
+    """The vectorised greedy step against the one-by-one walk."""
+
+    def _pool(self, rng, n, m, strata, integer):
+        anchors = []
+        for i in range(n):
+            if integer:  # three values per score: ties everywhere
+                a, c = rng.integers(0, 3, size=(2, m)).astype(float)
+            else:
+                a, c = rng.normal(size=m) + 0.3, rng.normal(size=m)
+            anchors.append(anchor(f"p{i:03d}", a, [c], stratum=f"st{i % strata}"))
+        return CandidateSet(anchors)
+
+    @pytest.mark.parametrize("per_stratum", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_matches_walk(self, per_stratum, integer):
+        rng = np.random.default_rng(40 + 2 * per_stratum + integer)
+        for trial in range(12):
+            n = int(rng.integers(14, 90))
+            pool = self._pool(rng, n, int(rng.integers(1, 5)),
+                              int(rng.integers(1, 4)), integer)
+            k = n if trial % 4 == 0 else int(rng.integers(1, n))
+            got = sampler.sample_sentence_pairs(
+                pool, k, seed=trial, per_stratum=per_stratum, restarts=3)
+            chosen, objectives, index = walk_sentence_pairs(
+                pool, k, trial, per_stratum, 3)
+            assert got.chosen == chosen
+            assert got.restart_objectives == objectives
+            assert got.restart_index == index
+
+    def test_stratum_objectives_match_balance_objective(self):
+        rng = np.random.default_rng(44)
+        pool = self._pool(rng, 60, 3, 4, integer=True)
+        got = sampler.sample_sentence_pairs(pool, 25, seed=2, restarts=2)
+        by_stratum = {}
+        for a in pool.anchors:
+            if a.anchor_id in got.chosen:
+                by_stratum.setdefault(a.stratum, {})[a.anchor_id] = 0
+        assert sampler._stratum_objectives(by_stratum, pool) == {
+            s: sampler.balance_objective(chosen, pool)
+            for s, chosen in by_stratum.items()}
 
 
 class TestCandidateFiles:

@@ -147,6 +147,31 @@ class TestChainRule:
                 got = scoring.chain_rule_logprob(model, UnitSequence("x", units))
                 assert got.log_score == pytest.approx(math.log(prob), abs=1e-12)
 
+    def test_long_sequence_matches_explicit_sum(self):
+        rng = np.random.default_rng(3)
+        corpus = seqs(*[rng.integers(0, 6, size=50).tolist() for _ in range(20)])
+        model = scoring.ngram_train(corpus, 3, alpha=0.5)
+        units = rng.integers(0, 6, size=5000).tolist()
+        expected = 0.0
+        for t, u in enumerate(units):
+            expected += model.logprob(u, units[:t])
+        expected += model.logprob(None, units)
+        got = scoring.chain_rule_logprob(model, UnitSequence("x", units))
+        assert got.log_score == expected
+
+    def test_other_scorers_see_the_full_history(self):
+        class Recorder:
+            def __init__(self):
+                self.lengths = []
+
+            def logprob(self, unit, history):
+                self.lengths.append(len(history))
+                return 0.0
+
+        scorer = Recorder()
+        scoring.chain_rule_logprob(scorer, UnitSequence("x", [3, 1, 4, 1]))
+        assert scorer.lengths == [0, 1, 2, 3, 4]
+
     def test_unigram_concatenation_property(self):
         model = scoring.ngram_train(seqs([0, 1, 1, 2]), 1, 1.0)
         end = model.logprob(None, [])
