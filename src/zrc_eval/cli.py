@@ -269,13 +269,15 @@ def cmd_score_semantic(args) -> int:
 
 
 def cmd_sample_pairs(args) -> int:
+    if args.mode == "words" and (args.k_target is not None or args.per_stratum):
+        raise UsageError("--k-target and --per-stratum apply to sentence mode")
+    if args.mode == "sentences" and args.k_target is None:
+        raise UsageError("--k-target is required in sentence mode")
     cs = sampler_mod.read_candidate_set(args.candidates)
     if args.mode == "words":
         assignment = sampler_mod.sample_word_pairs(
             cs, seed=args.seed, restarts=args.restarts)
     else:
-        if args.k_target is None:
-            raise UsageError("--k-target is required in sentence mode")
         assignment = sampler_mod.sample_sentence_pairs(
             cs, args.k_target, seed=args.seed,
             per_stratum=args.per_stratum, restarts=args.restarts)

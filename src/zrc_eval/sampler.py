@@ -8,12 +8,28 @@ the resulting pairs at as close to 50% accuracy as possible:
     objective = sum over m of | accuracy_of_score_m - 0.5 |
 
 where accuracy counts anchor-beats-candidate comparisons, ties worth
-half. Strata whose choice space is small enough to enumerate are solved
-exactly; everywhere else greedy passes run in seeded random order,
-accepting a choice when it does not increase the running objective, with
-several independent restarts keeping the best final assignment.
-Accuracies are compared in exact integer arithmetic (half-credit units),
-so acceptance decisions never depend on floating-point rounding.
+half. Both modes run one search over ``(indices, quota)`` groups, each
+balanced on its own. Word mode makes one group per stratum and picks one
+candidate for every anchor in it; sentence mode makes one group of the
+whole pool with quota ``k_target``, or one per stratum with the target
+split by largest remainder, and picks ``quota`` anchors. A group whose
+choice space (candidate tuples, or anchor subsets) has at most
+EXACT_SEARCH_LIMIT members is solved by enumeration in
+``itertools.product`` / ``itertools.combinations`` order, the first
+minimum winning. Every other group is filled greedily, accepting a pick
+when it does not worsen the group's running objective:
+
+* word move: anchors in a seeded permutation, each taking the first
+  acceptable candidate in a second permutation, else a seeded-random one;
+* sentence move: one pair per step, the first acceptable one in the
+  step's permutation of the unchosen pairs, found by scoring them all in
+  one array, else a seeded-random one.
+
+Restart r draws from ``default_rng(seed ^ r)`` (the moves make the same
+``permutation``/``integers`` calls as a one-by-one walk) and the restart
+with the lowest objective wins, the earliest on ties. Objectives are
+compared in exact integer arithmetic (half-credit units), so no decision
+depends on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
-# strata with at most this many complete assignments are solved exactly
+# groups with at most this many choices (see above) are solved exactly
 EXACT_SEARCH_LIMIT = 4096
 
 
@@ -107,15 +123,10 @@ def _numerator(sums, n: int) -> int:
     return sum(abs(s - n) for s in sums)
 
 
-def _not_worse(sums_new, n_new: int, sums_old, n_old: int, m: int) -> bool:
-    """Exact test for obj(new) <= obj(old); an empty list scores m/2."""
-    if n_new == 0 and n_old == 0:
-        return True
-    if n_old == 0:
-        return 2 * _numerator(sums_new, n_new) <= m * 2 * n_new
-    if n_new == 0:
-        return m * 2 * n_old <= 2 * _numerator(sums_old, n_old)
-    return _numerator(sums_new, n_new) * n_old <= _numerator(sums_old, n_old) * n_new
+def _accepts(trial, n: int, num: int, m: int):
+    """Exact test obj(n + 1 picks) <= obj(n picks) from their numerators,
+    ``trial`` (a scalar or an array) and ``num``; no picks score m/2."""
+    return trial <= m if n == 0 else trial * n <= num * (n + 1)
 
 
 def _objective_value(sums, n: int, m: int) -> float:
@@ -136,112 +147,29 @@ def _stratum_objectives(chosen_by_stratum: dict, cs: CandidateSet) -> dict:
     objectives = {}
     for stratum, chosen in chosen_by_stratum.items():
         sums = [0] * m
-        n = 0
         for anchor_id, cand_idx in chosen.items():
             row = outcomes[by_id[anchor_id]][cand_idx]
             sums = [s + o for s, o in zip(sums, row)]
-            n += 1
-        objectives[stratum] = _objective_value(sums, n, m)
+        objectives[stratum] = _objective_value(sums, len(chosen), m)
     return objectives
 
 
-def _exact_word_stratum(indices, outcomes, m: int):
-    """Globally optimal per-stratum choices by enumeration.
-
-    Returns (choice per index, outcome sums). Deterministic: the first
-    minimum in lexicographic choice order wins.
-    """
-    n = len(indices)
-    best = None
-    for combo in itertools.product(*[range(len(outcomes[i])) for i in indices]):
-        sums = [0] * m
-        for idx, ci in zip(indices, combo):
-            sums = [s + o for s, o in zip(sums, outcomes[idx][ci])]
-        num = _numerator(sums, n)
-        if best is None or num < best[0]:
-            best = (num, combo, sums)
-    return best[1], best[2]
+def _strata(cs: CandidateSet) -> dict:
+    """Anchor indices of each stratum, in file order, strata sorted."""
+    strata: dict = {}
+    for idx, anchor in enumerate(cs.anchors):
+        strata.setdefault(anchor.stratum, []).append(idx)
+    return {s: strata[s] for s in sorted(strata)}
 
 
 def sample_word_pairs(cs: CandidateSet, seed: int = 0,
                       restarts: int = 8) -> Assignment:
     """Choose one candidate per anchor, balancing every score to ~50%.
 
-    Each stratum is balanced independently. Strata with at most
-    EXACT_SEARCH_LIMIT complete assignments are solved by enumeration
-    (the stochastic search cannot beat that and occasionally misses exact
-    optima on tie-heavy toys); larger strata run a greedy pass visiting
-    anchors in seeded random order and keeping the first candidate that
-    does not worsen the stratum's running objective, or a seeded-random
-    one when every candidate worsens it. The best of ``restarts``
-    independent passes wins; restart r uses the RNG seed ``seed ^ r``.
+    One group per stratum, quota = its size (see the module docstring).
     """
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    outcomes = _outcomes(cs)
-    m = cs.n_scores
-    strata: dict = {}
-    for idx, anchor in enumerate(cs.anchors):
-        strata.setdefault(anchor.stratum, []).append(idx)
-
-    exact: dict = {}
-    for stratum in sorted(strata):
-        indices = strata[stratum]
-        space = 1
-        for idx in indices:
-            space *= len(outcomes[idx])
-            if space > EXACT_SEARCH_LIMIT:
-                break
-        if space <= EXACT_SEARCH_LIMIT:
-            exact[stratum] = _exact_word_stratum(indices, outcomes, m)
-
-    best_chosen = None
-    best_key = None
-    restart_objs = []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        chosen: dict = {}
-        total_sums = [0] * m
-        for stratum in sorted(strata):
-            indices = strata[stratum]
-            if stratum in exact:
-                combo, sums = exact[stratum]
-                for idx, ci in zip(indices, combo):
-                    chosen[cs.anchors[idx].anchor_id] = ci
-                total_sums = [t + s for t, s in zip(total_sums, sums)]
-                continue
-            sums = [0] * m
-            n = 0
-            for pos in rng.permutation(len(indices)):
-                idx = indices[int(pos)]
-                rows = outcomes[idx]
-                accepted = None
-                for ci in rng.permutation(len(rows)):
-                    row = rows[int(ci)]
-                    trial = [s + o for s, o in zip(sums, row)]
-                    if _not_worse(trial, n + 1, sums, n, m):
-                        accepted = int(ci)
-                        break
-                if accepted is None:
-                    accepted = int(rng.integers(len(rows)))
-                row = rows[accepted]
-                sums = [s + o for s, o in zip(sums, row)]
-                n += 1
-                chosen[cs.anchors[idx].anchor_id] = accepted
-                total_sums = [t + o for t, o in zip(total_sums, row)]
-        num = _numerator(total_sums, len(cs.anchors))
-        restart_objs.append(num / (2.0 * len(cs.anchors)))
-        if best_key is None or num < best_key[0]:
-            best_key = (num, r)
-            best_chosen = chosen
-
-    return Assignment(
-        chosen=best_chosen,
-        objective=best_key[0] / (2.0 * len(cs.anchors)),
-        seed=seed,
-        restart_index=best_key[1],
-        restart_objectives=restart_objs,
-    )
+    groups = [(indices, len(indices)) for indices in _strata(cs).values()]
+    return _balance(cs, groups, True, seed, restarts)
 
 
 def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
@@ -250,23 +178,10 @@ def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
     """Choose ``k_target`` pairs out of a scored pool, balancing to ~50%.
 
     Every anchor in ``pool`` carries exactly one candidate (the pair's
-    other member). Pools with at most EXACT_SEARCH_LIMIT subsets of the
-    target size are solved by enumeration; otherwise additions that do
-    not worsen the running objective are accepted, and after a full
-    fruitless pass over the unchosen pairs a seeded-random one is added.
-    With ``per_stratum``, the target is split across strata
-    proportionally (largest remainder) and each stratum is sampled
-    independently.
-
-    Each greedy step computes the trial numerators of all unchosen pairs
-    in one array and takes the first acceptable one in the step's
-    permutation order. That is the pair a one-by-one walk of the
-    permutation would stop at, and the step draws the same ``permutation``
-    and ``integers`` calls, so the RNG stream and the chosen sets are those
-    of the walk.
+    other member). With ``per_stratum`` each stratum with a non-zero
+    largest-remainder quota is a group, else the whole pool is one (see
+    the module docstring).
     """
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
     for anchor in pool.anchors:
         if len(anchor.candidates) != 1:
             raise ValidationError(
@@ -276,91 +191,129 @@ def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
     if not (1 <= k_target <= n_total):
         raise ValidationError(
             f"k_target must be in [1, {n_total}], got {k_target}")
-    outcomes = _outcomes(pool)
-    m = pool.n_scores
-    rows = np.array([row[0] for row in outcomes], dtype=np.int64)
-
-    strata: dict = {}
-    for idx, anchor in enumerate(pool.anchors):
-        strata.setdefault(anchor.stratum, []).append(idx)
+    strata = _strata(pool)
     if per_stratum:
         quotas = _largest_remainder(
             {s: len(v) for s, v in strata.items()}, k_target)
-        groups = [(s, strata[s], quotas[s]) for s in sorted(strata) if quotas[s] > 0]
+        groups = [(strata[s], quotas[s]) for s in strata if quotas[s] > 0]
     else:
-        all_indices = [i for s in sorted(strata) for i in strata[s]]
-        groups = [("", all_indices, k_target)]
+        groups = [([i for indices in strata.values() for i in indices], k_target)]
+    return _balance(pool, groups, False, seed, restarts)
 
-    exact: dict = {}
-    for name, indices, quota in groups:
-        if math.comb(len(indices), quota) <= EXACT_SEARCH_LIMIT:
-            best = None
-            for subset in itertools.combinations(indices, quota):
-                sums = [0] * m
-                for idx in subset:
-                    sums = [s + o for s, o in zip(sums, outcomes[idx][0])]
-                num = _numerator(sums, quota)
-                if best is None or num < best[0]:
-                    best = (num, subset, sums)
-            exact[name] = (best[1], best[2])
 
-    best_chosen = None
-    best_key = None
+def _balance(cs: CandidateSet, groups: list, one_per_anchor: bool,
+             seed: int, restarts: int) -> Assignment:
+    """The shared search: ``quota`` (anchor, candidate) picks per group,
+    one candidate per anchor if ``one_per_anchor``, else ``quota`` anchors
+    with their only candidate."""
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    outcomes = _outcomes(cs)
+    m = cs.n_scores
+    exact = [_exact_group(indices, quota, one_per_anchor, outcomes, m)
+             for indices, quota in groups]
+    if not one_per_anchor:
+        rows = np.array([row[0] for row in outcomes], dtype=np.int64)
+    total_n = sum(quota for _, quota in groups)
+
+    best = None
     restart_objs = []
     for r in range(restarts):
         rng = np.random.default_rng(seed ^ r)
         chosen: dict = {}
         total_sums = [0] * m
-        total_n = 0
-        for name, indices, quota in groups:
-            if name in exact:
-                subset, sums = exact[name]
-                for idx in subset:
-                    chosen[pool.anchors[idx].anchor_id] = 0
-                total_sums = [t + s for t, s in zip(total_sums, sums)]
-                total_n += quota
-                continue
-            unchosen = np.asarray(indices, dtype=np.int64)
-            sums = np.zeros(m, dtype=np.int64)
-            n = 0
-            num = 0  # _numerator(sums, n)
-            while n < quota:
-                # every trial numerator at once; the first acceptable one in
-                # permutation order is where the walk over it would stop
-                order = rng.permutation(len(unchosen))
-                trial = np.abs(rows[unchosen] + (sums - (n + 1))).sum(axis=1)
-                if n == 0:  # against the empty list, which scores m/2
-                    ok = trial <= m
-                else:
-                    ok = trial * n <= num * (n + 1)
-                hits = ok[order]
-                first = int(np.argmax(hits))
-                if hits[first]:
-                    pos = int(order[first])
-                else:
-                    pos = int(rng.integers(len(unchosen)))
-                accepted = int(unchosen[pos])
-                num = int(trial[pos])
-                unchosen = np.concatenate((unchosen[:pos], unchosen[pos + 1:]))
-                row = outcomes[accepted][0]
-                sums += row
-                n += 1
-                chosen[pool.anchors[accepted].anchor_id] = 0
-                total_sums = [t + o for t, o in zip(total_sums, row)]
-                total_n += 1
+        for g, (indices, quota) in enumerate(groups):
+            if exact[g] is not None:
+                picks, sums = exact[g]
+            elif one_per_anchor:
+                picks, sums = _walk_anchors(rng, indices, outcomes, m)
+            else:
+                picks, sums = _scan_pairs(rng, indices, quota, rows, m)
+            for idx, ci in picks:
+                chosen[cs.anchors[idx].anchor_id] = ci
+            total_sums = [t + s for t, s in zip(total_sums, sums)]
         num = _numerator(total_sums, total_n)
         restart_objs.append(num / (2.0 * total_n))
-        if best_key is None or num < best_key[0]:
-            best_key = (num, r)
-            best_chosen = chosen
+        if best is None or num < best[0]:
+            best = (num, r, chosen)
 
     return Assignment(
-        chosen=best_chosen,
-        objective=best_key[0] / (2.0 * total_n),
+        chosen=best[2],
+        objective=best[0] / (2.0 * total_n),
         seed=seed,
-        restart_index=best_key[1],
+        restart_index=best[1],
         restart_objectives=restart_objs,
     )
+
+
+def _exact_group(indices, quota: int, one_per_anchor: bool, outcomes, m: int):
+    """The group's first optimal picks in enumeration order, and their sums;
+    None when its choice space is larger than EXACT_SEARCH_LIMIT."""
+    if one_per_anchor:
+        space = math.prod(len(outcomes[i]) for i in indices)
+    else:
+        space = math.comb(len(indices), quota)
+    if space > EXACT_SEARCH_LIMIT:
+        return None
+    if one_per_anchor:
+        choices = itertools.product(
+            *[[(i, ci) for ci in range(len(outcomes[i]))] for i in indices])
+    else:
+        choices = itertools.combinations([(i, 0) for i in indices], quota)
+    best = None
+    for picks in choices:
+        sums = [0] * m
+        for idx, ci in picks:
+            sums = [s + o for s, o in zip(sums, outcomes[idx][ci])]
+        num = _numerator(sums, quota)
+        if best is None or num < best[0]:
+            best = (num, picks, sums)
+    return best[1], best[2]
+
+
+def _walk_anchors(rng, indices, outcomes, m: int):
+    """Word move: one candidate per anchor, walking both permutations."""
+    picks = []
+    sums = [0] * m
+    num = 0
+    for n, pos in enumerate(rng.permutation(len(indices))):
+        idx = indices[int(pos)]
+        rows = outcomes[idx]
+        for ci in rng.permutation(len(rows)):
+            trial = [s + o for s, o in zip(sums, rows[ci])]
+            trial_num = _numerator(trial, n + 1)
+            if _accepts(trial_num, n, num, m):
+                break
+        else:
+            ci = rng.integers(len(rows))
+            trial = [s + o for s, o in zip(sums, rows[ci])]
+            trial_num = _numerator(trial, n + 1)
+        picks.append((idx, int(ci)))
+        sums, num = trial, trial_num
+    return picks, sums
+
+
+def _scan_pairs(rng, indices, quota: int, rows, m: int):
+    """Sentence move: ``quota`` steps, each scanning all unchosen pairs."""
+    picks = []
+    unchosen = np.asarray(indices, dtype=np.int64)
+    sums = np.zeros(m, dtype=np.int64)
+    num = 0
+    for n in range(quota):
+        order = rng.permutation(len(unchosen))
+        trial = np.abs(rows[unchosen] + (sums - (n + 1))).sum(axis=1)
+        hits = _accepts(trial, n, num, m)[order]
+        first = int(np.argmax(hits))
+        if hits[first]:
+            pos = int(order[first])
+        else:
+            pos = int(rng.integers(len(unchosen)))
+        accepted = int(unchosen[pos])
+        num = int(trial[pos])
+        unchosen = np.concatenate((unchosen[:pos], unchosen[pos + 1:]))
+        sums += rows[accepted]
+        picks.append((accepted, 0))
+    return picks, sums.tolist()
 
 
 def _largest_remainder(sizes: dict, k_target: int) -> dict:
@@ -398,7 +351,6 @@ def read_candidate_set(path) -> CandidateSet:
             raise FormatError(
                 f"{path}: header must be anchor_id, stratum, candidate_id, "
                 "then one or more score columns")
-        m = len(header) - 3
         anchors: dict = {}
         order = []
         for lineno, line in enumerate(fh, start=2):
@@ -416,8 +368,11 @@ def read_candidate_set(path) -> CandidateSet:
             except ValueError:
                 raise FormatError(
                     f"{path}: line {lineno}: non-numeric score") from None
+            if not all(map(math.isfinite, scores)):
+                raise ValidationError(f"{path}: line {lineno}: non-finite score")
             if anchor_id not in anchors:
-                anchors[anchor_id] = {"stratum": stratum, "self": None, "cands": []}
+                anchors[anchor_id] = {"stratum": stratum, "self": None,
+                                      "cands": [], "line": lineno}
                 order.append(anchor_id)
             entry = anchors[anchor_id]
             if cand_id == SELF_MARKER:
@@ -432,17 +387,18 @@ def read_candidate_set(path) -> CandidateSet:
                         f"{path}: line {lineno}: duplicate candidate "
                         f"{cand_id!r} for {anchor_id!r}")
                 entry["cands"].append((cand_id, scores))
+    if not order:
+        raise ValidationError(f"{path}: line 2: candidate set is empty")
     entries = []
     for anchor_id in order:
         entry = anchors[anchor_id]
-        if entry["self"] is None:
-            raise ValidationError(f"{path}: anchor {anchor_id!r} has no @self row")
+        if entry["self"] is None or not entry["cands"]:
+            what = "@self row" if entry["self"] is None else "candidates"
+            raise ValidationError(f"{path}: line {entry['line']}: anchor "
+                                  f"{anchor_id!r} has no {what}")
         entries.append(AnchorEntry(
             anchor_id, entry["stratum"], entry["self"], tuple(entry["cands"])))
-    cs = CandidateSet(entries)
-    if cs.n_scores != m:
-        raise FormatError(f"{path}: score column count mismatch")
-    return cs
+    return CandidateSet(entries)
 
 
 def write_candidate_set(cs: CandidateSet, path) -> None:

@@ -313,6 +313,9 @@ def read_masked_scores(path) -> dict:
             except ValueError:
                 raise FormatError(
                     f"{path}: line {lineno}: malformed window row") from None
+            if not math.isfinite(logp):
+                raise ValidationError(
+                    f"{path}: line {lineno}: non-finite log_p for {utt_id!r}")
             key = (utt_id, i, j)
             if key in table:
                 raise ValidationError(

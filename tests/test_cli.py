@@ -164,11 +164,40 @@ class TestPipelines:
         sampler.write_candidate_set(single, pool)
         assert run(["sample-pairs", "--candidates", str(pool),
                     "--mode", "sentences", "--out", str(tmp_path / "x.tsv")]) == 2
+        # a usage error, whatever the candidate file holds
+        header_only = tmp_path / "header.tsv"
+        header_only.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n")
+        assert run(["sample-pairs", "--candidates", str(header_only),
+                    "--mode", "sentences", "--out", str(tmp_path / "x.tsv")]) == 2
         assert run(["sample-pairs", "--candidates", str(pool),
                     "--mode", "sentences", "--k-target", "20",
                     "--per-stratum", "--out", str(tmp_path / "x.tsv")]) == 0
         assert len(sampler.read_assignment(tmp_path / "x.tsv")) == 20
 
+
+    @pytest.mark.parametrize("flags", [["--k-target", "20"], ["--per-stratum"]])
+    def test_sample_pairs_words_rejects_sentence_flags(self, mini_benchmark,
+                                                      tmp_path, capsys, flags):
+        out = tmp_path / "x.tsv"
+        assert run(["sample-pairs", "--candidates",
+                    str(mini_benchmark / "candidates.tsv"), "--mode", "words",
+                    "--out", str(out)] + flags) == 2
+        assert "sentence mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [
+        "a0\ts\t@self\t1.0\na0\ts\tc0\tnan\n",
+        "",
+        "a0\ts\t@self\t1.0\n",
+    ], ids=["non-finite", "header-only", "self-only"])
+    def test_sample_pairs_bad_candidates_name_path(self, tmp_path, capsys, rows):
+        cands = tmp_path / "cands.tsv"
+        cands.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n" + rows)
+        assert run(["sample-pairs", "--candidates", str(cands),
+                    "--out", str(tmp_path / "x.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{cands}: line " in err
 
     def test_sample_pairs_report_per_stratum(self, mini_benchmark, tmp_path):
         # the candidate set has six strata; each subset is the stratum's

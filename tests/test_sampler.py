@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,12 +211,93 @@ class TestSentenceSampler:
             sampler.sample_sentence_pairs(cs, 1, seed=0)
 
 
+def not_worse(sums_new, n_new, sums_old, n_old, m):
+    """Exact test for obj(new) <= obj(old); an empty list scores m/2."""
+    num_new = sampler._numerator(sums_new, n_new)
+    num_old = sampler._numerator(sums_old, n_old)
+    if n_new == 0 and n_old == 0:
+        return True
+    if n_old == 0:
+        return 2 * num_new <= m * 2 * n_new
+    if n_new == 0:
+        return m * 2 * n_old <= 2 * num_old
+    return num_new * n_old <= num_old * n_new
+
+
+def best_of(results):
+    """(chosen, objective, restart objectives, restart index) of the
+    restart with the lowest numerator, the earliest on ties."""
+    best = min(range(len(results)), key=lambda r: (results[r][0], r))
+    return (results[best][1], results[best][2],
+            [obj for _, _, obj in results], best)
+
+
+def walk_word_pairs(cs, seed, restarts):
+    """Word sampler with its own exact enumeration and a walk whose
+    acceptance test recomputes both objectives.
+
+    The reference for ``sample_word_pairs``: same strata, enumeration
+    order, RNG calls and acceptance rule.
+    """
+    outcomes = sampler._outcomes(cs)
+    m = cs.n_scores
+    strata = {}
+    for idx, a in enumerate(cs.anchors):
+        strata.setdefault(a.stratum, []).append(idx)
+    exact = {}
+    for stratum in sorted(strata):
+        indices = strata[stratum]
+        if math.prod(len(outcomes[i]) for i in indices) > sampler.EXACT_SEARCH_LIMIT:
+            continue
+        best = None
+        for combo in itertools.product(*[range(len(outcomes[i])) for i in indices]):
+            sums = [0] * m
+            for idx, ci in zip(indices, combo):
+                sums = [s + o for s, o in zip(sums, outcomes[idx][ci])]
+            num = sampler._numerator(sums, len(indices))
+            if best is None or num < best[0]:
+                best = (num, combo, sums)
+        exact[stratum] = (best[1], best[2])
+    results = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        chosen, total_sums = {}, [0] * m
+        for stratum in sorted(strata):
+            indices = strata[stratum]
+            if stratum in exact:
+                combo, sums = exact[stratum]
+                chosen.update((cs.anchors[idx].anchor_id, ci)
+                              for idx, ci in zip(indices, combo))
+                total_sums = [t + s for t, s in zip(total_sums, sums)]
+                continue
+            sums, n = [0] * m, 0
+            for pos in rng.permutation(len(indices)):
+                idx = indices[int(pos)]
+                rows = outcomes[idx]
+                accepted = None
+                for ci in rng.permutation(len(rows)):
+                    trial = [s + o for s, o in zip(sums, rows[int(ci)])]
+                    if not_worse(trial, n + 1, sums, n, m):
+                        accepted = int(ci)
+                        break
+                if accepted is None:
+                    accepted = int(rng.integers(len(rows)))
+                row = rows[accepted]
+                sums = [s + o for s, o in zip(sums, row)]
+                n += 1
+                chosen[cs.anchors[idx].anchor_id] = accepted
+                total_sums = [t + o for t, o in zip(total_sums, row)]
+        num = sampler._numerator(total_sums, len(cs.anchors))
+        results.append((num, chosen, num / (2.0 * len(cs.anchors))))
+    return best_of(results)
+
+
 def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
     """Sentence sampler visiting each step's permutation one pair at a time.
 
     The reference for ``sample_sentence_pairs``: same quotas, exact
     enumeration, RNG calls and acceptance rule, with the greedy step
-    written as the walk it replaces.
+    written as a walk.
     """
     outcomes = sampler._outcomes(pool)
     m = pool.n_scores
@@ -257,7 +339,7 @@ def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
                 for pos in rng.permutation(len(unchosen)):
                     idx = unchosen[int(pos)]
                     trial = [s + o for s, o in zip(sums, outcomes[idx][0])]
-                    if sampler._not_worse(trial, n + 1, sums, n, m):
+                    if not_worse(trial, n + 1, sums, n, m):
                         accepted = idx
                         break
                 if accepted is None:
@@ -269,10 +351,70 @@ def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
                 chosen[pool.anchors[accepted].anchor_id] = 0
                 total_sums = [t + o for t, o in zip(total_sums, row)]
                 total_n += 1
-        results.append((sampler._numerator(total_sums, total_n), chosen,
-                        sampler._numerator(total_sums, total_n) / (2.0 * total_n)))
-    best = min(range(restarts), key=lambda r: (results[r][0], r))
-    return results[best][1], [obj for _, _, obj in results], best
+        num = sampler._numerator(total_sums, total_n)
+        results.append((num, chosen, num / (2.0 * total_n)))
+    return best_of(results)
+
+
+def assert_matches(got, reference):
+    chosen, objective, objectives, index = reference
+    assert got.chosen == chosen
+    assert got.objective == objective
+    assert got.restart_objectives == objectives
+    assert got.restart_index == index
+
+
+class TestBalance:
+    """Both public samplers against their walk references."""
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_words_match_walk(self, integer):
+        # strata of 1-4 anchors are enumerated (at most 6^4 choices), strata
+        # of 9-30 anchors with 2-6 candidates each are not; from two strata
+        # on, a set has both
+        rng = np.random.default_rng(60 + integer)
+        for trial in range(25):
+            anchors = []
+            m = 1 + trial % 3
+            for s in range(int(rng.integers(1, 4))):
+                small = (s + trial) % 2 == 0
+                size = int(rng.integers(1, 5) if small else rng.integers(9, 31))
+                for i in range(size):
+                    k = int(rng.integers(1 if small else 2, 7))
+                    if integer:  # three values per score: ties everywhere
+                        a, c = rng.integers(0, 3, size=m), rng.integers(0, 3, size=(k, m))
+                    else:
+                        a, c = rng.normal(size=m) + 0.2, rng.normal(size=(k, m))
+                    anchors.append(anchor(f"a{s}_{i:02d}", a.astype(float),
+                                          c.astype(float), stratum=f"st{s}"))
+            cs = CandidateSet(anchors)
+            restarts = int(rng.integers(1, 6))
+            got = sampler.sample_word_pairs(cs, seed=trial, restarts=restarts)
+            assert_matches(got, walk_word_pairs(cs, trial, restarts))
+
+    def test_planted_word_tie_takes_first_in_product_order(self):
+        # (0, 1) and (1, 0) both reach objective 0; product order visits
+        # (0, 1) first
+        cs = fixed_set([["win", "loss"], ["win", "loss"]])
+        got = sampler.sample_word_pairs(cs, seed=3, restarts=2)
+        assert got.chosen == {"a0": 0, "a1": 1}
+        assert got.restart_objectives == [0.0, 0.0] and got.restart_index == 0
+        assert_matches(got, walk_word_pairs(cs, 3, 2))
+
+    def test_planted_sentence_tie_takes_first_in_combination_order(self):
+        # {p0, p2}, {p0, p3}, {p1, p2}, {p1, p3} all reach objective 0
+        pool = fixed_set([["win"], ["win"], ["loss"], ["loss"]])
+        got = sampler.sample_sentence_pairs(pool, 2, seed=3, restarts=2)
+        assert got.chosen == {"a0": 0, "a2": 0}
+        assert got.restart_objectives == [0.0, 0.0] and got.restart_index == 0
+        assert_matches(got, walk_sentence_pairs(pool, 2, 3, False, 2))
+
+    def test_zero_restarts_is_error(self):
+        cs = fixed_set([["win"], ["loss"]])
+        with pytest.raises(ValidationError, match="restarts"):
+            sampler.sample_word_pairs(cs, seed=0, restarts=0)
+        with pytest.raises(ValidationError, match="restarts"):
+            sampler.sample_sentence_pairs(cs, 1, seed=0, restarts=0)
 
 
 class TestSentenceScan:
@@ -299,11 +441,7 @@ class TestSentenceScan:
             k = n if trial % 4 == 0 else int(rng.integers(1, n))
             got = sampler.sample_sentence_pairs(
                 pool, k, seed=trial, per_stratum=per_stratum, restarts=3)
-            chosen, objectives, index = walk_sentence_pairs(
-                pool, k, trial, per_stratum, 3)
-            assert got.chosen == chosen
-            assert got.restart_objectives == objectives
-            assert got.restart_index == index
+            assert_matches(got, walk_sentence_pairs(pool, k, trial, per_stratum, 3))
 
     def test_stratum_objectives_match_balance_objective(self):
         rng = np.random.default_rng(44)
@@ -333,7 +471,34 @@ class TestCandidateFiles:
         path = tmp_path / "c.tsv"
         path.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n"
                         "a0\ts\tc0\t1.0\n")
-        with pytest.raises(ValidationError, match="@self"):
+        with pytest.raises(ValidationError, match="line 2: .*@self"):
+            sampler.read_candidate_set(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score_cites_line(self, tmp_path, value):
+        path = tmp_path / "c.tsv"
+        path.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n"
+                        "a0\ts\t@self\t1.0\n"
+                        f"a0\ts\tc0\t{value}\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: line 3: non-finite score")):
+            sampler.read_candidate_set(path)
+
+    def test_header_only_cites_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 2: ") + ".*empty"):
+            sampler.read_candidate_set(path)
+
+    def test_anchor_without_candidates_cites_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n"
+                        "a0\ts\t@self\t1.0\n"
+                        "a0\ts\tc0\t0.0\n"
+                        "a1\ts\t@self\t1.0\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: line 4: anchor 'a1' has no "
+                                           "candidates")):
             sampler.read_candidate_set(path)
 
     def test_assignment_round_trip(self, tmp_path):

@@ -293,6 +293,15 @@ class TestSpanScoring:
         got = scoring.span_pseudo_logprob(scorer, seq, scoring.SpanConfig(2, 5))
         assert got.log_score == pytest.approx(-1.75, abs=1e-12)
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+    def test_non_finite_window_cites_line(self, tmp_path, value):
+        path = tmp_path / "masked.tsv"
+        path.write_text("utt_id\ti\tj\tlog_p\n"
+                        "utt1\t1\t3\t-1.5\n"
+                        f"utt1\t4\t6\t{value}\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 3: non-finite")):
+            scoring.read_masked_scores(path)
+
     def test_missing_window_names_it(self):
         scorer = scoring.ExternalMaskedScorer({("utt1", 1, 3): -1.5})
         seq = UnitSequence("utt1", [0, 1, 0, 1, 0, 1])
