@@ -213,12 +213,19 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
 
     # (left, right) -> ([token], center -> speaker -> [index into that list])
     contexts: dict = {}
+    first = None  # (token, frame dimension) of the first kept token
     for token in items:
         frames = extract_token_frames(archive, token)
         if frames is None:
             log.warning("dropping token (%s, %s, %s): empty frame extraction",
                         token.file_id, token.onset, token.offset)
             continue
+        if first is None:
+            first = (token, frames.shape[1])
+        elif frames.shape[1] != first[1]:
+            raise ValidationError(
+                f"{_token_name(token)}: frame dimension {frames.shape[1]} "
+                f"differs from {first[1]} in {_token_name(first[0])}")
         if not callable(metric):
             try:
                 frames = prepare(frames, metric)

@@ -16,14 +16,20 @@ Work is split in three pieces that every caller shares:
 * ``prepare`` validates one sequence and computes, once, what every pair
   cost involving it needs (unit-normalized frames for ``angular``; the
   floored frames, their log and the row term ``sum p log p`` for ``kl``);
-* ``pair_cost`` builds one pair's T x S cost matrix from two prepared
-  sequences;
+* ``pair_cost`` is the one cost expression: the T x S cost matrix of one
+  pair, or with leading batch axes those of many same-shape pairs, each
+  slice computed exactly as the pair alone (no stacked GEMM);
 * ``_dtw_py.dtw_accumulate`` runs the DTW recursion over a padded
-  T x S x B stack of cost matrices.
+  T x S x B stack of cost matrices, one anti-diagonal at a time.
 
-``dtw_pairs`` drives many pairs at once: it sorts them by shape and runs
-the kernel over chunks whose padded tensor holds at most ``CHUNK_CELLS``
-cells, so memory stays bounded whatever the number of pairs.
+``dtw_pairs`` drives many pairs at once. It sorts them by shape and cuts
+them into runs of one ``(T, S)``; a run's frames are gathered with one
+index per prepared component and its costs come from one ``pair_cost``
+call, split only where a chunk boundary falls inside the run or where
+the call would exceed its budget. Two bounds keep memory flat whatever
+the number of pairs: a cost call covers at most ``RUN_ELEMENTS``
+T x S x D elements (the angular difference tensor), and the kernel runs
+over chunks whose padded tensor holds at most ``CHUNK_CELLS`` cells.
 ``frame_cost_matrix`` and ``dtw_distance`` are the one-pair case.
 """
 
@@ -42,6 +48,11 @@ KL_EPS = 1e-10
 # Padded cells per kernel call; larger chunks save little time and cost
 # peak memory.
 CHUNK_CELLS = 1 << 16
+
+# T x S x D elements per cost call over a run of same-shape pairs: bounds
+# the angular difference tensor (and the gathered frames) of one call.
+# Larger calls are no faster and raise peak memory.
+RUN_ELEMENTS = 1 << 17
 
 
 def angular_frame_distance(x, y) -> float:
@@ -103,13 +114,18 @@ def prepare(x, metric: str) -> tuple:
 
 
 def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
-    """T x S framewise cost matrix between two prepared sequences."""
+    """Framewise cost matrices between prepared sequences, ``... x T x S``.
+
+    The components of ``x`` and ``y`` may carry the same leading batch
+    axes (``... x T x D`` against ``... x S x D``); each batch slice is
+    then exactly the one-pair expression over that pair's own frames.
+    """
     if metric == "angular":
-        diff = x[0][:, None, :] - y[0][None, :, :]
-        chord = np.sqrt(np.einsum("tsd,tsd->ts", diff, diff))
+        diff = x[0][..., :, None, :] - y[0][..., None, :, :]
+        chord = np.sqrt(np.einsum("...tsd,...tsd->...ts", diff, diff))
         return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
     p, _, row_term = x
-    return row_term[:, None] - p @ y[1].T
+    return row_term[..., :, None] - p @ np.swapaxes(y[1], -1, -2)
 
 
 def _check_dims(prepared) -> None:
@@ -137,38 +153,62 @@ def dtw_pairs(prepared, rows, cols, metric: str) -> np.ndarray:
     """``dtw_distance`` of ``prepared[rows[k]]`` to ``prepared[cols[k]]`` for
     every k, from sequences already passed through ``prepare``.
 
-    Pairs are sorted by shape and cut into chunks whose padded T x S x B
-    cost tensor stays within ``CHUNK_CELLS`` cells (a pair larger than
-    that runs alone), so only one chunk's costs are alive at a time.
+    Pairs are sorted by shape and cut into runs of one ``(T, S)``. Chunks
+    are planned over runs so that each chunk's padded T x S x B cost
+    tensor stays within ``CHUNK_CELLS`` cells (a pair larger than that
+    runs alone), and only one chunk's costs are alive at a time. Within a
+    chunk, each run's costs come from one ``pair_cost`` call over its
+    gathered frames, split only where the run's T x S x D elements would
+    exceed ``RUN_ELEMENTS``.
     """
     _check_dims(prepared)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    t_all = np.array([x[0].shape[0] for x in prepared], dtype=np.intp)
-    t_len, s_len = t_all[rows], t_all[cols]
-    order = np.lexsort((s_len, t_len))
-    shapes = list(zip(t_len[order].tolist(), s_len[order].tolist()))
-    pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
+    if not rows.size:
+        return np.empty(0)
+    lengths = np.array([x[0].shape[0] for x in prepared], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    # each prepared component of every sequence, concatenated along time
+    parts = [np.concatenate(part) for part in zip(*prepared)]
+    dim = parts[0].shape[1]
+    order = np.lexsort((lengths[cols], lengths[rows]))
+    t_len, s_len = lengths[rows[order]], lengths[cols[order]]
+    x_start, y_start = offsets[rows[order]], offsets[cols[order]]
+    edges = np.flatnonzero(np.diff(t_len) | np.diff(s_len)) + 1
+    heads = np.append(0, edges)
+    runs = zip(heads.tolist(), np.append(edges, order.size).tolist(),
+               t_len[heads].tolist(), s_len[heads].tolist())
 
     # Sorted by T, so a chunk pads to its last T and its largest S.
     bounds = []
     start = t_max = s_max = 0
-    for k, (t, s) in enumerate(shapes):
-        t_next, s_next = max(t_max, t), max(s_max, s)
-        if k > start and t_next * s_next * (k - start + 1) > CHUNK_CELLS:
-            bounds.append((start, k, t_max, s_max))
-            start, t_next, s_next = k, t, s
-        t_max, s_max = t_next, s_next
-    if shapes:
-        bounds.append((start, len(shapes), t_max, s_max))
+    for lo, hi, t, s in runs:
+        while lo < hi:
+            room = CHUNK_CELLS // (t * max(s_max, s)) - (lo - start)
+            if lo > start and room < 1:
+                bounds.append((start, lo, t_max, s_max))
+                start, s_max = lo, 0
+                continue
+            lo = min(hi, lo + max(room, 1))
+            t_max, s_max = t, max(s_max, s)
+    bounds.append((start, order.size, t_max, s_max))
 
-    out = np.empty(len(order))
+    out = np.empty(order.size)
     for start, stop, t_max, s_max in bounds:
         cost = np.zeros((t_max, s_max, stop - start))
-        for b in range(stop - start):
-            (t, s), (i, j) = shapes[start + b], pairs[start + b]
-            cost[:t, :s, b] = pair_cost(prepared[i], prepared[j], metric)
+        cuts = edges[(edges > start) & (edges < stop)].tolist()
+        for lo, hi in zip([start, *cuts], [*cuts, stop]):
+            t, s = int(t_len[lo]), int(s_len[lo])
+            step = max(1, RUN_ELEMENTS // (t * s * dim))
+            for a in range(lo, hi, step):
+                b = min(hi, a + step)
+                fx = x_start[a:b, None] + np.arange(t)
+                fy = y_start[a:b, None] + np.arange(s)
+                costs = pair_cost(tuple(f[fx] for f in parts),
+                                  tuple(f[fy] for f in parts), metric)
+                cost[:t, :s, a - start:b - start] = costs.transpose(1, 2, 0)
         chunk = order[start:stop]
-        total, length = _kernel.dtw_accumulate(cost, t_len[chunk], s_len[chunk])
+        total, length = _kernel.dtw_accumulate(cost, t_len[start:stop],
+                                               s_len[start:stop])
         out[chunk] = total / length
     return out

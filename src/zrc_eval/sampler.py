@@ -77,11 +77,12 @@ class CandidateSet:
             if not anchor.candidates:
                 raise ValidationError(
                     f"anchor {anchor.anchor_id!r} has no candidates")
-            for cand_id, scores in anchor.candidates:
+            for k, (cand_id, scores) in enumerate(anchor.candidates):
                 if len(scores) != m:
                     raise ValidationError(
                         f"candidate {cand_id!r}: inconsistent score count")
-                for value in tuple(scores) + tuple(anchor.scores):
+                # the anchor's own scores are checked once, with its first candidate
+                for value in (*scores, *anchor.scores) if k == 0 else scores:
                     if not math.isfinite(value):
                         raise ValidationError(
                             f"anchor {anchor.anchor_id!r}: non-finite score")

@@ -303,6 +303,22 @@ class TestAbxEvaluate:
         with pytest.raises(ValidationError, match="ghost"):
             abx.abx_evaluate(tokens, tmp_path, "within", "angular")
 
+    @pytest.mark.parametrize("context", [("A", "T"), ("I", "K")])
+    def test_mixed_frame_dimensions_name_both_tokens(self, tmp_path, context):
+        # 5-dim tokens after 4-dim ones, in the same context or in a context
+        # of their own whose cells would otherwise score on their own
+        rng = np.random.default_rng(15)
+        five = [np.eye(5)[[0, 0]], np.eye(5)[[1, 1]]]
+        cats = [("B", "A", "T", "s1", one_hot_tokens(0, 4, 3, rng)),
+                ("P", "A", "T", "s1", one_hot_tokens(1, 4, 3, rng)),
+                ("B", *context, "s1", five), ("P", *context, "s1", five)]
+        tokens = build_items(cats, tmp_path)
+        for metric in ("angular", "kl"):
+            with pytest.raises(ValidationError,
+                               match=r"token \(f006, 0\.0, 0\.02\): frame dimension "
+                                     r"5 differs from 4 in token \(f000, 0\.0, "):
+                abx.abx_evaluate(tokens, tmp_path, "within", metric)
+
     def test_empty_extraction_drops_token(self, tmp_path, caplog):
         rng = np.random.default_rng(12)
         cats = [("B", "A", "T", "s1", one_hot_tokens(0, 4, 3, rng)),

@@ -60,6 +60,26 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "bad_utt" in err
 
+    def test_mixed_frame_dimensions_name_the_utterance(self, tmp_path, capsys):
+        # one 3-dim utterance among 2-dim ones, all in one context
+        features = tmp_path / "features"
+        tokens = []
+        for k, (center, unit) in enumerate([("B", 0), ("B", 0), ("P", 1), ("P", 1)]):
+            dim = 3 if k == 2 else 2
+            utt = "wide_utt" if k == 2 else f"u{k}"
+            io_formats.write_feature_archive(
+                features, FeatureSequence(utt, 100.0, np.eye(dim)[[unit, unit]]),
+                "binary")
+            tokens.append(TriphoneToken(utt, 0.0, 0.02, center, "A", "T", "s1"))
+        items = tmp_path / "x.item"
+        io_formats.write_item_file(tokens, items)
+        code = run(["abx", "--items", str(items), "--features", str(features),
+                    "--mode", "within", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "wide_utt" in err and "frame dimension 3 differs from 2" in err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = run(["ngram-train", "--units", str(tmp_path / "nope.txt"),
                     "--out", str(tmp_path / "m.json")])

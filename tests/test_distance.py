@@ -10,6 +10,24 @@ from zrc_eval import _dtw_py, distance
 from zrc_eval.types import FeatureSequence
 
 
+def dtw_scalar(cost):
+    """``(path_sum, path_length)`` of the min-sum DTW, one cell at a time.
+
+    The reference for the batched kernel: same recursion, same additions
+    and the same strict ``<`` tie order (diagonal, vertical, horizontal).
+    """
+    t, s = cost.shape
+    acc = {(-1, -1): (0.0, 0)}
+    for i in range(t):
+        for j in range(s):
+            best = acc.get((i - 1, j - 1), (math.inf, 0))
+            for prev in ((i - 1, j), (i, j - 1)):
+                if acc.get(prev, (math.inf, 0))[0] < best[0]:
+                    best = acc[prev]
+            acc[i, j] = (best[0] + cost[i, j], best[1] + 1)
+    return acc[t - 1, s - 1]
+
+
 class TestAngular:
     def test_identical_direction(self):
         assert distance.angular_frame_distance([1, 0], [1, 0]) == 0.0
@@ -109,19 +127,23 @@ class TestDtw:
             assert total[0] / length[0] == dtw_oracle(cost)
 
     def test_padded_batch_matches_oracle_and_single_runs(self):
-        # mixed shapes padded into one tensor, including {0, 1, 2} integer
-        # costs whose ties exercise the predecessor order
+        # mixed shapes 1-12 (every 1 x N and N x 1 among them) padded into one
+        # tensor larger than every pair in both dimensions, so no pair's
+        # corner is the tensor's; half are {0, 1, 2} integer costs whose ties
+        # exercise the predecessor order
         rng = np.random.default_rng(11)
+        shapes = [(1, n) for n in range(1, 13)] + [(n, 1) for n in range(2, 13)]
+        shapes += [(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+                   for _ in range(400)]
         costs = []
-        for k in range(120):
-            shape = (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        for k, shape in enumerate(shapes):
             if k % 2:
                 costs.append(rng.integers(0, 3, size=shape).astype(float))
             else:
                 costs.append(rng.uniform(0.0, 2.0, size=shape))
         t_len = [c.shape[0] for c in costs]
         s_len = [c.shape[1] for c in costs]
-        padded = np.full((max(t_len), max(s_len), len(costs)), 9.0)
+        padded = np.full((max(t_len) + 2, max(s_len) + 3, len(costs)), 9.0)
         for b, c in enumerate(costs):
             padded[:c.shape[0], :c.shape[1], b] = c
         total, length = _dtw_py.dtw_accumulate(padded, t_len, s_len)
@@ -129,21 +151,32 @@ class TestDtw:
             alone_total, alone_length = _dtw_py.dtw_accumulate(
                 c[:, :, None], [c.shape[0]], [c.shape[1]])
             assert total[b] == alone_total[0] and length[b] == alone_length[0]
-            assert total[b] / length[b] == dtw_oracle(c)
+            assert (total[b], length[b]) == dtw_scalar(c)
+            if min(c.shape) <= 2 or max(c.shape) <= 7:
+                assert total[b] / length[b] == dtw_oracle(c)
 
     def test_pairs_driver_matches_dtw_distance(self, monkeypatch):
-        # a chunk budget smaller than most pairs forces many chunks and
-        # single-pair chunks
-        monkeypatch.setattr(distance, "CHUNK_CELLS", 40)
+        # 32 sequences over four lengths, 1 among them: every shape's run
+        # holds dozens of pairs; at D=129 the default element budget splits
+        # the longer runs, and the small budgets force many chunks, pairs
+        # alone in a chunk and one-pair cost calls
         rng = np.random.default_rng(12)
-        for metric in distance.FRAME_METRICS:
-            seqs = [rng.dirichlet(np.ones(4), size=int(rng.integers(1, 9)))
-                    for _ in range(12)]
-            prepared = [distance.prepare(x, metric) for x in seqs]
-            rows, cols = np.nonzero(~np.eye(12, dtype=bool))
-            got = distance.dtw_pairs(prepared, rows, cols, metric)
-            for k, (i, j) in enumerate(zip(rows, cols)):
-                assert got[k] == distance.dtw_distance(seqs[i], seqs[j], metric)
+        lengths = rng.permutation(np.repeat([1, 2, 7, 8], 8))
+        rows, cols = np.nonzero(~np.eye(len(lengths), dtype=bool))
+        for budgets in ((distance.CHUNK_CELLS, distance.RUN_ELEMENTS), (40, 1000)):
+            monkeypatch.setattr(distance, "CHUNK_CELLS", budgets[0])
+            monkeypatch.setattr(distance, "RUN_ELEMENTS", budgets[1])
+            for metric, dim in (("angular", 1), ("angular", 64),
+                                ("angular", 129), ("kl", 50)):
+                if metric == "kl":  # one-hot units, floored by prepare
+                    seqs = [np.eye(dim)[rng.integers(0, dim, size=n)]
+                            for n in lengths]
+                else:
+                    seqs = [rng.standard_normal((n, dim)) for n in lengths]
+                prepared = [distance.prepare(x, metric) for x in seqs]
+                got = distance.dtw_pairs(prepared, rows, cols, metric)
+                for k, (i, j) in enumerate(zip(rows, cols)):
+                    assert got[k] == distance.dtw_distance(seqs[i], seqs[j], metric)
 
     def test_symmetry_angular(self):
         rng = np.random.default_rng(8)

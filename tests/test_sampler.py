@@ -484,6 +484,16 @@ class TestCandidateFiles:
                            match=re.escape(f"{path}: line 3: non-finite score")):
             sampler.read_candidate_set(path)
 
+    @pytest.mark.parametrize("a_scores, cand_scores", [
+        ([math.nan], [[0.0], [1.0]]),   # the anchor's own score
+        ([0.0], [[1.0], [math.inf]]),   # a later candidate's score
+    ])
+    def test_direct_non_finite_score_is_error(self, a_scores, cand_scores):
+        good = anchor("a0", [0.0], [[1.0], [2.0]])
+        with pytest.raises(ValidationError,
+                           match=re.escape("anchor 'a1': non-finite score")):
+            CandidateSet([good, anchor("a1", a_scores, cand_scores)])
+
     def test_header_only_cites_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n")
