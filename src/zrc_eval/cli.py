@@ -219,27 +219,28 @@ def cmd_score_pairs(args) -> int:
 
 
 def cmd_score_semantic(args) -> int:
+    sweep = args.pooling == "sweep"
+    if not sweep and not (0 <= args.layer < len(args.features)):
+        raise UsageError(f"--layer {args.layer} out of range for "
+                         f"{len(args.features)} archives")
     records = io.read_similarity_gold(args.gold)
     needed = set()
     for record in records:
         for refs in metrics_mod.record_refs(record):
             needed.update(utt for _, utt in refs)
     layers = []
-    for directory in args.features:
+    for directory in args.features if sweep else [args.features[args.layer]]:
         archive = io.FeatureArchive(directory)
         layers.append({utt: archive.load(utt).frames for utt in sorted(needed)})
 
-    if args.pooling == "sweep":
+    if sweep:
         layer, pooling, score = metrics_mod.layer_sweep(
             layers, records, args.subset)
     else:
         layer, pooling, score = args.layer, args.pooling, None
-        if not (0 <= layer < len(layers)):
-            raise UsageError(f"--layer {layer} out of range for "
-                             f"{len(layers)} archives")
 
     reprs = {utt: metrics_mod.pool(mat, pooling)
-             for utt, mat in layers[layer].items()}
+             for utt, mat in layers[layer if sweep else 0].items()}
     if score is None:
         score = metrics_mod.similarity_score(records, reprs, args.subset)
     subsets = {}
@@ -262,7 +263,7 @@ def cmd_score_semantic(args) -> int:
         subsets=subsets,
         counts=dict(counts, records=len(records)),
         config={"pooling": pooling, "layer": str(layer),
-                "subset": args.subset, "sweep": str(args.pooling == "sweep")},
+                "subset": args.subset, "sweep": str(sweep)},
     )
     io.write_report(report, args.out, args.format)
     return 0

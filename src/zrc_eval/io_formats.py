@@ -1,5 +1,10 @@
 """Readers and writers for every artifact boundary.
 
+Every text file is UTF-8; undecodable bytes are a FormatError naming the
+file. Whitespace-only lines are ignored in every line-oriented format
+(in a TSV table a tab-only line is skipped, not read as a row of empty
+fields). Every row error names the file and the line.
+
 Formats
 -------
 item file        : whitespace columns with the literal header
@@ -8,15 +13,16 @@ feature archive  : one file per utterance inside a directory, either text
                    (``dim=<D> rate=<R>`` header then one row of floats per
                    frame) or binary (magic ``ZRCF``, version u32=1, D u32,
                    rate f32, T u64, then T*D little-endian f32, row-major)
-unit sequences   : one line per utterance, ``<utt_id> u1 u2 ... uT``
+unit sequences   : one line per utterance, ``<utt_id> u1 u2 ... uT``, ids unique
 pair manifest    : TSV with header ``pair_id accepted_id rejected_id`` plus
                    arbitrary extra columns, which become tags
 similarity gold  : TSV with header ``word_a word_b score dataset`` plus
                    optional ``refs_a refs_b`` columns (comma-separated
                    ``voice:utt_id`` entries)
 external scores  : ``<utt_id>\\t<log_score>`` per line
-report           : TSV (row-typed, keys sorted) or JSON (keys sorted);
-                   floats printed with 6 decimals in both
+report           : TSV (row-typed, keys sorted; a count whose key is not
+                   a subset gets its own ``count`` row) or JSON (keys
+                   sorted); floats printed with 6 decimals in both
 
 All scores are exchanged in the natural-log domain. Parsing is
 locale-independent: decimal point only.
@@ -32,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .types import FeatureSequence, MetricReport, ScoredPair, SimilarityRecord, TriphoneToken
+from .types import (FeatureSequence, MetricReport, ScoredPair, SimilarityRecord,
+                    TriphoneToken, UnitSequence)
 
 ITEM_HEADER = "#file onset offset #phone prev-phone next-phone speaker"
 
@@ -41,26 +48,58 @@ _FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sIIfQ")
 
 
+def _rows(path, sep="\t", width=None, header=False):
+    """Yield ``(lineno, columns)`` for each row of a UTF-8 text table.
+
+    Lines are streamed and whitespace-only lines skipped; ``sep=None``
+    splits on runs of whitespace. With ``header``, line 1 is yielded
+    first as it stands (columns ``None`` for an empty file) and ``width``
+    defaults to the header's. A row of another width than ``width`` is a
+    FormatError naming the line; undecodable bytes name the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            start = 1
+            if header:
+                first = fh.readline()
+                cols = first.rstrip("\n").split(sep) if first else None
+                yield 1, cols
+                if width is None and cols is not None:
+                    width = len(cols)
+                start = 2
+            for lineno, line in enumerate(fh, start):
+                if line.isspace():
+                    continue
+                cols = line.rstrip("\n").split(sep)
+                if width is not None and len(cols) != width:
+                    raise FormatError(f"{path}: line {lineno}: expected {width} "
+                                      f"columns, got {len(cols)}")
+                yield lineno, cols
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
+def _text(path) -> str:
+    """The whole of a UTF-8 file, for JSON documents."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 # ---------------------------------------------------------------------------
 # item files
 # ---------------------------------------------------------------------------
 
 def read_item_file(path) -> list[TriphoneToken]:
     """Parse a triphone item file into tokens, preserving file order."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].split() != ITEM_HEADER.split():
+    rows = _rows(path, sep=None, width=7, header=True)
+    if next(rows)[1] != ITEM_HEADER.split():
         raise FormatError(
             f"{path}: line 1: expected item header {ITEM_HEADER!r}")
     tokens = []
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split()
-        if len(cols) != 7:
-            raise FormatError(
-                f"{path}: line {lineno}: expected 7 columns, got {len(cols)}")
+    for lineno, cols in rows:
         file_id, onset_s, offset_s, center, left, right, speaker = cols
         try:
             onset, offset = float(onset_s), float(offset_s)
@@ -81,7 +120,7 @@ def read_item_file(path) -> list[TriphoneToken]:
 
 
 def write_item_file(tokens, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(ITEM_HEADER + "\n")
         for t in tokens:
             fh.write(f"{t.file_id} {t.onset} {t.offset} "
@@ -118,38 +157,31 @@ def read_feature_archive(path, utt_id: str) -> FeatureSequence:
 
 
 def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
-    try:
-        lines = fpath.read_text().splitlines()
-    except UnicodeDecodeError:
-        raise FormatError(f"{fpath}: not a text feature file") from None
-    if not lines:
+    rows = _rows(fpath, sep=None)
+    lineno, head = next(rows, (1, None))
+    if head is None:
         raise FormatError(f"{fpath}: empty feature file")
-    fields = dict()
-    for tok in lines[0].split():
-        if "=" not in tok:
-            raise FormatError(f"{fpath}: line 1: expected 'dim=<D> rate=<R>'")
-        key, _, value = tok.partition("=")
-        fields[key] = value
+    bad_header = FormatError(f"{fpath}: line 1: expected 'dim=<D> rate=<R>'")
+    if lineno != 1 or not all("=" in tok for tok in head):
+        raise bad_header
+    fields = dict(tok.split("=", 1) for tok in head)
     try:
         dim = int(fields["dim"])
         rate = float(fields["rate"])
     except (KeyError, ValueError):
-        raise FormatError(f"{fpath}: line 1: expected 'dim=<D> rate=<R>'") from None
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split()
+        raise bad_header from None
+    values = []
+    for lineno, cols in rows:
         if len(cols) != dim:
             raise FormatError(
                 f"{fpath}: line {lineno}: expected {dim} values, got {len(cols)}")
         try:
-            rows.append([float(c) for c in cols])
+            values.append([float(c) for c in cols])
         except ValueError:
             raise FormatError(f"{fpath}: line {lineno}: non-numeric value") from None
-    if not rows:
+    if not values:
         raise FormatError(f"{fpath}: no frames after header")
-    frames = np.array(rows, dtype=np.float64)
+    frames = np.array(values, dtype=np.float64)
     if not np.isfinite(frames).all():
         raise ValidationError(f"{fpath}: non-finite value in frames")
     return FeatureSequence(utt_id, rate, frames)
@@ -199,7 +231,7 @@ def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Pat
             fh.write(np.ascontiguousarray(fs.frames, dtype="<f4").tobytes())
     elif fmt == "text":
         fpath = root / f"{fs.utt_id}.txt"
-        with open(fpath, "w") as fh:
+        with open(fpath, "w", encoding="utf-8") as fh:
             rate = fs.frame_rate
             fh.write(f"dim={fs.dim} rate={int(rate) if rate == int(rate) else rate}\n")
             for row in fs.frames:
@@ -242,32 +274,31 @@ class FeatureArchive:
 
 def read_unit_sequences(path) -> list:
     """Parse ``<utt_id> u1 u2 ... uT`` lines into UnitSequence values."""
-    from .types import UnitSequence
-
     sequences = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cols = line.split()
-            utt_id, units = cols[0], cols[1:]
-            if not units:
-                raise ValidationError(
-                    f"{path}: line {lineno}: no units for {utt_id!r}")
-            try:
-                parsed = [int(u) for u in units]
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {lineno}: non-integer unit") from None
-            if any(u < 0 for u in parsed):
-                raise ValidationError(
-                    f"{path}: line {lineno}: negative unit index")
-            sequences.append(UnitSequence(utt_id, parsed))
+    seen = set()
+    for lineno, cols in _rows(path, sep=None):
+        utt_id, units = cols[0], cols[1:]
+        if not units:
+            raise ValidationError(
+                f"{path}: line {lineno}: no units for {utt_id!r}")
+        if utt_id in seen:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate utterance {utt_id!r}")
+        seen.add(utt_id)
+        try:
+            parsed = [int(u) for u in units]
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: non-integer unit") from None
+        if any(u < 0 for u in parsed):
+            raise ValidationError(
+                f"{path}: line {lineno}: negative unit index")
+        sequences.append(UnitSequence(utt_id, parsed))
     return sequences
 
 
 def write_unit_sequences(sequences, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(seq.utt_id + " " + " ".join(str(u) for u in seq.units) + "\n")
 
@@ -278,24 +309,15 @@ def write_unit_sequences(sequences, path) -> None:
 
 def _read_tsv(path, required: tuple[str, ...]):
     """Yield (lineno, row-dict) from a TSV with a declared header row."""
-    with open(path) as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise FormatError(f"{path}: empty file, expected a header row")
-        header = header_line.rstrip("\n").split("\t")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise FormatError(f"{path}: header is missing columns {missing}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != len(header):
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {len(header)} columns, "
-                    f"got {len(cols)}")
-            yield lineno, dict(zip(header, cols))
+    rows = _rows(path, header=True)
+    header = next(rows)[1]
+    if header is None:
+        raise FormatError(f"{path}: empty file, expected a header row")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise FormatError(f"{path}: header is missing columns {missing}")
+    for lineno, cols in rows:
+        yield lineno, dict(zip(header, cols))
 
 
 def read_pair_manifest(path) -> list[ScoredPair]:
@@ -315,7 +337,7 @@ def read_pair_manifest(path) -> list[ScoredPair]:
 
 def write_pair_manifest(pairs, path) -> None:
     tag_keys = sorted({k for p in pairs for k in p.tags})
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(["pair_id", "accepted_id", "rejected_id"] + tag_keys) + "\n")
         for p in pairs:
             row = [p.pair_id, p.accepted_id, p.rejected_id]
@@ -379,35 +401,27 @@ def read_similarity_gold(path) -> list[SimilarityRecord]:
 def read_external_scores(path) -> dict[str, float]:
     """Read a ``<utt_id>\\t<log_score>`` table into a dict."""
     scores: dict[str, float] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected 2 columns, got {len(cols)}")
-            if lineno == 1 and cols == ["utt_id", "log_score"]:
-                continue
-            utt_id, raw = cols
-            try:
-                value = float(raw)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {lineno}: non-numeric score") from None
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"{path}: line {lineno}: non-finite score for {utt_id!r}")
-            if utt_id in scores:
-                raise ValidationError(
-                    f"{path}: line {lineno}: duplicate utterance {utt_id!r}")
-            scores[utt_id] = value
+    for lineno, cols in _rows(path, width=2):
+        if lineno == 1 and cols == ["utt_id", "log_score"]:
+            continue
+        utt_id, raw = cols
+        try:
+            value = float(raw)
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: non-numeric score") from None
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{path}: line {lineno}: non-finite score for {utt_id!r}")
+        if utt_id in scores:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate utterance {utt_id!r}")
+        scores[utt_id] = value
     return scores
 
 
 def write_external_scores(scores: dict[str, float], path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("utt_id\tlog_score\n")
         for utt_id in sorted(scores):
             fh.write(f"{utt_id}\t{_fmt(scores[utt_id])}\n")
@@ -438,7 +452,8 @@ def write_report(report: MetricReport, path, fmt: str | None = None) -> None:
             "counts": {k: int(v) for k, v in sorted(report.counts.items())},
             "config": {k: str(v) for k, v in sorted(report.config.items())},
         }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
     elif fmt == "tsv":
         lines = [f"metric\t{report.metric}", f"aggregate\t{_fmt(report.aggregate)}"]
         for key in sorted(report.config):
@@ -446,7 +461,9 @@ def write_report(report: MetricReport, path, fmt: str | None = None) -> None:
         for key in sorted(report.subsets):
             count = report.counts.get(key, "")
             lines.append(f"subset\t{key}\t{_fmt(report.subsets[key])}\t{count}")
-        path.write_text("\n".join(lines) + "\n")
+        for key in sorted(report.counts.keys() - report.subsets.keys()):
+            lines.append(f"count\t{key}\t{report.counts[key]}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -457,7 +474,7 @@ def read_report(path, fmt: str | None = None) -> MetricReport:
     if fmt is None:
         fmt = "json" if path.suffix == ".json" else "tsv"
     if fmt == "json":
-        doc = json.loads(path.read_text())
+        doc = json.loads(_text(path))
         return MetricReport(
             metric=doc["metric"],
             aggregate=float(doc["aggregate"]),
@@ -469,10 +486,7 @@ def read_report(path, fmt: str | None = None) -> MetricReport:
     subsets: dict = {}
     counts: dict = {}
     config: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line:
-            continue
-        cols = line.split("\t")
+    for lineno, cols in _rows(path):
         kind = cols[0]
         if kind == "metric" and len(cols) == 2:
             metric = cols[1]
@@ -484,6 +498,8 @@ def read_report(path, fmt: str | None = None) -> MetricReport:
             subsets[cols[1]] = float(cols[2])
             if cols[3]:
                 counts[cols[1]] = int(cols[3])
+        elif kind == "count" and len(cols) == 3:
+            counts[cols[1]] = int(cols[2])
         else:
             raise FormatError(f"{path}: line {lineno}: unrecognized report row")
     if metric is None or aggregate is None:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .io_formats import _rows
 
 # groups with at most this many choices (see above) are solved exactly
 EXACT_SEARCH_LIMIT = 4096
@@ -346,48 +347,40 @@ def read_candidate_set(path) -> CandidateSet:
     Anchor rows carry candidate_id '@self'; all other rows are that
     anchor's candidates, kept in file order.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:3] != ["anchor_id", "stratum", "candidate_id"] or len(header) < 4:
+    rows = _rows(path, header=True)
+    header = next(rows)[1] or []
+    if header[:3] != ["anchor_id", "stratum", "candidate_id"] or len(header) < 4:
+        raise FormatError(
+            f"{path}: header must be anchor_id, stratum, candidate_id, "
+            "then one or more score columns")
+    anchors: dict = {}
+    order = []
+    for lineno, cols in rows:
+        anchor_id, stratum, cand_id = cols[:3]
+        try:
+            scores = tuple(float(c) for c in cols[3:])
+        except ValueError:
             raise FormatError(
-                f"{path}: header must be anchor_id, stratum, candidate_id, "
-                "then one or more score columns")
-        anchors: dict = {}
-        order = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != len(header):
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {len(header)} columns, "
-                    f"got {len(cols)}")
-            anchor_id, stratum, cand_id = cols[:3]
-            try:
-                scores = tuple(float(c) for c in cols[3:])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {lineno}: non-numeric score") from None
-            if not all(map(math.isfinite, scores)):
-                raise ValidationError(f"{path}: line {lineno}: non-finite score")
-            if anchor_id not in anchors:
-                anchors[anchor_id] = {"stratum": stratum, "self": None,
-                                      "cands": [], "line": lineno}
-                order.append(anchor_id)
-            entry = anchors[anchor_id]
-            if cand_id == SELF_MARKER:
-                if entry["self"] is not None:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: duplicate @self row for "
-                        f"{anchor_id!r}")
-                entry["self"] = scores
-            else:
-                if any(cand_id == cid for cid, _ in entry["cands"]):
-                    raise ValidationError(
-                        f"{path}: line {lineno}: duplicate candidate "
-                        f"{cand_id!r} for {anchor_id!r}")
-                entry["cands"].append((cand_id, scores))
+                f"{path}: line {lineno}: non-numeric score") from None
+        if not all(map(math.isfinite, scores)):
+            raise ValidationError(f"{path}: line {lineno}: non-finite score")
+        if anchor_id not in anchors:
+            anchors[anchor_id] = {"stratum": stratum, "self": None,
+                                  "cands": [], "line": lineno}
+            order.append(anchor_id)
+        entry = anchors[anchor_id]
+        if cand_id == SELF_MARKER:
+            if entry["self"] is not None:
+                raise ValidationError(
+                    f"{path}: line {lineno}: duplicate @self row for "
+                    f"{anchor_id!r}")
+            entry["self"] = scores
+        else:
+            if any(cand_id == cid for cid, _ in entry["cands"]):
+                raise ValidationError(
+                    f"{path}: line {lineno}: duplicate candidate "
+                    f"{cand_id!r} for {anchor_id!r}")
+            entry["cands"].append((cand_id, scores))
     if not order:
         raise ValidationError(f"{path}: line 2: candidate set is empty")
     entries = []
@@ -404,7 +397,7 @@ def read_candidate_set(path) -> CandidateSet:
 
 def write_candidate_set(cs: CandidateSet, path) -> None:
     m = cs.n_scores
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(["anchor_id", "stratum", "candidate_id"]
                            + [f"s_{i + 1}" for i in range(m)]) + "\n")
         for anchor in cs.anchors:
@@ -418,7 +411,7 @@ def write_candidate_set(cs: CandidateSet, path) -> None:
 def write_assignment(assignment: Assignment, cs: CandidateSet, path) -> None:
     """Write chosen pairs as a TSV, one row per anchor, sorted by anchor id."""
     by_id = {a.anchor_id: a for a in cs.anchors}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("anchor_id\tcandidate_id\tstratum\n")
         for anchor_id in sorted(assignment.chosen):
             anchor = by_id[anchor_id]
@@ -427,18 +420,7 @@ def write_assignment(assignment: Assignment, cs: CandidateSet, path) -> None:
 
 
 def read_assignment(path) -> list:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["anchor_id", "candidate_id", "stratum"]:
-            raise FormatError(f"{path}: unexpected assignment header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected 3 columns, got {len(cols)}")
-            rows.append(tuple(cols))
-    return rows
+    rows = _rows(path, width=3, header=True)
+    if next(rows)[1] != ["anchor_id", "candidate_id", "stratum"]:
+        raise FormatError(f"{path}: unexpected assignment header")
+    return [tuple(cols) for _, cols in rows]

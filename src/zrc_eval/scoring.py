@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
+from .io_formats import _rows, _text
 from .types import UnitSequence
 
 LOG_FLOOR = 1e-300
@@ -170,12 +171,13 @@ class NgramModel:
 
 
 def save_ngram_model(model: NgramModel, path) -> None:
-    Path(path).write_text(json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def load_ngram_model(path) -> NgramModel:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid model JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -296,36 +298,28 @@ class ExternalMaskedScorer:
 def read_masked_scores(path) -> dict:
     """Read a masked-score table: ``utt_id\\ti\\tj\\tlog_p`` per line."""
     table: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected 4 columns, got {len(cols)}")
-            if lineno == 1 and cols == ["utt_id", "i", "j", "log_p"]:
-                continue
-            utt_id = cols[0]
-            try:
-                i, j, logp = int(cols[1]), int(cols[2]), float(cols[3])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {lineno}: malformed window row") from None
-            if not math.isfinite(logp):
-                raise ValidationError(
-                    f"{path}: line {lineno}: non-finite log_p for {utt_id!r}")
-            key = (utt_id, i, j)
-            if key in table:
-                raise ValidationError(
-                    f"{path}: line {lineno}: duplicate window {key}")
-            table[key] = logp
+    for lineno, cols in _rows(path, width=4):
+        if lineno == 1 and cols == ["utt_id", "i", "j", "log_p"]:
+            continue
+        utt_id = cols[0]
+        try:
+            i, j, logp = int(cols[1]), int(cols[2]), float(cols[3])
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: malformed window row") from None
+        if not math.isfinite(logp):
+            raise ValidationError(
+                f"{path}: line {lineno}: non-finite log_p for {utt_id!r}")
+        key = (utt_id, i, j)
+        if key in table:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate window {key}")
+        table[key] = logp
     return table
 
 
 def write_masked_scores(table: dict, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("utt_id\ti\tj\tlog_p\n")
         for utt_id, i, j in sorted(table):
             fh.write(f"{utt_id}\t{i}\t{j}\t{table[(utt_id, i, j)]:.6f}\n")

@@ -1,10 +1,12 @@
 """CLI wiring: exit codes, report writing, determinism."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from zrc_eval import cli, io_formats, quantizer, sampler, scoring
-from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken
+from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken, UnitSequence
 
 
 def run(argv):
@@ -84,6 +86,56 @@ class TestExitCodes:
         code = run(["ngram-train", "--units", str(tmp_path / "nope.txt"),
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
+
+    def test_duplicate_utterance_in_units_exits_one(self, tmp_path, capsys):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("pair_id\taccepted_id\trejected_id\np\tu1\tu2\n")
+        units = tmp_path / "units.txt"
+        units.write_text("u1 1 2\nu2 2 1\nu1 1 1\n")
+        model = tmp_path / "m.json"
+        scoring.save_ngram_model(scoring.ngram_train(
+            [UnitSequence("u", [1, 2, 1])], order=2), model)
+        code = run(["score-lexical", "--pairs", str(pairs), "--ngram-model",
+                    str(model), "--units", str(units),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {units}: line 3: duplicate utterance 'u1'\n"
+
+    def test_undecodable_pairs_name_the_file(self, tmp_path, capsys):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_bytes(b"pair_id\taccepted_id\trejected_id\np\tu\x89\tu2\n")
+        scores = tmp_path / "s.tsv"
+        scores.write_text("u1\t-1.0\nu2\t-2.0\n")
+        code = run(["score-lexical", "--pairs", str(pairs), "--scores", str(scores),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {pairs}: not UTF-8 text\n"
+
+    def test_fixed_layer_reads_only_its_archive(self, mini_benchmark, tmp_path):
+        # the unused second archive lacks an utterance the gold table needs
+        partial = tmp_path / "partial"
+        shutil.copytree(mini_benchmark / "hidden1", partial)
+        (partial / "w00_A.zrcf").unlink()
+        out = tmp_path / "sem.json"
+        assert run(["score-semantic", "--gold", str(mini_benchmark / "gold.tsv"),
+                    "--features", str(mini_benchmark / "hidden0"), str(partial),
+                    "--pooling", "mean", "--layer", "0", "--out", str(out)]) == 0
+        alone = tmp_path / "alone.json"
+        assert run(["score-semantic", "--gold", str(mini_benchmark / "gold.tsv"),
+                    "--features", str(mini_benchmark / "hidden0"),
+                    "--pooling", "mean", "--layer", "0", "--out", str(alone)]) == 0
+        assert out.read_bytes() == alone.read_bytes()
+
+    def test_layer_out_of_range_is_usage_error(self, mini_benchmark, tmp_path,
+                                               capsys):
+        code = run(["score-semantic", "--gold", str(mini_benchmark / "gold.tsv"),
+                    "--features", str(mini_benchmark / "hidden0"),
+                    str(tmp_path / "missing"), "--pooling", "mean",
+                    "--layer", "2", "--out", str(tmp_path / "sem.json")])
+        assert code == 2
+        assert "--layer 2 out of range for 2 archives" in capsys.readouterr().err
 
     def test_units_required_with_model_source(self, tmp_path, capsys):
         pairs = tmp_path / "p.tsv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zrc_eval import io_formats as io
+from zrc_eval import sampler, scoring
 from zrc_eval.errors import FormatError, ValidationError
 from zrc_eval.types import (FeatureSequence, MetricReport, ScoredPair, TriphoneToken,
                             UnitSequence)
@@ -172,6 +173,13 @@ class TestUnitSequences:
         with pytest.raises(ValidationError, match="negative"):
             io.read_unit_sequences(path)
 
+    def test_duplicate_utterance_is_error(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("u1 3 4\nu2 5\nu1 6\n")
+        with pytest.raises(ValidationError) as exc:
+            io.read_unit_sequences(path)
+        assert str(exc.value) == f"{path}: line 3: duplicate utterance 'u1'"
+
 
 # ---------------------------------------------------------------------------
 # manifests, gold tables, score tables
@@ -266,7 +274,7 @@ class TestMetricReport:
         metric="lexical-accuracy",
         aggregate=0.625,
         subsets={"paradigm=b": 0.5, "paradigm=a": 0.75},
-        counts={"paradigm=b": 2, "paradigm=a": 2},
+        counts={"paradigm=b": 2, "paradigm=a": 2, "pairs": 4},
         config={"tie": "half", "seed": "42"},
     )
 
@@ -293,3 +301,80 @@ class TestMetricReport:
         io.write_report(self.REPORT, p1, "json")
         io.write_report(self.REPORT, p2, "json")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the contract every text reader shares
+# ---------------------------------------------------------------------------
+
+def _read_text_features(path):
+    return io.read_feature_archive(path.parent, path.stem)
+
+
+# reader, a valid file, and for fixed-width tables a row one column short
+# with the width it should have
+TEXT_READERS = {
+    "item": (io.read_item_file,
+             io.ITEM_HEADER + "\nf1 0.0 0.1 a b c s1\nf1 0.1 0.2 b c d s1\n",
+             ("f1 0.2 0.3 c d e", 7)),
+    "text-features": (_read_text_features, "dim=2 rate=100\n1 2\n3 4\n", None),
+    "units": (io.read_unit_sequences, "u1 1 2\nu2 3\n", None),
+    "pair-manifest": (io.read_pair_manifest,
+                      "pair_id\taccepted_id\trejected_id\np1\ta\tb\np2\tc\td\n",
+                      ("p3\te", 3)),
+    "gold": (io.read_similarity_gold,
+             "word_a\tword_b\tscore\tdataset\na\tb\t4.0\tds\nc\td\t5.0\tds\n",
+             ("e\tf\t1.0", 4)),
+    "external-scores": (io.read_external_scores, "u1\t-1.0\nu2\t-2.0\n",
+                        ("u3", 2)),
+    "masked-scores": (scoring.read_masked_scores,
+                      "utt_id\ti\tj\tlog_p\nu1\t1\t2\t-0.5\nu1\t2\t3\t-0.25\n",
+                      ("u1\t3\t4", 4)),
+    "candidate-set": (sampler.read_candidate_set,
+                      "anchor_id\tstratum\tcandidate_id\ts_1\n"
+                      "a1\tst\t@self\t0.5\na1\tst\tc1\t0.25\n",
+                      ("a1\tst\tc2", 4)),
+    "assignment": (sampler.read_assignment,
+                   "anchor_id\tcandidate_id\tstratum\na1\tc1\tst\na2\tc2\tst\n",
+                   ("a3\tc3", 3)),
+    "tsv-report": (lambda path: io.read_report(path, "tsv"),
+                   "metric\tm\naggregate\t0.500000\ncount\tpairs\t3\n", None),
+}
+NGRAM_JSON = '{"alpha": 1.0, "counts": {"": {"1": 2}}, "order": 1, "vocab": [1]}\n'
+LINE_READERS = [pytest.param(reader, text, id=name)
+                for name, (reader, text, _) in TEXT_READERS.items()]
+FIXED_WIDTH = [pytest.param(reader, text, short, id=name)
+               for name, (reader, text, short) in TEXT_READERS.items() if short]
+
+
+class TestReaderContract:
+    @pytest.mark.parametrize("reader, text", LINE_READERS + [
+        pytest.param(scoring.load_ngram_model, NGRAM_JSON, id="ngram-json")])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, reader, text):
+        path = tmp_path / "u.txt"
+        path.write_text(text)
+        assert reader(path) is not None
+        path.write_bytes(text.encode() + b"\x89\n")
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text"
+
+    @pytest.mark.parametrize("reader, text", LINE_READERS)
+    def test_whitespace_only_line_is_skipped(self, tmp_path, reader, text):
+        path = tmp_path / "u.txt"
+        path.write_text(text)
+        expected = reader(path)
+        first, rest = text.split("\n", 1)
+        path.write_text(f"{first}\n \t \n{rest}")
+        assert reader(path) == expected
+
+    @pytest.mark.parametrize("reader, text, short", FIXED_WIDTH)
+    def test_short_row_names_line_and_width(self, tmp_path, reader, text, short):
+        row, width = short
+        path = tmp_path / "u.txt"
+        path.write_text(text + row + "\n")
+        lineno = text.count("\n") + 1
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert str(exc.value) == (
+            f"{path}: line {lineno}: expected {width} columns, got {width - 1}")
