@@ -3,7 +3,7 @@
 import numpy as np
 
 
-def dtw_accumulate(cost, t_len, s_len):
+def dtw_accumulate(cost, t_len, s_len, mirror=False):
     """Min-sum DTW over a padded ``T x S x B`` stack of cost matrices.
 
     Pair ``b`` owns ``cost[:t_len[b], :s_len[b], b]``; whatever lies below
@@ -23,6 +23,15 @@ def dtw_accumulate(cost, t_len, s_len):
 
     Returns arrays ``(path_sum, path_length)`` of length B, each read at
     the pair's own corner ``(t_len[b] - 1, s_len[b] - 1)``.
+
+    With ``mirror``, a third array gives the path length of each pair's
+    transposed matrix. Transposing swaps vertical and horizontal steps and
+    transposes the accumulated sums (a minimum does not depend on the
+    order its candidates are tried in), so only ties can differ. A second
+    step count, carried from the same sums with the preference diagonal,
+    then horizontal, then vertical, is that length, and
+    ``path_sum / mirrored_length`` is the DTW distance of the pair the
+    other way round.
     """
     cost = np.asarray(cost, dtype=np.float64)
     t, s, b = cost.shape
@@ -32,6 +41,7 @@ def dtw_accumulate(cost, t_len, s_len):
     acc = np.full(((t + 1) * (s + 1), b), np.inf)
     acc[0] = 0.0
     steps = np.zeros(acc.shape, dtype=np.int32)
+    mirrored = np.zeros(acc.shape, dtype=np.int32) if mirror else None
     for d in range(2, t + s + 1):
         lo, hi = max(1, d - s), min(t, d - 1)
         # rows lo..hi of diagonal d: accumulator i*s + d, cost i*(s-1) + d-s-1
@@ -41,15 +51,25 @@ def dtw_accumulate(cost, t_len, s_len):
         left = slice(cells.start - 1, cells.stop - 1, s)
         c0 = lo * (s - 1) + d - s - 1
         crow = flat_cost[c0:c0 + (hi - lo) * (s - 1) + 1:max(s - 1, 1)]
+        acc_diag, acc_up, acc_left = acc[diag], acc[up], acc[left]
 
-        vertical = acc[up] < acc[diag]
-        best = np.where(vertical, acc[up], acc[diag])
+        vertical = acc_up < acc_diag
+        best = np.where(vertical, acc_up, acc_diag)
         best_steps = np.where(vertical, steps[up], steps[diag])
-        horizontal = acc[left] < best
-        np.add(np.where(horizontal, acc[left], best), crow, out=acc[cells])
+        horizontal = acc_left < best
+        np.add(np.where(horizontal, acc_left, best), crow, out=acc[cells])
         np.add(np.where(horizontal, steps[left], best_steps), 1,
                out=steps[cells])
+        if mirror:
+            horizontal = acc_left < acc_diag
+            best = np.where(horizontal, acc_left, acc_diag)
+            best_steps = np.where(horizontal, mirrored[left], mirrored[diag])
+            vertical = acc_up < best
+            np.add(np.where(vertical, mirrored[up], best_steps), 1,
+                   out=mirrored[cells])
 
     corner = np.asarray(t_len) * (s + 1) + np.asarray(s_len)
     pair = np.arange(b)
+    if mirror:
+        return acc[corner, pair], steps[corner, pair], mirrored[corner, pair]
     return acc[corner, pair], steps[corner, pair]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .io_formats import FeatureArchive
 from .types import FeatureSequence, UnitSequence
 
 log = logging.getLogger(__name__)
+
+# (a, b, x) comparisons scored at once: bounds the flat index arrays
+SCORE_COMPARISONS = 1 << 18
 
 
 def one_hot_encode(seq: UnitSequence, n_units: int,
@@ -51,23 +55,50 @@ class AbxResult:
     by_phone_pair: dict = field(default_factory=dict)  # percent per pair
 
 
+def _product(*axes):
+    """Flat index arrays over the Cartesian product of each cell's lists.
+
+    ``axes`` holds, for each axis, one sequence of token indices per cell.
+    Returns one array per axis and the cell of each combination, cell by
+    cell, the last axis varying fastest.
+    """
+    sizes = np.array([[len(v) for v in lists] for lists in axes], dtype=np.intp)
+    n = sizes.prod(axis=0)
+    cell = np.repeat(np.arange(n.size), n)
+    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    out = []
+    for lists, size in zip(reversed(axes), reversed(sizes)):
+        flat = np.fromiter(chain.from_iterable(lists), np.intp, size.sum())
+        start = np.repeat(np.cumsum(size) - size, n)
+        rank, pos = np.divmod(rank, size[cell])
+        out.append(flat[start + pos])
+    return (*reversed(out), cell)
+
+
 def _distance_table(tokens, directions, metric) -> np.ndarray:
     """Directed distances ``table[i, j] = d(tokens[i], tokens[j])``.
 
-    Filled for every (token, probe) pair that one of ``directions`` (the
-    ``(a_idx, b_idx, x_idx, skip_same)`` arguments of ``_score_cell``)
-    compares, NaN elsewhere. ``tokens`` are ``prepare``d sequences for a
-    frame-metric name, run through the batched DTW driver; for a distance
-    callable they are passed as given, one call per needed pair.
+    Filled for every (token, probe) pair that one of ``directions`` (as
+    ``_score_cells`` takes them) compares, NaN elsewhere. ``tokens`` are ``prepare``d sequences for a
+    frame-metric name, run through the batched DTW driver; for
+    ``angular``, each unordered pair runs once and gives both directions.
+    For a distance callable they are passed as given, one call per needed
+    pair.
     """
+    a_idx, b_idx, x_idx, _ = zip(*directions)
     need = np.zeros((len(tokens), len(tokens)), dtype=bool)
-    for a_idx, b_idx, x_idx, _ in directions:
-        x_idx = np.asarray(x_idx)
-        need[np.asarray(a_idx)[:, None], x_idx] = True
-        need[np.asarray(b_idx)[:, None], x_idx] = True
+    for side in (a_idx, b_idx):
+        rows, cols, _ = _product(side, x_idx)
+        need[rows, cols] = True
     np.fill_diagonal(need, False)  # d(x, x) is never compared
-    rows, cols = np.nonzero(need)
     table = np.full(need.shape, np.nan)
+    if metric == "angular":
+        rows, cols = np.nonzero(np.triu(need | need.T, 1))
+        table[rows, cols], table[cols, rows] = dtw_pairs(
+            tokens, rows, cols, metric, mirror=True)
+        table[~need] = np.nan
+        return table
+    rows, cols = np.nonzero(need)
     if callable(metric):
         table[rows, cols] = [metric(tokens[i], tokens[j])
                              for i, j in zip(rows, cols)]
@@ -76,20 +107,32 @@ def _distance_table(tokens, directions, metric) -> np.ndarray:
     return table
 
 
-def _score_cell(table, a_idx, b_idx, x_idx, skip_same: bool) -> float:
-    """Directed cell score over token indices into a distance table."""
-    a_idx, x_idx = np.asarray(a_idx), np.asarray(x_idx)
-    d_ax = table[a_idx[:, None], x_idx][:, None, :]  # a x 1 x x
-    d_bx = table[np.asarray(b_idx)[:, None], x_idx][None, :, :]  # 1 x b x x
-    errors = (d_bx < d_ax).sum(axis=1)  # per (a, x), over b
-    ties = (d_bx == d_ax).sum(axis=1)
-    if skip_same:
-        keep = a_idx[:, None] != x_idx[None, :]
-        errors, ties = errors[keep], ties[keep]
-    count = errors.size * d_bx.shape[1]
-    if count == 0:
-        raise ValidationError("empty ABX cell")
-    return (float(errors.sum()) + 0.5 * float(ties.sum())) / count
+def _score_cells(table, directions) -> np.ndarray:
+    """Directed cell scores over token indices into a distance table.
+
+    Each direction is ``(a_idx, b_idx, x_idx, skip_same)``; with
+    ``skip_same`` the (a, x) pairs of one token are left out. Every
+    (a, b, x) comparison of up to ``SCORE_COMPARISONS`` of them at a time
+    is one entry of flat index arrays, and errors, ties and comparisons
+    are summed per cell as exact integer counts.
+    """
+    sizes = [len(a) * len(b) * len(x) for a, b, x, _ in directions]
+    batch = np.cumsum(sizes) // SCORE_COMPARISONS
+    heads = np.flatnonzero(np.diff(batch, prepend=-1)).tolist()
+    scores = []
+    for lo, hi in zip(heads, heads[1:] + [len(directions)]):
+        a_idx, b_idx, x_idx, skip_same = zip(*directions[lo:hi])
+        a, b, x, cell = _product(a_idx, b_idx, x_idx)
+        keep = ~(np.array(skip_same)[cell] & (a == x))
+        a, b, x, cell = a[keep], b[keep], x[keep], cell[keep]
+        d_ax, d_bx = table[a, x], table[b, x]
+        errors = np.bincount(cell, d_bx < d_ax, hi - lo)
+        ties = np.bincount(cell, d_bx == d_ax, hi - lo)
+        count = np.bincount(cell, minlength=hi - lo)
+        if not count.all():
+            raise ValidationError("empty ABX cell")
+        scores.append((errors + 0.5 * ties) / count)
+    return np.concatenate(scores)
 
 
 def asymmetric_abx(a, b, metric="angular", x=None) -> float:
@@ -119,8 +162,9 @@ def asymmetric_abx(a, b, metric="angular", x=None) -> float:
     na, nb = len(a_tokens), len(b_tokens)
     a_idx = range(na)
     x_idx = a_idx if x is None else range(na + nb, len(tokens))
-    direction = (a_idx, range(na, na + nb), x_idx, x is None)
-    return _score_cell(_distance_table(tokens, [direction], metric), *direction)
+    directions = [(a_idx, range(na, na + nb), x_idx, x is None)]
+    table = _distance_table(tokens, directions, metric)
+    return float(_score_cells(table, directions)[0])
 
 
 def symmetrized_cell(a, b, metric="angular") -> float:
@@ -161,7 +205,7 @@ def _context_cells(by_center, mode: str, context) -> list:
     """The symmetrized cells of one context, in aggregation order.
 
     Each is ``(phone_pair, [direction, direction])``, a direction being
-    the ``(a_idx, b_idx, x_idx, skip_same)`` arguments of ``_score_cell``.
+    ``(a_idx, b_idx, x_idx, skip_same)`` as ``_score_cells`` takes it.
     """
     cells = []
     centers = sorted(by_center)
@@ -244,12 +288,14 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
         cells = _context_cells(by_center, mode, context)
         if not cells:
             continue
-        table = _distance_table(
-            tokens, [d for _, directions in cells for d in directions], metric)
-        for pair, directions in cells:
-            scores = [_score_cell(table, *d) for d in directions]
+        directions = [d for _, both in cells for d in both]
+        scores = _score_cells(_distance_table(tokens, directions, metric),
+                              directions)
+        # each cell's two directions are adjacent: their mean, in order
+        means = (scores[0::2] + scores[1::2]) / 2
+        for (pair, _), mean in zip(cells, means.tolist()):
             per_pair_context.setdefault(pair, {}).setdefault(context, []) \
-                            .append(sum(scores) / len(scores))
+                            .append(mean)
         cell_count += len(cells)
 
     if not cell_count:

@@ -24,13 +24,25 @@ Work is split in three pieces that every caller shares:
 
 ``dtw_pairs`` drives many pairs at once. It sorts them by shape and cuts
 them into runs of one ``(T, S)``; a run's frames are gathered with one
-index per prepared component and its costs come from one ``pair_cost``
-call, split only where a chunk boundary falls inside the run or where
-the call would exceed its budget. Two bounds keep memory flat whatever
-the number of pairs: a cost call covers at most ``RUN_ELEMENTS``
-T x S x D elements (the angular difference tensor), and the kernel runs
-over chunks whose padded tensor holds at most ``CHUNK_CELLS`` cells.
-``frame_cost_matrix`` and ``dtw_distance`` are the one-pair case.
+index per prepared component that ``pair_cost`` reads on that side (for
+``kl``, ``p`` and the row term for x, ``log q`` for y), and its costs
+come from one ``pair_cost`` call, split only where a chunk boundary falls
+inside the run or where the call would exceed its budget. Two bounds keep
+memory flat whatever the number of pairs: a cost call covers at most
+``RUN_ELEMENTS`` T x S x D elements (the angular difference tensor), and
+the kernel runs over chunks whose padded tensor holds at most
+``CHUNK_CELLS`` cells. ``frame_cost_matrix`` and ``dtw_distance`` are the
+one-pair case.
+
+For ``angular``, ``dtw_pairs(..., mirror=True)`` also returns every
+pair's distance the other way round from the same cost matrix and kernel
+pass. The cost is symmetric (``pair_cost(y, x)`` is exactly
+``pair_cost(x, y).T``: the squared differences are the same numbers,
+summed in the same order), and so are the accumulated sums; only the
+path length can differ, where a tie is broken the other way, and the
+kernel carries it as a second step count. ``kl`` is asymmetric and a
+distance callable is opaque, so both keep one cost matrix per directed
+pair.
 """
 
 from __future__ import annotations
@@ -53,6 +65,9 @@ CHUNK_CELLS = 1 << 16
 # the angular difference tensor (and the gathered frames) of one call.
 # Larger calls are no faster and raise peak memory.
 RUN_ELEMENTS = 1 << 17
+
+# per metric, the prepared components ``pair_cost`` reads of x and of y
+_READS = {"angular": ((0,), (0,)), "kl": ((0, 2), (1,))}
 
 
 def angular_frame_distance(x, y) -> float:
@@ -149,7 +164,7 @@ def dtw_distance(rx, ry, metric: str = "angular") -> float:
     return float(total[0]) / int(length[0])
 
 
-def dtw_pairs(prepared, rows, cols, metric: str) -> np.ndarray:
+def dtw_pairs(prepared, rows, cols, metric: str, mirror: bool = False):
     """``dtw_distance`` of ``prepared[rows[k]]`` to ``prepared[cols[k]]`` for
     every k, from sequences already passed through ``prepare``.
 
@@ -160,16 +175,29 @@ def dtw_pairs(prepared, rows, cols, metric: str) -> np.ndarray:
     chunk, each run's costs come from one ``pair_cost`` call over its
     gathered frames, split only where the run's T x S x D elements would
     exceed ``RUN_ELEMENTS``.
+
+    With ``mirror`` (``angular`` only), returns ``(forward, mirrored)``,
+    ``mirrored[k]`` being the distance of ``prepared[cols[k]]`` to
+    ``prepared[rows[k]]``. Each pair then runs in the orientation whose
+    first sequence is the shorter, which gives the same two numbers and
+    fewer distinct shapes.
     """
+    if mirror and metric != "angular":
+        raise ValueError(f"no mirrored distances for frame metric {metric!r}")
     _check_dims(prepared)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if not rows.size:
-        return np.empty(0)
+        return (np.empty(0), np.empty(0)) if mirror else np.empty(0)
     lengths = np.array([x[0].shape[0] for x in prepared], dtype=np.intp)
+    if mirror:
+        flip = lengths[rows] > lengths[cols]
+        rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
     offsets = np.cumsum(lengths) - lengths
-    # each prepared component of every sequence, concatenated along time
-    parts = [np.concatenate(part) for part in zip(*prepared)]
+    x_reads, y_reads = _READS[metric]
+    # each prepared component that either side reads, concatenated along time
+    parts = [np.concatenate(part) if k in x_reads or k in y_reads else None
+             for k, part in enumerate(zip(*prepared))]
     dim = parts[0].shape[1]
     order = np.lexsort((lengths[cols], lengths[rows]))
     t_len, s_len = lengths[rows[order]], lengths[cols[order]]
@@ -194,6 +222,7 @@ def dtw_pairs(prepared, rows, cols, metric: str) -> np.ndarray:
     bounds.append((start, order.size, t_max, s_max))
 
     out = np.empty(order.size)
+    back = np.empty(order.size) if mirror else None
     for start, stop, t_max, s_max in bounds:
         cost = np.zeros((t_max, s_max, stop - start))
         cuts = edges[(edges > start) & (edges < stop)].tolist()
@@ -204,11 +233,18 @@ def dtw_pairs(prepared, rows, cols, metric: str) -> np.ndarray:
                 b = min(hi, a + step)
                 fx = x_start[a:b, None] + np.arange(t)
                 fy = y_start[a:b, None] + np.arange(s)
-                costs = pair_cost(tuple(f[fx] for f in parts),
-                                  tuple(f[fy] for f in parts), metric)
+                x = tuple(f[fx] if k in x_reads else None
+                          for k, f in enumerate(parts))
+                y = tuple(f[fy] if k in y_reads else None
+                          for k, f in enumerate(parts))
+                costs = pair_cost(x, y, metric)
                 cost[:t, :s, a - start:b - start] = costs.transpose(1, 2, 0)
         chunk = order[start:stop]
-        total, length = _kernel.dtw_accumulate(cost, t_len[start:stop],
-                                               s_len[start:stop])
+        total, length, *mirrored = _kernel.dtw_accumulate(
+            cost, t_len[start:stop], s_len[start:stop], mirror=mirror)
         out[chunk] = total / length
+        if mirror:
+            back[chunk] = total / mirrored[0]
+    if mirror:
+        return np.where(flip, back, out), np.where(flip, out, back)
     return out

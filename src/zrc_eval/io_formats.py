@@ -313,6 +313,9 @@ def _read_tsv(path, required: tuple[str, ...]):
     header = next(rows)[1]
     if header is None:
         raise FormatError(f"{path}: empty file, expected a header row")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FormatError(f"{path}: line 1: header repeats columns {repeated}")
     missing = [c for c in required if c not in header]
     if missing:
         raise FormatError(f"{path}: header is missing columns {missing}")
@@ -468,40 +471,56 @@ def write_report(report: MetricReport, path, fmt: str | None = None) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
+# row kind -> columns of a TSV report row
+_REPORT_WIDTHS = {"metric": 2, "aggregate": 2, "config": 3, "subset": 4, "count": 3}
+
+
 def read_report(path, fmt: str | None = None) -> MetricReport:
     """Parse a report written by :func:`write_report`."""
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix == ".json" else "tsv"
     if fmt == "json":
-        doc = json.loads(_text(path))
-        return MetricReport(
-            metric=doc["metric"],
-            aggregate=float(doc["aggregate"]),
-            subsets={k: float(v) for k, v in doc.get("subsets", {}).items()},
-            counts={k: int(v) for k, v in doc.get("counts", {}).items()},
-            config={k: str(v) for k, v in doc.get("config", {}).items()},
-        )
+        try:
+            doc = json.loads(_text(path))
+        except json.JSONDecodeError as exc:
+            raise FormatError(
+                f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
+        if not isinstance(doc, dict) or not {"metric", "aggregate"} <= doc.keys():
+            raise FormatError(f"{path}: report missing metric or aggregate")
+        try:
+            values = dict(
+                aggregate=float(doc["aggregate"]),
+                subsets={k: float(v) for k, v in doc.get("subsets", {}).items()},
+                counts={k: int(v) for k, v in doc.get("counts", {}).items()},
+                config={k: str(v) for k, v in doc.get("config", {}).items()},
+            )
+        except (AttributeError, TypeError, ValueError):
+            raise FormatError(f"{path}: malformed report value") from None
+        return MetricReport(metric=doc["metric"], **values)
     metric, aggregate = None, None
     subsets: dict = {}
     counts: dict = {}
     config: dict = {}
     for lineno, cols in _rows(path):
         kind = cols[0]
-        if kind == "metric" and len(cols) == 2:
-            metric = cols[1]
-        elif kind == "aggregate" and len(cols) == 2:
-            aggregate = float(cols[1])
-        elif kind == "config" and len(cols) == 3:
-            config[cols[1]] = cols[2]
-        elif kind == "subset" and len(cols) == 4:
-            subsets[cols[1]] = float(cols[2])
-            if cols[3]:
-                counts[cols[1]] = int(cols[3])
-        elif kind == "count" and len(cols) == 3:
-            counts[cols[1]] = int(cols[2])
-        else:
+        if _REPORT_WIDTHS.get(kind) != len(cols):
             raise FormatError(f"{path}: line {lineno}: unrecognized report row")
+        try:
+            if kind == "metric":
+                metric = cols[1]
+            elif kind == "aggregate":
+                aggregate = float(cols[1])
+            elif kind == "config":
+                config[cols[1]] = cols[2]
+            elif kind == "subset":
+                subsets[cols[1]] = float(cols[2])
+                if cols[3]:
+                    counts[cols[1]] = int(cols[3])
+            else:
+                counts[cols[1]] = int(cols[2])
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
     if metric is None or aggregate is None:
         raise FormatError(f"{path}: report missing metric or aggregate row")
     return MetricReport(metric, aggregate, subsets, counts, config)

@@ -72,6 +72,22 @@ class TestAsymmetricCell:
             assert abx.asymmetric_abx(a, b, "angular", x=x) == pytest.approx(
                 abx_oracle(a, b, dist, x_tokens=x), abs=1e-12)
 
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_table_holds_only_requested_directions(self, metric):
+        # a separate probe pool asks for d(a, x) and d(b, x) but never
+        # d(x, a): the mirrored half of an angular pair is left out
+        rng = np.random.default_rng(18)
+        seqs = [rng.dirichlet(np.ones(3), size=int(rng.integers(1, 6)))
+                for _ in range(6)]
+        directions = [(range(2), range(2, 4), range(4, 6), False)]
+        table = abx._distance_table([distance.prepare(x, metric) for x in seqs],
+                                    directions, metric)
+        requested = np.zeros((6, 6), dtype=bool)
+        requested[:4, 4:] = True
+        assert (~np.isnan(table) == requested).all()
+        for i, j in zip(*np.nonzero(requested)):
+            assert table[i, j] == dtw_distance(seqs[i], seqs[j], metric)
+
     def test_needs_two_a_tokens(self):
         with pytest.raises(ValidationError, match="2 tokens"):
             abx.asymmetric_abx([np.ones((1, 2))], [np.ones((1, 2))], "angular")
@@ -255,7 +271,7 @@ class TestAbxEvaluate:
         return 100.0 * sum(pair_scores.values()) / len(pair_scores), pair_scores
 
     @pytest.mark.parametrize("mode", ["within", "across"])
-    def test_matches_flat_aggregation_oracle(self, tmp_path, mode):
+    def test_matches_flat_aggregation_oracle(self, tmp_path, monkeypatch, mode):
         rng = np.random.default_rng(8)
         tokens = self._random_setup(tmp_path, rng)
         result = abx.abx_evaluate(tokens, tmp_path, mode, "angular")
@@ -264,6 +280,9 @@ class TestAbxEvaluate:
         for (p1, p2), score in pair_scores.items():
             assert result.by_phone_pair[f"{p1}-{p2}"] == pytest.approx(
                 100.0 * score, abs=1e-12)
+        # a small budget scores the cells of a context over many batches
+        monkeypatch.setattr(abx, "SCORE_COMPARISONS", 7)
+        assert abx.abx_evaluate(tokens, tmp_path, mode, "angular") == result
 
     @pytest.mark.parametrize("chunk_cells", [64, distance.CHUNK_CELLS])
     @pytest.mark.parametrize("mode", ["within", "across"])
@@ -286,6 +305,47 @@ class TestAbxEvaluate:
         called = abx.abx_evaluate(tokens, tmp_path, mode,
                                   lambda x, y: dtw_distance(x, y, metric))
         assert batched == called
+
+    @pytest.mark.parametrize("mode", ["within", "across"])
+    def test_kernel_runs_each_unordered_angular_pair_once(self, tmp_path,
+                                                         monkeypatch, mode):
+        # every requested (token, probe) pair is also requested the other way
+        # round; angular runs the two as one kernel pair with the mirrored
+        # step count, kl and a callable run each direction alone, unmirrored
+        rng = np.random.default_rng(17)
+        cats = [(center, "A", "T", speaker,
+                 [np.eye(4)[rng.integers(0, 4, size=int(rng.integers(1, 6)))]
+                  for _ in range(int(rng.integers(2, 4)))])
+                for center in ("B", "P", "D") for speaker in ("s1", "s2")]
+        tokens = build_items(cats, tmp_path)
+        runs, tables = [], []
+        kernel, distance_table = distance._kernel.dtw_accumulate, abx._distance_table
+
+        def counting_kernel(cost, t_len, s_len, mirror=False):
+            runs.append((cost.shape[2], mirror))
+            return kernel(cost, t_len, s_len, mirror=mirror)
+
+        def keeping_table(*args):
+            tables.append(distance_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(distance._kernel, "dtw_accumulate", counting_kernel)
+        monkeypatch.setattr(abx, "_distance_table", keeping_table)
+        patterns = []
+        for metric in ("angular", "kl", lambda x, y: dtw_distance(x, y, "kl")):
+            runs.clear()
+            tables.clear()
+            abx.abx_evaluate(tokens, tmp_path, mode, metric)
+            requested = [~np.isnan(table) for table in tables]
+            directed = sum(int(r.sum()) for r in requested)
+            unordered = sum(int(np.triu(r | r.T, 1).sum()) for r in requested)
+            assert 2 * unordered == directed
+            mirrored = metric == "angular"
+            assert sum(b for b, _ in runs) == (unordered if mirrored else directed)
+            assert {m for _, m in runs} == {mirrored}
+            patterns.append(requested)
+        for pattern in patterns[1:]:
+            assert all((p == q).all() for p, q in zip(pattern, patterns[0]))
 
     def test_no_cells_is_error(self, tmp_path):
         rng = np.random.default_rng(10)

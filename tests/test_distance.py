@@ -178,6 +178,56 @@ class TestDtw:
                 for k, (i, j) in enumerate(zip(rows, cols)):
                     assert got[k] == distance.dtw_distance(seqs[i], seqs[j], metric)
 
+    def test_mirrored_length_is_the_transposes(self):
+        # {0, 1, 2} integer costs tie often enough that the transpose's path
+        # has another length in 16 of these 600 matrices; only a second step
+        # count carried with the order diagonal, horizontal, vertical gives it
+        rng = np.random.default_rng(15)
+        costs = [rng.integers(0, 3, size=(int(rng.integers(1, 9)),
+                                          int(rng.integers(1, 9)))).astype(float)
+                 for _ in range(600)]
+        t_len = [c.shape[0] for c in costs]
+        s_len = [c.shape[1] for c in costs]
+        padded = np.full((10, 11, len(costs)), 9.0)
+        for b, c in enumerate(costs):
+            padded[:c.shape[0], :c.shape[1], b] = c
+        total, length, mirrored = _dtw_py.dtw_accumulate(
+            padded, t_len, s_len, mirror=True)
+        forward = _dtw_py.dtw_accumulate(padded, t_len, s_len)
+        assert len(forward) == 2
+        assert (total == forward[0]).all() and (length == forward[1]).all()
+        for b, c in enumerate(costs):
+            assert (total[b], mirrored[b]) == dtw_scalar(c.T)
+        assert (mirrored != length).sum() >= 10
+
+    def test_pairs_driver_mirror_matches_dtw_distance_both_ways(self, monkeypatch):
+        # one-hot frames make the angular costs 0 or pi/2, so alignments tie,
+        # and the two directions of 12 of these pairs differ in path length;
+        # every ordered pair is asked for, the longer or the shorter first
+        rng = np.random.default_rng(16)
+        lengths = rng.permutation(np.repeat([2, 4, 6, 9], 8))
+        rows, cols = np.nonzero(~np.eye(len(lengths), dtype=bool))
+        for budgets in ((distance.CHUNK_CELLS, distance.RUN_ELEMENTS), (40, 1000)):
+            monkeypatch.setattr(distance, "CHUNK_CELLS", budgets[0])
+            monkeypatch.setattr(distance, "RUN_ELEMENTS", budgets[1])
+            for seqs in ([np.eye(3)[rng.integers(0, 3, size=n)] for n in lengths],
+                         [rng.standard_normal((n, 64)) for n in lengths]):
+                prepared = [distance.prepare(x, "angular") for x in seqs]
+                got, back = distance.dtw_pairs(prepared, rows, cols, "angular",
+                                               mirror=True)
+                assert (got == distance.dtw_pairs(prepared, rows, cols,
+                                                  "angular")).all()
+                for k, (i, j) in enumerate(zip(rows, cols)):
+                    assert got[k] == distance.dtw_distance(seqs[i], seqs[j])
+                    assert back[k] == distance.dtw_distance(seqs[j], seqs[i])
+                if seqs[0].shape[1] == 3:
+                    assert (got != back).sum() >= 10
+
+    def test_no_mirror_for_kl(self):
+        prepared = [distance.prepare(np.eye(2), "kl")] * 2
+        with pytest.raises(ValueError, match="mirrored"):
+            distance.dtw_pairs(prepared, [0], [1], "kl", mirror=True)
+
     def test_symmetry_angular(self):
         rng = np.random.default_rng(8)
         for _ in range(100):

@@ -207,6 +207,20 @@ class TestPairManifest:
         io.write_pair_manifest(pairs, path)
         assert io.read_pair_manifest(path) == pairs
 
+    @pytest.mark.parametrize("reader, header, row", [
+        (io.read_pair_manifest, "pair_id\taccepted_id\trejected_id\tpar\tpar",
+         "p1\tw1\tn1\tagr\tnum"),
+        (io.read_similarity_gold, "word_a\tword_b\tscore\tdataset\tscore",
+         "a\tb\t4\tds\t9"),
+    ], ids=["manifest", "gold"])
+    def test_repeated_header_column_is_error(self, tmp_path, reader, header, row):
+        # the last of two same-named columns used to win silently
+        path = tmp_path / "p.tsv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}: line 1: header repeats columns")
+
 
 class TestSimilarityGold:
     def test_table_row(self, tmp_path):
@@ -301,6 +315,32 @@ class TestMetricReport:
         io.write_report(self.REPORT, p1, "json")
         io.write_report(self.REPORT, p2, "json")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"metric": "m",\n "aggregate": }\n')
+        with pytest.raises(FormatError) as exc:
+            io.read_report(path)
+        assert str(exc.value).startswith(f"{path}: line 2: invalid JSON")
+
+    @pytest.mark.parametrize("doc", ['{"aggregate": 0.5}', '{"metric": "m"}', "[]"],
+                             ids=["no-metric", "no-aggregate", "not-an-object"])
+    def test_json_without_metric_or_aggregate_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "r.json"
+        path.write_text(doc + "\n")
+        with pytest.raises(FormatError) as exc:
+            io.read_report(path)
+        assert str(exc.value) == f"{path}: report missing metric or aggregate"
+
+    @pytest.mark.parametrize("row", ["aggregate\tx", "subset\ta\t0.5\tx",
+                                     "count\tpairs\t1.5"],
+                             ids=["aggregate", "subset", "count"])
+    def test_non_numeric_tsv_value_names_the_line(self, tmp_path, row):
+        path = tmp_path / "r.tsv"
+        path.write_text(f"metric\tm\n{row}\n")
+        with pytest.raises(FormatError) as exc:
+            io.read_report(path)
+        assert str(exc.value) == f"{path}: line 2: non-numeric value"
 
 
 # ---------------------------------------------------------------------------
