@@ -475,6 +475,13 @@ def write_report(report: MetricReport, path, fmt: str | None = None) -> None:
 _REPORT_WIDTHS = {"metric": 2, "aggregate": 2, "config": 3, "subset": 4, "count": 3}
 
 
+def _json_value(path, key: str, value, kinds, what: str) -> None:
+    """FormatError naming ``path`` and ``key`` unless ``value`` has one of
+    the JSON types ``kinds``; a boolean is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise FormatError(f"{path}: {key}: expected {what}, got {json.dumps(value)}")
+
+
 def read_report(path, fmt: str | None = None) -> MetricReport:
     """Parse a report written by :func:`write_report`."""
     path = Path(path)
@@ -488,16 +495,25 @@ def read_report(path, fmt: str | None = None) -> MetricReport:
                 f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
         if not isinstance(doc, dict) or not {"metric", "aggregate"} <= doc.keys():
             raise FormatError(f"{path}: report missing metric or aggregate")
+        subsets, counts, config = (doc.get(k, {}) for k in ("subsets", "counts", "config"))
+        if not all(isinstance(section, dict) for section in (subsets, counts, config)):
+            raise FormatError(f"{path}: malformed report value")
+        _json_value(path, "metric", doc["metric"], str, "a string")
+        _json_value(path, "aggregate", doc["aggregate"], (int, float), "a number")
+        for k, v in subsets.items():
+            _json_value(path, f"subsets.{k}", v, (int, float), "a number")
+        for k, v in counts.items():
+            _json_value(path, f"counts.{k}", v, int, "an integer")
         try:
-            values = dict(
+            return MetricReport(
+                metric=doc["metric"],
                 aggregate=float(doc["aggregate"]),
-                subsets={k: float(v) for k, v in doc.get("subsets", {}).items()},
-                counts={k: int(v) for k, v in doc.get("counts", {}).items()},
-                config={k: str(v) for k, v in doc.get("config", {}).items()},
+                subsets={k: float(v) for k, v in subsets.items()},
+                counts=dict(counts),
+                config={k: str(v) for k, v in config.items()},
             )
-        except (AttributeError, TypeError, ValueError):
+        except OverflowError:
             raise FormatError(f"{path}: malformed report value") from None
-        return MetricReport(metric=doc["metric"], **values)
     metric, aggregate = None, None
     subsets: dict = {}
     counts: dict = {}

@@ -90,16 +90,23 @@ def pool(hidden, kind: str = "mean") -> np.ndarray:
     raise ValueError(f"unknown pooling {kind!r}")
 
 
-def semantic_distance(ex, ey) -> float:
-    """Cosine similarity between two pooled embeddings, in [-1, 1]."""
-    x = np.asarray(ex, dtype=np.float64)
-    y = np.asarray(ey, dtype=np.float64)
+def _vector(embedding) -> tuple:
+    """An embedding as float64, with its norm: the cosine's operands."""
+    x = np.asarray(embedding, dtype=np.float64)
+    return x, np.linalg.norm(x)
+
+
+def _cosine(x, nx, y, ny) -> float:
     if x.shape != y.shape:
         raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if nx == 0.0 or ny == 0.0:
         raise ValidationError("cosine undefined for zero vectors")
     return float(np.dot(x, y) / (nx * ny))
+
+
+def semantic_distance(ex, ey) -> float:
+    """Cosine similarity between two pooled embeddings, in [-1, 1]."""
+    return _cosine(*_vector(ex), *_vector(ey))
 
 
 def spearman(model_scores, human_scores) -> float:
@@ -126,12 +133,14 @@ def record_refs(record) -> tuple:
             record.refs_b or (("", record.word_b),))
 
 
-def record_similarity(record, reprs: dict, subset: str) -> float:
+def record_similarity(record, reprs: dict, subset: str,
+                      vectors: dict | None = None) -> float:
     """Model similarity for one gold record.
 
     The synthetic subset averages cosine over same-voice token pairs;
     the natural subset averages over all cross-word token pairs (minus
-    any pair built from one single token).
+    any pair built from one single token). ``vectors`` caches each
+    utterance's converted embedding and norm across calls.
     """
     refs_a, refs_b = record_refs(record)
     if subset == "synthetic":
@@ -144,23 +153,28 @@ def record_similarity(record, reprs: dict, subset: str) -> float:
         raise ValidationError(
             f"({record.word_a}, {record.word_b}): no comparable token pairs "
             f"for the {subset} subset")
+    vectors = {} if vectors is None else vectors
     sims = []
     for ua, ub in pairs:
         for utt in (ua, ub):
-            if utt not in reprs:
-                raise ValidationError(
-                    f"({record.word_a}, {record.word_b}): no representation "
-                    f"for utterance {utt!r}")
-        sims.append(semantic_distance(reprs[ua], reprs[ub]))
+            if utt not in vectors:
+                if utt not in reprs:
+                    raise ValidationError(
+                        f"({record.word_a}, {record.word_b}): no representation "
+                        f"for utterance {utt!r}")
+                vectors[utt] = _vector(reprs[utt])
+        sims.append(_cosine(*vectors[ua], *vectors[ub]))
     return sum(sims) / len(sims)
 
 
 def similarity_score(records, reprs: dict, subset: str = "synthetic") -> float:
-    """Spearman correlation (x100) of model vs human similarities."""
+    """Spearman correlation (x100) of model vs human similarities; each
+    representation is converted, and its norm taken, once per call."""
     records = list(records)
     if len(records) < 2:
         raise ValidationError("similarity scoring needs at least 2 records")
-    model = [record_similarity(r, reprs, subset) for r in records]
+    vectors: dict = {}
+    model = [record_similarity(r, reprs, subset, vectors) for r in records]
     human = [r.human_score for r in records]
     return spearman(model, human)
 

@@ -22,14 +22,20 @@ when it does not worsen the group's running objective:
 * word move: anchors in a seeded permutation, each taking the first
   acceptable candidate in a second permutation, else a seeded-random one;
 * sentence move: one pair per step, the first acceptable one in the
-  step's permutation of the unchosen pairs, found by scoring them all in
-  one array, else a seeded-random one.
+  step's permutation of the unchosen pairs, else a seeded-random one; a
+  trial depends only on the pair's outcome row, so each distinct row is
+  scored once per step.
 
-Restart r draws from ``default_rng(seed ^ r)`` (the moves make the same
-``permutation``/``integers`` calls as a one-by-one walk) and the restart
-with the lowest objective wins, the earliest on ties. Objectives are
-compared in exact integer arithmetic (half-credit units), so no decision
-depends on floating-point rounding.
+Restart r draws from ``default_rng(seed ^ r)`` and the restart with the
+lowest objective wins, the earliest on ties. The restarts run in
+lockstep: groups one after another, and within a group every restart is
+a row of the same arrays. Each step makes every restart's own
+``permutation`` call (and ``integers`` when nothing is acceptable), then
+tests all restarts' candidates in one array step. Each restart's random
+stream and acceptance rule are those of a one-by-one walk, so its picks
+are the walk's. All comparisons are read from one N x C_max x M outcome
+array, and objectives are compared in exact integer arithmetic
+(half-credit units), so no decision depends on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -104,35 +110,30 @@ class Assignment:
     restart_objectives: list = field(default_factory=list)
 
 
-def _outcomes(cs: CandidateSet) -> list:
-    """Per anchor, per candidate: comparison outcomes in half-credit units.
+def _outcomes(cs: CandidateSet):
+    """Comparison outcomes in half-credit units, and candidate counts.
 
-    2 = anchor wins, 1 = tie, 0 = candidate wins, one entry per score m.
+    ``outcomes[i, c, m]`` is 2 when anchor i beats its candidate c on score
+    m, 1 on a tie and 0 when the candidate wins. The array is N x C_max x M
+    (int8); slots from ``counts[i]`` on are padding and are never chosen.
     """
-    table = []
-    for anchor in cs.anchors:
-        rows = []
-        for _, cand_scores in anchor.candidates:
-            rows.append(tuple(
-                2 if sa > sc else 1 if sa == sc else 0
-                for sa, sc in zip(anchor.scores, cand_scores)))
-        table.append(rows)
-    return table
+    counts = np.array([len(a.candidates) for a in cs.anchors], dtype=np.int64)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cand = np.array([scores for a in cs.anchors for _, scores in a.candidates],
+                    dtype=np.float64)
+    anchor = np.array([a.scores for a in cs.anchors], dtype=np.float64)[owner]
+    outcomes = np.zeros((len(counts), int(counts.max()), cs.n_scores), dtype=np.int8)
+    outcomes[owner, slot] = 2 * (anchor > cand) + (anchor == cand)
+    return outcomes, counts
 
 
-def _numerator(sums, n: int) -> int:
-    """Integer numerator of the objective: obj = numerator / (2n)."""
-    return sum(abs(s - n) for s in sums)
-
-
-def _accepts(trial, n: int, num: int, m: int):
-    """Exact test obj(n + 1 picks) <= obj(n picks) from their numerators,
-    ``trial`` (a scalar or an array) and ``num``; no picks score m/2."""
+def _accepts(trial, n: int, num, m: int):
+    """Exact test obj(n + 1 picks) <= obj(n picks) from their numerators
+    ``trial`` and ``num`` (scalars or arrays), where the numerator of
+    ``sums`` over n picks is ``sum(|sums - n|)`` = 2n obj; no picks
+    score m/2."""
     return trial <= m if n == 0 else trial * n <= num * (n + 1)
-
-
-def _objective_value(sums, n: int, m: int) -> float:
-    return 0.5 * m if n == 0 else _numerator(sums, n) / (2.0 * n)
 
 
 def balance_objective(assignment, cs: CandidateSet) -> float:
@@ -142,17 +143,24 @@ def balance_objective(assignment, cs: CandidateSet) -> float:
 
 
 def _stratum_objectives(chosen_by_stratum: dict, cs: CandidateSet) -> dict:
-    """``balance_objective`` of each stratum's choices, from one outcome table."""
-    outcomes = _outcomes(cs)
+    """``balance_objective`` of each stratum's choices, from one outcome array."""
+    outcomes, counts = _outcomes(cs)
     m = cs.n_scores
     by_id = {a.anchor_id: i for i, a in enumerate(cs.anchors)}
     objectives = {}
     for stratum, chosen in chosen_by_stratum.items():
-        sums = [0] * m
-        for anchor_id, cand_idx in chosen.items():
-            row = outcomes[by_id[anchor_id]][cand_idx]
-            sums = [s + o for s, o in zip(sums, row)]
-        objectives[stratum] = _objective_value(sums, len(chosen), m)
+        n = len(chosen)
+        if n == 0:
+            objectives[stratum] = 0.5 * m
+            continue
+        idx = np.array([by_id[anchor_id] for anchor_id in chosen], dtype=np.int64)
+        cand = np.array(list(chosen.values()), dtype=np.int64)
+        bad = np.flatnonzero((cand < 0) | (cand >= counts[idx]))
+        if len(bad):
+            raise ValidationError(f"anchor {cs.anchors[idx[bad[0]]].anchor_id!r}: "
+                                  f"candidate index {cand[bad[0]]} out of range")
+        sums = outcomes[idx, cand].sum(axis=0)
+        objectives[stratum] = int(np.abs(sums - n).sum()) / (2.0 * n)
     return objectives
 
 
@@ -207,115 +215,139 @@ def _balance(cs: CandidateSet, groups: list, one_per_anchor: bool,
              seed: int, restarts: int) -> Assignment:
     """The shared search: ``quota`` (anchor, candidate) picks per group,
     one candidate per anchor if ``one_per_anchor``, else ``quota`` anchors
-    with their only candidate."""
+    with their only candidate. Groups run in order; within a group all
+    restarts run in lockstep, restart r along axis 0 of every array."""
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    outcomes = _outcomes(cs)
-    m = cs.n_scores
-    exact = [_exact_group(indices, quota, one_per_anchor, outcomes, m)
-             for indices, quota in groups]
-    if not one_per_anchor:
-        rows = np.array([row[0] for row in outcomes], dtype=np.int64)
+    outcomes, counts = _outcomes(cs)
+    rngs = [np.random.default_rng(seed ^ r) for r in range(restarts)]
+    anchors, cands = [], []
+    sums = np.zeros((restarts, cs.n_scores), dtype=np.int64)
+    for indices, quota in groups:
+        exact = _exact_group(indices, quota, one_per_anchor, outcomes, counts)
+        if exact is not None:
+            picks = [np.tile(part, (restarts, 1)) for part in exact]
+        elif one_per_anchor:
+            picks = _walk_anchors(rngs, indices, outcomes, counts)
+        else:
+            picks = _scan_pairs(rngs, indices, quota, outcomes[:, 0])
+        anchors.append(picks[0])
+        cands.append(picks[1])
+        sums += picks[2]
     total_n = sum(quota for _, quota in groups)
-
-    best = None
-    restart_objs = []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        chosen: dict = {}
-        total_sums = [0] * m
-        for g, (indices, quota) in enumerate(groups):
-            if exact[g] is not None:
-                picks, sums = exact[g]
-            elif one_per_anchor:
-                picks, sums = _walk_anchors(rng, indices, outcomes, m)
-            else:
-                picks, sums = _scan_pairs(rng, indices, quota, rows, m)
-            for idx, ci in picks:
-                chosen[cs.anchors[idx].anchor_id] = ci
-            total_sums = [t + s for t, s in zip(total_sums, sums)]
-        num = _numerator(total_sums, total_n)
-        restart_objs.append(num / (2.0 * total_n))
-        if best is None or num < best[0]:
-            best = (num, r, chosen)
-
+    nums = np.abs(sums - total_n).sum(axis=1).tolist()
+    best = nums.index(min(nums))
+    chosen = np.concatenate(anchors, axis=1)[best].tolist()
+    cand = np.concatenate(cands, axis=1)[best].tolist()
     return Assignment(
-        chosen=best[2],
-        objective=best[0] / (2.0 * total_n),
+        chosen={cs.anchors[idx].anchor_id: ci for idx, ci in zip(chosen, cand)},
+        objective=nums[best] / (2.0 * total_n),
         seed=seed,
-        restart_index=best[1],
-        restart_objectives=restart_objs,
+        restart_index=best,
+        restart_objectives=[num / (2.0 * total_n) for num in nums],
     )
 
 
-def _exact_group(indices, quota: int, one_per_anchor: bool, outcomes, m: int):
-    """The group's first optimal picks in enumeration order, and their sums;
-    None when its choice space is larger than EXACT_SEARCH_LIMIT."""
+def _exact_group(indices, quota: int, one_per_anchor: bool, outcomes, counts):
+    """The group's first optimal picks in enumeration order, as anchor and
+    candidate index arrays, and their sums; None when its choice space is
+    larger than EXACT_SEARCH_LIMIT. Choices are scored a block at a time,
+    as indices into the flattened outcome array."""
+    c_max, m = outcomes.shape[1:]
     if one_per_anchor:
-        space = math.prod(len(outcomes[i]) for i in indices)
+        sizes = counts[indices].tolist()
+        space = math.prod(sizes)
+        choices = itertools.product(
+            *[range(i * c_max, i * c_max + c) for i, c in zip(indices, sizes)])
     else:
         space = math.comb(len(indices), quota)
+        choices = itertools.combinations([i * c_max for i in indices], quota)
     if space > EXACT_SEARCH_LIMIT:
         return None
-    if one_per_anchor:
-        choices = itertools.product(
-            *[[(i, ci) for ci in range(len(outcomes[i]))] for i in indices])
-    else:
-        choices = itertools.combinations([(i, 0) for i in indices], quota)
+    flat = outcomes.reshape(-1, m)
     best = None
-    for picks in choices:
-        sums = [0] * m
-        for idx, ci in picks:
-            sums = [s + o for s, o in zip(sums, outcomes[idx][ci])]
-        num = _numerator(sums, quota)
-        if best is None or num < best[0]:
-            best = (num, picks, sums)
-    return best[1], best[2]
+    # blocks of about 2^16 indices bound the memory a large quota takes
+    while block := list(itertools.islice(choices, max(1, (1 << 16) // quota))):
+        sums = flat[np.array(block)].sum(axis=1)
+        nums = np.abs(sums - quota).sum(axis=1)
+        k = int(nums.argmin())
+        if best is None or nums[k] < best[0]:
+            best = (nums[k], block[k], sums[k])
+    return (*np.divmod(np.array(best[1]), c_max), best[2])
 
 
-def _walk_anchors(rng, indices, outcomes, m: int):
-    """Word move: one candidate per anchor, walking both permutations."""
-    picks = []
-    sums = [0] * m
-    num = 0
-    for n, pos in enumerate(rng.permutation(len(indices))):
-        idx = indices[int(pos)]
-        rows = outcomes[idx]
-        for ci in rng.permutation(len(rows)):
-            trial = [s + o for s, o in zip(sums, rows[ci])]
-            trial_num = _numerator(trial, n + 1)
-            if _accepts(trial_num, n, num, m):
-                break
-        else:
-            ci = rng.integers(len(rows))
-            trial = [s + o for s, o in zip(sums, rows[ci])]
-            trial_num = _numerator(trial, n + 1)
-        picks.append((idx, int(ci)))
-        sums, num = trial, trial_num
-    return picks, sums
+def _walk_anchors(rngs, indices, outcomes, counts):
+    """Word move: one candidate per anchor, walking both permutations.
+
+    Step n takes every restart's n-th anchor in its own permutation and
+    scores all of that anchor's candidates in one R x C_max array, then
+    tests them in the restart's candidate permutation; positions past the
+    anchor's own count never pass.
+    """
+    n_restarts = len(rngs)
+    size = len(indices)
+    c_max, m = outcomes.shape[1:]
+    order = np.asarray(indices)[np.array([rng.permutation(size) for rng in rngs])]
+    rows = outcomes[order]  # R x size x C_max x M
+    sizes = counts[order]
+    valid = np.arange(c_max) < sizes[..., None]
+    sizes = sizes.T.tolist()
+    lanes = np.arange(n_restarts)
+    perm = np.zeros((n_restarts, c_max), dtype=np.int64)
+    picks = np.empty((n_restarts, size), dtype=np.int64)
+    sums = np.zeros((n_restarts, m), dtype=np.int64)
+    num = np.zeros(n_restarts, dtype=np.int64)
+    for n in range(size):
+        for r, rng in enumerate(rngs):
+            perm[r, :sizes[n][r]] = rng.permutation(sizes[n][r])
+        trial = np.abs(rows[:, n] + (sums - (n + 1))[:, None]).sum(axis=2)
+        hits = _accepts(trial, n, num[:, None], m)[lanes[:, None], perm] & valid[:, n]
+        first = hits.argmax(axis=1)
+        ci = perm[lanes, first]
+        for r in np.flatnonzero(~hits[lanes, first]).tolist():
+            ci[r] = rngs[r].integers(sizes[n][r])
+        picks[:, n] = ci
+        num = trial[lanes, ci]
+        sums += rows[lanes, n, ci]
+    return order, picks, sums
 
 
-def _scan_pairs(rng, indices, quota: int, rows, m: int):
-    """Sentence move: ``quota`` steps, each scanning all unchosen pairs."""
-    picks = []
-    unchosen = np.asarray(indices, dtype=np.int64)
-    sums = np.zeros(m, dtype=np.int64)
-    num = 0
+def _scan_pairs(rngs, indices, quota: int, rows):
+    """Sentence move: ``quota`` steps, each scanning all unchosen pairs.
+
+    Every restart has the same number L of unchosen pairs at a step, so
+    the step's permutations stack into R x L. A trial depends only on the
+    pair's outcome row, so each of the group's distinct rows is scored
+    once per restart and the scores are gathered in permutation order.
+    """
+    n_restarts = len(rngs)
+    distinct, code = np.unique(rows[indices], axis=0, return_inverse=True)
+    m = rows.shape[1]
+    lanes = np.arange(n_restarts)
+    unchosen = np.tile(np.asarray(indices, dtype=np.int64), (n_restarts, 1))
+    codes = np.tile(code.reshape(-1), (n_restarts, 1))
+    picks = np.empty((n_restarts, quota), dtype=np.int64)
+    sums = np.zeros((n_restarts, m), dtype=np.int64)
+    num = np.zeros(n_restarts, dtype=np.int64)
     for n in range(quota):
-        order = rng.permutation(len(unchosen))
-        trial = np.abs(rows[unchosen] + (sums - (n + 1))).sum(axis=1)
-        hits = _accepts(trial, n, num, m)[order]
-        first = int(np.argmax(hits))
-        if hits[first]:
-            pos = int(order[first])
-        else:
-            pos = int(rng.integers(len(unchosen)))
-        accepted = int(unchosen[pos])
-        num = int(trial[pos])
-        unchosen = np.concatenate((unchosen[:pos], unchosen[pos + 1:]))
-        sums += rows[accepted]
-        picks.append((accepted, 0))
-    return picks, sums.tolist()
+        left = unchosen.shape[1]
+        perm = np.array([rng.permutation(left) for rng in rngs])
+        trial = np.abs(distinct + (sums - (n + 1))[:, None]).sum(axis=2)
+        hits = _accepts(trial, n, num[:, None], m)[lanes[:, None],
+                                                     codes[lanes[:, None], perm]]
+        first = hits.argmax(axis=1)
+        pos = perm[lanes, first]
+        for r in np.flatnonzero(~hits[lanes, first]).tolist():
+            pos[r] = rngs[r].integers(left)
+        k = codes[lanes, pos]
+        picks[:, n] = unchosen[lanes, pos]
+        num = trial[lanes, k]
+        sums += distinct[k]
+        keep = np.ones(unchosen.shape, dtype=bool)
+        keep[lanes, pos] = False
+        unchosen = unchosen[keep].reshape(n_restarts, left - 1)
+        codes = codes[keep].reshape(n_restarts, left - 1)
+    return picks, np.zeros_like(picks), sums
 
 
 def _largest_remainder(sizes: dict, k_target: int) -> dict:
@@ -358,7 +390,7 @@ def read_candidate_set(path) -> CandidateSet:
     for lineno, cols in rows:
         anchor_id, stratum, cand_id = cols[:3]
         try:
-            scores = tuple(float(c) for c in cols[3:])
+            scores = tuple(map(float, cols[3:]))
         except ValueError:
             raise FormatError(
                 f"{path}: line {lineno}: non-numeric score") from None
@@ -366,7 +398,7 @@ def read_candidate_set(path) -> CandidateSet:
             raise ValidationError(f"{path}: line {lineno}: non-finite score")
         if anchor_id not in anchors:
             anchors[anchor_id] = {"stratum": stratum, "self": None,
-                                  "cands": [], "line": lineno}
+                                  "cands": [], "ids": set(), "line": lineno}
             order.append(anchor_id)
         entry = anchors[anchor_id]
         if cand_id == SELF_MARKER:
@@ -376,10 +408,11 @@ def read_candidate_set(path) -> CandidateSet:
                     f"{anchor_id!r}")
             entry["self"] = scores
         else:
-            if any(cand_id == cid for cid, _ in entry["cands"]):
+            if cand_id in entry["ids"]:
                 raise ValidationError(
                     f"{path}: line {lineno}: duplicate candidate "
                     f"{cand_id!r} for {anchor_id!r}")
+            entry["ids"].add(cand_id)
             entry["cands"].append((cand_id, scores))
     if not order:
         raise ValidationError(f"{path}: line 2: candidate set is empty")

@@ -152,11 +152,21 @@ def spearman_oracle(a, b) -> float:
 # sampler oracles: exhaustive enumeration
 # ---------------------------------------------------------------------------
 
+def outcome_rows(cs) -> list:
+    """Per anchor, per candidate: the comparison outcomes in half-credit
+    units (2 anchor wins, 1 tie, 0 candidate wins), one per score,
+    compared element by element in Python."""
+    return [[tuple(2 if sa > sc else 1 if sa == sc else 0
+                   for sa, sc in zip(anchor.scores, cand_scores))
+             for _, cand_scores in anchor.candidates]
+            for anchor in cs.anchors]
+
+
 def word_assignment_minimum(cs) -> float:
     """Minimum balance objective over every complete assignment."""
     import itertools
 
-    outcomes = sampler._outcomes(cs)
+    outcomes = outcome_rows(cs)
     n = len(cs.anchors)
     best = None
     for combo in itertools.product(*[range(len(rows)) for rows in outcomes]):
@@ -173,7 +183,7 @@ def sentence_subset_minimum(pool, k_target: int) -> float:
     """Minimum balance objective over every k-subset of the pool."""
     import itertools
 
-    outcomes = sampler._outcomes(pool)
+    outcomes = outcome_rows(pool)
     best = None
     for subset in itertools.combinations(range(len(pool.anchors)), k_target):
         sums = [0] * pool.n_scores

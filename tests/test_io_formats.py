@@ -332,6 +332,53 @@ class TestMetricReport:
             io.read_report(path)
         assert str(exc.value) == f"{path}: report missing metric or aggregate"
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"aggregate": true', "aggregate: expected a number, got true"),
+        ('"aggregate": "0.5"', 'aggregate: expected a number, got "0.5"'),
+        ('"aggregate": 0.5, "subsets": {"a": false}',
+         "subsets.a: expected a number, got false"),
+        ('"aggregate": 0.5, "subsets": {"a": "0.5"}',
+         'subsets.a: expected a number, got "0.5"'),
+        ('"aggregate": 0.5, "counts": {"pairs": 1.9}',
+         "counts.pairs: expected an integer, got 1.9"),
+        ('"aggregate": 0.5, "counts": {"pairs": true}',
+         "counts.pairs: expected an integer, got true"),
+        ('"aggregate": 0.5, "counts": {"pairs": "4"}',
+         'counts.pairs: expected an integer, got "4"'),
+    ], ids=["aggregate-bool", "aggregate-string", "subset-bool", "subset-string",
+            "count-float", "count-bool", "count-string"])
+    def test_json_value_of_wrong_type_names_file_and_key(self, tmp_path, fields,
+                                                         message):
+        path = tmp_path / "r.json"
+        path.write_text('{"metric": "m", ' + fields + "}\n")
+        with pytest.raises(FormatError) as exc:
+            io.read_report(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("metric", ["1", "null", '["m"]'])
+    def test_json_metric_must_be_a_string(self, tmp_path, metric):
+        path = tmp_path / "r.json"
+        path.write_text('{"metric": ' + metric + ', "aggregate": 0.5}\n')
+        with pytest.raises(FormatError) as exc:
+            io.read_report(path)
+        assert str(exc.value) == f"{path}: metric: expected a string, got {metric}"
+
+    def test_json_integer_beyond_float_range_names_the_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"metric": "m", "aggregate": 1' + "0" * 400 + "}\n")
+        with pytest.raises(FormatError) as exc:
+            io.read_report(path)
+        assert str(exc.value) == f"{path}: malformed report value"
+
+    def test_json_integral_numbers_are_read(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"metric": "m", "aggregate": 1, "subsets": {"a": 0},'
+                        ' "counts": {"pairs": 3}}\n')
+        report = io.read_report(path)
+        assert (report.aggregate, report.subsets, report.counts) == \
+            (1.0, {"a": 0.0}, {"pairs": 3})
+        assert type(report.aggregate) is float and type(report.subsets["a"]) is float
+
     @pytest.mark.parametrize("row", ["aggregate\tx", "subset\ta\t0.5\tx",
                                      "count\tpairs\t1.5"],
                              ids=["aggregate", "subset", "count"])

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import sentence_subset_minimum, word_assignment_minimum
+from conftest import outcome_rows, sentence_subset_minimum, word_assignment_minimum
 from zrc_eval import sampler
 from zrc_eval.errors import ValidationError
 from zrc_eval.sampler import AnchorEntry, CandidateSet
@@ -141,7 +141,7 @@ class TestWordSampler:
                                   rng.normal(size=(4, 1)), stratum=stratum))
         cs = CandidateSet(anchors)
         got = sampler.sample_word_pairs(cs, seed=11, restarts=4)
-        outcomes = sampler._outcomes(cs)
+        outcomes = outcome_rows(cs)
         by_id = {a.anchor_id: i for i, a in enumerate(cs.anchors)}
         for stratum in ("st0", "st1", "st2"):
             total, n = 0, 0
@@ -211,10 +211,15 @@ class TestSentenceSampler:
             sampler.sample_sentence_pairs(cs, 1, seed=0)
 
 
+def numerator(sums, n):
+    """Integer numerator of the objective: obj = numerator / (2n)."""
+    return sum(abs(s - n) for s in sums)
+
+
 def not_worse(sums_new, n_new, sums_old, n_old, m):
     """Exact test for obj(new) <= obj(old); an empty list scores m/2."""
-    num_new = sampler._numerator(sums_new, n_new)
-    num_old = sampler._numerator(sums_old, n_old)
+    num_new = numerator(sums_new, n_new)
+    num_old = numerator(sums_old, n_old)
     if n_new == 0 and n_old == 0:
         return True
     if n_old == 0:
@@ -232,14 +237,15 @@ def best_of(results):
             [obj for _, _, obj in results], best)
 
 
-def walk_word_pairs(cs, seed, restarts):
+def walk_word_pairs(cs, seed, restarts, fallbacks=None):
     """Word sampler with its own exact enumeration and a walk whose
-    acceptance test recomputes both objectives.
+    acceptance test recomputes both objectives, one restart after another.
 
     The reference for ``sample_word_pairs``: same strata, enumeration
-    order, RNG calls and acceptance rule.
+    order, RNG calls and acceptance rule. Each seeded-random pick is
+    logged to ``fallbacks`` as (restart, stratum, step).
     """
-    outcomes = sampler._outcomes(cs)
+    outcomes = outcome_rows(cs)
     m = cs.n_scores
     strata = {}
     for idx, a in enumerate(cs.anchors):
@@ -254,7 +260,7 @@ def walk_word_pairs(cs, seed, restarts):
             sums = [0] * m
             for idx, ci in zip(indices, combo):
                 sums = [s + o for s, o in zip(sums, outcomes[idx][ci])]
-            num = sampler._numerator(sums, len(indices))
+            num = numerator(sums, len(indices))
             if best is None or num < best[0]:
                 best = (num, combo, sums)
         exact[stratum] = (best[1], best[2])
@@ -271,7 +277,7 @@ def walk_word_pairs(cs, seed, restarts):
                 total_sums = [t + s for t, s in zip(total_sums, sums)]
                 continue
             sums, n = [0] * m, 0
-            for pos in rng.permutation(len(indices)):
+            for step, pos in enumerate(rng.permutation(len(indices))):
                 idx = indices[int(pos)]
                 rows = outcomes[idx]
                 accepted = None
@@ -282,24 +288,29 @@ def walk_word_pairs(cs, seed, restarts):
                         break
                 if accepted is None:
                     accepted = int(rng.integers(len(rows)))
+                    if fallbacks is not None:
+                        fallbacks.append((r, stratum, step))
                 row = rows[accepted]
                 sums = [s + o for s, o in zip(sums, row)]
                 n += 1
                 chosen[cs.anchors[idx].anchor_id] = accepted
                 total_sums = [t + o for t, o in zip(total_sums, row)]
-        num = sampler._numerator(total_sums, len(cs.anchors))
+        num = numerator(total_sums, len(cs.anchors))
         results.append((num, chosen, num / (2.0 * len(cs.anchors))))
     return best_of(results)
 
 
-def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
-    """Sentence sampler visiting each step's permutation one pair at a time.
+def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts,
+                        fallbacks=None):
+    """Sentence sampler visiting each step's permutation one pair at a
+    time, one restart after another.
 
     The reference for ``sample_sentence_pairs``: same quotas, exact
     enumeration, RNG calls and acceptance rule, with the greedy step
-    written as a walk.
+    written as a walk. Each seeded-random pick is logged to ``fallbacks``
+    as (restart, group, step).
     """
-    outcomes = sampler._outcomes(pool)
+    outcomes = outcome_rows(pool)
     m = pool.n_scores
     strata = {}
     for idx, a in enumerate(pool.anchors):
@@ -318,7 +329,7 @@ def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
                 sums = [0] * m
                 for idx in subset:
                     sums = [s + o for s, o in zip(sums, outcomes[idx][0])]
-                num = sampler._numerator(sums, quota)
+                num = numerator(sums, quota)
                 if best is None or num < best[0]:
                     best = (num, subset, sums)
             exact[name] = (best[1], best[2])
@@ -344,6 +355,8 @@ def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
                         break
                 if accepted is None:
                     accepted = unchosen[int(rng.integers(len(unchosen)))]
+                    if fallbacks is not None:
+                        fallbacks.append((r, name, n))
                 unchosen.remove(accepted)
                 row = outcomes[accepted][0]
                 sums = [s + o for s, o in zip(sums, row)]
@@ -351,7 +364,7 @@ def walk_sentence_pairs(pool, k_target, seed, per_stratum, restarts):
                 chosen[pool.anchors[accepted].anchor_id] = 0
                 total_sums = [t + o for t, o in zip(total_sums, row)]
                 total_n += 1
-        num = sampler._numerator(total_sums, total_n)
+        num = numerator(total_sums, total_n)
         results.append((num, chosen, num / (2.0 * total_n)))
     return best_of(results)
 
@@ -454,6 +467,98 @@ class TestSentenceScan:
         assert sampler._stratum_objectives(by_stratum, pool) == {
             s: sampler.balance_objective(chosen, pool)
             for s, chosen in by_stratum.items()}
+
+
+class TestLockstep:
+    """Restarts in lockstep against the one-by-one walks: candidate padding,
+    steps where only some restarts fall back to a seeded-random pick, and
+    more distinct outcome rows than unchosen pairs."""
+
+    @staticmethod
+    def mixed_steps(fallbacks, restarts):
+        """(group, step) pairs where some restarts fell back and others not."""
+        by_step = {}
+        for r, group, step in fallbacks:
+            by_step.setdefault((group, step), set()).add(r)
+        return [key for key, fell in by_step.items() if len(fell) < restarts]
+
+    @pytest.mark.parametrize("restarts", [1, 2, 16])
+    def test_words_with_padding_and_mixed_fallbacks(self, restarts):
+        rng = np.random.default_rng(70)
+        anchors = []
+        for i in range(40):  # one stratum, 1-6 candidates: padded, not enumerable
+            k = 1 + i % 6
+            anchors.append(anchor(f"a{i:02d}", rng.integers(0, 3, size=2).astype(float),
+                                  rng.integers(0, 3, size=(k, 2)).astype(float)))
+        cs = CandidateSet(anchors)
+        fallbacks = []
+        got = sampler.sample_word_pairs(cs, seed=9, restarts=restarts)
+        assert_matches(got, walk_word_pairs(cs, 9, restarts, fallbacks))
+        assert fallbacks
+        assert restarts == 1 or self.mixed_steps(fallbacks, restarts)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 16])
+    @pytest.mark.parametrize("k", [100, 98])
+    def test_sentences_down_to_the_last_pairs(self, restarts, k):
+        # k == n is one enumerated subset (L shrinks to 1 there); k == n - 2
+        # is the smallest final L of a greedy scan (3 pairs), as any quota
+        # closer to its group's size leaves at most EXACT_SEARCH_LIMIT subsets
+        rng = np.random.default_rng(71)
+        pool = CandidateSet([
+            anchor(f"p{i:03d}", rng.integers(0, 3, size=6).astype(float),
+                   [rng.integers(0, 3, size=6).astype(float)])
+            for i in range(100)])
+        assert len({rows[0] for rows in outcome_rows(pool)}) > 100 - k + 1
+        fallbacks = []
+        got = sampler.sample_sentence_pairs(pool, k, seed=4, restarts=restarts)
+        assert_matches(got, walk_sentence_pairs(pool, k, 4, False, restarts,
+                                                fallbacks))
+        if k < 100:
+            assert fallbacks
+            assert restarts == 1 or self.mixed_steps(fallbacks, restarts)
+
+    def test_enumeration_across_blocks_keeps_the_first_minimum(self):
+        # 40 anchors, 12 with two candidates: 4,096 tuples, scored in blocks
+        # of 65,536 // 40 = 1,638; 62 pairs choose 60: 1,891 subsets in
+        # blocks of 1,092. Tie-heavy scores put minima in several blocks.
+        rng = np.random.default_rng(73)
+        cs = CandidateSet([
+            anchor(f"a{i:02d}", rng.integers(0, 3, size=2).astype(float),
+                   rng.integers(0, 3, size=(1 + (i < 12), 2)).astype(float))
+            for i in range(40)])
+        got = sampler.sample_word_pairs(cs, seed=1, restarts=2)
+        assert_matches(got, walk_word_pairs(cs, 1, 2))
+        pool = CandidateSet([
+            anchor(f"p{i:02d}", rng.integers(0, 3, size=2).astype(float),
+                   [rng.integers(0, 3, size=2).astype(float)])
+            for i in range(62)])
+        got = sampler.sample_sentence_pairs(pool, 60, seed=1, restarts=2)
+        assert_matches(got, walk_sentence_pairs(pool, 60, 1, False, 2))
+
+    def test_outcome_array_matches_elementwise_comparison(self):
+        rng = np.random.default_rng(72)
+        special = np.array([-0.0, 0.0, 1.0, 5e-324, -1e308, 1e308])
+        for trial in range(40):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 25))
+            if trial % 2:
+                draw = lambda size: special[rng.integers(0, len(special), size=size)]
+            else:
+                draw = lambda size: rng.normal(size=size).round(int(rng.integers(0, 3)))
+            cs = CandidateSet([anchor(f"a{i}", draw(m),
+                                      draw((int(rng.integers(1, 7)), m)))
+                               for i in range(n)])
+            outcomes, counts = sampler._outcomes(cs)
+            rows = outcome_rows(cs)
+            assert outcomes.shape == (n, max(map(len, rows)), m)
+            assert counts.tolist() == [len(r) for r in rows]
+            for i, r in enumerate(rows):
+                assert [tuple(o) for o in outcomes[i, :len(r)].tolist()] == r
+
+    def test_out_of_range_candidate_index_is_error(self):
+        cs = fixed_set([["win", "loss"], ["win"]])
+        for bad in (2, -1):
+            with pytest.raises(ValidationError, match="out of range"):
+                sampler.balance_objective({"a0": bad, "a1": 0}, cs)
 
 
 class TestCandidateFiles:
