@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .distance import FRAME_METRICS, dtw_pairs, prepare
+from .distance import FRAME_METRICS, dtw_pairs, invalid_frames, prepare
 from .distance import dtw_distance  # noqa: F401  (perfbench/spans.py wraps abx.dtw_distance)
 from .errors import ValidationError
 from .io_formats import FeatureArchive
@@ -33,6 +33,10 @@ log = logging.getLogger(__name__)
 
 # (a, b, x) comparisons scored at once: bounds the flat index arrays
 SCORE_COMPARISONS = 1 << 18
+
+# (token, probe) pairs requested by one group of contexts, which share one
+# prepared store and one DTW pass: bounds the group's pair index arrays
+GROUP_PAIRS = 1 << 14
 
 
 def one_hot_encode(seq: UnitSequence, n_units: int,
@@ -53,6 +57,9 @@ class AbxResult:
     error_rate: float  # percent in [0, 100]
     cell_count: int
     by_phone_pair: dict = field(default_factory=dict)  # percent per pair
+    dropped_tokens: int = 0  # empty frame extraction
+    clamped_tokens: int = 0  # offset clamped at the utterance end
+    skipped_cells: int = 0   # within cells lacking 2+ tokens on a side
 
 
 def _product(*axes):
@@ -75,36 +82,54 @@ def _product(*axes):
     return (*reversed(out), cell)
 
 
-def _distance_table(tokens, directions, metric) -> np.ndarray:
-    """Directed distances ``table[i, j] = d(tokens[i], tokens[j])``.
-
-    Filled for every (token, probe) pair that one of ``directions`` (as
-    ``_score_cells`` takes them) compares, NaN elsewhere. ``tokens`` are ``prepare``d sequences for a
-    frame-metric name, run through the batched DTW driver; for
-    ``angular``, each unordered pair runs once and gives both directions.
-    For a distance callable they are passed as given, one call per needed
-    pair.
-    """
+def _requests(n: int, directions) -> tuple:
+    """Row and column arrays of the (token, probe) pairs that one context's
+    ``directions`` (as ``_score_cells`` takes them) compare among its ``n``
+    tokens, each pair once, in row-major order."""
     a_idx, b_idx, x_idx, _ = zip(*directions)
-    need = np.zeros((len(tokens), len(tokens)), dtype=bool)
+    need = np.zeros((n, n), dtype=bool)
     for side in (a_idx, b_idx):
         rows, cols, _ = _product(side, x_idx)
         need[rows, cols] = True
     np.fill_diagonal(need, False)  # d(x, x) is never compared
-    table = np.full(need.shape, np.nan)
-    if metric == "angular":
-        rows, cols = np.nonzero(np.triu(need | need.T, 1))
-        table[rows, cols], table[cols, rows] = dtw_pairs(
-            tokens, rows, cols, metric, mirror=True)
-        table[~need] = np.nan
-        return table
-    rows, cols = np.nonzero(need)
+    return np.nonzero(need)
+
+
+def _distance_tables(tokens, contexts, metric):
+    """Yield the directed distance table of each context of a group.
+
+    ``tokens`` holds the tokens of all the group's contexts, back to back:
+    a ``Prepared`` store for a frame-metric name, the frames themselves
+    for a distance callable. Each context is ``(base, n, rows, cols)``:
+    its tokens are ``tokens[base:base + n]`` and ``rows``/``cols`` are its
+    ``_requests``. Its table holds ``table[i, j] = d(tokens[base + i],
+    tokens[base + j])`` for every requested pair and NaN elsewhere.
+
+    All the group's requests go through one ``dtw_pairs`` call; for
+    ``angular``, each unordered pair runs once and gives both directions.
+    A callable is called once per requested pair, in order.
+    """
+    rows = np.concatenate([base + r for base, _, r, _ in contexts])
+    cols = np.concatenate([base + c for base, _, _, c in contexts])
     if callable(metric):
-        table[rows, cols] = [metric(tokens[i], tokens[j])
-                             for i, j in zip(rows, cols)]
+        dist = np.array([metric(tokens[i], tokens[j])
+                         for i, j in zip(rows.tolist(), cols.tolist())],
+                        dtype=np.float64)
+    elif metric == "angular":
+        n = len(tokens)
+        pairs, pair = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols),
+                                return_inverse=True)
+        forward, back = dtw_pairs(tokens, pairs // n, pairs % n, metric,
+                                  mirror=True)
+        dist = np.where(rows < cols, forward[pair], back[pair])
     else:
-        table[rows, cols] = dtw_pairs(tokens, rows, cols, metric)
-    return table
+        dist = dtw_pairs(tokens, rows, cols, metric)
+    stop = 0
+    for _, n, r, c in contexts:
+        table = np.full((n, n), np.nan)
+        start, stop = stop, stop + r.size
+        table[r, c] = dist[start:stop]
+        yield table
 
 
 def _score_cells(table, directions) -> np.ndarray:
@@ -158,12 +183,13 @@ def asymmetric_abx(a, b, metric="angular", x=None) -> float:
             raise ValidationError("categories A and X must be non-empty")
     tokens = a_tokens + b_tokens + x_tokens
     if not callable(metric):
-        tokens = [prepare(t, metric) for t in tokens]
-    na, nb = len(a_tokens), len(b_tokens)
+        tokens = prepare(tokens, metric)
+    n, na, nb = len(tokens), len(a_tokens), len(b_tokens)
     a_idx = range(na)
-    x_idx = a_idx if x is None else range(na + nb, len(tokens))
+    x_idx = a_idx if x is None else range(na + nb, n)
     directions = [(a_idx, range(na, na + nb), x_idx, x is None)]
-    table = _distance_table(tokens, directions, metric)
+    table, = _distance_tables(tokens, [(0, n, *_requests(n, directions))],
+                              metric)
     return float(_score_cells(table, directions)[0])
 
 
@@ -184,8 +210,15 @@ def extract_token_frames(archive: FeatureArchive, token) -> np.ndarray | None:
     """Slice a token's frames out of its utterance; None when empty.
 
     Frame indices are floor(time * rate) for both onset and offset, the
-    offset being exclusive.
+    offset being exclusive and clamped at the utterance end.
     """
+    fs, start, stop, _ = _token_span(archive, token)
+    return fs.frames[start:stop] if start < stop else None
+
+
+def _token_span(archive: FeatureArchive, token) -> tuple:
+    """``(utterance, start, stop, clamped)`` of a token's frames, as
+    ``extract_token_frames`` slices them."""
     try:
         fs = archive.load(token.file_id)
     except FileNotFoundError:
@@ -195,19 +228,18 @@ def extract_token_frames(archive: FeatureArchive, token) -> np.ndarray | None:
     rate = fs.frame_rate
     start = math.floor(token.onset * rate)
     stop = math.floor(token.offset * rate)
-    stop = min(stop, len(fs))
-    if stop <= start:
-        return None
-    return fs.frames[start:stop]
+    return fs, start, min(stop, len(fs)), stop > len(fs)
 
 
-def _context_cells(by_center, mode: str, context) -> list:
-    """The symmetrized cells of one context, in aggregation order.
+def _context_cells(by_center, mode: str, context) -> tuple:
+    """The symmetrized cells of one context, in aggregation order, and the
+    number of within cells skipped for lack of tokens.
 
-    Each is ``(phone_pair, [direction, direction])``, a direction being
-    ``(a_idx, b_idx, x_idx, skip_same)`` as ``_score_cells`` takes it.
+    Each cell is ``(phone_pair, [direction, direction])``, a direction
+    being ``(a_idx, b_idx, x_idx, skip_same)`` as ``_score_cells`` takes it.
     """
     cells = []
+    skipped = 0
     centers = sorted(by_center)
     for i, c1 in enumerate(centers):
         for c2 in centers[i + 1:]:
@@ -222,6 +254,7 @@ def _context_cells(by_center, mode: str, context) -> list:
                             "skipping within cell %s/%s @%s %s: "
                             "needs 2+ tokens on both sides",
                             c1, c2, speaker, context)
+                        skipped += 1
                         continue
                     cells.append((pair, [
                         (a_idx, b_idx, a_idx, True),
@@ -236,18 +269,27 @@ def _context_cells(by_center, mode: str, context) -> list:
                             (cat1[s1], cat2[s1], cat1[s2], False),
                             (cat2[s1], cat1[s1], cat2[s2], False),
                         ]))
-    return cells
+    return cells, skipped
 
 
 def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     """Evaluate the ABX error rate over an item set.
 
-    ``features`` is a FeatureArchive or a directory path. Each token is
-    extracted, validated and prepared once; a token whose frames the
-    metric rejects is an error naming it. Contexts are evaluated one at a
-    time from one distance table each, so memory is bounded by the
-    largest context. Cells lacking enough tokens are skipped with a
-    logged reason; an item set producing no valid cell at all is an error.
+    ``features`` is a FeatureArchive or a directory path. Tokens are
+    checked in item-file order, each against its utterance's frames as
+    the metric sees them once, and kept as views into the utterance; the
+    first token whose frames the metric rejects is an error naming it.
+
+    Contexts are evaluated in sorted order, a group at a time: a group
+    grows while its requested (token, probe) pairs stay within
+    ``GROUP_PAIRS``, and a larger context runs alone. Each group's tokens
+    go through one ``prepare`` and its pairs through one DTW pass; each
+    context's cells are then scored from its own distance table. Memory
+    is bounded by one group and by the largest context's table.
+
+    Cells lacking enough tokens are skipped with a logged reason; an item
+    set producing no valid cell at all is an error. The result counts
+    dropped (empty) tokens, clamped offsets and skipped cells.
     """
     if mode not in ("within", "across"):
         raise ValueError(f"unknown ABX mode {mode!r}")
@@ -255,15 +297,20 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
         raise ValueError(f"unknown frame metric {metric!r}")
     archive = features if isinstance(features, FeatureArchive) else FeatureArchive(features)
 
-    # (left, right) -> ([token], center -> speaker -> [index into that list])
+    # (left, right) -> ([frames], center -> speaker -> [index into that list])
     contexts: dict = {}
     first = None  # (token, frame dimension) of the first kept token
+    rejected: dict = {}  # utterance -> (mask of frames the metric rejects, why)
+    dropped = clamped = 0
     for token in items:
-        frames = extract_token_frames(archive, token)
-        if frames is None:
+        fs, start, stop, clamp = _token_span(archive, token)
+        if stop <= start:
             log.warning("dropping token (%s, %s, %s): empty frame extraction",
                         token.file_id, token.onset, token.offset)
+            dropped += 1
             continue
+        clamped += clamp
+        frames = fs.frames[start:stop]
         if first is None:
             first = (token, frames.shape[1])
         elif frames.shape[1] != first[1]:
@@ -271,10 +318,11 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
                 f"{_token_name(token)}: frame dimension {frames.shape[1]} "
                 f"differs from {first[1]} in {_token_name(first[0])}")
         if not callable(metric):
-            try:
-                frames = prepare(frames, metric)
-            except ValueError as exc:
-                raise ValidationError(f"{_token_name(token)}: {exc}") from None
+            if token.file_id not in rejected:
+                rejected[token.file_id] = invalid_frames(fs.frames, metric)
+            bad, reason = rejected[token.file_id]
+            if bad[start:stop].any():
+                raise ValidationError(f"{_token_name(token)}: {reason}")
         tokens, by_center = contexts.setdefault((token.left, token.right), ([], {}))
         by_center.setdefault(token.center, {}) \
                  .setdefault(token.speaker, []).append(len(tokens))
@@ -282,21 +330,26 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
 
     # phone pair -> context -> [symmetrized cell score]
     per_pair_context: dict = {}
-    cell_count = 0
+    cell_count = skipped = requested = 0
+    group, group_tokens = [], []  # the group's contexts; their tokens, back to back
     for context in sorted(contexts):
         tokens, by_center = contexts.pop(context)
-        cells = _context_cells(by_center, mode, context)
+        cells, skipped_here = _context_cells(by_center, mode, context)
+        skipped += skipped_here
         if not cells:
             continue
         directions = [d for _, both in cells for d in both]
-        scores = _score_cells(_distance_table(tokens, directions, metric),
-                              directions)
-        # each cell's two directions are adjacent: their mean, in order
-        means = (scores[0::2] + scores[1::2]) / 2
-        for (pair, _), mean in zip(cells, means.tolist()):
-            per_pair_context.setdefault(pair, {}).setdefault(context, []) \
-                            .append(mean)
+        rows, cols = _requests(len(tokens), directions)
+        if group and requested + rows.size > GROUP_PAIRS:
+            _score_group(group_tokens, group, metric, per_pair_context)
+            group, group_tokens, requested = [], [], 0
+        group.append((context, cells, directions,
+                      (len(group_tokens), len(tokens), rows, cols)))
+        group_tokens += tokens
+        requested += rows.size
         cell_count += len(cells)
+    if group:
+        _score_group(group_tokens, group, metric, per_pair_context)
 
     if not cell_count:
         raise ValidationError(f"no valid ABX cells in {mode} mode")
@@ -315,4 +368,25 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
         cell_count=cell_count,
         by_phone_pair={f"{p1}-{p2}": 100.0 * s
                        for (p1, p2), s in sorted(pair_scores.items())},
+        dropped_tokens=dropped,
+        clamped_tokens=clamped,
+        skipped_cells=skipped,
     )
+
+
+def _score_group(frames, group, metric, per_pair_context) -> None:
+    """Score every cell of a group of contexts into ``per_pair_context``.
+
+    ``frames`` are the tokens of all the group's contexts, back to back;
+    each context is ``(context, cells, directions, (base, n, rows, cols))``,
+    the last as ``_distance_tables`` takes it.
+    """
+    tokens = frames if callable(metric) else prepare(frames, metric)
+    tables = _distance_tables(tokens, [span for *_, span in group], metric)
+    for (context, cells, directions, _), table in zip(group, tables):
+        scores = _score_cells(table, directions)
+        # each cell's two directions are adjacent: their mean, in order
+        means = (scores[0::2] + scores[1::2]) / 2
+        for (pair, _), mean in zip(cells, means.tolist()):
+            per_pair_context.setdefault(pair, {}).setdefault(context, []) \
+                            .append(mean)

@@ -127,7 +127,10 @@ def cmd_abx(args) -> int:
         metric="abx",
         aggregate=result.error_rate,
         subsets=result.by_phone_pair,
-        counts={"cells": result.cell_count},
+        counts={"cells": result.cell_count,
+                "dropped_tokens": result.dropped_tokens,
+                "clamped_tokens": result.clamped_tokens,
+                "skipped_cells": result.skipped_cells},
         config={"mode": args.mode, "distance": args.distance},
     )
     io.write_report(report, args.out, args.format)

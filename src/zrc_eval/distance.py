@@ -13,26 +13,30 @@ broken by preferring diagonal, then vertical, then horizontal steps).
 
 Work is split in three pieces that every caller shares:
 
-* ``prepare`` validates one sequence and computes, once, what every pair
-  cost involving it needs (unit-normalized frames for ``angular``; the
-  floored frames, their log and the row term ``sum p log p`` for ``kl``);
+* ``prepare`` validates a list of sequences (``invalid_frames`` names the
+  frames a metric rejects) and computes, once, what every pair cost
+  involving them needs: unit-normalized frames for ``angular``; the
+  floored frames, their log and the row term ``sum p log p`` for ``kl``.
+  The result, ``Prepared``, holds each component as one array over all
+  the sequences' frames, with one offset and length per sequence;
 * ``pair_cost`` is the one cost expression: the T x S cost matrix of one
   pair, or with leading batch axes those of many same-shape pairs, each
   slice computed exactly as the pair alone (no stacked GEMM);
 * ``_dtw_py.dtw_accumulate`` runs the DTW recursion over a padded
   T x S x B stack of cost matrices, one anti-diagonal at a time.
 
-``dtw_pairs`` drives many pairs at once. It sorts them by shape and cuts
-them into runs of one ``(T, S)``; a run's frames are gathered with one
-index per prepared component that ``pair_cost`` reads on that side (for
-``kl``, ``p`` and the row term for x, ``log q`` for y), and its costs
-come from one ``pair_cost`` call, split only where a chunk boundary falls
-inside the run or where the call would exceed its budget. Two bounds keep
-memory flat whatever the number of pairs: a cost call covers at most
-``RUN_ELEMENTS`` T x S x D elements (the angular difference tensor), and
-the kernel runs over chunks whose padded tensor holds at most
-``CHUNK_CELLS`` cells. ``frame_cost_matrix`` and ``dtw_distance`` are the
-one-pair case.
+``dtw_pairs`` drives many pairs of one ``Prepared`` store at once. It
+sorts them by shape and cuts them into runs of one ``(T, S)``; a run's
+frames are gathered from the store with one index per component that
+``pair_cost`` reads on that side (for ``kl``, ``p`` and the row term for
+x, ``log q`` for y), and its costs come from one ``pair_cost`` call,
+split only where a chunk boundary falls inside the run or where the call
+would exceed its budget. Two bounds keep memory flat whatever the number
+of pairs: a cost call builds at most ``RUN_ELEMENTS`` elements (the
+T x S x D difference tensor for ``angular``; the gathered frames and the
+T x S product for ``kl``), and the kernel runs over chunks whose padded
+tensor holds at most ``CHUNK_CELLS`` cells. ``frame_cost_matrix`` and
+``dtw_distance`` are the one-pair case, over a store of two sequences.
 
 For ``angular``, ``dtw_pairs(..., mirror=True)`` also returns every
 pair's distance the other way round from the same cost matrix and kernel
@@ -48,6 +52,7 @@ pair.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +66,10 @@ KL_EPS = 1e-10
 # peak memory.
 CHUNK_CELLS = 1 << 16
 
-# T x S x D elements per cost call over a run of same-shape pairs: bounds
-# the angular difference tensor (and the gathered frames) of one call.
-# Larger calls are no faster and raise peak memory.
+# Elements one cost call over a run of same-shape pairs may build: the
+# T x S x D difference tensor for angular, the gathered (T + S) x D frames
+# and the T x S product for kl. Larger calls are no faster and raise peak
+# memory.
 RUN_ELEMENTS = 1 << 17
 
 # per metric, the prepared components ``pair_cost`` reads of x and of y
@@ -105,27 +111,71 @@ def _frames(x) -> np.ndarray:
     return arr
 
 
-def prepare(x, metric: str) -> tuple:
-    """Validate one frame sequence and precompute its share of pair costs.
+def invalid_frames(frames, metric: str) -> tuple:
+    """The frames ``metric`` cannot score, as a per-frame mask, and why.
 
-    Returns ``(u,)`` for ``angular`` (unit-normalized frames) and
-    ``(p, log p, sum p log p per row)`` for ``kl`` (frames floored at
-    ``KL_EPS``). Raises ValueError on zero-norm frames (``angular``),
-    non-probability frames (``kl``) or an unknown metric.
+    ``angular`` rejects zero-norm frames and ``kl`` frames that are not
+    probability vectors (a negative entry or a sum off 1 by more than
+    1e-6). Raises ValueError on an unknown metric.
     """
-    f = _frames(x)
+    f = np.asarray(frames, dtype=np.float64)
     if metric == "angular":
-        norms = np.linalg.norm(f, axis=1)
-        if (norms == 0).any():
-            raise ValueError("angular distance undefined for zero-norm frames")
-        return (f / norms[:, None],)
+        return (np.linalg.norm(f, axis=1) == 0,
+                "angular distance undefined for zero-norm frames")
     if metric == "kl":
-        if (f < 0).any() or np.abs(f.sum(axis=1) - 1.0).max() > 1e-6:
-            raise ValueError("KL distance requires probability frames")
-        p = np.maximum(f, KL_EPS)
-        log_p = np.log(p)
-        return (p, log_p, np.sum(p * log_p, axis=1))
+        return ((f < 0).any(axis=1) | (np.abs(f.sum(axis=1) - 1.0) > 1e-6),
+                "KL distance requires probability frames")
     raise ValueError(f"unknown frame metric {metric!r}")
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """Frame sequences passed through ``prepare``, held back to back.
+
+    Each component in ``parts`` is one array over the frames of all the
+    sequences; sequence ``i`` owns rows ``offsets[i]`` to
+    ``offsets[i] + lengths[i]`` of each.
+    """
+
+    parts: tuple
+    offsets: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, i) -> tuple:
+        """The components of sequence ``i`` alone."""
+        rows = slice(self.offsets[i], self.offsets[i] + self.lengths[i])
+        return tuple(part[rows] for part in self.parts)
+
+
+def prepare(seqs, metric: str) -> Prepared:
+    """Validate frame sequences and precompute their share of pair costs.
+
+    The sequences are concatenated once and every component is computed
+    over all their frames: the unit-normalized frames for ``angular``;
+    the frames floored at ``KL_EPS`` (p), their log and the row term
+    ``sum p log p`` for ``kl``. Raises ValueError on sequences of
+    different frame dimensions, on the frames ``invalid_frames`` names or
+    on an unknown metric.
+    """
+    frames = [_frames(x) for x in seqs]
+    dims = sorted({f.shape[1] for f in frames})
+    if len(dims) > 1:
+        raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
+    f = np.concatenate(frames)  # a copy, so the steps below work in place
+    bad, reason = invalid_frames(f, metric)
+    if bad.any():
+        raise ValueError(reason)
+    if metric == "angular":
+        parts = (np.divide(f, np.linalg.norm(f, axis=1)[:, None], out=f),)
+    else:
+        p = np.maximum(f, KL_EPS, out=f)
+        log_p = np.log(p)
+        parts = (p, log_p, np.sum(p * log_p, axis=1))
+    lengths = np.array([len(x) for x in frames], dtype=np.intp)
+    return Prepared(parts, np.cumsum(lengths) - lengths, lengths)
 
 
 def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
@@ -134,26 +184,23 @@ def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
     The components of ``x`` and ``y`` may carry the same leading batch
     axes (``... x T x D`` against ``... x S x D``); each batch slice is
     then exactly the one-pair expression over that pair's own frames.
+    For ``angular``, x's frames are repeated along S and y's subtracted
+    in place: the differences ``x_t - y_s`` are those of a broadcast
+    subtraction, but each subtraction runs over a contiguous S x D block.
     """
     if metric == "angular":
-        diff = x[0][..., :, None, :] - y[0][..., None, :, :]
+        diff = np.repeat(x[0][..., :, None, :], y[0].shape[-2], axis=-2)
+        diff -= y[0][..., None, :, :]
         chord = np.sqrt(np.einsum("...tsd,...tsd->...ts", diff, diff))
         return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
     p, _, row_term = x
     return row_term[..., :, None] - p @ np.swapaxes(y[1], -1, -2)
 
 
-def _check_dims(prepared) -> None:
-    dims = sorted({x[0].shape[1] for x in prepared})
-    if len(dims) > 1:
-        raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
-
-
 def frame_cost_matrix(rx, ry, metric: str = "angular") -> np.ndarray:
     """All pairwise framewise distances between two sequences (T x S)."""
-    x, y = prepare(rx, metric), prepare(ry, metric)
-    _check_dims((x, y))
-    return pair_cost(x, y, metric)
+    both = prepare((rx, ry), metric)
+    return pair_cost(both[0], both[1], metric)
 
 
 def dtw_distance(rx, ry, metric: str = "angular") -> float:
@@ -164,40 +211,35 @@ def dtw_distance(rx, ry, metric: str = "angular") -> float:
     return float(total[0]) / int(length[0])
 
 
-def dtw_pairs(prepared, rows, cols, metric: str, mirror: bool = False):
-    """``dtw_distance`` of ``prepared[rows[k]]`` to ``prepared[cols[k]]`` for
-    every k, from sequences already passed through ``prepare``.
+def dtw_pairs(store: Prepared, rows, cols, metric: str, mirror: bool = False):
+    """``dtw_distance`` of sequence ``rows[k]`` to sequence ``cols[k]`` of
+    ``store`` for every k.
 
     Pairs are sorted by shape and cut into runs of one ``(T, S)``. Chunks
     are planned over runs so that each chunk's padded T x S x B cost
     tensor stays within ``CHUNK_CELLS`` cells (a pair larger than that
     runs alone), and only one chunk's costs are alive at a time. Within a
-    chunk, each run's costs come from one ``pair_cost`` call over its
-    gathered frames, split only where the run's T x S x D elements would
-    exceed ``RUN_ELEMENTS``.
+    chunk, each run's frames are gathered straight from the store's
+    components and its costs come from one ``pair_cost`` call, split only
+    where the call would build more than ``RUN_ELEMENTS`` elements.
 
     With ``mirror`` (``angular`` only), returns ``(forward, mirrored)``,
-    ``mirrored[k]`` being the distance of ``prepared[cols[k]]`` to
-    ``prepared[rows[k]]``. Each pair then runs in the orientation whose
+    ``mirrored[k]`` being the distance of sequence ``cols[k]`` to
+    sequence ``rows[k]``. Each pair then runs in the orientation whose
     first sequence is the shorter, which gives the same two numbers and
     fewer distinct shapes.
     """
     if mirror and metric != "angular":
         raise ValueError(f"no mirrored distances for frame metric {metric!r}")
-    _check_dims(prepared)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if not rows.size:
         return (np.empty(0), np.empty(0)) if mirror else np.empty(0)
-    lengths = np.array([x[0].shape[0] for x in prepared], dtype=np.intp)
+    lengths, offsets, parts = store.lengths, store.offsets, store.parts
     if mirror:
         flip = lengths[rows] > lengths[cols]
         rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
-    offsets = np.cumsum(lengths) - lengths
     x_reads, y_reads = _READS[metric]
-    # each prepared component that either side reads, concatenated along time
-    parts = [np.concatenate(part) if k in x_reads or k in y_reads else None
-             for k, part in enumerate(zip(*prepared))]
     dim = parts[0].shape[1]
     order = np.lexsort((lengths[cols], lengths[rows]))
     t_len, s_len = lengths[rows[order]], lengths[cols[order]]
@@ -228,7 +270,8 @@ def dtw_pairs(prepared, rows, cols, metric: str, mirror: bool = False):
         cuts = edges[(edges > start) & (edges < stop)].tolist()
         for lo, hi in zip([start, *cuts], [*cuts, stop]):
             t, s = int(t_len[lo]), int(s_len[lo])
-            step = max(1, RUN_ELEMENTS // (t * s * dim))
+            size = t * s * dim if metric == "angular" else (t + s) * dim + t * s
+            step = max(1, RUN_ELEMENTS // size)
             for a in range(lo, hi, step):
                 b = min(hi, a + step)
                 fx = x_start[a:b, None] + np.arange(t)

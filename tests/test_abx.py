@@ -1,5 +1,7 @@
 """ABX cell scores and full evaluation against brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,9 @@ class TestAsymmetricCell:
         seqs = [rng.dirichlet(np.ones(3), size=int(rng.integers(1, 6)))
                 for _ in range(6)]
         directions = [(range(2), range(2, 4), range(4, 6), False)]
-        table = abx._distance_table([distance.prepare(x, metric) for x in seqs],
-                                    directions, metric)
+        table, = abx._distance_tables(distance.prepare(seqs, metric),
+                                      [(0, 6, *abx._requests(6, directions))],
+                                      metric)
         requested = np.zeros((6, 6), dtype=bool)
         requested[:4, 4:] = True
         assert (~np.isnan(table) == requested).all()
@@ -307,6 +310,40 @@ class TestAbxEvaluate:
         assert batched == called
 
     @pytest.mark.parametrize("mode", ["within", "across"])
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_group_budget_invariance(self, tmp_path, monkeypatch, metric, mode):
+        # one-hot frames of mixed lengths (1-6) tie often; a budget of one
+        # pair runs every context alone, a mid budget groups a few contexts
+        # and a huge one takes them all in one DTW pass
+        rng = np.random.default_rng(19)
+        cats = []
+        for left, right in (("A", "T"), ("A", "K"), ("I", "K"), ("I", "T"),
+                            ("U", "P")):
+            for center in ("B", "P", "D"):
+                for speaker in ("s1", "s2", "s3"):
+                    mats = [np.eye(4)[rng.integers(0, 4, size=int(rng.integers(1, 7)))]
+                            for _ in range(int(rng.integers(2, 4)))]
+                    cats.append((center, left, right, speaker, mats))
+        tokens = build_items(cats, tmp_path)
+        called = abx.abx_evaluate(tokens, tmp_path, mode,
+                                  lambda x, y: dtw_distance(x, y, metric))
+        passes = []
+        dtw_pairs = abx.dtw_pairs
+
+        def counting_pairs(*args, **kwargs):
+            passes.append(1)
+            return dtw_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(abx, "dtw_pairs", counting_pairs)
+        counts = []
+        for budget in (1, 800, 1 << 30):
+            monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+            passes.clear()
+            assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == called
+            counts.append(len(passes))
+        assert counts[0] == 5 and 1 < counts[1] < 5 and counts[2] == 1
+
+    @pytest.mark.parametrize("mode", ["within", "across"])
     def test_kernel_runs_each_unordered_angular_pair_once(self, tmp_path,
                                                          monkeypatch, mode):
         # every requested (token, probe) pair is also requested the other way
@@ -319,18 +356,19 @@ class TestAbxEvaluate:
                 for center in ("B", "P", "D") for speaker in ("s1", "s2")]
         tokens = build_items(cats, tmp_path)
         runs, tables = [], []
-        kernel, distance_table = distance._kernel.dtw_accumulate, abx._distance_table
+        kernel, distance_tables = distance._kernel.dtw_accumulate, abx._distance_tables
 
         def counting_kernel(cost, t_len, s_len, mirror=False):
             runs.append((cost.shape[2], mirror))
             return kernel(cost, t_len, s_len, mirror=mirror)
 
-        def keeping_table(*args):
-            tables.append(distance_table(*args))
-            return tables[-1]
+        def keeping_tables(*args):
+            for table in distance_tables(*args):
+                tables.append(table)
+                yield table
 
         monkeypatch.setattr(distance._kernel, "dtw_accumulate", counting_kernel)
-        monkeypatch.setattr(abx, "_distance_table", keeping_table)
+        monkeypatch.setattr(abx, "_distance_tables", keeping_tables)
         patterns = []
         for metric in ("angular", "kl", lambda x, y: dtw_distance(x, y, "kl")):
             runs.clear()
@@ -378,6 +416,52 @@ class TestAbxEvaluate:
                                match=r"token \(f006, 0\.0, 0\.02\): frame dimension "
                                      r"5 differs from 4 in token \(f000, 0\.0, "):
                 abx.abx_evaluate(tokens, tmp_path, "within", metric)
+
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_bad_frame_names_first_token_in_item_order(self, tmp_path,
+                                                       monkeypatch, metric):
+        # tokens share two utterances; the first bad token of the item file
+        # is in context (I, K), which sorts after (A, T) and so lands in a
+        # later group than the other bad token; an all-zero frame that no
+        # token covers is never read
+        frames = np.eye(4)[np.arange(20) % 2]
+        u0, u1 = frames.copy(), frames.copy()
+        u1[4] = 0.0        # in context (I, K)'s second token
+        u0[[9, 17]] = 0.0  # in no token / in context (A, T)'s last token
+        write_archive(tmp_path, {"u0": u0, "u1": u1})
+        tokens, bad = [], []
+        for utt, left, right in (("u1", "I", "K"), ("u0", "A", "T")):
+            for k, start in enumerate((0, 3, 6, 10, 13, 16)):
+                tokens.append(TriphoneToken(
+                    utt, (start + 0.5) / 100, (start + 3.5) / 100,
+                    "BP"[k // 3], left, right, "s1"))
+            bad.append(tokens[1] if utt == "u1" else tokens[-1])
+        assert len(bad) == 2 and tokens.index(bad[0]) < tokens.index(bad[1])
+        first = bad[0]
+        for budget in (1, abx.GROUP_PAIRS):
+            monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"token ({first.file_id}, {first.onset}, {first.offset}): ")):
+                abx.abx_evaluate(tokens, tmp_path, "within", metric)
+        kept = [t for t in tokens if t not in bad]
+        assert abx.abx_evaluate(kept, tmp_path, "within", metric).cell_count == 2
+
+    def test_run_facts_count_dropped_clamped_and_skipped(self, tmp_path):
+        rng = np.random.default_rng(21)
+        cats = [("B", "A", "T", "s1", one_hot_tokens(0, 4, 3, rng)),
+                ("P", "A", "T", "s1", one_hot_tokens(1, 4, 3, rng)),
+                ("B", "A", "T", "s2", one_hot_tokens(0, 4, 1, rng)),
+                ("P", "A", "T", "s2", one_hot_tokens(1, 4, 3, rng))]
+        tokens = build_items(cats, tmp_path)
+        # an empty slice is dropped; an offset past the end is clamped
+        tokens.append(TriphoneToken("f000", 0.001, 0.002, "B", "A", "T", "s1"))
+        tokens.append(TriphoneToken("f001", 0.0, 9.0, "B", "A", "T", "s1"))
+        within = abx.abx_evaluate(tokens, tmp_path, "within", "angular")
+        assert (within.dropped_tokens, within.clamped_tokens,
+                within.skipped_cells, within.cell_count) == (1, 1, 1, 1)
+        across = abx.abx_evaluate(tokens, tmp_path, "across", "angular")
+        assert (across.dropped_tokens, across.clamped_tokens,
+                across.skipped_cells, across.cell_count) == (1, 1, 0, 2)
 
     def test_empty_extraction_drops_token(self, tmp_path, caplog):
         rng = np.random.default_rng(12)

@@ -362,6 +362,9 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
             ["abx", "--items", str(mini / "items.item"),
              "--features", str(mini / "features"), "--mode", "within",
              "--distance", "angular", "--out", str(out / "abx.json")],
+            ["abx", "--items", str(mini / "items.item"),
+             "--features", str(mini / "features"), "--mode", "across",
+             "--distance", "angular", "--out", str(out / "abx_across.tsv")],
             ["score-lexical", "--pairs", str(mini / "pairs.tsv"),
              "--ngram-model", str(out / "model.json"),
              "--units", str(mini / "units.txt"), "--tie", "half",
@@ -384,7 +387,7 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
     run_all(tmp_path / "run1")
     run_all(tmp_path / "run2")
 
-    produced = ["cb.zrck", "units_q.txt", "model.json", "abx.json",
+    produced = ["cb.zrck", "units_q.txt", "model.json", "abx.json", "abx_across.tsv",
                 "lexical.tsv", "syntactic.json", "semantic.json",
                 "assignment.tsv", "kmeans.json", "sampler.json"]
     for name in produced:
@@ -396,9 +399,14 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
     assert quantizer.read_codebook(out / "cb.zrck").n_clusters == 4
     assert len(io_formats.read_unit_sequences(out / "units_q.txt")) == 40
     assert scoring.load_ngram_model(out / "model.json").order == 2
-    for name in ("abx.json", "lexical.tsv", "syntactic.json",
+    for name in ("abx.json", "abx_across.tsv", "lexical.tsv", "syntactic.json",
                  "semantic.json", "kmeans.json", "sampler.json"):
         report = io_formats.read_report(out / name)
         assert report.metric and math.isfinite(report.aggregate)
+    for name in ("abx.json", "abx_across.tsv"):
+        counts = io_formats.read_report(out / name).counts
+        assert set(counts) == {"cells", "dropped_tokens", "clamped_tokens",
+                               "skipped_cells"}
+        assert counts["cells"] > 0
     assert len(sampler.read_assignment(out / "assignment.tsv")) == 60
     assert time.perf_counter() - start < 20.0

@@ -28,3 +28,19 @@ def test_workload_reports_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_traced_abx_runs_through_the_wrapped_kernel():
+    # perfbench times the DTW kernel by wrapping distance._kernel.dtw_accumulate;
+    # the ABX engine must still call it there for the dtw.* metrics to count
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "abx-units",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["dtw.kernel_calls"]["value"] > 0
+    assert metrics["dtw.kernel_cells"]["value"] > 0

@@ -173,7 +173,7 @@ class TestDtw:
                             for n in lengths]
                 else:
                     seqs = [rng.standard_normal((n, dim)) for n in lengths]
-                prepared = [distance.prepare(x, metric) for x in seqs]
+                prepared = distance.prepare(seqs, metric)
                 got = distance.dtw_pairs(prepared, rows, cols, metric)
                 for k, (i, j) in enumerate(zip(rows, cols)):
                     assert got[k] == distance.dtw_distance(seqs[i], seqs[j], metric)
@@ -212,7 +212,7 @@ class TestDtw:
             monkeypatch.setattr(distance, "RUN_ELEMENTS", budgets[1])
             for seqs in ([np.eye(3)[rng.integers(0, 3, size=n)] for n in lengths],
                          [rng.standard_normal((n, 64)) for n in lengths]):
-                prepared = [distance.prepare(x, "angular") for x in seqs]
+                prepared = distance.prepare(seqs, "angular")
                 got, back = distance.dtw_pairs(prepared, rows, cols, "angular",
                                                mirror=True)
                 assert (got == distance.dtw_pairs(prepared, rows, cols,
@@ -224,7 +224,7 @@ class TestDtw:
                     assert (got != back).sum() >= 10
 
     def test_no_mirror_for_kl(self):
-        prepared = [distance.prepare(np.eye(2), "kl")] * 2
+        prepared = distance.prepare([np.eye(2)] * 2, "kl")
         with pytest.raises(ValueError, match="mirrored"):
             distance.dtw_pairs(prepared, [0], [1], "kl", mirror=True)
 
@@ -272,6 +272,26 @@ class TestDtw:
 
 
 class TestCostMatrix:
+    def test_angular_pair_cost_equals_broadcast_difference(self):
+        # the repeat-and-subtract form gives exactly the broadcast
+        # subtraction's costs, for one frame on either side and over
+        # leading batch axes, and each batch slice is the pair alone
+        rng = np.random.default_rng(22)
+        for t, s, batch in ((1, 5, ()), (4, 1, ()), (1, 1, ()), (3, 6, (7,)),
+                            (1, 4, (2, 3)), (5, 1, (4,))):
+            x, y = (distance.prepare([rng.standard_normal((n * int(np.prod(batch)), 64))],
+                                     "angular").parts[0].reshape(*batch, n, 64)
+                    for n in (t, s))
+            diff = x[..., :, None, :] - y[..., None, :, :]
+            chord = np.sqrt(np.einsum("...tsd,...tsd->...ts", diff, diff))
+            expected = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+            got = distance.pair_cost((x,), (y,), "angular")
+            assert got.shape == (*batch, t, s)
+            assert np.array_equal(got, expected)
+            for k in np.ndindex(*batch):
+                assert np.array_equal(got[k], distance.pair_cost(
+                    (x[k],), (y[k],), "angular"))
+
     def test_entries_match_scalar_distances(self):
         rng = np.random.default_rng(13)
         fx = rng.standard_normal((4, 3))
