@@ -31,7 +31,8 @@ from .types import FeatureSequence, UnitSequence
 
 log = logging.getLogger(__name__)
 
-# (a, b, x) comparisons scored at once: bounds the flat index arrays
+# (a, b, x) comparisons held by one batch, and by one group of contexts:
+# bounds the flat index arrays
 SCORE_COMPARISONS = 1 << 18
 
 # (token, probe) pairs requested by one group of contexts, which share one
@@ -82,17 +83,45 @@ def _product(*axes):
     return (*reversed(out), cell)
 
 
-def _requests(n: int, directions) -> tuple:
-    """Row and column arrays of the (token, probe) pairs that one context's
-    ``directions`` (as ``_score_cells`` takes them) compare among its ``n``
+def _comparisons(n: int, directions) -> list:
+    """The (a, b, x) comparisons of a context's directed cells, as flat
+    indices into its ``n`` x ``n`` distance table.
+
+    Each direction is ``(a_idx, b_idx, x_idx, skip_same)``; with
+    ``skip_same`` the (a, x) pairs of one token are left out. Returns
+    batches of whole directions, cut where the running count of
+    comparisons crosses a multiple of ``SCORE_COMPARISONS``, each
+    ``(count, ax, bx)``: the number of comparisons of each direction, and
+    the table entries ``a * n + x`` and ``b * n + x`` of every comparison,
+    direction by direction. A group holds its contexts' batches from its
+    requests to its scores, so the entries are int32 where they fit.
+    """
+    sizes = [len(a) * len(b) * len(x) for a, b, x, _ in directions]
+    batch = np.cumsum(sizes) // SCORE_COMPARISONS
+    heads = np.flatnonzero(np.diff(batch, prepend=-1)).tolist()
+    entry = np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
+    batches = []
+    for lo, hi in zip(heads, heads[1:] + [len(directions)]):
+        a_idx, b_idx, x_idx, skip_same = zip(*directions[lo:hi])
+        a, b, x, cell = _product(a_idx, b_idx, x_idx)
+        keep = ~(np.array(skip_same)[cell] & (a == x))
+        a, b, x = a[keep], b[keep], x[keep]
+        batches.append((np.bincount(cell[keep], minlength=hi - lo),
+                        (a * n + x).astype(entry), (b * n + x).astype(entry)))
+    return batches
+
+
+def _requests(n: int, comparisons) -> tuple:
+    """Row and column arrays (int32) of the (token, probe) pairs that one
+    context's ``comparisons`` (from ``_comparisons``) read among its ``n``
     tokens, each pair once, in row-major order."""
-    a_idx, b_idx, x_idx, _ = zip(*directions)
-    need = np.zeros((n, n), dtype=bool)
-    for side in (a_idx, b_idx):
-        rows, cols, _ = _product(side, x_idx)
-        need[rows, cols] = True
+    need = np.zeros(n * n, dtype=bool)
+    for _, ax, bx in comparisons:
+        need[ax] = True
+        need[bx] = True
+    need = need.reshape(n, n)
     np.fill_diagonal(need, False)  # d(x, x) is never compared
-    return np.nonzero(need)
+    return tuple(index.astype(np.int32) for index in np.nonzero(need))
 
 
 def _distance_tables(tokens, contexts, metric):
@@ -109,8 +138,8 @@ def _distance_tables(tokens, contexts, metric):
     ``angular``, each unordered pair runs once and gives both directions.
     A callable is called once per requested pair, in order.
     """
-    rows = np.concatenate([base + r for base, _, r, _ in contexts])
-    cols = np.concatenate([base + c for base, _, _, c in contexts])
+    rows = np.concatenate([base + r for base, _, r, _ in contexts], dtype=np.intp)
+    cols = np.concatenate([base + c for base, _, _, c in contexts], dtype=np.intp)
     if callable(metric):
         dist = np.array([metric(tokens[i], tokens[j])
                          for i, j in zip(rows.tolist(), cols.tolist())],
@@ -132,30 +161,19 @@ def _distance_tables(tokens, contexts, metric):
         yield table
 
 
-def _score_cells(table, directions) -> np.ndarray:
-    """Directed cell scores over token indices into a distance table.
-
-    Each direction is ``(a_idx, b_idx, x_idx, skip_same)``; with
-    ``skip_same`` the (a, x) pairs of one token are left out. Every
-    (a, b, x) comparison of up to ``SCORE_COMPARISONS`` of them at a time
-    is one entry of flat index arrays, and errors, ties and comparisons
-    are summed per cell as exact integer counts.
-    """
-    sizes = [len(a) * len(b) * len(x) for a, b, x, _ in directions]
-    batch = np.cumsum(sizes) // SCORE_COMPARISONS
-    heads = np.flatnonzero(np.diff(batch, prepend=-1)).tolist()
+def _score_cells(table, comparisons) -> np.ndarray:
+    """Directed cell scores from a context's ``_comparisons`` and its
+    distance table: errors, ties and comparisons are summed per cell as
+    exact integer counts."""
+    flat = table.reshape(-1)
     scores = []
-    for lo, hi in zip(heads, heads[1:] + [len(directions)]):
-        a_idx, b_idx, x_idx, skip_same = zip(*directions[lo:hi])
-        a, b, x, cell = _product(a_idx, b_idx, x_idx)
-        keep = ~(np.array(skip_same)[cell] & (a == x))
-        a, b, x, cell = a[keep], b[keep], x[keep], cell[keep]
-        d_ax, d_bx = table[a, x], table[b, x]
-        errors = np.bincount(cell, d_bx < d_ax, hi - lo)
-        ties = np.bincount(cell, d_bx == d_ax, hi - lo)
-        count = np.bincount(cell, minlength=hi - lo)
+    for count, ax, bx in comparisons:
         if not count.all():
             raise ValidationError("empty ABX cell")
+        starts = np.cumsum(count) - count
+        d_ax, d_bx = flat[ax], flat[bx]
+        errors = np.add.reduceat(d_bx < d_ax, starts, dtype=np.intp)
+        ties = np.add.reduceat(d_bx == d_ax, starts, dtype=np.intp)
         scores.append((errors + 0.5 * ties) / count)
     return np.concatenate(scores)
 
@@ -187,10 +205,10 @@ def asymmetric_abx(a, b, metric="angular", x=None) -> float:
     n, na, nb = len(tokens), len(a_tokens), len(b_tokens)
     a_idx = range(na)
     x_idx = a_idx if x is None else range(na + nb, n)
-    directions = [(a_idx, range(na, na + nb), x_idx, x is None)]
-    table, = _distance_tables(tokens, [(0, n, *_requests(n, directions))],
+    comparisons = _comparisons(n, [(a_idx, range(na, na + nb), x_idx, x is None)])
+    table, = _distance_tables(tokens, [(0, n, *_requests(n, comparisons))],
                               metric)
-    return float(_score_cells(table, directions)[0])
+    return float(_score_cells(table, comparisons)[0])
 
 
 def symmetrized_cell(a, b, metric="angular") -> float:
@@ -236,7 +254,7 @@ def _context_cells(by_center, mode: str, context) -> tuple:
     number of within cells skipped for lack of tokens.
 
     Each cell is ``(phone_pair, [direction, direction])``, a direction
-    being ``(a_idx, b_idx, x_idx, skip_same)`` as ``_score_cells`` takes it.
+    being ``(a_idx, b_idx, x_idx, skip_same)`` as ``_comparisons`` takes it.
     """
     cells = []
     skipped = 0
@@ -282,10 +300,14 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
 
     Contexts are evaluated in sorted order, a group at a time: a group
     grows while its requested (token, probe) pairs stay within
-    ``GROUP_PAIRS``, and a larger context runs alone. Each group's tokens
-    go through one ``prepare`` and its pairs through one DTW pass; each
+    ``GROUP_PAIRS`` and its (a, b, x) comparisons within
+    ``SCORE_COMPARISONS``, and a larger context runs alone. Each
+    context's comparison indices are built once: they give its requested
+    pairs, and later index its distance table. Each group's tokens go
+    through one ``prepare`` and its pairs through one DTW pass; each
     context's cells are then scored from its own distance table. Memory
-    is bounded by one group and by the largest context's table.
+    is bounded by one group and by the largest context's table and
+    comparisons.
 
     Cells lacking enough tokens are skipped with a logged reason; an item
     set producing no valid cell at all is an error. The result counts
@@ -330,7 +352,7 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
 
     # phone pair -> context -> [symmetrized cell score]
     per_pair_context: dict = {}
-    cell_count = skipped = requested = 0
+    cell_count = skipped = requested = compared = 0
     group, group_tokens = [], []  # the group's contexts; their tokens, back to back
     for context in sorted(contexts):
         tokens, by_center = contexts.pop(context)
@@ -339,14 +361,18 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
         if not cells:
             continue
         directions = [d for _, both in cells for d in both]
-        rows, cols = _requests(len(tokens), directions)
-        if group and requested + rows.size > GROUP_PAIRS:
+        comparisons = _comparisons(len(tokens), directions)
+        rows, cols = _requests(len(tokens), comparisons)
+        compares = sum(batch[1].size for batch in comparisons)
+        if group and (requested + rows.size > GROUP_PAIRS
+                      or compared + compares > SCORE_COMPARISONS):
             _score_group(group_tokens, group, metric, per_pair_context)
-            group, group_tokens, requested = [], [], 0
-        group.append((context, cells, directions,
+            group, group_tokens, requested, compared = [], [], 0, 0
+        group.append((context, cells, comparisons,
                       (len(group_tokens), len(tokens), rows, cols)))
         group_tokens += tokens
         requested += rows.size
+        compared += compares
         cell_count += len(cells)
     if group:
         _score_group(group_tokens, group, metric, per_pair_context)
@@ -378,13 +404,13 @@ def _score_group(frames, group, metric, per_pair_context) -> None:
     """Score every cell of a group of contexts into ``per_pair_context``.
 
     ``frames`` are the tokens of all the group's contexts, back to back;
-    each context is ``(context, cells, directions, (base, n, rows, cols))``,
-    the last as ``_distance_tables`` takes it.
+    each context is ``(context, cells, comparisons, (base, n, rows,
+    cols))``, the last as ``_distance_tables`` takes it.
     """
     tokens = frames if callable(metric) else prepare(frames, metric)
     tables = _distance_tables(tokens, [span for *_, span in group], metric)
-    for (context, cells, directions, _), table in zip(group, tables):
-        scores = _score_cells(table, directions)
+    for (context, cells, comparisons, _), table in zip(group, tables):
+        scores = _score_cells(table, comparisons)
         # each cell's two directions are adjacent: their mean, in order
         means = (scores[0::2] + scores[1::2]) / 2
         for (pair, _), mean in zip(cells, means.tolist()):

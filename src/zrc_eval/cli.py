@@ -138,15 +138,16 @@ def cmd_abx(args) -> int:
 
 
 def cmd_kmeans_train(args) -> int:
-    archive = io.FeatureArchive(args.features)
     utt_ids = io.list_archive(args.features)
     if not utt_ids:
         raise ValueError(f"no feature files under {args.features}")
-    sequences = [archive.load(u) for u in utt_ids]
+    sequences = [io.read_feature_archive(args.features, u) for u in utt_ids]
+    frame_rate = sequences[0].frame_rate
     frames = np.concatenate([fs.frames for fs in sequences])
+    del sequences  # the fit holds the frames once, concatenated
     codebook = quant_mod.kmeans_fit(
         frames, args.k, seed=args.seed, max_iter=args.max_iter, tol=args.tol,
-        frame_rate=sequences[0].frame_rate, subsample=args.subsample)
+        frame_rate=frame_rate, subsample=args.subsample)
     quant_mod.write_codebook(codebook, args.out)
     if args.report:
         report = MetricReport(

@@ -173,7 +173,14 @@ def prepare(seqs, metric: str) -> Prepared:
     else:
         p = np.maximum(f, KL_EPS, out=f)
         log_p = np.log(p)
-        parts = (p, log_p, np.sum(p * log_p, axis=1))
+        # summed a block of rows at a time: each row's sum is unchanged, and
+        # no third full-size array is built
+        rows = max(1, RUN_ELEMENTS // p.shape[1])
+        row_term = np.empty(len(p))
+        for start in range(0, len(p), rows):
+            block = slice(start, start + rows)
+            row_term[block] = np.sum(p[block] * log_p[block], axis=1)
+        parts = (p, log_p, row_term)
     lengths = np.array([len(x) for x in frames], dtype=np.intp)
     return Prepared(parts, np.cumsum(lengths) - lengths, lengths)
 

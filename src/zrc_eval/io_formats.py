@@ -131,29 +131,32 @@ def write_item_file(tokens, path) -> None:
 # feature archives
 # ---------------------------------------------------------------------------
 
-def _feature_file(root: Path, utt_id: str) -> Path:
-    for candidate in (root / f"{utt_id}.zrcf", root / f"{utt_id}.txt", root / utt_id):
-        if candidate.is_file():
-            return candidate
-    raise FileNotFoundError(f"no feature file for {utt_id!r} under {root}")
-
-
 def read_feature_archive(path, utt_id: str) -> FeatureSequence:
     """Load one utterance from an archive directory, text or binary.
 
-    ``.zrcf`` files must be binary and ``.txt`` files text; a bare file
-    is sniffed by its leading magic bytes.
+    The first of ``<utt_id>.zrcf``, ``<utt_id>.txt`` and a bare
+    ``<utt_id>`` that is a file is read. ``.zrcf`` files must be binary
+    and ``.txt`` files text; a bare file is sniffed by its leading magic
+    bytes.
     """
-    fpath = _feature_file(Path(path), utt_id)
-    if fpath.suffix == ".zrcf":
-        return _read_feature_binary(fpath, utt_id)
-    if fpath.suffix == ".txt":
-        return _read_feature_text(fpath, utt_id)
-    with open(fpath, "rb") as fh:
-        magic = fh.read(4)
-    if magic == _FEATURE_MAGIC:
-        return _read_feature_binary(fpath, utt_id)
-    return _read_feature_text(fpath, utt_id)
+    root = Path(path)
+    binary = root / f"{utt_id}.zrcf"
+    try:
+        blob = binary.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        pass
+    else:
+        return _read_feature_binary(binary, utt_id, blob)
+    text = root / f"{utt_id}.txt"
+    if text.is_file():
+        return _read_feature_text(text, utt_id)
+    bare = root / utt_id
+    if not bare.is_file():
+        raise FileNotFoundError(f"no feature file for {utt_id!r} under {root}")
+    blob = bare.read_bytes()
+    if blob[:4] == _FEATURE_MAGIC:
+        return _read_feature_binary(bare, utt_id, blob)
+    return _read_feature_text(bare, utt_id)
 
 
 def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
@@ -184,11 +187,11 @@ def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
     frames = np.array(values, dtype=np.float64)
     if not np.isfinite(frames).all():
         raise ValidationError(f"{fpath}: non-finite value in frames")
-    return FeatureSequence(utt_id, rate, frames)
+    return FeatureSequence._finite(utt_id, rate, frames)
 
 
-def _read_feature_binary(fpath: Path, utt_id: str) -> FeatureSequence:
-    blob = fpath.read_bytes()
+def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequence:
+    """Decode the bytes ``blob`` of the binary feature file ``fpath``."""
     if len(blob) < _FEATURE_HEADER.size:
         raise FormatError(f"{fpath}: truncated header")
     magic, version, dim, rate, n_frames = _FEATURE_HEADER.unpack_from(blob)
@@ -198,20 +201,22 @@ def _read_feature_binary(fpath: Path, utt_id: str) -> FeatureSequence:
         raise FormatError(f"{fpath}: unsupported version {version}")
     if dim < 1:
         raise FormatError(f"{fpath}: non-positive dimension {dim}")
-    body = blob[_FEATURE_HEADER.size:]
+    body = len(blob) - _FEATURE_HEADER.size
     expected = n_frames * dim * 4
-    if len(body) < expected:
+    if body < expected:
         raise FormatError(
-            f"{fpath}: truncated body, expected {expected} bytes, got {len(body)}")
-    if len(body) > expected:
+            f"{fpath}: truncated body, expected {expected} bytes, got {body}")
+    if body > expected:
         raise FormatError(
             f"{fpath}: dimension mismatch between header and body "
-            f"({len(body)} bytes for {n_frames}x{dim} f32)")
-    frames = np.frombuffer(body, dtype="<f4", count=n_frames * dim)
-    frames = frames.reshape(n_frames, dim).astype(np.float64)
+            f"({body} bytes for {n_frames}x{dim} f32)")
+    frames = np.frombuffer(blob, dtype="<f4", count=n_frames * dim,
+                           offset=_FEATURE_HEADER.size)
+    # an f32 value is finite exactly when its float64 widening is
     if not np.isfinite(frames).all():
         raise ValidationError(f"{fpath}: non-finite value in frames")
-    return FeatureSequence(utt_id, rate, frames)
+    return FeatureSequence._finite(
+        utt_id, rate, frames.reshape(n_frames, dim).astype(np.float64))
 
 
 def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Path:
@@ -273,7 +278,8 @@ class FeatureArchive:
 # ---------------------------------------------------------------------------
 
 def read_unit_sequences(path) -> list:
-    """Parse ``<utt_id> u1 u2 ... uT`` lines into UnitSequence values."""
+    """Parse ``<utt_id> u1 u2 ... uT`` lines into UnitSequence values; each
+    unit is parsed and range-checked once, here."""
     sequences = []
     seen = set()
     for lineno, cols in _rows(path, sep=None):
@@ -286,21 +292,21 @@ def read_unit_sequences(path) -> list:
                 f"{path}: line {lineno}: duplicate utterance {utt_id!r}")
         seen.add(utt_id)
         try:
-            parsed = [int(u) for u in units]
+            parsed = tuple(map(int, units))
         except ValueError:
             raise FormatError(
                 f"{path}: line {lineno}: non-integer unit") from None
-        if any(u < 0 for u in parsed):
+        if min(parsed) < 0:
             raise ValidationError(
                 f"{path}: line {lineno}: negative unit index")
-        sequences.append(UnitSequence(utt_id, parsed))
+        sequences.append(UnitSequence._checked(utt_id, parsed))
     return sequences
 
 
 def write_unit_sequences(sequences, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
-            fh.write(seq.utt_id + " " + " ".join(str(u) for u in seq.units) + "\n")
+            fh.write(seq.utt_id + " " + " ".join(map(str, seq.units)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ increasing transformations of the model outputs.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 from scipy import stats
@@ -90,23 +92,59 @@ def pool(hidden, kind: str = "mean") -> np.ndarray:
     raise ValueError(f"unknown pooling {kind!r}")
 
 
-def _vector(embedding) -> tuple:
-    """An embedding as float64, with its norm: the cosine's operands."""
-    x = np.asarray(embedding, dtype=np.float64)
-    return x, np.linalg.norm(x)
+# token pairs whose operands one stacked product gathers at a time:
+# bounds the two gathered P x D blocks
+COSINE_PAIRS = 1 << 12
 
 
-def _cosine(x, nx, y, ny) -> float:
-    if x.shape != y.shape:
-        raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if nx == 0.0 or ny == 0.0:
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two P x D stacks, each row pair through the
+    same dot routine as ``np.dot`` on the two rows alone."""
+    return np.matmul(x[:, None, :], y[:, :, None]).reshape(-1)
+
+
+def _cosines(vectors: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(x, y) / (norm(x) * norm(y))`` for every pair ``x =
+    vectors[a[k]]``, ``y = vectors[b[k]]``.
+
+    Vectors are stacked once per shape; each vector's norm is the square
+    root of its stacked self-product (as ``np.linalg.norm`` computes it)
+    and the pairs' dot products are stacked ``matmul`` slices, a bounded
+    block of pairs at a time. The first pair of mismatched shapes or with
+    a zero vector raises, mismatch first.
+    """
+    shapes: dict = {}  # shape -> its stack's index
+    group = np.array([shapes.setdefault(v.shape, len(shapes)) for v in vectors],
+                     dtype=np.intp)
+    row = np.empty(len(vectors), dtype=np.intp)  # row in its stack
+    norms = np.empty(len(vectors))
+    stacks = []
+    for g in range(len(shapes)):
+        members = np.flatnonzero(group == g)
+        row[members] = np.arange(members.size)
+        x = np.stack([vectors[i] for i in members.tolist()]).reshape(members.size, -1)
+        norms[members] = np.sqrt(_dots(x, x))
+        stacks.append(x)
+    bad = (group[a] != group[b]) | (norms[a] == 0.0) | (norms[b] == 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        x, y = vectors[a[k]], vectors[b[k]]
+        if x.shape != y.shape:
+            raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
         raise ValidationError("cosine undefined for zero vectors")
-    return float(np.dot(x, y) / (nx * ny))
+    dots = np.empty(a.size)
+    for g, x in enumerate(stacks):
+        pick = np.flatnonzero(group[a] == g)
+        for start in range(0, pick.size, COSINE_PAIRS):
+            k = pick[start:start + COSINE_PAIRS]
+            dots[k] = _dots(x[row[a[k]]], x[row[b[k]]])
+    return dots / (norms[a] * norms[b])
 
 
 def semantic_distance(ex, ey) -> float:
     """Cosine similarity between two pooled embeddings, in [-1, 1]."""
-    return _cosine(*_vector(ex), *_vector(ey))
+    vectors = [np.asarray(ex, dtype=np.float64), np.asarray(ey, dtype=np.float64)]
+    return float(_cosines(vectors, np.array([0]), np.array([1]))[0])
 
 
 def spearman(model_scores, human_scores) -> float:
@@ -133,15 +171,8 @@ def record_refs(record) -> tuple:
             record.refs_b or (("", record.word_b),))
 
 
-def record_similarity(record, reprs: dict, subset: str,
-                      vectors: dict | None = None) -> float:
-    """Model similarity for one gold record.
-
-    The synthetic subset averages cosine over same-voice token pairs;
-    the natural subset averages over all cross-word token pairs (minus
-    any pair built from one single token). ``vectors`` caches each
-    utterance's converted embedding and norm across calls.
-    """
+def _token_pairs(record, subset: str) -> list:
+    """The (utt_a, utt_b) token pairs a record's similarity averages over."""
     refs_a, refs_b = record_refs(record)
     if subset == "synthetic":
         pairs = [(ua, ub) for va, ua in refs_a for vb, ub in refs_b if va == vb]
@@ -153,30 +184,89 @@ def record_similarity(record, reprs: dict, subset: str,
         raise ValidationError(
             f"({record.word_a}, {record.word_b}): no comparable token pairs "
             f"for the {subset} subset")
-    vectors = {} if vectors is None else vectors
-    sims = []
-    for ua, ub in pairs:
-        for utt in (ua, ub):
-            if utt not in vectors:
-                if utt not in reprs:
-                    raise ValidationError(
-                        f"({record.word_a}, {record.word_b}): no representation "
-                        f"for utterance {utt!r}")
-                vectors[utt] = _vector(reprs[utt])
-        sims.append(_cosine(*vectors[ua], *vectors[ub]))
-    return sum(sims) / len(sims)
+    return pairs
+
+
+def _token_plan(records, subset: str) -> tuple:
+    """Every record's token pairs, flattened, as ``(names, sizes,
+    failure)``: ``names`` holds each pair's two utterances in record and
+    pair order and ``sizes`` each record's number of pairs. Collection
+    stops at the first record without comparable pairs; ``failure`` is
+    its error, else None.
+    """
+    names, sizes = [], []
+    for record in records:
+        try:
+            pairs = _token_pairs(record, subset)
+        except ValidationError as exc:
+            return names, sizes, exc
+        names.extend(chain.from_iterable(pairs))
+        sizes.append(len(pairs))
+    return names, sizes, None
+
+
+def _similarities(records: list, plan: tuple, reprs: dict) -> list:
+    """Model similarity of each record of a ``_token_plan``: the mean cosine
+    over its token pairs, in pair order.
+
+    Each representation is converted to float64 once and all the cosines
+    come from one ``_cosines`` call. Errors are those of scoring the
+    records one by one, pair by pair: a missing representation, or a
+    record without comparable pairs, is reported only if no earlier pair
+    has mismatched shapes or a zero vector.
+    """
+    names, sizes, failure = plan
+    absent = [utt for utt in dict.fromkeys(names) if utt not in reprs]
+    if absent:
+        first = min(map(names.index, absent))
+        pair = first // 2
+        record = records[bisect.bisect_right(list(accumulate(sizes)), pair)]
+        failure = ValidationError(
+            f"({record.word_a}, {record.word_b}): no representation "
+            f"for utterance {names[first]!r}")
+        names = names[:2 * pair]
+    rows: dict = {}  # utterance -> its index in vectors
+    flat = np.array([rows.setdefault(utt, len(rows)) for utt in names],
+                    dtype=np.intp)
+    vectors = [np.asarray(reprs[utt], dtype=np.float64) for utt in rows]
+    sims = _cosines(vectors, flat[0::2], flat[1::2]).tolist() if names else []
+    if failure is not None:
+        raise failure
+    means = []
+    stop = 0
+    for size in sizes:
+        start, stop = stop, stop + size
+        means.append(sum(sims[start:stop]) / size)
+    return means
+
+
+def record_similarity(record, reprs: dict, subset: str) -> float:
+    """Model similarity for one gold record.
+
+    The synthetic subset averages cosine over same-voice token pairs;
+    the natural subset averages over all cross-word token pairs (minus
+    any pair built from one single token).
+    """
+    return _similarities([record], _token_plan([record], subset), reprs)[0]
+
+
+def _check_records(records: list) -> None:
+    if len(records) < 2:
+        raise ValidationError("similarity scoring needs at least 2 records")
+
+
+def _plan_score(records: list, plan: tuple, reprs: dict) -> float:
+    model = _similarities(records, plan, reprs)
+    human = [r.human_score for r in records]
+    return spearman(model, human)
 
 
 def similarity_score(records, reprs: dict, subset: str = "synthetic") -> float:
     """Spearman correlation (x100) of model vs human similarities; each
     representation is converted, and its norm taken, once per call."""
     records = list(records)
-    if len(records) < 2:
-        raise ValidationError("similarity scoring needs at least 2 records")
-    vectors: dict = {}
-    model = [record_similarity(r, reprs, subset, vectors) for r in records]
-    human = [r.human_score for r in records]
-    return spearman(model, human)
+    _check_records(records)
+    return _plan_score(records, _token_plan(records, subset), reprs)
 
 
 def layer_sweep(layer_archives, records, subset: str = "synthetic",
@@ -189,11 +279,16 @@ def layer_sweep(layer_archives, records, subset: str = "synthetic",
     """
     if not layer_archives:
         raise ValidationError("layer sweep needs at least one layer")
+    records = list(records)
+    plan = None  # the records' token pairs, collected once for every layer
     best = None
     for layer_index, archive in enumerate(layer_archives):
         for kind in poolings:
             reprs = {utt: pool(mat, kind) for utt, mat in archive.items()}
-            score = similarity_score(records, reprs, subset)
+            if plan is None:
+                _check_records(records)
+                plan = _token_plan(records, subset)
+            score = _plan_score(records, plan, reprs)
             if best is None or score > best[2]:
                 best = (layer_index, kind, score)
     return best

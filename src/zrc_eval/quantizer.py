@@ -166,6 +166,14 @@ def _reservoir_subsample(frames: np.ndarray, size: int,
     return frames[reservoir]
 
 
+def _cluster_sums(columns: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """K x D sums of the frames of each cluster, from the D x N transposed
+    frames: one ``bincount`` per dimension. Each sum adds its frames in
+    frame order from 0.0, as ``np.add.at(sums, labels, frames)`` does, so
+    the sums are bit-identical to it."""
+    return np.stack([np.bincount(labels, column, k) for column in columns], axis=1)
+
+
 def kmeans_fit(frames, n_clusters: int, seed: int = 0, max_iter: int = 100,
                tol: float = 1e-6, frame_rate: float = 100.0,
                subsample: int | None = None) -> Codebook:
@@ -195,6 +203,7 @@ def kmeans_fit(frames, n_clusters: int, seed: int = 0, max_iter: int = 100,
             f"need at least {n_clusters} frames, got {frames.shape[0]}")
 
     centroids = _kmeans_pp(frames, n_clusters, rng)
+    columns = np.ascontiguousarray(frames.T)  # one row per dimension
     prev_inertia = None
     prev_centroids = centroids
     trace: list[float] = []
@@ -232,9 +241,7 @@ def kmeans_fit(frames, n_clusters: int, seed: int = 0, max_iter: int = 100,
         prev_centroids = centroids.copy()
         if improvement < tol or inertia == 0.0:
             break
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, frames)
-        centroids = sums / counts[:, None]
+        centroids = _cluster_sums(columns, labels, n_clusters) / counts[:, None]
 
     return Codebook(
         centroids=prev_centroids,
@@ -252,7 +259,8 @@ def quantize(codebook: Codebook, fs: FeatureSequence) -> UnitSequence:
         raise ValidationError(
             f"{fs.utt_id}: feature dim {fs.dim} != codebook dim {codebook.dim}")
     labels, _ = _assign(fs.frames, codebook.centroids)
-    return UnitSequence(fs.utt_id, labels.tolist())
+    # labels index the codebook: non-negative ints, one per frame (T >= 1)
+    return UnitSequence._checked(fs.utt_id, tuple(labels.tolist()))
 
 
 # ---------------------------------------------------------------------------

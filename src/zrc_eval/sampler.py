@@ -94,6 +94,14 @@ class CandidateSet:
                         raise ValidationError(
                             f"anchor {anchor.anchor_id!r}: non-finite score")
 
+    @classmethod
+    def _checked(cls, anchors: list):
+        """A set whose anchors the caller (the file reader) has already
+        checked against every rule of ``__post_init__``."""
+        cs = cls.__new__(cls)
+        cs.anchors = anchors
+        return cs
+
     @property
     def n_scores(self) -> int:
         return len(self.anchors[0].scores)
@@ -377,7 +385,8 @@ def read_candidate_set(path) -> CandidateSet:
     """Read a candidate TSV: anchor_id, stratum, candidate_id, s_1..s_M.
 
     Anchor rows carry candidate_id '@self'; all other rows are that
-    anchor's candidates, kept in file order.
+    anchor's candidates, kept in file order. Every rule of
+    ``CandidateSet`` is checked here, once, naming the line.
     """
     rows = _rows(path, header=True)
     header = next(rows)[1] or []
@@ -425,7 +434,7 @@ def read_candidate_set(path) -> CandidateSet:
                                   f"{anchor_id!r} has no {what}")
         entries.append(AnchorEntry(
             anchor_id, entry["stratum"], entry["self"], tuple(entry["cands"])))
-    return CandidateSet(entries)
+    return CandidateSet._checked(entries)
 
 
 def write_candidate_set(cs: CandidateSet, path) -> None:

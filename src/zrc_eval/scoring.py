@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,22 +84,23 @@ class NgramModel:
         self._vocab_set = frozenset(self.vocab)
         self.counts = counts  # context tuple -> {unit or _END: count}
         self._totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
+        self._logprobs: dict = {}  # context + (target,) -> log P(target | context)
 
     @classmethod
     def train(cls, corpus, order: int, alpha: float = 1.0) -> "NgramModel":
         corpus = list(corpus)
         if not corpus:
             raise ValidationError("cannot train an n-gram model on an empty corpus")
-        counts: dict = {}
+        grams: Counter = Counter()  # context + (target,) -> count
         vocab: set[int] = set()
         for seq in corpus:
-            units = list(seq.units) if isinstance(seq, UnitSequence) else list(seq)
+            units = tuple(seq.units) if isinstance(seq, UnitSequence) else tuple(seq)
             vocab.update(units)
-            tokens = [_START] * (order - 1) + units + [_END]
-            for i in range(order - 1, len(tokens)):
-                ctx = tuple(tokens[i - order + 1:i])
-                bucket = counts.setdefault(ctx, {})
-                bucket[tokens[i]] = bucket.get(tokens[i], 0) + 1
+            tokens = (_START,) * (order - 1) + units + (_END,)
+            grams.update(zip(*(tokens[k:] for k in range(order))))
+        counts: dict = {}
+        for gram, count in grams.items():
+            counts.setdefault(gram[:-1], {})[gram[-1]] = count
         return cls(order, alpha, vocab, counts)
 
     def _check_unit(self, unit: int) -> None:
@@ -121,11 +123,39 @@ class NgramModel:
             ctx = tuple([_START] * (self.order - 1 - len(tail)) + tail)
         else:
             ctx = ()
-        bucket = self.counts.get(ctx, {})
-        count = bucket.get(target, 0)
-        total = self._totals.get(ctx, 0)
-        denom = total + self.alpha * (len(self.vocab) + 1)
-        return math.log((count + self.alpha) / denom)
+        return self._logprob(ctx + (target,))
+
+    def _logprob(self, key: tuple) -> float:
+        """log P(key[-1] | key[:-1]) over checked units, computed on first
+        use and then read from the model's table."""
+        value = self._logprobs.get(key)
+        if value is None:
+            ctx, target = key[:-1], key[-1]
+            bucket = self.counts.get(ctx, {})
+            count = bucket.get(target, 0)
+            total = self._totals.get(ctx, 0)
+            denom = total + self.alpha * (len(self.vocab) + 1)
+            value = self._logprobs[key] = math.log((count + self.alpha) / denom)
+        return value
+
+    def _chain_rule(self, units: tuple) -> float:
+        """Sum of the chain-rule terms of ``units`` and the end symbol, left
+        to right from 0.0; an out-of-vocabulary unit raises where it is
+        first met."""
+        n = self.order
+        tokens = (_START,) * (n - 1) + tuple(units) + (_END,)
+        table = self._logprobs
+        total = 0.0
+        # every n-gram in the table holds checked units, and the context of
+        # a missing one holds earlier targets: only its target needs a check
+        for key in zip(*(tokens[k:] for k in range(n))):
+            term = table.get(key)
+            if term is None:
+                if key[-1] != _END:
+                    self._check_unit(key[-1])
+                term = self._logprob(key)
+            total += term
+        return total
 
     # -- JSON persistence ---------------------------------------------------
 
@@ -201,16 +231,21 @@ def chain_rule_logprob(model, seq: UnitSequence,
     """Left-to-right log-probability, including the end-symbol term.
 
     ``model`` is any causal scorer exposing ``logprob(unit_or_None,
-    history)``. Pairs are length-matched by construction, so raw scores
-    are the default; ``per_token`` divides by the sequence length for
-    callers that want it anyway.
+    history)``; an ``NgramModel`` reads each term from its table of
+    conditionals instead, the same numbers summed in the same order.
+    Pairs are length-matched by construction, so raw scores are the
+    default; ``per_token`` divides by the sequence length for callers
+    that want it anyway.
     """
-    total = 0.0
-    history: list[int] = []
-    for unit in seq.units:
-        total += model.logprob(unit, history)
-        history.append(unit)
-    total += model.logprob(None, history)
+    if isinstance(model, NgramModel):
+        total = model._chain_rule(seq.units)
+    else:
+        total = 0.0
+        history: list[int] = []
+        for unit in seq.units:
+            total += model.logprob(unit, history)
+            history.append(unit)
+        total += model.logprob(None, history)
     if per_token:
         total /= len(seq.units)
     return PseudoProbability(total)
@@ -222,13 +257,8 @@ def chain_rule_logprob(model, seq: UnitSequence,
 
 def span_windows(length: int, cfg: SpanConfig) -> list[tuple[int, int]]:
     """Half-open, 0-based windows visited by span scoring over T tokens."""
-    windows = []
-    j = 0
-    while j * cfg.delta_t <= length - 1:
-        start = j * cfg.delta_t
-        windows.append((start, min(start + cfg.m_d + 1, length)))
-        j += 1
-    return windows
+    return [(start, min(start + cfg.m_d + 1, length))
+            for start in range(0, length, cfg.delta_t)]
 
 
 def span_pseudo_logprob(scorer, seq: UnitSequence,

@@ -83,7 +83,8 @@ class TestAsymmetricCell:
                 for _ in range(6)]
         directions = [(range(2), range(2, 4), range(4, 6), False)]
         table, = abx._distance_tables(distance.prepare(seqs, metric),
-                                      [(0, 6, *abx._requests(6, directions))],
+                                      [(0, 6, *abx._requests(
+                                          6, abx._comparisons(6, directions)))],
                                       metric)
         requested = np.zeros((6, 6), dtype=bool)
         requested[:4, 4:] = True
@@ -342,6 +343,59 @@ class TestAbxEvaluate:
             assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == called
             counts.append(len(passes))
         assert counts[0] == 5 and 1 < counts[1] < 5 and counts[2] == 1
+
+    @pytest.mark.parametrize("mode", ["within", "across"])
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_one_index_product_per_context(self, tmp_path, monkeypatch, metric,
+                                           mode):
+        # a context's (a, b, x) product gives both its requested pairs and
+        # the comparisons scored from its table: one _product call each
+        rng = np.random.default_rng(23)
+        contexts = (("A", "T"), ("A", "K"), ("I", "K"), ("U", "P"))
+        cats = [(center, left, right, speaker,
+                 [np.eye(4)[rng.integers(0, 4, size=int(rng.integers(1, 6)))]
+                  for _ in range(int(rng.integers(2, 4)))])
+                for left, right in contexts for center in ("B", "P")
+                for speaker in ("s1", "s2")]
+        tokens = build_items(cats, tmp_path)
+        want = abx.abx_evaluate(tokens, tmp_path, mode,
+                                lambda x, y: dtw_distance(x, y, metric))
+        calls = []
+        product = abx._product
+
+        def counting_product(*axes):
+            calls.append(len(axes))
+            return product(*axes)
+
+        monkeypatch.setattr(abx, "_product", counting_product)
+        assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == want
+        assert calls == [3] * len(contexts)
+        # comparison batches of one direction each: same result
+        calls.clear()
+        monkeypatch.setattr(abx, "SCORE_COMPARISONS", 1)
+        assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == want
+        assert len(calls) == 2 * want.cell_count
+
+    def test_requests_are_the_compared_pairs(self):
+        # every (a, x) and (b, x) pair of a direction, never (x, x)
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n = int(rng.integers(4, 12))
+            directions = []
+            for _ in range(int(rng.integers(1, 5))):
+                a = sorted(rng.choice(n, int(rng.integers(2, 4)), replace=False))
+                b = sorted(rng.choice(n, int(rng.integers(1, 4)), replace=False))
+                same = bool(rng.integers(2))
+                x = a if same else sorted(rng.choice(n, int(rng.integers(1, 4)),
+                                                     replace=False))
+                directions.append((a, b, x, same))
+            need = np.zeros((n, n), dtype=bool)
+            for a, b, x, _ in directions:
+                need[np.ix_(a, x)] = True
+                need[np.ix_(b, x)] = True
+            np.fill_diagonal(need, False)
+            rows, cols = abx._requests(n, abx._comparisons(n, directions))
+            assert [rows.tolist(), cols.tolist()] == [v.tolist() for v in np.nonzero(need)]
 
     @pytest.mark.parametrize("mode", ["within", "across"])
     def test_kernel_runs_each_unordered_angular_pair_once(self, tmp_path,

@@ -44,3 +44,21 @@ def test_traced_abx_runs_through_the_wrapped_kernel():
     metrics = result["metrics"]
     assert metrics["dtw.kernel_calls"]["value"] > 0
     assert metrics["dtw.kernel_cells"]["value"] > 0
+
+
+def test_traced_lm_pipeline_runs_through_the_wrapped_entry_points():
+    # perfbench times the chain rule, quantize and pooling by wrapping
+    # scoring.chain_rule_logprob, quantizer.quantize and metrics.pool; the
+    # subcommands must still call them there for those metrics to count
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "lm-pipeline",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    for name in ("scoring.chain_rule_tokens", "quantizer.quantize_frames",
+                 "metrics.pool_calls"):
+        assert metrics[name]["value"] > 0, name

@@ -272,6 +272,19 @@ class TestDtw:
 
 
 class TestCostMatrix:
+    def test_kl_row_term_is_summed_in_row_blocks(self, monkeypatch):
+        # each row's sum p log p is the same numbers whatever the block
+        rng = np.random.default_rng(31)
+        seqs = [rng.dirichlet(np.ones(7) * 0.3, size=int(rng.integers(1, 40)))
+                for _ in range(12)]
+        full = None
+        for budget in (1, 7, 50, 1 << 17):
+            monkeypatch.setattr(distance, "RUN_ELEMENTS", budget)
+            p, log_p, row_term = distance.prepare(seqs, "kl").parts
+            assert np.array_equal(row_term, np.sum(p * log_p, axis=1))
+            full = row_term if full is None else full
+            assert np.array_equal(row_term, full)
+
     def test_angular_pair_cost_equals_broadcast_difference(self):
         # the repeat-and-subtract form gives exactly the broadcast
         # subtraction's costs, for one frame on either side and over

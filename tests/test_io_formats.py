@@ -141,6 +141,95 @@ class TestFeatureArchive:
         assert io.list_archive(tmp_path) == ["a", "b"]
 
 
+def binary_feature_file(path, frames, rate=100.0, n_frames=None, dim=None):
+    """A ZRCF file with the given header fields and f32 body."""
+    frames = np.asarray(frames, dtype="<f4")
+    t, d = frames.shape
+    header = io._FEATURE_HEADER.pack(b"ZRCF", 1, d if dim is None else dim, rate,
+                                     t if n_frames is None else n_frames)
+    path.write_bytes(header + frames.tobytes())
+    return path
+
+
+class TestFeatureFileChecks:
+    """Each value is checked once, in the reader; every message is kept."""
+
+    def test_non_finite_binary_names_the_file(self, tmp_path):
+        fpath = binary_feature_file(tmp_path / "u.zrcf", [[1.0, np.inf]])
+        with pytest.raises(ValidationError) as exc:
+            io.read_feature_archive(tmp_path, "u")
+        assert str(exc.value) == f"{fpath}: non-finite value in frames"
+
+    def test_non_finite_text_names_the_file(self, tmp_path):
+        (tmp_path / "u.txt").write_text("dim=2 rate=100\n1 2\n3 nan\n")
+        with pytest.raises(ValidationError) as exc:
+            io.read_feature_archive(tmp_path, "u")
+        assert str(exc.value) == f"{tmp_path / 'u.txt'}: non-finite value in frames"
+
+    def test_truncated_and_oversized_files(self, tmp_path):
+        fpath = tmp_path / "u.zrcf"
+        fpath.write_bytes(b"ZRCF\x01")
+        with pytest.raises(FormatError) as exc:
+            io.read_feature_archive(tmp_path, "u")
+        assert str(exc.value) == f"{fpath}: truncated header"
+        binary_feature_file(fpath, np.ones((2, 3)), n_frames=3)
+        with pytest.raises(FormatError) as exc:
+            io.read_feature_archive(tmp_path, "u")
+        assert str(exc.value) == (
+            f"{fpath}: truncated body, expected 36 bytes, got 24")
+        binary_feature_file(fpath, np.ones((2, 3)), n_frames=1)
+        with pytest.raises(FormatError) as exc:
+            io.read_feature_archive(tmp_path, "u")
+        assert str(exc.value) == (f"{fpath}: dimension mismatch between header "
+                                  "and body (24 bytes for 1x3 f32)")
+
+    def test_sequence_checks_still_run_on_read_frames(self, tmp_path):
+        binary_feature_file(tmp_path / "e.zrcf", np.ones((0, 3)))
+        with pytest.raises(ValidationError) as exc:
+            io.read_feature_archive(tmp_path, "e")
+        assert str(exc.value) == (
+            "e: frames must be a non-empty T x D matrix, got shape (0, 3)")
+        binary_feature_file(tmp_path / "r.zrcf", np.ones((2, 3)), rate=0.0)
+        with pytest.raises(ValidationError) as exc:
+            io.read_feature_archive(tmp_path, "r")
+        assert str(exc.value) == "r: frame rate must be positive"
+
+    def test_direct_construction_keeps_every_check(self):
+        with pytest.raises(ValidationError) as exc:
+            FeatureSequence("u", 100.0, [[1.0, np.nan]])
+        assert str(exc.value) == "u: non-finite value in frames"
+        with pytest.raises(ValidationError, match="non-empty T x D"):
+            FeatureSequence("u", 100.0, [1.0, 2.0])
+        with pytest.raises(ValidationError, match="frame rate must be positive"):
+            FeatureSequence("u", -1.0, [[1.0]])
+        fs = FeatureSequence("u", 100, np.array([[1, 2]], dtype=np.int32))
+        assert fs.frames.dtype == np.float64 and fs.frame_rate == 100.0
+
+    def test_missing_utterance_message(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as exc:
+            io.read_feature_archive(tmp_path, "ghost")
+        assert str(exc.value) == f"no feature file for 'ghost' under {tmp_path}"
+        with pytest.raises(FileNotFoundError, match="no feature file"):
+            io.read_feature_archive(tmp_path / "absent", "ghost")
+
+    def test_file_precedence_zrcf_then_txt_then_bare(self, tmp_path):
+        binary_feature_file(tmp_path / "u.zrcf", [[1.0]])
+        (tmp_path / "u.txt").write_text("dim=1 rate=100\n2\n")
+        binary_feature_file(tmp_path / "u", [[3.0]])
+        assert io.read_feature_archive(tmp_path, "u").frames.tolist() == [[1.0]]
+        (tmp_path / "u.zrcf").unlink()
+        assert io.read_feature_archive(tmp_path, "u").frames.tolist() == [[2.0]]
+        (tmp_path / "u.txt").unlink()
+        assert io.read_feature_archive(tmp_path, "u").frames.tolist() == [[3.0]]
+        (tmp_path / "u").write_text("dim=1 rate=100\n4\n")  # bare text, sniffed
+        assert io.read_feature_archive(tmp_path, "u").frames.tolist() == [[4.0]]
+
+    def test_directory_named_like_a_feature_file_is_skipped(self, tmp_path):
+        (tmp_path / "u.zrcf").mkdir()
+        (tmp_path / "u.txt").write_text("dim=1 rate=100\n5\n")
+        assert io.read_feature_archive(tmp_path, "u").frames.tolist() == [[5.0]]
+
+
 # ---------------------------------------------------------------------------
 # unit sequences
 # ---------------------------------------------------------------------------
@@ -179,6 +268,42 @@ class TestUnitSequences:
         with pytest.raises(ValidationError) as exc:
             io.read_unit_sequences(path)
         assert str(exc.value) == f"{path}: line 3: duplicate utterance 'u1'"
+
+
+class TestUnitChecks:
+    """The reader parses and range-checks each unit once, and direct
+    construction keeps every message."""
+
+    def test_reader_messages_name_the_line(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("a 1 2\nb 3 -1 4\n")
+        with pytest.raises(ValidationError) as exc:
+            io.read_unit_sequences(path)
+        assert str(exc.value) == f"{path}: line 2: negative unit index"
+        path.write_text("a 1 2\n\nb 3 1.5\n")
+        with pytest.raises(FormatError) as exc:
+            io.read_unit_sequences(path)
+        assert str(exc.value) == f"{path}: line 3: non-integer unit"
+
+    def test_reader_units_are_int_tuples(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("a 0 12 +3 007\n")
+        seq, = io.read_unit_sequences(path)
+        assert seq.units == (0, 12, 3, 7)
+        assert all(type(u) is int for u in seq.units)
+        assert seq == UnitSequence("a", [0, 12, 3, 7])
+
+    def test_direct_construction_messages(self):
+        with pytest.raises(ValidationError) as exc:
+            UnitSequence("x", [])
+        assert str(exc.value) == "x: empty unit sequence"
+        with pytest.raises(ValidationError) as exc:
+            UnitSequence("x", [4, -2, 1])
+        assert str(exc.value) == "x: negative unit index"
+        with pytest.raises(ValueError):
+            UnitSequence("x", ["a"])
+        seq = UnitSequence("x", np.array([3, 1], dtype=np.int16))
+        assert seq.units == (3, 1) and all(type(u) is int for u in seq.units)
 
 
 # ---------------------------------------------------------------------------

@@ -270,3 +270,152 @@ class TestLayerSweep:
         layer, kind, _ = metrics.layer_sweep([archive, dict(archive)],
                                              self._records())
         assert (layer, kind) == (0, "mean")
+
+
+def cosine_oracle(ex, ey) -> float:
+    """One pair's cosine, as ``np.dot`` over the two ``np.linalg.norm``s."""
+    x = np.asarray(ex, dtype=np.float64)
+    y = np.asarray(ey, dtype=np.float64)
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    if x.shape != y.shape:
+        raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if nx == 0.0 or ny == 0.0:
+        raise ValidationError("cosine undefined for zero vectors")
+    return float(np.dot(x, y) / (nx * ny))
+
+
+def similarities_oracle(records, reprs, subset) -> list:
+    """Record by record, pair by pair: the first failing step raises."""
+    model = []
+    for rec in records:
+        refs_a, refs_b = metrics.record_refs(rec)
+        if subset == "synthetic":
+            pairs = [(ua, ub) for va, ua in refs_a for vb, ub in refs_b if va == vb]
+        else:
+            pairs = [(ua, ub) for _, ua in refs_a for _, ub in refs_b if ua != ub]
+        if not pairs:
+            raise ValidationError(
+                f"({rec.word_a}, {rec.word_b}): no comparable token pairs "
+                f"for the {subset} subset")
+        sims = []
+        for ua, ub in pairs:
+            for utt in (ua, ub):
+                if utt not in reprs:
+                    raise ValidationError(
+                        f"({rec.word_a}, {rec.word_b}): no representation "
+                        f"for utterance {utt!r}")
+            sims.append(cosine_oracle(reprs[ua], reprs[ub]))
+        model.append(sum(sims) / len(sims))
+    return model
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+def random_gold(rng, n_records, utts, valid=False):
+    """Records with 1-3 refs a side, voices A or B; with ``valid``, word a
+    draws from the first half of ``utts`` and word b from the second, and
+    each side has a voice-A ref, so both subsets have pairs."""
+    half = len(utts) // 2
+    records = []
+    for i in range(n_records):
+        refs = []
+        for pool in ((utts[:half], utts[half:]) if valid else (utts, utts)):
+            side = [(str(rng.choice(["A", "B"])), str(rng.choice(pool)))
+                    for _ in range(rng.integers(1, 4))]
+            if valid:
+                side[0] = ("A", side[0][1])
+            refs.append(side)
+        records.append(record(f"a{i}", f"b{i}", float(rng.uniform(0, 10)),
+                              refs[0], refs[1]))
+    return records
+
+
+class TestStackedCosines:
+    """All of a call's cosines come from one stacked product; every value is
+    == to the per-pair ``np.dot`` loop and every error is the loop's."""
+
+    @pytest.mark.parametrize("subset", ["synthetic", "natural"])
+    @pytest.mark.parametrize("dim", [1, 3, 64, 256, 768])
+    def test_equals_per_pair_loop(self, subset, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        utts = [f"u{i}" for i in range(30)]
+        reprs = {u: rng.standard_normal(dim) * rng.uniform(0.01, 50) for u in utts}
+        records = random_gold(rng, 60, utts, valid=True)
+        want = similarities_oracle(records, reprs, subset)
+        for block in (metrics.COSINE_PAIRS, 7, 1):
+            monkeypatch.setattr(metrics, "COSINE_PAIRS", block)
+            assert [metrics.record_similarity(r, reprs, subset)
+                    for r in records] == want
+            assert metrics.similarity_score(records, reprs, subset) == \
+                metrics.spearman(want, [r.human_score for r in records])
+
+    def test_semantic_distance_is_the_dot_over_the_norms(self):
+        rng = np.random.default_rng(9)
+        for dim in (1, 2, 16, 100, 1000):
+            for _ in range(20):
+                x, y = rng.standard_normal((2, dim)) * rng.uniform(1e-3, 1e3, 2)[:, None]
+                assert metrics.semantic_distance(x, y) == cosine_oracle(x, y)
+
+    def test_pairs_of_different_dimensions_in_one_call(self):
+        reprs = {"a": embedding([1.0, 2.0]), "b": embedding([2.0, -1.5]),
+                 "c": embedding([1.0, 0.0, 3.0]), "d": embedding([0.5, 2.0, 1.0])}
+        records = [record("a", "b", 2.0, [("", "a")], [("", "b")]),
+                   record("c", "d", 7.0, [("", "c")], [("", "d")]),
+                   record("a", "a", 9.0, [("", "a")], [("", "a")])]
+        assert metrics._similarities(
+            records, metrics._token_plan(records, "synthetic"), reprs) == \
+            similarities_oracle(records, reprs, "synthetic")
+
+    @pytest.mark.parametrize("records, reprs", [
+        # no comparable pairs in the second record; the third lacks a vector
+        ([record("a", "b", 1, [("A", "a")], [("A", "b")]),
+          record("a", "c", 2, [("A", "a")], [("B", "c")]),
+          record("a", "x", 3, [("A", "a")], [("A", "x")])],
+         {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]}),
+        # a zero vector in an earlier pair of the record beats a missing one
+        ([record("a", "b", 1, [("A", "a")], [("A", "b")]),
+          record("a", "z", 2, [("A", "a"), ("B", "q")], [("A", "z"), ("B", "x")])],
+         {"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [0.0, 0.0], "q": [1.0, 2.0]}),
+        # a missing second token is named, though its first token exists
+        ([record("a", "b", 1, [("A", "a")], [("A", "b")]),
+          record("a", "x", 2, [("A", "a")], [("A", "x")]),
+          record("a", "z", 3, [("A", "a")], [("A", "z")])],
+         {"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [0.0, 0.0]}),
+        # a mismatch in the first record beats a later zero vector
+        ([record("a", "c", 1, [("A", "a")], [("A", "c")]),
+          record("a", "z", 2, [("A", "a")], [("A", "z")])],
+         {"a": [1.0, 0.0], "c": [1.0, 0.0, 2.0], "z": [0.0, 0.0]}),
+        # a pair both mismatched and zero reports the mismatch
+        ([record("a", "b", 1, [("A", "a")], [("A", "b")]),
+          record("z", "c", 2, [("A", "z")], [("A", "c")])],
+         {"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [0.0, 0.0], "c": [1.0, 0.0, 2.0]}),
+    ])
+    def test_first_error_is_the_per_pair_loops(self, records, reprs):
+        reprs = {u: embedding(v) for u, v in reprs.items()}
+        want = outcome(similarities_oracle, records, reprs, "synthetic")
+        assert want.startswith("error: ")
+        assert outcome(metrics.similarity_score, records, reprs,
+                       "synthetic") == want
+
+    def test_fuzzed_errors_match_the_per_pair_loop(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            utts = [f"u{i}" for i in range(8)]
+            reprs = {}
+            for u in utts:
+                kind = rng.random()
+                if kind < 0.1:
+                    continue  # missing
+                vec = rng.standard_normal(3 if rng.random() < 0.9 else 4)
+                reprs[u] = vec * 0.0 if kind < 0.18 else vec
+            records = random_gold(rng, 5, utts)
+            for subset in ("synthetic", "natural"):
+                want = outcome(similarities_oracle, records, reprs, subset)
+                plan = metrics._token_plan(records, subset)
+                got = outcome(metrics._similarities, records, plan, reprs)
+                assert got == want, (trial, subset)

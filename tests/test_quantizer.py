@@ -219,6 +219,78 @@ class TestKmeansFit:
         assert not np.array_equal(cb1.centroids, cb_full.centroids)
 
 
+def kmeans_add_at_oracle(frames, k, seed, max_iter, tol=0.0):
+    """``kmeans_fit`` without subsampling, centroid sums by ``np.add.at``."""
+    rng = np.random.default_rng(seed)
+    centroids = quantizer._kmeans_pp(frames, k, rng)
+    prev_inertia, prev_centroids, trace, reseeds = None, centroids, [], 0
+    for _ in range(max_iter):
+        labels, dists = quantizer._assign(frames, centroids)
+        counts = np.bincount(labels, minlength=k)
+        while (counts == 0).any():
+            j = int(np.flatnonzero(counts == 0)[0])
+            far = int(np.argmax(dists))
+            centroids[j], labels[far], dists[far] = frames[far], j, 0.0
+            counts = np.bincount(labels, minlength=k)
+            reseeds += 1
+        inertia = float(dists.sum())
+        if prev_inertia is not None and inertia > prev_inertia:
+            break
+        trace.append(inertia)
+        improvement = 1.0 if prev_inertia is None else (
+            (prev_inertia - inertia) / prev_inertia if prev_inertia else 0.0)
+        prev_inertia, prev_centroids = inertia, centroids.copy()
+        if improvement < tol or inertia == 0.0:
+            break
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, frames)
+        centroids = sums / counts[:, None]
+    return prev_centroids, trace, reseeds
+
+
+class TestClusterSums:
+    """Centroid sums by one ``bincount`` per dimension are bit-identical to
+    ``np.add.at``: both add each frame in frame order from 0.0."""
+
+    @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (7, 3, 5), (8000, 64, 50),
+                                         (500, 2, 3)])
+    def test_equal_to_add_at(self, n, d, k):
+        rng = np.random.default_rng(n + d + k)
+        frames = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+        frames[rng.random((n, d)) < 0.05] = -0.0
+        labels = rng.integers(0, k, n)
+        want = np.zeros((k, d))
+        np.add.at(want, labels, frames)
+        got = quantizer._cluster_sums(np.ascontiguousarray(frames.T), labels, k)
+        assert got.shape == (k, d)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_equals_add_at_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_normal((300, 4)) + rng.integers(0, 3, (300, 1)) * 4.0
+        cb = quantizer.kmeans_fit(frames, 6, seed=seed, max_iter=20, tol=0.0)
+        centroids, trace, _ = kmeans_add_at_oracle(frames, 6, seed, 20)
+        assert np.array_equal(cb.centroids, centroids)
+        assert cb.inertia_trace == trace
+
+    def test_fit_through_the_empty_cluster_reseed(self, monkeypatch):
+        # a repeated initial centroid leaves the later copy empty (ties go
+        # to the lowest index), so the fit re-seeds it, then keeps summing
+        rng = np.random.default_rng(7)
+        frames = rng.standard_normal((60, 3))
+        frames[:20] += 6.0
+        seeded = lambda f, k, r: f[[0, 30, 30, 45, 59]].copy()
+        monkeypatch.setattr(quantizer, "_kmeans_pp", seeded)
+        cb = quantizer.kmeans_fit(frames, 5, seed=3, max_iter=15, tol=0.0)
+        centroids, trace, reseeds = kmeans_add_at_oracle(frames, 5, 3, 15)
+        assert reseeds > 0
+        assert len(trace) > 2
+        assert np.array_equal(cb.centroids, centroids)
+        assert cb.inertia_trace == trace
+
+
 class TestQuantize:
     def test_frame_equal_to_centroid(self):
         rng = np.random.default_rng(5)

@@ -63,6 +63,22 @@ class TestNgramTrain:
         model = scoring.ngram_train(corpus, 1, 1e9)
         assert math.exp(model.logprob(0, [])) == pytest.approx(1 / 3, abs=1e-6)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_counts_equal_the_per_position_loop(self, order):
+        # every (context, target) count, as one slice per position tallied it
+        rng = np.random.default_rng(50 + order)
+        corpus = [rng.integers(0, 6, size=rng.integers(1, 9)).tolist()
+                  for _ in range(30)]
+        want: dict = {}
+        for units in corpus:
+            tokens = [-2] * (order - 1) + units + [-1]
+            for i in range(order - 1, len(tokens)):
+                bucket = want.setdefault(tuple(tokens[i - order + 1:i]), {})
+                bucket[tokens[i]] = bucket.get(tokens[i], 0) + 1
+        model = scoring.ngram_train(seqs(*corpus), order, 1.0)
+        assert model.counts == want
+        assert list(model.counts) == list(want)  # first-seen order
+
     def test_empty_corpus_is_error(self):
         with pytest.raises(ValidationError, match="empty corpus"):
             scoring.ngram_train([], 1)
@@ -192,6 +208,90 @@ class TestChainRule:
         raw = scoring.chain_rule_logprob(model, seq).log_score
         normed = scoring.chain_rule_logprob(model, seq, per_token=True).log_score
         assert normed == pytest.approx(raw / 4, abs=1e-15)
+
+
+def term_oracle(model, unit, history):
+    """log P(unit | history) straight from the counts, as the chain rule's
+    per-token loop computed it before the model kept a table."""
+    target = -1 if unit is None else unit
+    for u in ([] if unit is None else [unit]) + list(history)[-(model.order - 1):]:
+        if u not in model.vocab:
+            raise ValidationError(f"unit {u} not in the model vocabulary")
+    tail = list(history)[-(model.order - 1):] if model.order > 1 else []
+    ctx = tuple([-2] * (model.order - 1 - len(tail)) + tail)
+    bucket = model.counts.get(ctx, {})
+    denom = sum(bucket.values()) + model.alpha * (len(model.vocab) + 1)
+    return math.log((bucket.get(target, 0) + model.alpha) / denom)
+
+
+def chain_oracle(model, units, per_token=False):
+    """The per-token loop, summed left to right from 0.0."""
+    total = 0.0
+    for t, u in enumerate(units):
+        total += term_oracle(model, u, units[:t])
+    total += term_oracle(model, None, units)
+    return total / len(units) if per_token else total
+
+
+class TestChainRuleTable:
+    """The n-gram chain rule reads its terms from the model's table; every
+    score is == to the per-token loop, and errors are the loop's."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("per_token", [False, True])
+    def test_equals_per_token_loop(self, order, per_token):
+        rng = np.random.default_rng(40 + order)
+        corpus = seqs(*[rng.integers(0, 5, size=rng.integers(1, 12)).tolist()
+                        for _ in range(25)])
+        model = scoring.ngram_train(corpus, order, alpha=0.7)
+        generic = type("Causal", (), {"logprob": staticmethod(model.logprob)})()
+        for _ in range(30):
+            units = rng.integers(0, 5, size=rng.integers(1, 15)).tolist()
+            seq = UnitSequence("x", units)
+            got = scoring.chain_rule_logprob(model, seq, per_token=per_token)
+            assert got.log_score == chain_oracle(model, units, per_token)
+            # the generic logprob loop, over the same table, agrees too
+            assert got.log_score == scoring.chain_rule_logprob(
+                generic, seq, per_token=per_token).log_score
+
+    def test_table_entries_are_the_logprob_expression(self):
+        rng = np.random.default_rng(44)
+        corpus = seqs(*[rng.integers(0, 4, size=8).tolist() for _ in range(10)])
+        model = scoring.ngram_train(corpus, 2, alpha=0.25)
+        scoring.chain_rule_logprob(model, UnitSequence("x", [0, 1, 2, 3, 3, 0]))
+        assert model._logprobs
+        for (h, u), value in model._logprobs.items():
+            history = [] if h == -2 else [h]
+            assert value == term_oracle(model, None if u == -1 else u, history)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_oov_target_raises_at_the_first_one_met(self, order):
+        model = scoring.ngram_train(seqs([0, 1, 2, 1, 0]), order, 1.0)
+        for units, oov in (([7], 7), ([0, 1, 8, 2], 8), ([0, 9, 1, 7], 9),
+                           ([2, 1, 0, 6], 6)):
+            with pytest.raises(ValidationError) as got:
+                scoring.chain_rule_logprob(model, UnitSequence("x", units))
+            with pytest.raises(ValidationError) as want:
+                chain_oracle(model, units)
+            assert str(got.value) == str(want.value) == (
+                f"unit {oov} not in the model vocabulary")
+
+    def test_oov_in_history_is_checked_after_the_target(self):
+        model = scoring.ngram_train(seqs([0, 1, 2]), 3, 1.0)
+        with pytest.raises(ValidationError, match="unit 9 not"):
+            model.logprob(1, [0, 9])
+        with pytest.raises(ValidationError, match="unit 8 not"):
+            model.logprob(8, [0, 9])
+        # only the last order - 1 history tokens enter the context
+        assert model.logprob(1, [9, 0, 2]) == term_oracle(model, 1, [0, 2])
+        # a failed lookup leaves nothing in the table
+        assert all(9 not in key and 8 not in key for key in model._logprobs)
+
+    def test_scores_shorter_and_longer_than_the_order(self):
+        model = scoring.ngram_train(seqs([0, 1, 2, 0, 1], [2, 2]), 3, 0.5)
+        for units in ([1], [2, 0], [0, 1, 2, 0, 1, 2, 2, 1]):
+            got = scoring.chain_rule_logprob(model, UnitSequence("x", units))
+            assert got.log_score == chain_oracle(model, units)
 
 
 # ---------------------------------------------------------------------------
