@@ -10,7 +10,7 @@ scoring and the pair-balancing sampler).
 __version__ = "0.1.0"
 
 from .abx import AbxResult, abx_evaluate, asymmetric_abx, one_hot_encode, symmetrized_cell
-from .distance import angular_frame_distance, dtw_distance, kl_frame_distance
+from .distance import dtw_distance
 from .errors import FormatError, ValidationError
 from .metrics import paired_accuracy, pool, semantic_distance, similarity_score, spearman
 from .quantizer import Codebook, kmeans_fit, quantize, read_codebook, write_codebook

@@ -17,6 +17,7 @@ from . import metrics as metrics_mod
 from . import quantizer as quant_mod
 from . import sampler as sampler_mod
 from . import scoring as scoring_mod
+from .errors import ValidationError
 from .types import MetricReport
 
 
@@ -140,7 +141,7 @@ def cmd_abx(args) -> int:
 def cmd_kmeans_train(args) -> int:
     utt_ids = io.list_archive(args.features)
     if not utt_ids:
-        raise ValueError(f"no feature files under {args.features}")
+        raise ValidationError(f"no feature files under {args.features}")
     sequences = [io.read_feature_archive(args.features, u) for u in utt_ids]
     frame_rate = sequences[0].frame_rate
     frames = np.concatenate([fs.frames for fs in sequences])
@@ -168,7 +169,7 @@ def cmd_quantize(args) -> int:
     sequences = [quant_mod.quantize(codebook, archive.load(u))
                  for u in io.list_archive(args.features)]
     if not sequences:
-        raise ValueError(f"no feature files under {args.features}")
+        raise ValidationError(f"no feature files under {args.features}")
     io.write_unit_sequences(sequences, args.out)
     return 0
 
@@ -199,10 +200,30 @@ def _pair_scores(args) -> dict:
             for seq in sequences}
 
 
+def _unscored_pair(args, pairs, scores):
+    """The error for the first pair naming an utterance that ``scores``
+    lacks, with its manifest line and score source; None if none does."""
+    for pair in pairs:
+        utt = next((u for u in (pair.accepted_id, pair.rejected_id)
+                    if u not in scores), None)
+        if utt is not None:
+            lineno = next(n for n, row in io._read_tsv(args.pairs, ("pair_id",))
+                          if row["pair_id"] == pair.pair_id)
+            source = (f"--scores {args.scores}" if args.scores else
+                      f"--units {args.units}" if args.ngram_model else
+                      f"--units {args.units} (--masked-table {args.masked_table})")
+            return ValidationError(f"{args.pairs}: line {lineno}: pair {pair.pair_id}: "
+                                   f"no score for utterance {utt!r} in {source}")
+    return None
+
+
 def cmd_score_pairs(args) -> int:
     pairs = io.read_pair_manifest(args.pairs)
     scores = _pair_scores(args)
-    acc = metrics_mod.paired_accuracy(pairs, scores, args.tie)
+    try:
+        acc = metrics_mod.paired_accuracy(pairs, scores, args.tie)
+    except ValidationError as exc:
+        raise _unscored_pair(args, pairs, scores) or exc from None
     config = {"tie": args.tie,
               "source": ("scores" if args.scores else
                          "ngram" if args.ngram_model else "masked")}

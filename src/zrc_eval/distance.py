@@ -23,10 +23,13 @@ Work is split in three pieces that every caller shares:
   pair, or with leading batch axes those of many same-shape pairs, each
   slice computed exactly as the pair alone (no stacked GEMM);
 * ``_dtw_py.dtw_accumulate`` runs the DTW recursion over a padded
-  T x S x B stack of cost matrices, one anti-diagonal at a time.
+  T x S x B stack of cost matrices, one anti-diagonal at a time, keeping
+  only the accumulated sums (16 B a cell with the costs); each path
+  length comes from walking back over the sums from the pair's corner.
 
-``dtw_pairs`` drives many pairs of one ``Prepared`` store at once. It
-sorts them by shape and cuts them into runs of one ``(T, S)``; a run's
+``dtw_pairs``, the kernel's one caller, drives many pairs of one
+``Prepared`` store at once; ``dtw_distance`` is its one-pair case. It
+sorts pairs by shape and cuts them into runs of one ``(T, S)``; a run's
 frames are gathered from the store with one index per component that
 ``pair_cost`` reads on that side (for ``kl``, ``p`` and the row term for
 x, ``log q`` for y), and its costs come from one ``pair_cost`` call,
@@ -35,8 +38,7 @@ would exceed its budget. Two bounds keep memory flat whatever the number
 of pairs: a cost call builds at most ``RUN_ELEMENTS`` elements (the
 T x S x D difference tensor for ``angular``; the gathered frames and the
 T x S product for ``kl``), and the kernel runs over chunks whose padded
-tensor holds at most ``CHUNK_CELLS`` cells. ``frame_cost_matrix`` and
-``dtw_distance`` are the one-pair case, over a store of two sequences.
+tensor holds at most ``CHUNK_CELLS`` cells.
 
 For ``angular``, ``dtw_pairs(..., mirror=True)`` also returns every
 pair's distance the other way round from the same cost matrix and kernel
@@ -44,14 +46,13 @@ pass. The cost is symmetric (``pair_cost(y, x)`` is exactly
 ``pair_cost(x, y).T``: the squared differences are the same numbers,
 summed in the same order), and so are the accumulated sums; only the
 path length can differ, where a tie is broken the other way, and the
-kernel carries it as a second step count. ``kl`` is asymmetric and a
-distance callable is opaque, so both keep one cost matrix per directed
-pair.
+kernel walks back a second time, preferring horizontal to vertical
+steps. ``kl`` is asymmetric and a distance callable is opaque, so both
+keep one cost matrix per directed pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,34 +75,6 @@ RUN_ELEMENTS = 1 << 17
 
 # per metric, the prepared components ``pair_cost`` reads of x and of y
 _READS = {"angular": ((0,), (0,)), "kl": ((0, 2), (1,))}
-
-
-def angular_frame_distance(x, y) -> float:
-    """Angle between two vectors in radians, in [0, pi]. Scale-invariant.
-
-    Computed as 2*arcsin(chord/2) over the unit-normalized vectors, which
-    equals the arccos of the clamped normalized dot product but stays
-    exactly 0 for identical directions.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("angular distance undefined for zero-norm vectors")
-    chord = np.linalg.norm(x / nx - y / ny)
-    return float(2.0 * math.asin(min(1.0, 0.5 * chord)))
-
-
-def kl_frame_distance(p, q) -> float:
-    """KL divergence sum(p * ln(p/q)) between two probability vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    for v in (p, q):
-        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-6:
-            raise ValueError("KL distance requires probability vectors")
-    p = np.maximum(p, KL_EPS)
-    q = np.maximum(q, KL_EPS)
-    return float(np.sum(p * np.log(p / q)))
 
 
 def _frames(x) -> np.ndarray:
@@ -143,11 +116,6 @@ class Prepared:
 
     def __len__(self) -> int:
         return self.lengths.size
-
-    def __getitem__(self, i) -> tuple:
-        """The components of sequence ``i`` alone."""
-        rows = slice(self.offsets[i], self.offsets[i] + self.lengths[i])
-        return tuple(part[rows] for part in self.parts)
 
 
 def prepare(seqs, metric: str) -> Prepared:
@@ -207,15 +175,14 @@ def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
 def frame_cost_matrix(rx, ry, metric: str = "angular") -> np.ndarray:
     """All pairwise framewise distances between two sequences (T x S)."""
     both = prepare((rx, ry), metric)
-    return pair_cost(both[0], both[1], metric)
+    t = both.lengths[0]
+    return pair_cost(tuple(p[:t] for p in both.parts),
+                     tuple(p[t:] for p in both.parts), metric)
 
 
 def dtw_distance(rx, ry, metric: str = "angular") -> float:
     """Mean framewise distance along the optimal DTW alignment path."""
-    cost = frame_cost_matrix(rx, ry, metric)
-    t, s = cost.shape
-    total, length = _kernel.dtw_accumulate(cost[:, :, None], [t], [s])
-    return float(total[0]) / int(length[0])
+    return float(dtw_pairs(prepare((rx, ry), metric), [0], [1], metric)[0])
 
 
 def dtw_pairs(store: Prepared, rows, cols, metric: str, mirror: bool = False):

@@ -7,6 +7,7 @@ checks itself.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from pathlib import Path
 
@@ -14,7 +15,40 @@ import numpy as np
 import pytest
 
 from zrc_eval import io_formats, sampler
+from zrc_eval.distance import KL_EPS
 from zrc_eval.types import FeatureSequence, UnitSequence
+
+# ---------------------------------------------------------------------------
+# Frame distance oracles: one pair of vectors, by direct summation
+# ---------------------------------------------------------------------------
+
+def angular_frame_distance(x, y) -> float:
+    """Angle between two vectors in radians, in [0, pi]. Scale-invariant.
+
+    Computed as 2*arcsin(chord/2) over the unit-normalized vectors, which
+    equals the arccos of the clamped normalized dot product but stays
+    exactly 0 for identical directions.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    if nx == 0.0 or ny == 0.0:
+        raise ValueError("angular distance undefined for zero-norm vectors")
+    chord = np.linalg.norm(x / nx - y / ny)
+    return float(2.0 * math.asin(min(1.0, 0.5 * chord)))
+
+
+def kl_frame_distance(p, q) -> float:
+    """KL divergence sum(p * ln(p/q)) between two probability vectors."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    for v in (p, q):
+        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-6:
+            raise ValueError("KL distance requires probability vectors")
+    p = np.maximum(p, KL_EPS)
+    q = np.maximum(q, KL_EPS)
+    return float(np.sum(p * np.log(p / q)))
+
 
 # ---------------------------------------------------------------------------
 # DTW oracle: exhaustive monotone-path enumeration

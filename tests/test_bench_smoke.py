@@ -30,18 +30,25 @@ def test_workload_reports_correct(workload):
     assert result["failed"] == 0
 
 
-def test_traced_abx_runs_through_the_wrapped_kernel():
+@pytest.mark.parametrize("workload", ["abx-dense", "abx-units"])
+def test_traced_abx_runs_through_the_wrapped_kernel(workload):
     # perfbench times the DTW kernel by wrapping distance._kernel.dtw_accumulate;
-    # the ABX engine must still call it there for the dtw.* metrics to count
+    # the ABX engine must still call it there for the dtw.* metrics to count.
+    # A traced run whose library writes to stdout, or whose patch points
+    # went missing, ends without a well-formed result or with metrics left out
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "abx-units",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    *comments, last = proc.stdout.strip().splitlines()
+    assert all(line.startswith("#") for line in comments), comments
+    result = json.loads(last)
     assert result["correct"] is True
     assert result["failed"] == 0
     metrics = result["metrics"]
+    listed = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in listed if m["name"] not in metrics] == []
     assert metrics["dtw.kernel_calls"]["value"] > 0
     assert metrics["dtw.kernel_cells"]["value"] > 0
 

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from zrc_eval import cli, io_formats, quantizer, sampler, scoring
+from zrc_eval.errors import ValidationError
 from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken, UnitSequence
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def raised(argv):
+    """The exception a subcommand raises, before ``main`` maps it."""
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ValueError) as info:
+        args.func(args)
+    return info.value
 
 
 class TestExitCodes:
@@ -112,6 +121,52 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {pairs}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command", ["kmeans-train", "quantize"])
+    def test_no_feature_files_names_the_directory(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        codebook = tmp_path / "cb.zrck"
+        quantizer.write_codebook(quantizer.Codebook(np.eye(2)), codebook)
+        argv = [command, "--features", str(empty), "--out", str(tmp_path / "o")]
+        if command == "quantize":
+            argv += ["--codebook", str(codebook)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: no feature files under {empty}\n"
+        assert type(raised(argv)) is ValidationError
+
+    @pytest.mark.parametrize("source", ["scores", "ngram-model", "masked-table"])
+    def test_unscored_pair_names_manifest_line_and_source(self, tmp_path, capsys,
+                                                          source):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("pair_id\taccepted_id\trejected_id\n"
+                         "p1\tu1\tu2\n\np2\tu2\tghost\n")
+        units = tmp_path / "units.txt"
+        units.write_text("u1 1 2\nu2 2 1\n")
+        scores = tmp_path / "s.tsv"
+        io_formats.write_external_scores({"u1": -1.0, "u2": -2.0}, scores)
+        model = tmp_path / "m.json"
+        scoring.save_ngram_model(scoring.ngram_train(
+            [UnitSequence("u", [1, 2, 1])], order=2), model)
+        table = tmp_path / "masked.tsv"
+        scoring.write_masked_scores({(u, i, j): -1.0 for u in ("u1", "u2")
+                                     for i in (1, 2) for j in (i, 2)}, table)
+        argv = ["score-lexical", "--pairs", str(pairs), "--out", str(tmp_path / "r.json")]
+        if source == "scores":
+            argv += ["--scores", str(scores)]
+            where = f"--scores {scores}"
+        elif source == "ngram-model":
+            argv += ["--ngram-model", str(model), "--units", str(units)]
+            where = f"--units {units}"
+        else:
+            argv += ["--masked-table", str(table), "--units", str(units)]
+            where = f"--units {units} (--masked-table {table})"
+        expected = (f"{pairs}: line 4: pair p2: no score for utterance 'ghost' "
+                    f"in {where}")
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
 
     def test_fixed_layer_reads_only_its_archive(self, mini_benchmark, tmp_path):
         # the unused second archive lacks an utterance the gold table needs

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dtw_oracle
+from conftest import angular_frame_distance, dtw_oracle, kl_frame_distance
 from zrc_eval import _dtw_py, distance
 from zrc_eval.types import FeatureSequence
 
@@ -30,59 +30,59 @@ def dtw_scalar(cost):
 
 class TestAngular:
     def test_identical_direction(self):
-        assert distance.angular_frame_distance([1, 0], [1, 0]) == 0.0
+        assert angular_frame_distance([1, 0], [1, 0]) == 0.0
 
     def test_orthogonal(self):
-        assert distance.angular_frame_distance([1, 0], [0, 1]) == pytest.approx(
+        assert angular_frame_distance([1, 0], [0, 1]) == pytest.approx(
             math.pi / 2, abs=1e-15)
 
     def test_opposite_scale_invariant(self):
-        assert distance.angular_frame_distance([2, 0], [-1, 0]) == pytest.approx(
+        assert angular_frame_distance([2, 0], [-1, 0]) == pytest.approx(
             math.pi, abs=1e-15)
 
     def test_zero_norm_is_error(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            distance.angular_frame_distance([0, 0], [1, 0])
+            angular_frame_distance([0, 0], [1, 0])
 
     def test_range(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             x, y = rng.standard_normal(5), rng.standard_normal(5)
-            d = distance.angular_frame_distance(x, y)
+            d = angular_frame_distance(x, y)
             assert 0.0 <= d <= math.pi
 
 
 class TestKl:
     def test_self_distance_zero(self):
         p = [0.2, 0.3, 0.5]
-        assert distance.kl_frame_distance(p, p) == 0.0
+        assert kl_frame_distance(p, p) == 0.0
 
     def test_direct_summation(self):
         # oracle: 0.5*ln(0.5/0.25) + 0.5*ln(0.5/0.75)
         expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert distance.kl_frame_distance([0.5, 0.5], [0.25, 0.75]) == pytest.approx(
+        assert kl_frame_distance([0.5, 0.5], [0.25, 0.75]) == pytest.approx(
             expected, abs=1e-15)
         assert expected == pytest.approx(0.14384, abs=5e-6)
 
     def test_flooring_near_log2(self):
         eps = distance.KL_EPS
         expected = 1.0 * math.log(1.0 / 0.5) + eps * math.log(eps / 0.5)
-        got = distance.kl_frame_distance([1.0, 0.0], [0.5, 0.5])
+        got = kl_frame_distance([1.0, 0.0], [0.5, 0.5])
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(math.log(2.0), abs=1e-8)
 
     def test_non_probability_is_error(self):
         with pytest.raises(ValueError, match="probability"):
-            distance.kl_frame_distance([0.5, 0.6], [0.5, 0.5])
+            kl_frame_distance([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(ValueError, match="probability"):
-            distance.kl_frame_distance([-0.1, 1.1], [0.5, 0.5])
+            kl_frame_distance([-0.1, 1.1], [0.5, 0.5])
 
     def test_non_negative_random(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             p = rng.dirichlet(np.ones(4))
             q = rng.dirichlet(np.ones(4))
-            assert distance.kl_frame_distance(p, q) >= 0.0
+            assert kl_frame_distance(p, q) >= 0.0
 
 
 class TestDtw:
@@ -200,6 +200,53 @@ class TestDtw:
             assert (total[b], mirrored[b]) == dtw_scalar(c.T)
         assert (mirrored != length).sum() >= 10
 
+    def test_nan_padding_is_never_read(self):
+        # the forward pass and both walks read only each pair's own cells
+        # and the border: NaN padding gives the results of finite padding
+        rng = np.random.default_rng(17)
+        costs = [rng.integers(0, 3, size=(int(rng.integers(1, 9)),
+                                          int(rng.integers(1, 9)))).astype(float)
+                 for _ in range(200)]
+        t_len = [c.shape[0] for c in costs]
+        s_len = [c.shape[1] for c in costs]
+        stacks = []
+        for fill in (np.nan, 9.0):
+            padded = np.full((9, 10, len(costs)), fill)
+            for b, c in enumerate(costs):
+                padded[:c.shape[0], :c.shape[1], b] = c
+            stacks.append(padded)
+        for mirror in (False, True):
+            with_nan, with_nine = (_dtw_py.dtw_accumulate(p, t_len, s_len, mirror=mirror)
+                                   for p in stacks)
+            assert len(with_nan) == len(with_nine) == 2 + mirror
+            for got, expected in zip(with_nan, with_nine):
+                assert (got == expected).all()
+
+    def test_one_by_one_pairs_walk_no_steps(self):
+        cost = np.array([[[0.5, 0.0, 2.0]]])
+        total, length, mirrored = _dtw_py.dtw_accumulate(
+            cost, [1, 1, 1], [1, 1, 1], mirror=True)
+        assert total.tolist() == [0.5, 0.0, 2.0]
+        assert length.tolist() == mirrored.tolist() == [1, 1, 1]
+
+    def test_single_row_and_column_pairs_mirror(self):
+        # 1 x N and N x 1 pairs have one path each, walked straight back
+        # along their one row or column; the mirrored length is the
+        # transpose's
+        rng = np.random.default_rng(18)
+        costs = [rng.integers(0, 3, size=shape).astype(float)
+                 for n in range(1, 10) for shape in ((1, n), (n, 1))]
+        padded = np.full((9, 9, len(costs)), 9.0)
+        for b, c in enumerate(costs):
+            padded[:c.shape[0], :c.shape[1], b] = c
+        total, length, mirrored = _dtw_py.dtw_accumulate(
+            padded, [c.shape[0] for c in costs], [c.shape[1] for c in costs],
+            mirror=True)
+        for b, c in enumerate(costs):
+            assert (total[b], length[b]) == dtw_scalar(c)
+            assert (total[b], mirrored[b]) == dtw_scalar(c.T)
+            assert length[b] == mirrored[b] == max(c.shape)
+
     def test_pairs_driver_mirror_matches_dtw_distance_both_ways(self, monkeypatch):
         # one-hot frames make the angular costs 0 or pi/2, so alignments tie,
         # and the two directions of 12 of these pairs differ in path length;
@@ -313,12 +360,12 @@ class TestCostMatrix:
         for i in range(4):
             for j in range(5):
                 assert cost[i, j] == pytest.approx(
-                    distance.angular_frame_distance(fx[i], fy[j]), abs=1e-12)
+                    angular_frame_distance(fx[i], fy[j]), abs=1e-12)
         px = rng.dirichlet(np.ones(3), size=4)
         qy = rng.dirichlet(np.ones(3), size=5)
         cost = distance.frame_cost_matrix(px, qy, "kl")
         for i in range(4):
             for j in range(5):
                 assert cost[i, j] == pytest.approx(
-                    distance.kl_frame_distance(px[i], qy[j]), abs=1e-12)
+                    kl_frame_distance(px[i], qy[j]), abs=1e-12)
 
