@@ -127,32 +127,16 @@ def _requests(n: int, comparisons) -> tuple:
 def _distance_tables(tokens, contexts, metric):
     """Yield the directed distance table of each context of a group.
 
-    ``tokens`` holds the tokens of all the group's contexts, back to back:
-    a ``Prepared`` store for a frame-metric name, the frames themselves
-    for a distance callable. Each context is ``(base, n, rows, cols)``:
-    its tokens are ``tokens[base:base + n]`` and ``rows``/``cols`` are its
+    ``tokens`` is the ``Prepared`` store of all the group's contexts'
+    tokens, back to back. Each context is ``(base, n, rows, cols)``: its
+    tokens are ``tokens[base:base + n]`` and ``rows``/``cols`` are its
     ``_requests``. Its table holds ``table[i, j] = d(tokens[base + i],
-    tokens[base + j])`` for every requested pair and NaN elsewhere.
-
-    All the group's requests go through one ``dtw_pairs`` call; for
-    ``angular``, each unordered pair runs once and gives both directions.
-    A callable is called once per requested pair, in order.
+    tokens[base + j])`` for every requested pair and NaN elsewhere. All
+    the group's requests go through one ``dtw_pairs`` call.
     """
     rows = np.concatenate([base + r for base, _, r, _ in contexts], dtype=np.intp)
     cols = np.concatenate([base + c for base, _, _, c in contexts], dtype=np.intp)
-    if callable(metric):
-        dist = np.array([metric(tokens[i], tokens[j])
-                         for i, j in zip(rows.tolist(), cols.tolist())],
-                        dtype=np.float64)
-    elif metric == "angular":
-        n = len(tokens)
-        pairs, pair = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols),
-                                return_inverse=True)
-        forward, back = dtw_pairs(tokens, pairs // n, pairs % n, metric,
-                                  mirror=True)
-        dist = np.where(rows < cols, forward[pair], back[pair])
-    else:
-        dist = dtw_pairs(tokens, rows, cols, metric)
+    dist = dtw_pairs(tokens, rows, cols, metric)
     stop = 0
     for _, n, r, c in contexts:
         table = np.full((n, n), np.nan)
@@ -182,10 +166,10 @@ def asymmetric_abx(a, b, metric="angular", x=None) -> float:
     """Asymmetric cell score e(A, B) in [0, 1].
 
     ``a``/``b`` are lists of frame matrices; ``metric`` is a frame-metric
-    name or a pairwise distance callable. With ``x`` unset, probes are
-    drawn from ``a`` itself (excluding the token playing a), which
-    requires at least two a-tokens. Passing a separate probe pool ``x``
-    (across-speaker case) lifts that requirement.
+    name. With ``x`` unset, probes are drawn from ``a`` itself (excluding
+    the token playing a), which requires at least two a-tokens. Passing a
+    separate probe pool ``x`` (across-speaker case) lifts that
+    requirement.
     """
     a_tokens, b_tokens = list(a), list(b)
     if not b_tokens:
@@ -199,9 +183,7 @@ def asymmetric_abx(a, b, metric="angular", x=None) -> float:
         x_tokens = list(x)
         if not a_tokens or not x_tokens:
             raise ValidationError("categories A and X must be non-empty")
-    tokens = a_tokens + b_tokens + x_tokens
-    if not callable(metric):
-        tokens = prepare(tokens, metric)
+    tokens = prepare(a_tokens + b_tokens + x_tokens, metric)
     n, na, nb = len(tokens), len(a_tokens), len(b_tokens)
     a_idx = range(na)
     x_idx = a_idx if x is None else range(na + nb, n)
@@ -224,19 +206,12 @@ def _token_name(token) -> str:
     return f"token ({token.file_id}, {token.onset}, {token.offset})"
 
 
-def extract_token_frames(archive: FeatureArchive, token) -> np.ndarray | None:
-    """Slice a token's frames out of its utterance; None when empty.
+def _token_span(archive: FeatureArchive, token) -> tuple:
+    """``(utterance, start, stop, clamped)`` of a token's frames.
 
     Frame indices are floor(time * rate) for both onset and offset, the
     offset being exclusive and clamped at the utterance end.
     """
-    fs, start, stop, _ = _token_span(archive, token)
-    return fs.frames[start:stop] if start < stop else None
-
-
-def _token_span(archive: FeatureArchive, token) -> tuple:
-    """``(utterance, start, stop, clamped)`` of a token's frames, as
-    ``extract_token_frames`` slices them."""
     try:
         fs = archive.load(token.file_id)
     except FileNotFoundError:
@@ -315,7 +290,7 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     """
     if mode not in ("within", "across"):
         raise ValueError(f"unknown ABX mode {mode!r}")
-    if not callable(metric) and metric not in FRAME_METRICS:
+    if metric not in FRAME_METRICS:
         raise ValueError(f"unknown frame metric {metric!r}")
     archive = features if isinstance(features, FeatureArchive) else FeatureArchive(features)
 
@@ -339,12 +314,11 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
             raise ValidationError(
                 f"{_token_name(token)}: frame dimension {frames.shape[1]} "
                 f"differs from {first[1]} in {_token_name(first[0])}")
-        if not callable(metric):
-            if token.file_id not in rejected:
-                rejected[token.file_id] = invalid_frames(fs.frames, metric)
-            bad, reason = rejected[token.file_id]
-            if bad[start:stop].any():
-                raise ValidationError(f"{_token_name(token)}: {reason}")
+        if token.file_id not in rejected:
+            rejected[token.file_id] = invalid_frames(fs.frames, metric)
+        bad, reason = rejected[token.file_id]
+        if bad[start:stop].any():
+            raise ValidationError(f"{_token_name(token)}: {reason}")
         tokens, by_center = contexts.setdefault((token.left, token.right), ([], {}))
         by_center.setdefault(token.center, {}) \
                  .setdefault(token.speaker, []).append(len(tokens))
@@ -407,8 +381,8 @@ def _score_group(frames, group, metric, per_pair_context) -> None:
     each context is ``(context, cells, comparisons, (base, n, rows,
     cols))``, the last as ``_distance_tables`` takes it.
     """
-    tokens = frames if callable(metric) else prepare(frames, metric)
-    tables = _distance_tables(tokens, [span for *_, span in group], metric)
+    tables = _distance_tables(prepare(frames, metric),
+                              [span for *_, span in group], metric)
     for (context, cells, comparisons, _), table in zip(group, tables):
         scores = _score_cells(table, comparisons)
         # each cell's two directions are adjacent: their mean, in order

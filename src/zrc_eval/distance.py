@@ -40,15 +40,15 @@ T x S x D difference tensor for ``angular``; the gathered frames and the
 T x S product for ``kl``), and the kernel runs over chunks whose padded
 tensor holds at most ``CHUNK_CELLS`` cells.
 
-For ``angular``, ``dtw_pairs(..., mirror=True)`` also returns every
-pair's distance the other way round from the same cost matrix and kernel
-pass. The cost is symmetric (``pair_cost(y, x)`` is exactly
+``dtw_pairs`` alone decides which requested pairs share a kernel pair.
+For ``angular`` it runs each unordered pair once, whichever directions
+are asked for: the cost is symmetric (``pair_cost(y, x)`` is exactly
 ``pair_cost(x, y).T``: the squared differences are the same numbers,
 summed in the same order), and so are the accumulated sums; only the
 path length can differ, where a tie is broken the other way, and the
 kernel walks back a second time, preferring horizontal to vertical
-steps. ``kl`` is asymmetric and a distance callable is opaque, so both
-keep one cost matrix per directed pair.
+steps. ``kl`` is asymmetric, so it keeps one cost matrix per directed
+pair.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dtw_py as _kernel
+from .errors import ValidationError
 
 FRAME_METRICS = ("angular", "kl")
 
@@ -80,7 +81,7 @@ _READS = {"angular": ((0,), (0,)), "kl": ((0, 2), (1,))}
 def _frames(x) -> np.ndarray:
     arr = x.frames if hasattr(x, "frames") else np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError("expected a non-empty T x D frame matrix")
+        raise ValidationError("expected a non-empty T x D frame matrix")
     return arr
 
 
@@ -124,18 +125,18 @@ def prepare(seqs, metric: str) -> Prepared:
     The sequences are concatenated once and every component is computed
     over all their frames: the unit-normalized frames for ``angular``;
     the frames floored at ``KL_EPS`` (p), their log and the row term
-    ``sum p log p`` for ``kl``. Raises ValueError on sequences of
-    different frame dimensions, on the frames ``invalid_frames`` names or
-    on an unknown metric.
+    ``sum p log p`` for ``kl``. Raises ValidationError on an empty or
+    non-2-D matrix, on sequences of different frame dimensions or on the
+    frames ``invalid_frames`` names, and ValueError on an unknown metric.
     """
     frames = [_frames(x) for x in seqs]
     dims = sorted({f.shape[1] for f in frames})
     if len(dims) > 1:
-        raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
+        raise ValidationError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
     f = np.concatenate(frames)  # a copy, so the steps below work in place
     bad, reason = invalid_frames(f, metric)
     if bad.any():
-        raise ValueError(reason)
+        raise ValidationError(reason)
     if metric == "angular":
         parts = (np.divide(f, np.linalg.norm(f, axis=1)[:, None], out=f),)
     else:
@@ -185,7 +186,7 @@ def dtw_distance(rx, ry, metric: str = "angular") -> float:
     return float(dtw_pairs(prepare((rx, ry), metric), [0], [1], metric)[0])
 
 
-def dtw_pairs(store: Prepared, rows, cols, metric: str, mirror: bool = False):
+def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:
     """``dtw_distance`` of sequence ``rows[k]`` to sequence ``cols[k]`` of
     ``store`` for every k.
 
@@ -197,20 +198,21 @@ def dtw_pairs(store: Prepared, rows, cols, metric: str, mirror: bool = False):
     components and its costs come from one ``pair_cost`` call, split only
     where the call would build more than ``RUN_ELEMENTS`` elements.
 
-    With ``mirror`` (``angular`` only), returns ``(forward, mirrored)``,
-    ``mirrored[k]`` being the distance of sequence ``cols[k]`` to
-    sequence ``rows[k]``. Each pair then runs in the orientation whose
-    first sequence is the shorter, which gives the same two numbers and
-    fewer distinct shapes.
+    For ``angular``, each unordered pair runs once, in the orientation
+    whose first sequence is the shorter (fewer distinct shapes), and the
+    kernel's mirrored walk gives its distance the other way round.
     """
-    if mirror and metric != "angular":
-        raise ValueError(f"no mirrored distances for frame metric {metric!r}")
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if not rows.size:
-        return (np.empty(0), np.empty(0)) if mirror else np.empty(0)
+        return np.empty(0)
     lengths, offsets, parts = store.lengths, store.offsets, store.parts
+    mirror = metric == "angular"
     if mirror:
+        n, asked = len(lengths), rows
+        keys, pair = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols),
+                               return_inverse=True)
+        rows, cols = keys // n, keys % n
         flip = lengths[rows] > lengths[cols]
         rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
     x_reads, y_reads = _READS[metric]
@@ -263,5 +265,5 @@ def dtw_pairs(store: Prepared, rows, cols, metric: str, mirror: bool = False):
         if mirror:
             back[chunk] = total / mirrored[0]
     if mirror:
-        return np.where(flip, back, out), np.where(flip, out, back)
+        return np.where(asked == rows[pair], out[pair], back[pair])
     return out

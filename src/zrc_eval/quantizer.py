@@ -184,6 +184,8 @@ def kmeans_fit(frames, n_clusters: int, seed: int = 0, max_iter: int = 100,
     the point currently farthest from its own centroid. ``subsample``
     caps the number of training frames via seeded reservoir sampling.
     """
+    if not 0 <= seed < 2 ** 64:  # the codebook stores it as a u64
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValidationError("frames must be an N x D matrix")
@@ -193,8 +195,10 @@ def kmeans_fit(frames, n_clusters: int, seed: int = 0, max_iter: int = 100,
         raise ValidationError(f"need at least one cluster, got {n_clusters}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be positive, got {max_iter}")
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValidationError(f"tol must be non-negative, got {tol}")
+    if subsample is not None and subsample < 1:
+        raise ValidationError(f"subsample must be >= 1, got {subsample}")
     rng = np.random.default_rng(seed)
     if subsample is not None and frames.shape[0] > subsample:
         frames = _reservoir_subsample(frames, subsample, rng)

@@ -227,6 +227,8 @@ def _balance(cs: CandidateSet, groups: list, one_per_anchor: bool,
     restarts run in lockstep, restart r along axis 0 of every array."""
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     outcomes, counts = _outcomes(cs)
     rngs = [np.random.default_rng(seed ^ r) for r in range(restarts)]
     anchors, cands = [], []

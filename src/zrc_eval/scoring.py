@@ -76,8 +76,8 @@ class NgramModel:
     def __init__(self, order: int, alpha: float, vocab, counts: dict):
         if order < 1:
             raise ValidationError(f"order must be >= 1, got {order}")
-        if not (alpha > 0):
-            raise ValidationError(f"alpha must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and positive, got {alpha}")
         self.order = order
         self.alpha = float(alpha)
         self.vocab = tuple(sorted(set(int(u) for u in vocab)))

@@ -8,13 +8,14 @@ checks itself.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zrc_eval import io_formats, sampler
+from zrc_eval import abx, distance, io_formats, sampler
 from zrc_eval.distance import KL_EPS
 from zrc_eval.types import FeatureSequence, UnitSequence
 
@@ -156,6 +157,30 @@ def abx_oracle(a_tokens, b_tokens, dist, x_tokens=None) -> float:
                     total += 0.5
                 count += 1
     return total / count
+
+
+def dtw_reference(metric):
+    """The per-pair DTW distance of ``metric``, one ``dtw_distance`` call
+    per pair: the reference the ABX engine's distances are compared to."""
+    return lambda x, y: distance.dtw_distance(x, y, metric)
+
+
+@contextmanager
+def per_pair_abx(dist):
+    """Within the block, ``abx`` gets each requested (token, probe)
+    distance from ``dist(token frames, probe frames)``, one call per pair
+    in request order: ``abx.prepare`` passes the raw frames through and
+    ``abx.dtw_pairs`` becomes a loop. Grouping, tables and cell scoring
+    are the engine's own; the metric name only passes the name checks."""
+    def pairs(frames, rows, cols, metric):
+        return np.array([dist(frames[i], frames[j])
+                         for i, j in zip(rows.tolist(), cols.tolist())],
+                        dtype=np.float64)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abx, "prepare", lambda seqs, metric: list(seqs))
+        patch.setattr(abx, "dtw_pairs", pairs)
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """ABX cell scores and full evaluation against brute-force oracles."""
 
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from conftest import abx_oracle
+from conftest import abx_oracle, dtw_reference, per_pair_abx
 from zrc_eval import abx, distance, io_formats
 from zrc_eval.distance import dtw_distance
 from zrc_eval.errors import ValidationError
@@ -50,7 +51,8 @@ class TestAsymmetricCell:
         # d(a, x) = 0.1 always beats d(b, x) >= 0.9
         a = [np.array([[0.0]]), np.array([[0.1]])]
         b = [np.array([[1.0]])]
-        assert abx.asymmetric_abx(a, b, absdiff) == 0.0
+        with per_pair_abx(absdiff):
+            assert abx.asymmetric_abx(a, b, "angular") == 0.0
         assert abx_oracle(a, b, absdiff) == 0.0
 
     def test_matches_triple_loop_oracle(self):
@@ -100,7 +102,8 @@ class TestAsymmetricCell:
         rng = np.random.default_rng(3)
         a = [rng.standard_normal((2, 2)) for _ in range(3)]
         b = [rng.standard_normal((2, 2)) for _ in range(3)]
-        assert abx.asymmetric_abx(a, b, lambda x, y: 7.0) == 0.5
+        with per_pair_abx(lambda x, y: 7.0):
+            assert abx.asymmetric_abx(a, b, "angular") == 0.5
         score = abx.asymmetric_abx(a, b, "angular")
         assert 0.0 <= score <= 1.0
 
@@ -108,13 +111,15 @@ class TestAsymmetricCell:
         rng = np.random.default_rng(4)
         a = [rng.standard_normal((3, 2)) for _ in range(4)]
         b = [rng.standard_normal((3, 2)) for _ in range(3)]
-        base_dist = lambda x, y: dtw_distance(x, y, "angular")
-        base = abx.asymmetric_abx(a, b, base_dist)
+        base_dist = dtw_reference("angular")
+        with per_pair_abx(base_dist):
+            base = abx.asymmetric_abx(a, b, "angular")
         for _ in range(10):
             alpha = float(rng.uniform(0.1, 3.0))
             beta = float(rng.uniform(0.0, 2.0))
             warped = lambda x, y: np.expm1(alpha * base_dist(x, y)) + beta
-            assert abx.asymmetric_abx(a, b, warped) == base
+            with per_pair_abx(warped):
+                assert abx.asymmetric_abx(a, b, "angular") == base
 
     def test_token_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -133,7 +138,8 @@ class TestSymmetrizedCell:
         a = [np.array([[0.0]]), np.array([[0.1]])]
         b = [np.array([[1.0]]), np.array([[1.1]])]
         # both directions separate perfectly
-        assert abx.symmetrized_cell(a, b, zero) == 0.0
+        with per_pair_abx(zero):
+            assert abx.symmetrized_cell(a, b, "angular") == 0.0
 
     def test_mean_of_directions(self):
         rng = np.random.default_rng(6)
@@ -294,7 +300,8 @@ class TestAbxEvaluate:
     def test_batched_engine_equals_callable_path(self, tmp_path, monkeypatch,
                                                  metric, mode, chunk_cells):
         # probability frames of mixed lengths (1-7) within every context; a
-        # small chunk budget splits each context's pairs over many kernel calls
+        # small chunk budget splits each context's pairs over many kernel
+        # calls; the engine equals the per-pair dtw_distance reference
         monkeypatch.setattr(distance, "CHUNK_CELLS", chunk_cells)
         rng = np.random.default_rng(14)
         cats = []
@@ -306,8 +313,8 @@ class TestAbxEvaluate:
                     cats.append((center, left, right, speaker, mats))
         tokens = build_items(cats, tmp_path)
         batched = abx.abx_evaluate(tokens, tmp_path, mode, metric)
-        called = abx.abx_evaluate(tokens, tmp_path, mode,
-                                  lambda x, y: dtw_distance(x, y, metric))
+        with per_pair_abx(dtw_reference(metric)):
+            called = abx.abx_evaluate(tokens, tmp_path, mode, metric)
         assert batched == called
 
     @pytest.mark.parametrize("mode", ["within", "across"])
@@ -326,8 +333,8 @@ class TestAbxEvaluate:
                             for _ in range(int(rng.integers(2, 4)))]
                     cats.append((center, left, right, speaker, mats))
         tokens = build_items(cats, tmp_path)
-        called = abx.abx_evaluate(tokens, tmp_path, mode,
-                                  lambda x, y: dtw_distance(x, y, metric))
+        with per_pair_abx(dtw_reference(metric)):
+            called = abx.abx_evaluate(tokens, tmp_path, mode, metric)
         passes = []
         dtw_pairs = abx.dtw_pairs
 
@@ -358,8 +365,8 @@ class TestAbxEvaluate:
                 for left, right in contexts for center in ("B", "P")
                 for speaker in ("s1", "s2")]
         tokens = build_items(cats, tmp_path)
-        want = abx.abx_evaluate(tokens, tmp_path, mode,
-                                lambda x, y: dtw_distance(x, y, metric))
+        with per_pair_abx(dtw_reference(metric)):
+            want = abx.abx_evaluate(tokens, tmp_path, mode, metric)
         calls = []
         product = abx._product
 
@@ -402,7 +409,8 @@ class TestAbxEvaluate:
                                                          monkeypatch, mode):
         # every requested (token, probe) pair is also requested the other way
         # round; angular runs the two as one kernel pair with the mirrored
-        # step count, kl and a callable run each direction alone, unmirrored
+        # step count, kl and the per-pair reference run each direction
+        # alone, unmirrored
         rng = np.random.default_rng(17)
         cats = [(center, "A", "T", speaker,
                  [np.eye(4)[rng.integers(0, 4, size=int(rng.integers(1, 6)))]
@@ -424,10 +432,11 @@ class TestAbxEvaluate:
         monkeypatch.setattr(distance._kernel, "dtw_accumulate", counting_kernel)
         monkeypatch.setattr(abx, "_distance_tables", keeping_tables)
         patterns = []
-        for metric in ("angular", "kl", lambda x, y: dtw_distance(x, y, "kl")):
+        for metric, reference in (("angular", False), ("kl", False), ("kl", True)):
             runs.clear()
             tables.clear()
-            abx.abx_evaluate(tokens, tmp_path, mode, metric)
+            with per_pair_abx(dtw_reference(metric)) if reference else nullcontext():
+                abx.abx_evaluate(tokens, tmp_path, mode, metric)
             requested = [~np.isnan(table) for table in tables]
             directed = sum(int(r.sum()) for r in requested)
             unordered = sum(int(np.triu(r | r.T, 1).sum()) for r in requested)
@@ -535,6 +544,7 @@ class TestAbxEvaluate:
             tmp_path, FeatureSequence("u", 100.0, frames), "text")
         archive = io_formats.FeatureArchive(tmp_path)
         token = TriphoneToken("u", 0.019, 0.051, "B", "A", "T", "s1")
-        got = abx.extract_token_frames(archive, token)
+        fs, start, stop, clamped = abx._token_span(archive, token)
         # floor(0.019*100)=1, floor(0.051*100)=5, exclusive
-        assert got.tolist() == [[2.0], [3.0], [4.0], [5.0]]
+        assert fs.frames[start:stop].tolist() == [[2.0], [3.0], [4.0], [5.0]]
+        assert not clamped

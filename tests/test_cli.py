@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zrc_eval import cli, io_formats, quantizer, sampler, scoring
-from zrc_eval.errors import ValidationError
+from zrc_eval.errors import FormatError, ValidationError
 from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken, UnitSequence
 
 
@@ -167,6 +167,77 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {expected}\n"
         error = raised(argv)
         assert type(error) is ValidationError and str(error) == expected
+
+    # case -> (argv after the subcommand's inputs, message, library call
+    # given the inputs, raised type); the message names the bad value, and
+    # a model file's error names the file
+    BAD_SETTINGS = {
+        "seed-above-u64": (
+            ["kmeans-train", "--seed", str(2 ** 64)],
+            "seed must be in [0, 2**64), got 18446744073709551616",
+            lambda f: quantizer.kmeans_fit(f["frames"], 2, seed=2 ** 64),
+            ValidationError),
+        "seed-negative": (
+            ["kmeans-train", "--seed", "-1"], "seed must be in [0, 2**64), got -1",
+            lambda f: quantizer.kmeans_fit(f["frames"], 2, seed=-1),
+            ValidationError),
+        "sampler-seed-negative": (
+            ["sample-pairs", "--seed", "-1"], "seed must be >= 0, got -1",
+            lambda f: sampler.sample_word_pairs(f["cs"], seed=-1),
+            ValidationError),
+        "subsample-negative": (
+            ["kmeans-train", "--subsample", "-3"], "subsample must be >= 1, got -3",
+            lambda f: quantizer.kmeans_fit(f["frames"], 2, subsample=-3),
+            ValidationError),
+        "tol-nan": (
+            ["kmeans-train", "--tol", "nan"], "tol must be non-negative, got nan",
+            lambda f: quantizer.kmeans_fit(f["frames"], 2, tol=float("nan")),
+            ValidationError),
+        "alpha-inf": (
+            ["ngram-train", "--alpha", "inf"],
+            "alpha must be finite and positive, got inf",
+            lambda f: scoring.ngram_train(f["corpus"], 2, float("inf")),
+            ValidationError),
+        "model-alpha-inf": (
+            ["score-lexical"], "{model}: alpha must be finite and positive, got inf",
+            lambda f: scoring.load_ngram_model(f["model"]),
+            FormatError),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SETTINGS))
+    def test_bad_setting_names_its_value(self, tmp_path, capsys, case):
+        features = tmp_path / "features"
+        frames = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        io_formats.write_feature_archive(
+            features, FeatureSequence("u", 100.0, frames), "binary")
+        candidates = tmp_path / "cands.tsv"
+        sampler.write_candidate_set(sampler.CandidateSet([sampler.AnchorEntry(
+            "a", "s", (0.0,), (("c", (1.0,)),))]), candidates)
+        units = tmp_path / "units.txt"
+        units.write_text("u1 1 2\nu2 2 1\n")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("pair_id\taccepted_id\trejected_id\np\tu1\tu2\n")
+        model = tmp_path / "m.json"
+        scoring.save_ngram_model(scoring.ngram_train(
+            [UnitSequence("u", [1, 2, 1])], order=2), model)
+        model.write_text(model.read_text().replace('"alpha": 1.0', '"alpha": Infinity'))
+        inputs = {
+            "kmeans-train": ["--features", str(features), "--k", "2"],
+            "sample-pairs": ["--candidates", str(candidates)],
+            "ngram-train": ["--units", str(units)],
+            "score-lexical": ["--pairs", str(pairs), "--ngram-model", str(model),
+                              "--units", str(units)],
+        }
+        extra, message, call, kind = self.BAD_SETTINGS[case]
+        message = message.format(model=model)
+        argv = [extra[0], *inputs[extra[0]], *extra[1:], "--out", str(tmp_path / "o")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        library = {"frames": frames, "cs": sampler.read_candidate_set(candidates),
+                   "corpus": io_formats.read_unit_sequences(units), "model": model}
+        with pytest.raises(ValueError) as info:
+            call(library)
+        assert type(info.value) is kind and str(info.value) == message
 
     def test_fixed_layer_reads_only_its_archive(self, mini_benchmark, tmp_path):
         # the unused second archive lacks an utterance the gold table needs

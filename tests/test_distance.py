@@ -7,6 +7,7 @@ import pytest
 
 from conftest import angular_frame_distance, dtw_oracle, kl_frame_distance
 from zrc_eval import _dtw_py, distance
+from zrc_eval.errors import ValidationError
 from zrc_eval.types import FeatureSequence
 
 
@@ -250,30 +251,34 @@ class TestDtw:
     def test_pairs_driver_mirror_matches_dtw_distance_both_ways(self, monkeypatch):
         # one-hot frames make the angular costs 0 or pi/2, so alignments tie,
         # and the two directions of 12 of these pairs differ in path length;
-        # every ordered pair is asked for, the longer or the shorter first
+        # every ordered pair is asked for, the longer or the shorter first,
+        # and the kernel runs each unordered pair once, mirrored
         rng = np.random.default_rng(16)
         lengths = rng.permutation(np.repeat([2, 4, 6, 9], 8))
         rows, cols = np.nonzero(~np.eye(len(lengths), dtype=bool))
+        kernel, runs = distance._kernel.dtw_accumulate, []
+
+        def counting_kernel(cost, t_len, s_len, mirror=False):
+            runs.append((cost.shape[2], mirror))
+            return kernel(cost, t_len, s_len, mirror=mirror)
+
+        monkeypatch.setattr(distance._kernel, "dtw_accumulate", counting_kernel)
         for budgets in ((distance.CHUNK_CELLS, distance.RUN_ELEMENTS), (40, 1000)):
             monkeypatch.setattr(distance, "CHUNK_CELLS", budgets[0])
             monkeypatch.setattr(distance, "RUN_ELEMENTS", budgets[1])
             for seqs in ([np.eye(3)[rng.integers(0, 3, size=n)] for n in lengths],
                          [rng.standard_normal((n, 64)) for n in lengths]):
                 prepared = distance.prepare(seqs, "angular")
-                got, back = distance.dtw_pairs(prepared, rows, cols, "angular",
-                                               mirror=True)
-                assert (got == distance.dtw_pairs(prepared, rows, cols,
-                                                  "angular")).all()
+                runs.clear()
+                got = distance.dtw_pairs(prepared, rows, cols, "angular")
+                assert sum(b for b, _ in runs) == rows.size // 2
+                assert {m for _, m in runs} == {True}
+                back = distance.dtw_pairs(prepared, cols, rows, "angular")
                 for k, (i, j) in enumerate(zip(rows, cols)):
                     assert got[k] == distance.dtw_distance(seqs[i], seqs[j])
                     assert back[k] == distance.dtw_distance(seqs[j], seqs[i])
                 if seqs[0].shape[1] == 3:
                     assert (got != back).sum() >= 10
-
-    def test_no_mirror_for_kl(self):
-        prepared = distance.prepare([np.eye(2)] * 2, "kl")
-        with pytest.raises(ValueError, match="mirrored"):
-            distance.dtw_pairs(prepared, [0], [1], "kl", mirror=True)
 
     def test_symmetry_angular(self):
         rng = np.random.default_rng(8)
@@ -293,6 +298,21 @@ class TestDtw:
             base, abs=1e-12)
         assert distance.dtw_distance(rx, ry * scales[:4, None], "angular") \
             == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("seqs, metric, message", [
+        ([np.ones(3), np.ones((2, 3))], "angular",
+         "expected a non-empty T x D frame matrix"),
+        ([np.ones((2, 3)), np.ones((0, 3))], "kl",
+         "expected a non-empty T x D frame matrix"),
+        ([np.ones((2, 3)), np.ones((2, 4))], "angular", "dimension mismatch: 3 vs 4"),
+        ([np.ones((2, 3)), np.zeros((1, 3))], "angular",
+         "angular distance undefined for zero-norm frames"),
+        ([np.eye(3), np.ones((2, 3))], "kl", "KL distance requires probability frames"),
+    ], ids=["not-2d", "empty", "dimensions", "zero-norm", "not-probabilities"])
+    def test_rejected_input_is_a_validation_error(self, seqs, metric, message):
+        with pytest.raises(ValidationError) as info:
+            distance.prepare(seqs, metric)
+        assert str(info.value) == message
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
