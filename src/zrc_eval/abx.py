@@ -23,10 +23,10 @@ from itertools import chain
 
 import numpy as np
 
+from . import io_formats
 from .distance import FRAME_METRICS, dtw_pairs, invalid_frames, prepare
 from .distance import dtw_distance  # noqa: F401  (perfbench/spans.py wraps abx.dtw_distance)
 from .errors import ValidationError
-from .io_formats import FeatureArchive
 from .types import FeatureSequence, UnitSequence
 
 log = logging.getLogger(__name__)
@@ -206,18 +206,20 @@ def _token_name(token) -> str:
     return f"token ({token.file_id}, {token.onset}, {token.offset})"
 
 
-def _token_span(archive: FeatureArchive, token) -> tuple:
-    """``(utterance, start, stop, clamped)`` of a token's frames.
+def _token_span(root, loaded: dict, token) -> tuple:
+    """``(utterance, start, stop, clamped)`` of a token's frames; ``loaded``
+    keeps each utterance read from the archive directory ``root``.
 
     Frame indices are floor(time * rate) for both onset and offset, the
     offset being exclusive and clamped at the utterance end.
     """
-    try:
-        fs = archive.load(token.file_id)
-    except FileNotFoundError:
-        raise ValidationError(
-            f"{_token_name(token)}: "
-            f"utterance {token.file_id!r} missing from archive") from None
+    if token.file_id not in loaded:
+        try:
+            loaded[token.file_id] = io_formats.read_feature_archive(root, token.file_id)
+        except FileNotFoundError:
+            raise ValidationError(f"{_token_name(token)}: utterance "
+                                  f"{token.file_id!r} missing from archive") from None
+    fs = loaded[token.file_id]
     rate = fs.frame_rate
     start = math.floor(token.onset * rate)
     stop = math.floor(token.offset * rate)
@@ -268,10 +270,10 @@ def _context_cells(by_center, mode: str, context) -> tuple:
 def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     """Evaluate the ABX error rate over an item set.
 
-    ``features`` is a FeatureArchive or a directory path. Tokens are
-    checked in item-file order, each against its utterance's frames as
-    the metric sees them once, and kept as views into the utterance; the
-    first token whose frames the metric rejects is an error naming it.
+    ``features`` is an archive directory. Tokens are checked in item-file
+    order, each against its utterance's frames as the metric sees them
+    once, and kept as views into the utterance; the first token whose
+    frames the metric rejects is an error naming it.
 
     Contexts are evaluated in sorted order, a group at a time: a group
     grows while its requested (token, probe) pairs stay within
@@ -292,7 +294,7 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
         raise ValueError(f"unknown ABX mode {mode!r}")
     if metric not in FRAME_METRICS:
         raise ValueError(f"unknown frame metric {metric!r}")
-    archive = features if isinstance(features, FeatureArchive) else FeatureArchive(features)
+    loaded: dict = {}  # utt_id -> FeatureSequence, each read once
 
     # (left, right) -> ([frames], center -> speaker -> [index into that list])
     contexts: dict = {}
@@ -300,7 +302,7 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     rejected: dict = {}  # utterance -> (mask of frames the metric rejects, why)
     dropped = clamped = 0
     for token in items:
-        fs, start, stop, clamp = _token_span(archive, token)
+        fs, start, stop, clamp = _token_span(features, loaded, token)
         if stop <= start:
             log.warning("dropping token (%s, %s, %s): empty frame extraction",
                         token.file_id, token.onset, token.offset)

@@ -75,10 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--masked-table",
                          help="external masked-window score TSV; needs --units")
         p.add_argument("--units", help="unit-sequence file for model scoring")
-        p.add_argument("--span", type=int, default=15,
-                       help="decoding span size for masked scoring")
-        p.add_argument("--stride", type=int, default=5,
-                       help="temporal sliding size for masked scoring")
+        p.add_argument("--span", type=int,
+                       help="decoding span size for masked scoring (default 15)")
+        p.add_argument("--stride", type=int,
+                       help="temporal sliding size for masked scoring (default 5)")
         p.add_argument("--per-token", action="store_true",
                        help="normalize model scores by sequence length")
         p.add_argument("--tie", choices=("half", "zero"), default="half")
@@ -165,8 +165,7 @@ def cmd_kmeans_train(args) -> int:
 
 def cmd_quantize(args) -> int:
     codebook = quant_mod.read_codebook(args.codebook)
-    archive = io.FeatureArchive(args.features)
-    sequences = [quant_mod.quantize(codebook, archive.load(u))
+    sequences = [quant_mod.quantize(codebook, io.read_feature_archive(args.features, u))
                  for u in io.list_archive(args.features)]
     if not sequences:
         raise ValidationError(f"no feature files under {args.features}")
@@ -184,8 +183,6 @@ def cmd_ngram_train(args) -> int:
 def _pair_scores(args) -> dict:
     if args.scores:
         return io.read_external_scores(args.scores)
-    if not args.units:
-        raise UsageError("--units is required with --ngram-model/--masked-table")
     sequences = io.read_unit_sequences(args.units)
     if args.ngram_model:
         model = scoring_mod.load_ngram_model(args.ngram_model)
@@ -218,6 +215,15 @@ def _unscored_pair(args, pairs, scores):
 
 
 def cmd_score_pairs(args) -> int:
+    if args.scores and (args.units or args.per_token):
+        raise UsageError("--units and --per-token do not apply to --scores")
+    if not (args.scores or args.units):
+        raise UsageError("--units is required with --ngram-model/--masked-table")
+    if args.masked_table:
+        args.span = 15 if args.span is None else args.span
+        args.stride = 5 if args.stride is None else args.stride
+    elif (args.span, args.stride) != (None, None):
+        raise UsageError("--span and --stride apply to --masked-table only")
     pairs = io.read_pair_manifest(args.pairs)
     scores = _pair_scores(args)
     try:
@@ -230,8 +236,7 @@ def cmd_score_pairs(args) -> int:
     if not args.scores:
         config["per_token"] = str(args.per_token)
     if args.masked_table:
-        config["span"] = str(args.span)
-        config["stride"] = str(args.stride)
+        config.update(span=str(args.span), stride=str(args.stride))
     report = MetricReport(
         metric=f"{args.metric_name}-accuracy",
         aggregate=acc.overall,
@@ -249,45 +254,32 @@ def cmd_score_semantic(args) -> int:
         raise UsageError(f"--layer {args.layer} out of range for "
                          f"{len(args.features)} archives")
     records = io.read_similarity_gold(args.gold)
-    needed = set()
-    for record in records:
-        for refs in metrics_mod.record_refs(record):
-            needed.update(utt for _, utt in refs)
-    layers = []
-    for directory in args.features if sweep else [args.features[args.layer]]:
-        archive = io.FeatureArchive(directory)
-        layers.append({utt: archive.load(utt).frames for utt in sorted(needed)})
-
-    if sweep:
-        layer, pooling, score = metrics_mod.layer_sweep(
-            layers, records, args.subset)
-    else:
-        layer, pooling, score = args.layer, args.pooling, None
-
-    reprs = {utt: metrics_mod.pool(mat, pooling)
-             for utt, mat in layers[layer if sweep else 0].items()}
-    if score is None:
-        score = metrics_mod.similarity_score(records, reprs, args.subset)
+    needed = sorted({utt for record in records
+                     for refs in metrics_mod.record_refs(record) for _, utt in refs})
+    layers = [{utt: io.read_feature_archive(directory, utt).frames for utt in needed}
+              for directory in (args.features if sweep
+                                else [args.features[args.layer]])]
+    layer, pooling, score = metrics_mod.layer_sweep(
+        layers, records, args.subset,
+        metrics_mod.POOLINGS if sweep else (args.pooling,))
+    reprs = {utt: metrics_mod.pool(mat, pooling) for utt, mat in layers[layer].items()}
+    sims = metrics_mod.record_similarities(records, reprs, args.subset)
+    by_dataset: dict = {}  # dataset -> its records' (model, human) similarities
+    for record, sim in zip(records, sims):
+        by_dataset.setdefault(record.dataset, []).append((sim, record.human_score))
     subsets = {}
-    counts = {}
-    by_dataset: dict = {}
-    for record in records:
-        by_dataset.setdefault(record.dataset, []).append(record)
-    for dataset, group in sorted(by_dataset.items()):
-        counts[dataset] = len(group)
-        if len(group) >= 2:
-            try:
-                subsets[dataset] = metrics_mod.similarity_score(
-                    group, reprs, args.subset)
-            except ValueError:
-                pass  # constant scores within a subset: leave it out
-
+    for dataset, pairs in by_dataset.items():
+        try:
+            subsets[dataset] = metrics_mod.spearman(*zip(*pairs))
+        except ValidationError:
+            pass  # fewer than 2 records, or constant scores: leave it out
+    counts = {dataset: len(pairs) for dataset, pairs in by_dataset.items()}
     report = MetricReport(
         metric="semantic-similarity",
         aggregate=score,
         subsets=subsets,
         counts=dict(counts, records=len(records)),
-        config={"pooling": pooling, "layer": str(layer),
+        config={"pooling": pooling, "layer": str(layer if sweep else args.layer),
                 "subset": args.subset, "sweep": str(sweep)},
     )
     io.write_report(report, args.out, args.format)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how readers name a file."""
 
 
 class FormatError(ValueError):
@@ -7,3 +7,13 @@ class FormatError(ValueError):
 
 class ValidationError(ValueError):
     """Well-formed input that violates a documented invariant."""
+
+
+def _named(path, line, make, *args):
+    """``make(*args)``, a ValidationError from its own checks re-raised
+    naming ``path`` and, in row formats, the ``line`` (else None)."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        where = path if line is None else f"{path}: line {line}"
+        raise ValidationError(f"{where}: {exc}") from None

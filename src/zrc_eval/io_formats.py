@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _named
 from .types import (FeatureSequence, MetricReport, ScoredPair, SimilarityRecord,
                     TriphoneToken, UnitSequence)
 
@@ -109,7 +109,8 @@ def read_item_file(path) -> list[TriphoneToken]:
         if not (math.isfinite(onset) and math.isfinite(offset)):
             raise FormatError(
                 f"{path}: line {lineno}: non-finite onset/offset")
-        token = TriphoneToken(file_id, onset, offset, center, left, right, speaker)
+        token = _named(path, lineno, TriphoneToken,
+                       file_id, onset, offset, center, left, right, speaker)
         key = (file_id, onset, offset)
         if key in seen:
             raise ValidationError(
@@ -187,7 +188,7 @@ def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
     frames = np.array(values, dtype=np.float64)
     if not np.isfinite(frames).all():
         raise ValidationError(f"{fpath}: non-finite value in frames")
-    return FeatureSequence._finite(utt_id, rate, frames)
+    return _named(fpath, 1, FeatureSequence._finite, utt_id, rate, frames)
 
 
 def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequence:
@@ -215,8 +216,8 @@ def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequen
     # an f32 value is finite exactly when its float64 widening is
     if not np.isfinite(frames).all():
         raise ValidationError(f"{fpath}: non-finite value in frames")
-    return FeatureSequence._finite(
-        utt_id, rate, frames.reshape(n_frames, dim).astype(np.float64))
+    return _named(fpath, None, FeatureSequence._finite,
+                  utt_id, rate, frames.reshape(n_frames, dim).astype(np.float64))
 
 
 def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Path:
@@ -256,21 +257,6 @@ def list_archive(path) -> list[str]:
         if p.is_file():
             ids.add(p.stem if p.suffix in (".zrcf", ".txt") else p.name)
     return sorted(ids)
-
-
-class FeatureArchive:
-    """Lazy view of a feature archive directory; each utterance is read once."""
-
-    def __init__(self, path):
-        self.root = Path(path)
-        self._cache: dict[str, FeatureSequence] = {}
-
-    def load(self, utt_id: str) -> FeatureSequence:
-        fs = self._cache.get(utt_id)
-        if fs is None:
-            fs = read_feature_archive(self.root, utt_id)
-            self._cache[utt_id] = fs
-        return fs
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +326,8 @@ def read_pair_manifest(path) -> list[ScoredPair]:
         seen.add(pair_id)
         accepted = row.pop("accepted_id")
         rejected = row.pop("rejected_id")
-        pairs.append(ScoredPair(pair_id, accepted, rejected, tags=dict(row)))
+        pairs.append(_named(path, lineno, ScoredPair,
+                            pair_id, accepted, rejected, dict(row)))
     return pairs
 
 
@@ -372,8 +359,7 @@ def read_similarity_gold(path) -> list[SimilarityRecord]:
     Rows naming the same unordered word pair within one dataset collapse to
     a single record whose score is the mean of the duplicates.
     """
-    merged: dict = {}
-    order = []
+    merged: dict = {}  # in first-seen order
     for lineno, row in _read_tsv(path, ("word_a", "word_b", "score", "dataset")):
         try:
             score = float(row["score"])
@@ -388,19 +374,15 @@ def read_similarity_gold(path) -> list[SimilarityRecord]:
         key = (dataset,) + tuple(sorted((word_a, word_b)))
         if key not in merged:
             merged[key] = [word_a, word_b, [score], refs_a, refs_b]
-            order.append(key)
         else:
             entry = merged[key]
             entry[2].append(score)
-            if word_a == entry[0]:
-                extra_a, extra_b = refs_a, refs_b
-            else:
-                extra_a, extra_b = refs_b, refs_a
+            extra_a, extra_b = ((refs_a, refs_b) if word_a == entry[0]
+                                else (refs_b, refs_a))
             entry[3] += tuple(r for r in extra_a if r not in entry[3])
             entry[4] += tuple(r for r in extra_b if r not in entry[4])
     records = []
-    for key in order:
-        word_a, word_b, scores, refs_a, refs_b = merged[key]
+    for key, (word_a, word_b, scores, refs_a, refs_b) in merged.items():
         records.append(SimilarityRecord(
             word_a, word_b, sum(scores) / len(scores), key[0],
             refs_a=refs_a, refs_b=refs_b))
@@ -511,19 +493,14 @@ def read_report(path, fmt: str | None = None) -> MetricReport:
         for k, v in counts.items():
             _json_value(path, f"counts.{k}", v, int, "an integer")
         try:
-            return MetricReport(
-                metric=doc["metric"],
-                aggregate=float(doc["aggregate"]),
-                subsets={k: float(v) for k, v in subsets.items()},
-                counts=dict(counts),
-                config={k: str(v) for k, v in config.items()},
-            )
+            return _named(path, None, MetricReport,
+                          doc["metric"], float(doc["aggregate"]),
+                          {k: float(v) for k, v in subsets.items()}, dict(counts),
+                          {k: str(v) for k, v in config.items()})
         except OverflowError:
             raise FormatError(f"{path}: malformed report value") from None
     metric, aggregate = None, None
-    subsets: dict = {}
-    counts: dict = {}
-    config: dict = {}
+    subsets, counts, config = {}, {}, {}
     for lineno, cols in _rows(path):
         kind = cols[0]
         if _REPORT_WIDTHS.get(kind) != len(cols):
@@ -545,4 +522,4 @@ def read_report(path, fmt: str | None = None) -> MetricReport:
             raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
     if metric is None or aggregate is None:
         raise FormatError(f"{path}: report missing metric or aggregate row")
-    return MetricReport(metric, aggregate, subsets, counts, config)
+    return _named(path, None, MetricReport, metric, aggregate, subsets, counts, config)

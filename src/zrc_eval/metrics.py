@@ -216,11 +216,12 @@ def _similarities(records: list, plan: tuple, reprs: dict) -> list:
     has mismatched shapes or a zero vector.
     """
     names, sizes, failure = plan
+    ends = list(accumulate(sizes))  # each record's pairs end here
     absent = [utt for utt in dict.fromkeys(names) if utt not in reprs]
     if absent:
         first = min(map(names.index, absent))
         pair = first // 2
-        record = records[bisect.bisect_right(list(accumulate(sizes)), pair)]
+        record = records[bisect.bisect_right(ends, pair)]
         failure = ValidationError(
             f"({record.word_a}, {record.word_b}): no representation "
             f"for utterance {names[first]!r}")
@@ -232,22 +233,18 @@ def _similarities(records: list, plan: tuple, reprs: dict) -> list:
     sims = _cosines(vectors, flat[0::2], flat[1::2]).tolist() if names else []
     if failure is not None:
         raise failure
-    means = []
-    stop = 0
-    for size in sizes:
-        start, stop = stop, stop + size
-        means.append(sum(sims[start:stop]) / size)
-    return means
+    return [sum(sims[end - size:end]) / size for end, size in zip(ends, sizes)]
 
 
-def record_similarity(record, reprs: dict, subset: str) -> float:
-    """Model similarity for one gold record.
+def record_similarities(records, reprs: dict, subset: str) -> list:
+    """Model similarity of each gold record, in order, from one pass.
 
     The synthetic subset averages cosine over same-voice token pairs;
     the natural subset averages over all cross-word token pairs (minus
     any pair built from one single token).
     """
-    return _similarities([record], _token_plan([record], subset), reprs)[0]
+    records = list(records)
+    return _similarities(records, _token_plan(records, subset), reprs)
 
 
 def _check_records(records: list) -> None:
@@ -255,18 +252,13 @@ def _check_records(records: list) -> None:
         raise ValidationError("similarity scoring needs at least 2 records")
 
 
-def _plan_score(records: list, plan: tuple, reprs: dict) -> float:
-    model = _similarities(records, plan, reprs)
-    human = [r.human_score for r in records]
-    return spearman(model, human)
-
-
 def similarity_score(records, reprs: dict, subset: str = "synthetic") -> float:
     """Spearman correlation (x100) of model vs human similarities; each
     representation is converted, and its norm taken, once per call."""
     records = list(records)
     _check_records(records)
-    return _plan_score(records, _token_plan(records, subset), reprs)
+    return spearman(record_similarities(records, reprs, subset),
+                    [r.human_score for r in records])
 
 
 def layer_sweep(layer_archives, records, subset: str = "synthetic",
@@ -288,7 +280,8 @@ def layer_sweep(layer_archives, records, subset: str = "synthetic",
             if plan is None:
                 _check_records(records)
                 plan = _token_plan(records, subset)
-            score = _plan_score(records, plan, reprs)
+            score = spearman(_similarities(records, plan, reprs),
+                             [r.human_score for r in records])
             if best is None or score > best[2]:
                 best = (layer_index, kind, score)
     return best

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _named
 from .types import FeatureSequence, UnitSequence
 
 _CODEBOOK_MAGIC = b"ZRCK"
@@ -297,4 +297,4 @@ def read_codebook(path) -> Codebook:
             f"{path}: expected {expected} bytes after header, got {len(body)}")
     centroids = np.frombuffer(body[:-8], dtype="<f4").reshape(k, d).astype(np.float64)
     (seed,) = struct.unpack("<Q", body[-8:])
-    return Codebook(centroids=centroids, frame_rate=rate, seed=seed)
+    return _named(path, None, Codebook, centroids, rate, seed)

@@ -234,10 +234,9 @@ class TestAbxEvaluate:
     @staticmethod
     def _flat_oracle(tokens, archive_dir, mode):
         """Independent re-aggregation from scratch."""
-        archive = io_formats.FeatureArchive(archive_dir)
         cats = {}
         for t in tokens:
-            fs = archive.load(t.file_id)
+            fs = io_formats.read_feature_archive(archive_dir, t.file_id)
             lo = int(np.floor(t.onset * fs.frame_rate))
             hi = int(np.floor(t.offset * fs.frame_rate))
             cats.setdefault(
@@ -542,9 +541,8 @@ class TestAbxEvaluate:
         frames = np.arange(10, dtype=float).reshape(10, 1) + 1.0
         io_formats.write_feature_archive(
             tmp_path, FeatureSequence("u", 100.0, frames), "text")
-        archive = io_formats.FeatureArchive(tmp_path)
         token = TriphoneToken("u", 0.019, 0.051, "B", "A", "T", "s1")
-        fs, start, stop, clamped = abx._token_span(archive, token)
+        fs, start, stop, clamped = abx._token_span(tmp_path, {}, token)
         # floor(0.019*100)=1, floor(0.051*100)=5, exclusive
         assert fs.frames[start:stop].tolist() == [[2.0], [3.0], [4.0], [5.0]]
         assert not clamped

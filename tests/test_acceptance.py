@@ -328,7 +328,7 @@ def test_criterion_09_metric_invariances():
                 "w0", f"w{i}", float(rng.uniform(0, 10)), "ds",
                 (("", "w0"),), (("", f"w{i}"),)))
     base_sim = metrics.similarity_score(records, reprs, "synthetic")
-    base_model = [metrics.record_similarity(r, reprs, "synthetic")
+    base_model = [metrics.record_similarities([r], reprs, "synthetic")[0]
                   for r in records]
     human = [r.human_score for r in records]
 

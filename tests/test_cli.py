@@ -1,9 +1,14 @@
 """CLI wiring: exit codes, report writing, determinism."""
 
+import contextlib
+import io
 import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zrc_eval import cli, io_formats, quantizer, sampler, scoring
 from zrc_eval.errors import FormatError, ValidationError
@@ -436,3 +441,201 @@ class TestDeterminism:
                  "--seed", "42", "--restarts", "8", "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _codebook_file(path, centroids):
+    """A codebook file holding ``centroids`` unchecked."""
+    centroids = np.asarray(centroids, dtype="<f4")
+    path.write_bytes(quantizer._CODEBOOK_HEADER.pack(b"ZRCK", 1, *centroids.shape, 100.0)
+                     + centroids.tobytes() + struct.pack("<Q", 0))
+
+
+def _zero_rate_binary(path):
+    header = io_formats._FEATURE_HEADER.pack(b"ZRCF", 1, 2, 0.0, 1)
+    path.write_bytes(header + np.ones(2, dtype="<f4").tobytes())
+
+
+class TestNamedInputErrors:
+    """A check that a type makes on what a reader parsed names the file,
+    and the line in row formats; the library raises ValidationError."""
+
+    ITEM = io_formats.ITEM_HEADER + "\n"
+    PAIRS = "pair_id\taccepted_id\trejected_id\n"
+
+    # case -> (file name, writer, subcommand and flags before the path,
+    #          reader, message after the path)
+    CASES = {
+        "item-offset-before-onset": (
+            "i.item", ITEM + "u1 0.5 0.2 B A T s1\n", ["abx", "--items"],
+            io_formats.read_item_file, "line 2: offset 0.2 <= onset 0.5 in u1"),
+        "item-negative-onset": (
+            "i.item", ITEM + "u1 -0.5 0.2 B A T s1\n", ["abx", "--items"],
+            io_formats.read_item_file, "line 2: negative onset -0.5 in u1"),
+        "pair-equal-ids": (
+            "p.tsv", PAIRS + "p1\tu1\tu1\n", ["score-lexical", "--pairs"],
+            io_formats.read_pair_manifest,
+            "line 2: pair p1: accepted and rejected ids are identical"),
+        "text-features-rate-0": (
+            "f/u1.txt", "dim=2 rate=0\n1 0\n", ["kmeans-train", "--features"],
+            lambda p: io_formats.read_feature_archive(p.parent, "u1"),
+            "line 1: u1: frame rate must be positive"),
+        "binary-features-rate-0": (
+            "f/u1.zrcf", _zero_rate_binary, ["kmeans-train", "--features"],
+            lambda p: io_formats.read_feature_archive(p.parent, "u1"),
+            "u1: frame rate must be positive"),
+        "codebook-nan-centroid": (
+            "c.zrck", lambda p: _codebook_file(p, [[0.0, 1.0], [np.nan, 0.0]]),
+            ["quantize", "--codebook"], quantizer.read_codebook,
+            "non-finite centroid"),
+        "codebook-duplicate-centroids": (
+            "c.zrck", lambda p: _codebook_file(p, [[0.0, 1.0], [0.0, 1.0]]),
+            ["quantize", "--codebook"], quantizer.read_codebook,
+            "duplicate centroids in codebook"),
+        "report-tsv-nan": (
+            "r.tsv", "metric\tm\naggregate\tnan\n", None, io_formats.read_report,
+            "m: non-finite aggregate score"),
+        "report-json-nan": (
+            "r.json", '{"metric": "m", "aggregate": NaN}\n', None,
+            io_formats.read_report, "m: non-finite aggregate score"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reader_names_the_file(self, tmp_path, capsys, case):
+        name, content, command, reader, message = self.CASES[case]
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if callable(content):
+            content(path)
+        else:
+            path.write_text(content)
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"{path}: {message}"
+        if command is None:
+            return  # no subcommand reads reports
+        target = path.parent if command[-1] == "--features" else path
+        rest = {"abx": ["--features", str(tmp_path)],
+                "score-lexical": ["--scores", str(tmp_path / "s.tsv")],
+                "kmeans-train": [],
+                "quantize": ["--features", str(tmp_path)]}[command[0]]
+        assert run([*command, str(target), *rest, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+class TestPairScoreFlags:
+    """Flags that the chosen score source does not use are usage errors."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "p.tsv").write_text("pair_id\taccepted_id\trejected_id\n"
+                                        "p1\tu1\tu2\n")
+        (tmp_path / "s.tsv").write_text("u1\t-1.0\nu2\t-2.0\n")
+        (tmp_path / "u.txt").write_text("u1 1 2\nu2 2 1\n")
+        scoring.save_ngram_model(scoring.ngram_train(
+            [UnitSequence("u", [1, 2, 1])], order=2), tmp_path / "m.json")
+        return tmp_path
+
+    @pytest.mark.parametrize("command", ["score-lexical", "score-syntactic"])
+    @pytest.mark.parametrize("flags", [
+        ["--scores", "s.tsv", "--span", "0"],
+        ["--scores", "s.tsv", "--stride", "-3"],
+        ["--scores", "s.tsv", "--per-token"],
+        ["--scores", "s.tsv", "--units", "missing.txt"],
+        ["--ngram-model", "m.json", "--units", "u.txt", "--span", "0"],
+    ], ids=["scores-span", "scores-stride", "scores-per-token", "scores-units",
+            "ngram-span"])
+    def test_unused_flag_is_usage_error(self, inputs, capsys, command, flags):
+        out = inputs / "r.json"
+        flags = [str(inputs / f) if f.endswith((".tsv", ".txt", ".json")) else f
+                 for f in flags]
+        assert run([command, "--pairs", str(inputs / "p.tsv"), *flags,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_masked_defaults_are_kept(self, inputs):
+        scoring.write_masked_scores({(u, i, j): -1.0 for u in ("u1", "u2")
+                                     for i in (1, 2) for j in (i, 2)},
+                                    inputs / "masked.tsv")
+        out = inputs / "r.json"
+        assert run(["score-lexical", "--pairs", str(inputs / "p.tsv"),
+                    "--masked-table", str(inputs / "masked.tsv"),
+                    "--units", str(inputs / "u.txt"), "--out", str(out)]) == 0
+        config = io_formats.read_report(out).config
+        assert (config["span"], config["stride"]) == ("15", "5")
+
+
+# single-field replacements: the neighbour row's value is drawn as None
+FIELD_VALUES = st.sampled_from(["-1", "nan", "inf", "", None])
+
+
+def _mutated(rows, row, col, value, sep):
+    rows = [list(r) for r in rows]
+    row %= len(rows)
+    col %= len(rows[row])
+    if value is None:
+        other = rows[row + 1 if row + 1 < len(rows) else row - 1]
+        value = other[col % len(other)]
+    rows[row][col] = value
+    return "".join(sep.join(r) + "\n" for r in rows)
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+class TestInputContract:
+    """Single-field mutations of valid inputs end as exit 0, or as exit 1
+    with one stderr line naming the mutated file."""
+
+    @pytest.fixture(scope="class")
+    def abx_inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("abx-contract")
+        rng = np.random.default_rng(3)
+        rows = [io_formats.ITEM_HEADER.split()]
+        for speaker in ("s1", "s2"):
+            io_formats.write_feature_archive(root, FeatureSequence(
+                speaker, 100.0, rng.uniform(0.5, 1.5, (30, 3))), "binary")
+            for k in range(6):
+                rows.append([speaker, f"{k * 0.05:.2f}", f"{k * 0.05 + 0.05:.2f}",
+                             "BP"[k % 2], "A", "T", speaker])
+        return root, rows
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(row=st.integers(0, 12), col=st.integers(1, 6), value=FIELD_VALUES)
+    def test_item_file_mutation(self, abx_inputs, row, col, value):
+        # column 0 (the utterance) is left alone: a row naming an utterance
+        # missing from the archive is reported by its token, not its line
+        root, rows = abx_inputs
+        items = root / "mutated.item"
+        items.write_text(_mutated(rows, row, col, value, " "))
+        code, err = _exit_and_stderr(["abx", "--items", str(items), "--features",
+                                      str(root), "--out", str(root / "r.json")])
+        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(items) in err)
+
+    @pytest.fixture(scope="class")
+    def pair_inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pairs-contract")
+        rows = [["pair_id", "accepted_id", "rejected_id", "voice"]]
+        scores = {}
+        for k in range(4):
+            rows.append([f"p{k}", f"u{2 * k}", f"u{2 * k + 1}", f"v{k % 2}"])
+            scores.update({f"u{2 * k}": -1.0 - k, f"u{2 * k + 1}": -1.5})
+        io_formats.write_external_scores(scores, root / "scores.tsv")
+        return root, rows
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(row=st.integers(0, 4), col=st.integers(0, 3), value=FIELD_VALUES)
+    def test_pair_manifest_mutation(self, pair_inputs, row, col, value):
+        root, rows = pair_inputs
+        pairs = root / "mutated.tsv"
+        pairs.write_text(_mutated(rows, row, col, value, "\t"))
+        code, err = _exit_and_stderr(
+            ["score-lexical", "--pairs", str(pairs), "--scores",
+             str(root / "scores.tsv"), "--out", str(root / "r.json")])
+        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(pairs) in err)

@@ -187,12 +187,12 @@ class TestFeatureFileChecks:
         binary_feature_file(tmp_path / "e.zrcf", np.ones((0, 3)))
         with pytest.raises(ValidationError) as exc:
             io.read_feature_archive(tmp_path, "e")
-        assert str(exc.value) == (
+        assert str(exc.value) == (f"{tmp_path / 'e.zrcf'}: "
             "e: frames must be a non-empty T x D matrix, got shape (0, 3)")
         binary_feature_file(tmp_path / "r.zrcf", np.ones((2, 3)), rate=0.0)
         with pytest.raises(ValidationError) as exc:
             io.read_feature_archive(tmp_path, "r")
-        assert str(exc.value) == "r: frame rate must be positive"
+        assert str(exc.value) == f"{tmp_path / 'r.zrcf'}: r: frame rate must be positive"
 
     def test_direct_construction_keeps_every_check(self):
         with pytest.raises(ValidationError) as exc:

@@ -205,7 +205,7 @@ class TestSimilarityScore:
                  "b_A": embedding([1.0, 1.0]), "b_B": embedding([1.0, -1.0])}
         rec = record("a", "b", 5.0,
                      [("A", "a_A"), ("B", "a_B")], [("A", "b_A"), ("B", "b_B")])
-        got = metrics.record_similarity(rec, reprs, "synthetic")
+        got = metrics.record_similarities([rec], reprs, "synthetic")[0]
         expected = 0.5 * (metrics.semantic_distance(reprs["a_A"], reprs["b_A"])
                           + metrics.semantic_distance(reprs["a_B"], reprs["b_B"]))
         assert got == pytest.approx(expected, abs=1e-15)
@@ -214,7 +214,7 @@ class TestSimilarityScore:
         reprs = {"a1": embedding([1.0, 0.0]), "a2": embedding([0.5, 0.5]),
                  "b1": embedding([0.0, 1.0])}
         rec = record("a", "b", 5.0, [("", "a1"), ("", "a2")], [("", "b1")])
-        got = metrics.record_similarity(rec, reprs, "natural")
+        got = metrics.record_similarities([rec], reprs, "natural")[0]
         expected = 0.5 * (metrics.semantic_distance(reprs["a1"], reprs["b1"])
                           + metrics.semantic_distance(reprs["a2"], reprs["b1"]))
         assert got == pytest.approx(expected, abs=1e-15)
@@ -222,7 +222,7 @@ class TestSimilarityScore:
     def test_missing_representation_is_error(self):
         rec = record("a", "b", 5.0, [("", "a")], [("", "b")])
         with pytest.raises(ValidationError, match="representation"):
-            metrics.record_similarity(rec, {"a": embedding([1.0])}, "synthetic")
+            metrics.record_similarities([rec], {"a": embedding([1.0])}, "synthetic")
 
     def test_fewer_than_two_records_is_error(self):
         rec = record("a", "b", 5.0, [("", "a")], [("", "b")])
@@ -349,7 +349,7 @@ class TestStackedCosines:
         want = similarities_oracle(records, reprs, subset)
         for block in (metrics.COSINE_PAIRS, 7, 1):
             monkeypatch.setattr(metrics, "COSINE_PAIRS", block)
-            assert [metrics.record_similarity(r, reprs, subset)
+            assert [metrics.record_similarities([r], reprs, subset)[0]
                     for r in records] == want
             assert metrics.similarity_score(records, reprs, subset) == \
                 metrics.spearman(want, [r.human_score for r in records])
