@@ -216,9 +216,10 @@ def _token_span(root, loaded: dict, token) -> tuple:
     if token.file_id not in loaded:
         try:
             loaded[token.file_id] = io_formats.read_feature_archive(root, token.file_id)
-        except FileNotFoundError:
-            raise ValidationError(f"{_token_name(token)}: utterance "
-                                  f"{token.file_id!r} missing from archive") from None
+        except FileNotFoundError as exc:
+            error = ValidationError(f"{_token_name(token)}: {exc}")
+            error.token = token  # lets a caller name the token's item-file line
+            raise error from None
     fs = loaded[token.file_id]
     rate = fs.frame_rate
     start = math.floor(token.onset * rate)

@@ -7,6 +7,7 @@ diagnostic on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -75,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--masked-table",
                          help="external masked-window score TSV; needs --units")
         p.add_argument("--units", help="unit-sequence file for model scoring")
-        p.add_argument("--span", type=int,
-                       help="decoding span size for masked scoring (default 15)")
-        p.add_argument("--stride", type=int,
-                       help="temporal sliding size for masked scoring (default 5)")
+        p.add_argument("--span", type=int, help="decoding span size for masked "
+                       f"scoring (default {scoring_mod.SpanConfig.m_d})")
+        p.add_argument("--stride", type=int, help="temporal sliding size for masked "
+                       f"scoring (default {scoring_mod.SpanConfig.delta_t})")
         p.add_argument("--per-token", action="store_true",
                        help="normalize model scores by sequence length")
         p.add_argument("--tie", choices=("half", "zero"), default="half")
@@ -121,9 +122,21 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _row_error(path, rows, key, value, message) -> ValidationError:
+    """``message`` at ``path``'s first line in ``rows`` with ``row[key] == value``."""
+    lineno = next(n for n, row in rows if row[key] == value)
+    return ValidationError(f"{path}: line {lineno}: {message}")
+
+
 def cmd_abx(args) -> int:
     items = io.read_item_file(args.items)
-    result = abx_mod.abx_evaluate(items, args.features, args.mode, args.distance)
+    try:
+        result = abx_mod.abx_evaluate(items, args.features, args.mode, args.distance)
+    except ValidationError as exc:
+        if not hasattr(exc, "token"):  # set when the token's utterance is missing
+            raise
+        rows = ((n, row) for n, row in io._rows(args.items, sep=None) if n > 1)
+        raise _row_error(args.items, rows, 0, exc.token.file_id, exc) from None
     report = MetricReport(
         metric="abx",
         aggregate=result.error_rate,
@@ -180,21 +193,27 @@ def cmd_ngram_train(args) -> int:
     return 0
 
 
-def _pair_scores(args) -> dict:
+def _pair_scores(args, cfg) -> dict:
     if args.scores:
         return io.read_external_scores(args.scores)
     sequences = io.read_unit_sequences(args.units)
     if args.ngram_model:
-        model = scoring_mod.load_ngram_model(args.ngram_model)
-        return {seq.utt_id: scoring_mod.chain_rule_logprob(
-                    model, seq, per_token=args.per_token).log_score
-                for seq in sequences}
-    scorer = scoring_mod.ExternalMaskedScorer(
-        scoring_mod.read_masked_scores(args.masked_table))
-    cfg = scoring_mod.SpanConfig(args.span, args.stride)
-    return {seq.utt_id: scoring_mod.span_pseudo_logprob(
-                scorer, seq, cfg, per_token=args.per_token).log_score
-            for seq in sequences}
+        score = functools.partial(scoring_mod.chain_rule_logprob,
+                                  scoring_mod.load_ngram_model(args.ngram_model))
+        source = f"--ngram-model {args.ngram_model}"
+    else:
+        score = functools.partial(scoring_mod.span_pseudo_logprob,
+                                  scoring_mod.read_masked_scores(args.masked_table),
+                                  cfg=cfg)
+        source = f"--masked-table {args.masked_table}"
+    scores = {}
+    for seq in sequences:
+        try:
+            scores[seq.utt_id] = score(seq, per_token=args.per_token).log_score
+        except ValidationError as exc:  # name the utterance's line and the model
+            raise _row_error(args.units, io._rows(args.units, sep=None), 0,
+                             seq.utt_id, f"{exc} ({source})") from None
+    return scores
 
 
 def _unscored_pair(args, pairs, scores):
@@ -204,13 +223,12 @@ def _unscored_pair(args, pairs, scores):
         utt = next((u for u in (pair.accepted_id, pair.rejected_id)
                     if u not in scores), None)
         if utt is not None:
-            lineno = next(n for n, row in io._read_tsv(args.pairs, ("pair_id",))
-                          if row["pair_id"] == pair.pair_id)
             source = (f"--scores {args.scores}" if args.scores else
                       f"--units {args.units}" if args.ngram_model else
                       f"--units {args.units} (--masked-table {args.masked_table})")
-            return ValidationError(f"{args.pairs}: line {lineno}: pair {pair.pair_id}: "
-                                   f"no score for utterance {utt!r} in {source}")
+            return _row_error(args.pairs, io._read_tsv(args.pairs, ("pair_id",)),
+                              "pair_id", pair.pair_id, f"pair {pair.pair_id}: "
+                              f"no score for utterance {utt!r} in {source}")
     return None
 
 
@@ -219,13 +237,12 @@ def cmd_score_pairs(args) -> int:
         raise UsageError("--units and --per-token do not apply to --scores")
     if not (args.scores or args.units):
         raise UsageError("--units is required with --ngram-model/--masked-table")
-    if args.masked_table:
-        args.span = 15 if args.span is None else args.span
-        args.stride = 5 if args.stride is None else args.stride
-    elif (args.span, args.stride) != (None, None):
+    if not args.masked_table and (args.span, args.stride) != (None, None):
         raise UsageError("--span and --stride apply to --masked-table only")
+    spans = {"m_d": args.span, "delta_t": args.stride}
+    cfg = scoring_mod.SpanConfig(**{k: v for k, v in spans.items() if v is not None})
     pairs = io.read_pair_manifest(args.pairs)
-    scores = _pair_scores(args)
+    scores = _pair_scores(args, cfg)
     try:
         acc = metrics_mod.paired_accuracy(pairs, scores, args.tie)
     except ValidationError as exc:
@@ -236,7 +253,7 @@ def cmd_score_pairs(args) -> int:
     if not args.scores:
         config["per_token"] = str(args.per_token)
     if args.masked_table:
-        config.update(span=str(args.span), stride=str(args.stride))
+        config.update(span=str(cfg.m_d), stride=str(cfg.delta_t))
     report = MetricReport(
         metric=f"{args.metric_name}-accuracy",
         aggregate=acc.overall,
@@ -259,11 +276,9 @@ def cmd_score_semantic(args) -> int:
     layers = [{utt: io.read_feature_archive(directory, utt).frames for utt in needed}
               for directory in (args.features if sweep
                                 else [args.features[args.layer]])]
-    layer, pooling, score = metrics_mod.layer_sweep(
+    layer, pooling, score, sims = metrics_mod.layer_sweep(
         layers, records, args.subset,
         metrics_mod.POOLINGS if sweep else (args.pooling,))
-    reprs = {utt: metrics_mod.pool(mat, pooling) for utt, mat in layers[layer].items()}
-    sims = metrics_mod.record_similarities(records, reprs, args.subset)
     by_dataset: dict = {}  # dataset -> its records' (model, human) similarities
     for record, sim in zip(records, sims):
         by_dataset.setdefault(record.dataset, []).append((sim, record.human_score))

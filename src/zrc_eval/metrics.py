@@ -266,8 +266,8 @@ def layer_sweep(layer_archives, records, subset: str = "synthetic",
     """Pick the (layer, pooling) pair maximizing the dev similarity score.
 
     ``layer_archives`` maps each layer index to a dict of utt_id -> T x D
-    hidden-state matrix. Ties go to the lower layer index, then to the
-    earlier pooling in ``poolings``.
+    hidden-state matrix. Returns the winner's ``(layer, pooling, score,
+    record similarities)``; ties go to the lower layer, then the earlier pooling.
     """
     if not layer_archives:
         raise ValidationError("layer sweep needs at least one layer")
@@ -280,8 +280,8 @@ def layer_sweep(layer_archives, records, subset: str = "synthetic",
             if plan is None:
                 _check_records(records)
                 plan = _token_plan(records, subset)
-            score = spearman(_similarities(records, plan, reprs),
-                             [r.human_score for r in records])
+            sims = _similarities(records, plan, reprs)
+            score = spearman(sims, [r.human_score for r in records])
             if best is None or score > best[2]:
-                best = (layer_index, kind, score)
+                best = (layer_index, kind, score, sims)
     return best

@@ -1,14 +1,13 @@
 """Pseudo-probability computation over discretized unit sequences.
 
-Three scoring routes share the PseudoProbability output:
+Two scoring routes share the PseudoProbability output:
 
 * n-gram models with additive smoothing, scored left to right by the
   chain rule (the classic control models),
 * span scoring for masked models: sliding windows of ``m_d + 1`` tokens
   with stride ``delta_t``, each conditioned on the untouched remainder
-  of the sequence, log-probabilities summed over windows,
-* externally computed per-window log-probabilities loaded from a table,
-  for models evaluated out of process.
+  of the sequence, log-probabilities read from a window table (computed
+  out of process) and summed over windows.
 
 All log-probabilities are natural logs and may be unnormalized; only
 comparisons between paired inputs are meaningful.
@@ -16,7 +15,6 @@ comparisons between paired inputs are meaningful.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -26,8 +24,6 @@ from pathlib import Path
 from .errors import FormatError, ValidationError
 from .io_formats import _rows, _text
 from .types import UnitSequence
-
-LOG_FLOOR = 1e-300
 
 # sentinels used in n-gram contexts; real units are non-negative
 _START = -2
@@ -85,23 +81,6 @@ class NgramModel:
         self.counts = counts  # context tuple -> {unit or _END: count}
         self._totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
         self._logprobs: dict = {}  # context + (target,) -> log P(target | context)
-
-    @classmethod
-    def train(cls, corpus, order: int, alpha: float = 1.0) -> "NgramModel":
-        corpus = list(corpus)
-        if not corpus:
-            raise ValidationError("cannot train an n-gram model on an empty corpus")
-        grams: Counter = Counter()  # context + (target,) -> count
-        vocab: set[int] = set()
-        for seq in corpus:
-            units = tuple(seq.units) if isinstance(seq, UnitSequence) else tuple(seq)
-            vocab.update(units)
-            tokens = (_START,) * (order - 1) + units + (_END,)
-            grams.update(zip(*(tokens[k:] for k in range(order))))
-        counts: dict = {}
-        for gram, count in grams.items():
-            counts.setdefault(gram[:-1], {})[gram[-1]] = count
-        return cls(order, alpha, vocab, counts)
 
     def _check_unit(self, unit: int) -> None:
         if unit not in self._vocab_set:
@@ -223,29 +202,32 @@ def load_ngram_model(path) -> NgramModel:
 
 def ngram_train(corpus, order: int, alpha: float = 1.0) -> NgramModel:
     """Train an additively smoothed n-gram model on unit sequences."""
-    return NgramModel.train(corpus, order, alpha)
+    corpus = list(corpus)
+    if not corpus:
+        raise ValidationError("cannot train an n-gram model on an empty corpus")
+    grams: Counter = Counter()  # context + (target,) -> count
+    vocab: set[int] = set()
+    for seq in corpus:
+        units = tuple(seq.units) if isinstance(seq, UnitSequence) else tuple(seq)
+        vocab.update(units)
+        tokens = (_START,) * (order - 1) + units + (_END,)
+        grams.update(zip(*(tokens[k:] for k in range(order))))
+    counts: dict = {}
+    for gram, count in grams.items():
+        counts.setdefault(gram[:-1], {})[gram[-1]] = count
+    return NgramModel(order, alpha, vocab, counts)
 
 
-def chain_rule_logprob(model, seq: UnitSequence,
+def chain_rule_logprob(model: NgramModel, seq: UnitSequence,
                        per_token: bool = False) -> PseudoProbability:
     """Left-to-right log-probability, including the end-symbol term.
 
-    ``model`` is any causal scorer exposing ``logprob(unit_or_None,
-    history)``; an ``NgramModel`` reads each term from its table of
-    conditionals instead, the same numbers summed in the same order.
-    Pairs are length-matched by construction, so raw scores are the
-    default; ``per_token`` divides by the sequence length for callers
-    that want it anyway.
+    Terms are read from the model's table and summed left to right from
+    0.0, ``==`` to summing ``model.logprob`` token by token. Pairs are
+    length-matched by construction, so raw scores are the default;
+    ``per_token`` divides by the sequence length.
     """
-    if isinstance(model, NgramModel):
-        total = model._chain_rule(seq.units)
-    else:
-        total = 0.0
-        history: list[int] = []
-        for unit in seq.units:
-            total += model.logprob(unit, history)
-            history.append(unit)
-        total += model.logprob(None, history)
+    total = model._chain_rule(seq.units)
     if per_token:
         total /= len(seq.units)
     return PseudoProbability(total)
@@ -261,68 +243,30 @@ def span_windows(length: int, cfg: SpanConfig) -> list[tuple[int, int]]:
             for start in range(0, length, cfg.delta_t)]
 
 
-def span_pseudo_logprob(scorer, seq: UnitSequence,
+def span_pseudo_logprob(table, seq: UnitSequence,
                         cfg: SpanConfig | None = None,
                         per_token: bool = False) -> PseudoProbability:
     """Sum of masked-window log-probabilities over sliding spans.
 
-    ``scorer`` exposes ``window_logprob(seq, start, stop)`` returning
-    log P(units[start:stop] | the remaining tokens); windows that would
-    run past the end of the sequence are clamped at T. ``per_token``
-    divides the sum by the sequence length (off by default; pairs are
-    length-matched by construction).
+    ``table`` is any mapping of ``(utt_id, i, j)``, i/j the window's
+    1-based inclusive bounds as in the masked-score format, to log
+    P(window | the remaining tokens); windows that would run past T are
+    clamped at T, and a window missing from the table is a
+    ValidationError naming it. ``per_token`` divides the sum by the
+    sequence length.
     """
     cfg = cfg or SpanConfig()
     total = 0.0
     for start, stop in span_windows(len(seq.units), cfg):
-        total += scorer.window_logprob(seq, start, stop)
+        try:
+            total += table[seq.utt_id, start + 1, stop]
+        except KeyError:
+            raise ValidationError(
+                f"no masked score for window ({seq.utt_id}, {start + 1}, "
+                f"{stop})") from None
     if per_token:
         total /= len(seq.units)
     return PseudoProbability(total)
-
-
-class JointTableScorer:
-    """Masked-window scorer backed by an explicit joint distribution.
-
-    ``table`` maps unit tuples to probabilities; conditioning on the
-    window's complement marginalizes the window positions over ``vocab``.
-    Intended for small vocabularies and short sequences (tests, toys).
-    """
-
-    def __init__(self, table: dict, vocab):
-        self.table = {tuple(k): float(v) for k, v in table.items()}
-        self.vocab = tuple(sorted(set(int(u) for u in vocab)))
-
-    def joint_prob(self, units) -> float:
-        return self.table.get(tuple(units), 0.0)
-
-    def window_logprob(self, seq: UnitSequence, start: int, stop: int) -> float:
-        units = tuple(seq.units)
-        numer = self.joint_prob(units)
-        denom = 0.0
-        for filler in itertools.product(self.vocab, repeat=stop - start):
-            denom += self.joint_prob(units[:start] + filler + units[stop:])
-        return math.log(max(numer, LOG_FLOOR)) - math.log(max(denom, LOG_FLOOR))
-
-
-class ExternalMaskedScorer:
-    """Window scores computed by an external model and loaded from a table.
-
-    Keys are (utt_id, i, j) with i/j 1-based inclusive token positions,
-    matching the on-disk masked-score format.
-    """
-
-    def __init__(self, table: dict):
-        self.table = dict(table)
-
-    def window_logprob(self, seq: UnitSequence, start: int, stop: int) -> float:
-        key = (seq.utt_id, start + 1, stop)
-        try:
-            return self.table[key]
-        except KeyError:
-            raise ValidationError(
-                f"no external masked score for window ({seq.utt_id}, "
-                f"{start + 1}, {stop})") from None
 
 
 def read_masked_scores(path) -> dict:

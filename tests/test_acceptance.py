@@ -151,17 +151,19 @@ def test_criterion_04_span_pp_oracle():
     for t in range(1, 9):
         space = list(itertools.product(vocab, repeat=t))
         table = dict(zip(space, rng.dirichlet(np.ones(len(space)))))
-        scorer = scoring.JointTableScorer(table, vocab)
         for trial in range(3):
             units = [int(u) for u in rng.integers(0, 2, size=t)]
             seq = UnitSequence(f"x{t}_{trial}", units)
+            # every window the model could be asked for, 1-based inclusive
+            windows = {(seq.utt_id, i + 1, j): conditional(table, units, i, j)
+                       for i in range(t) for j in range(i + 1, t + 1)}
             for m_d, dt in itertools.product(range(1, 5), repeat=2):
                 expected = 0.0
                 for j in range(0, (t - 1) // dt + 1):
                     i = 1 + j * dt
                     expected += conditional(table, units, i - 1, min(i + m_d, t))
                 got = scoring.span_pseudo_logprob(
-                    scorer, seq, scoring.SpanConfig(m_d, dt))
+                    windows, seq, scoring.SpanConfig(m_d, dt))
                 assert got.log_score == pytest.approx(expected, abs=1e-12)
 
 

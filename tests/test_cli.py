@@ -567,6 +567,58 @@ class TestPairScoreFlags:
         assert (config["span"], config["stride"]) == ("15", "5")
 
 
+class TestModelScoringErrors:
+    """An error met while scoring an utterance names the --units line of
+    that utterance and the model file; abx names the item-file line of a
+    token whose utterance has no feature file."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "p.tsv").write_text("pair_id\taccepted_id\trejected_id\n"
+                                        "p1\tu1\tu2\n")
+        (tmp_path / "units.txt").write_text("u1 1 2\n\nu2 2 9\n")
+        return tmp_path
+
+    def _check(self, argv, capsys, expected):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
+    def test_oov_unit_names_units_line_and_model(self, inputs, capsys):
+        model, units = inputs / "m.json", inputs / "units.txt"
+        scoring.save_ngram_model(scoring.ngram_train(
+            [UnitSequence("u", [1, 2, 1])], order=2), model)
+        self._check(["score-lexical", "--pairs", str(inputs / "p.tsv"),
+                     "--ngram-model", str(model), "--units", str(units),
+                     "--out", str(inputs / "r.json")], capsys,
+                    f"{units}: line 3: unit 9 not in the model vocabulary "
+                    f"(--ngram-model {model})")
+
+    def test_missing_window_names_units_line_and_table(self, inputs, capsys):
+        table, units = inputs / "m.tsv", inputs / "units.txt"
+        scoring.write_masked_scores({("u1", 1, 2): -1.0, ("u2", 1, 3): -1.0}, table)
+        self._check(["score-syntactic", "--pairs", str(inputs / "p.tsv"),
+                     "--masked-table", str(table), "--units", str(units),
+                     "--out", str(inputs / "r.json")], capsys,
+                    f"{units}: line 3: no masked score for window (u2, 1, 2) "
+                    f"(--masked-table {table})")
+
+    # "#file" is also the first column of the item header, on line 1
+    @pytest.mark.parametrize("utt", ["ghost", "#file"])
+    def test_missing_utterance_names_item_line(self, tmp_path, capsys, utt):
+        features = tmp_path / "f"
+        io_formats.write_feature_archive(features, FeatureSequence(
+            "u1", 100.0, np.ones((10, 2))))
+        items = tmp_path / "i.item"
+        items.write_text(io_formats.ITEM_HEADER + "\nu1 0.0 0.05 B A T s1\n\n"
+                         f"{utt} 0.0 0.05 P A T s1\n{utt} 0.05 0.1 P A T s1\n")
+        self._check(["abx", "--items", str(items), "--features", str(features),
+                     "--out", str(tmp_path / "r.json")], capsys,
+                    f"{items}: line 4: token ({utt}, 0.0, 0.05): no feature file "
+                    f"for {utt!r} under {features}")
+
+
 # single-field replacements: the neighbour row's value is drawn as None
 FIELD_VALUES = st.sampled_from(["-1", "nan", "inf", "", None])
 
@@ -607,10 +659,8 @@ class TestInputContract:
         return root, rows
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-    @given(row=st.integers(0, 12), col=st.integers(1, 6), value=FIELD_VALUES)
+    @given(row=st.integers(0, 12), col=st.integers(0, 6), value=FIELD_VALUES)
     def test_item_file_mutation(self, abx_inputs, row, col, value):
-        # column 0 (the utterance) is left alone: a row naming an utterance
-        # missing from the archive is reported by its token, not its line
         root, rows = abx_inputs
         items = root / "mutated.item"
         items.write_text(_mutated(rows, row, col, value, " "))
@@ -639,3 +689,52 @@ class TestInputContract:
             ["score-lexical", "--pairs", str(pairs), "--scores",
              str(root / "scores.tsv"), "--out", str(root / "r.json")])
         assert code == 0 or (code == 1 and err.count("\n") == 1 and str(pairs) in err)
+
+    @pytest.fixture(scope="class")
+    def lm_inputs(self, tmp_path_factory):
+        # numeric utterance ids: a neighbour's id moved into a unit column
+        # is an out-of-vocabulary unit; some utterances span two windows
+        root = tmp_path_factory.mktemp("lm-contract")
+        units = {"100": [0, 1, 2], "101": [1], "102": [2, 0, 1, 3, 0, 1, 2],
+                 "103": [3, 2], "104": [0, 0, 1, 1], "105": [1, 2, 3, 0, 1, 2]}
+        sequences = [UnitSequence(u, v) for u, v in units.items()]
+        scoring.save_ngram_model(scoring.ngram_train(sequences, 2), root / "m.json")
+        table = {(seq.utt_id, start + 1, stop): -1.0 - start
+                 for seq in sequences
+                 for start, stop in scoring.span_windows(len(seq.units),
+                                                         scoring.SpanConfig())}
+        scoring.write_masked_scores(table, root / "masked.tsv")
+        (root / "p.tsv").write_text("pair_id\taccepted_id\trejected_id\n" + "".join(
+            f"p{k}\t{100 + 2 * k}\t{101 + 2 * k}\n" for k in range(3)))
+        unit_rows = [[u, *map(str, v)] for u, v in units.items()]
+        table_rows = [line.split("\t") for line in
+                      (root / "masked.tsv").read_text().splitlines()]
+        return root, unit_rows, table_rows
+
+    def _score(self, root, route, units, table):
+        source = (["--ngram-model", str(root / "m.json")] if route == "ngram"
+                  else ["--masked-table", str(table)])
+        return _exit_and_stderr(["score-lexical", "--pairs", str(root / "p.tsv"),
+                                 *source, "--units", str(units),
+                                 "--out", str(root / "r.json")])
+
+    @pytest.mark.parametrize("route", ["ngram", "masked"])
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(row=st.integers(0, 5), col=st.integers(0, 7), value=FIELD_VALUES)
+    def test_units_mutation(self, lm_inputs, route, row, col, value):
+        root, unit_rows, _ = lm_inputs
+        units = root / f"mutated-{route}.txt"
+        units.write_text(_mutated(unit_rows, row, col, value, " "))
+        code, err = self._score(root, route, units, root / "masked.tsv")
+        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(units) in err)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(row=st.integers(0, 8), col=st.integers(0, 3), value=FIELD_VALUES)
+    def test_masked_table_mutation(self, lm_inputs, row, col, value):
+        root, unit_rows, table_rows = lm_inputs
+        units = root / "units.txt"
+        units.write_text("".join(" ".join(r) + "\n" for r in unit_rows))
+        table = root / "mutated.tsv"
+        table.write_text(_mutated(table_rows, row, col, value, "\t"))
+        code, err = self._score(root, "masked", units, table)
+        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(table) in err)

@@ -249,7 +249,7 @@ class TestLayerSweep:
     def test_single_layer_single_pooling(self):
         rng = np.random.default_rng(5)
         archive = {u: rng.standard_normal((4, 3)) for u in "abc"}
-        layer, kind, score = metrics.layer_sweep(
+        layer, kind, score, _ = metrics.layer_sweep(
             [archive], self._records(), poolings=("mean",))
         assert (layer, kind) == (0, "mean")
 
@@ -259,7 +259,7 @@ class TestLayerSweep:
         aligned = {"a": np.array([[1.0, 0.0]]),
                    "b": np.array([[0.9, 0.1]]),
                    "c": np.array([[0.0, 1.0]])}
-        layer, kind, score = metrics.layer_sweep([noise, aligned], self._records())
+        layer, kind, score, _ = metrics.layer_sweep([noise, aligned], self._records())
         assert layer == 1
         assert score == pytest.approx(100.0, abs=1e-9)
 
@@ -267,8 +267,8 @@ class TestLayerSweep:
         archive = {"a": np.array([[1.0, 0.0]]),
                    "b": np.array([[0.9, 0.1]]),
                    "c": np.array([[0.0, 1.0]])}
-        layer, kind, _ = metrics.layer_sweep([archive, dict(archive)],
-                                             self._records())
+        layer, kind, _, _ = metrics.layer_sweep([archive, dict(archive)],
+                                                self._records())
         assert (layer, kind) == (0, "mean")
 
 
