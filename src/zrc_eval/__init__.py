@@ -9,10 +9,10 @@ scoring and the pair-balancing sampler).
 
 __version__ = "0.1.0"
 
-from .abx import AbxResult, abx_evaluate, asymmetric_abx, one_hot_encode, symmetrized_cell
+from .abx import AbxResult, abx_evaluate, one_hot_encode
 from .distance import dtw_distance
 from .errors import FormatError, ValidationError
-from .metrics import paired_accuracy, pool, semantic_distance, similarity_score, spearman
+from .metrics import paired_accuracy, pool, similarity_score, spearman
 from .quantizer import Codebook, kmeans_fit, quantize, read_codebook, write_codebook
 from .sampler import Assignment, CandidateSet, balance_objective, sample_sentence_pairs, sample_word_pairs
 from .scoring import NgramModel, SpanConfig, chain_rule_logprob, ngram_train, span_pseudo_logprob

@@ -162,42 +162,6 @@ def _score_cells(table, comparisons) -> np.ndarray:
     return np.concatenate(scores)
 
 
-def asymmetric_abx(a, b, metric="angular", x=None) -> float:
-    """Asymmetric cell score e(A, B) in [0, 1].
-
-    ``a``/``b`` are lists of frame matrices; ``metric`` is a frame-metric
-    name. With ``x`` unset, probes are drawn from ``a`` itself (excluding
-    the token playing a), which requires at least two a-tokens. Passing a
-    separate probe pool ``x`` (across-speaker case) lifts that
-    requirement.
-    """
-    a_tokens, b_tokens = list(a), list(b)
-    if not b_tokens:
-        raise ValidationError("category B is empty")
-    if x is None:
-        if len(a_tokens) < 2:
-            raise ValidationError(
-                f"need at least 2 tokens in A to draw (a, x) pairs, got {len(a_tokens)}")
-        x_tokens = []
-    else:
-        x_tokens = list(x)
-        if not a_tokens or not x_tokens:
-            raise ValidationError("categories A and X must be non-empty")
-    tokens = prepare(a_tokens + b_tokens + x_tokens, metric)
-    n, na, nb = len(tokens), len(a_tokens), len(b_tokens)
-    a_idx = range(na)
-    x_idx = a_idx if x is None else range(na + nb, n)
-    comparisons = _comparisons(n, [(a_idx, range(na, na + nb), x_idx, x is None)])
-    table, = _distance_tables(tokens, [(0, n, *_requests(n, comparisons))],
-                              metric)
-    return float(_score_cells(table, comparisons)[0])
-
-
-def symmetrized_cell(a, b, metric="angular") -> float:
-    """Mean of the two directed cell scores; needs 2+ tokens per side."""
-    return 0.5 * (asymmetric_abx(a, b, metric) + asymmetric_abx(b, a, metric))
-
-
 # ---------------------------------------------------------------------------
 # full evaluation over an item set
 # ---------------------------------------------------------------------------

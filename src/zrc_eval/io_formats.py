@@ -79,14 +79,6 @@ def _rows(path, sep="\t", width=None, header=False):
         raise FormatError(f"{path}: not UTF-8 text") from None
 
 
-def _text(path) -> str:
-    """The whole of a UTF-8 file, for JSON documents."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not UTF-8 text") from None
-
-
 # ---------------------------------------------------------------------------
 # item files
 # ---------------------------------------------------------------------------
@@ -457,69 +449,3 @@ def write_report(report: MetricReport, path, fmt: str | None = None) -> None:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-# row kind -> columns of a TSV report row
-_REPORT_WIDTHS = {"metric": 2, "aggregate": 2, "config": 3, "subset": 4, "count": 3}
-
-
-def _json_value(path, key: str, value, kinds, what: str) -> None:
-    """FormatError naming ``path`` and ``key`` unless ``value`` has one of
-    the JSON types ``kinds``; a boolean is never a number."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise FormatError(f"{path}: {key}: expected {what}, got {json.dumps(value)}")
-
-
-def read_report(path, fmt: str | None = None) -> MetricReport:
-    """Parse a report written by :func:`write_report`."""
-    path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "tsv"
-    if fmt == "json":
-        try:
-            doc = json.loads(_text(path))
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
-        if not isinstance(doc, dict) or not {"metric", "aggregate"} <= doc.keys():
-            raise FormatError(f"{path}: report missing metric or aggregate")
-        subsets, counts, config = (doc.get(k, {}) for k in ("subsets", "counts", "config"))
-        if not all(isinstance(section, dict) for section in (subsets, counts, config)):
-            raise FormatError(f"{path}: malformed report value")
-        _json_value(path, "metric", doc["metric"], str, "a string")
-        _json_value(path, "aggregate", doc["aggregate"], (int, float), "a number")
-        for k, v in subsets.items():
-            _json_value(path, f"subsets.{k}", v, (int, float), "a number")
-        for k, v in counts.items():
-            _json_value(path, f"counts.{k}", v, int, "an integer")
-        try:
-            return _named(path, None, MetricReport,
-                          doc["metric"], float(doc["aggregate"]),
-                          {k: float(v) for k, v in subsets.items()}, dict(counts),
-                          {k: str(v) for k, v in config.items()})
-        except OverflowError:
-            raise FormatError(f"{path}: malformed report value") from None
-    metric, aggregate = None, None
-    subsets, counts, config = {}, {}, {}
-    for lineno, cols in _rows(path):
-        kind = cols[0]
-        if _REPORT_WIDTHS.get(kind) != len(cols):
-            raise FormatError(f"{path}: line {lineno}: unrecognized report row")
-        try:
-            if kind == "metric":
-                metric = cols[1]
-            elif kind == "aggregate":
-                aggregate = float(cols[1])
-            elif kind == "config":
-                config[cols[1]] = cols[2]
-            elif kind == "subset":
-                subsets[cols[1]] = float(cols[2])
-                if cols[3]:
-                    counts[cols[1]] = int(cols[3])
-            else:
-                counts[cols[1]] = int(cols[2])
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
-    if metric is None or aggregate is None:
-        raise FormatError(f"{path}: report missing metric or aggregate row")
-    return _named(path, None, MetricReport, metric, aggregate, subsets, counts, config)

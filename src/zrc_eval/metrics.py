@@ -141,12 +141,6 @@ def _cosines(vectors: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots / (norms[a] * norms[b])
 
 
-def semantic_distance(ex, ey) -> float:
-    """Cosine similarity between two pooled embeddings, in [-1, 1]."""
-    vectors = [np.asarray(ex, dtype=np.float64), np.asarray(ey, dtype=np.float64)]
-    return float(_cosines(vectors, np.array([0]), np.array([1]))[0])
-
-
 def spearman(model_scores, human_scores) -> float:
     """Spearman's rho with average ranks for ties, on a -100..100 scale."""
     model_scores = np.asarray(model_scores, dtype=np.float64)

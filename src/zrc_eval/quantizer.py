@@ -72,8 +72,9 @@ class Codebook:
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.centroids.ndim != 2:
-            raise ValidationError("centroids must be a K x D matrix")
+        if self.centroids.ndim != 2 or 0 in self.centroids.shape:
+            raise ValidationError("centroids must be a non-empty K x D matrix, "
+                                  f"got shape {self.centroids.shape}")
         if not np.isfinite(self.centroids).all():
             raise ValidationError("non-finite centroid")
         uniq = {tuple(row) for row in self.centroids}

@@ -461,10 +461,3 @@ def write_assignment(assignment: Assignment, cs: CandidateSet, path) -> None:
             anchor = by_id[anchor_id]
             cand_id = anchor.candidates[assignment.chosen[anchor_id]][0]
             fh.write(f"{anchor_id}\t{cand_id}\t{anchor.stratum}\n")
-
-
-def read_assignment(path) -> list:
-    rows = _rows(path, width=3, header=True)
-    if next(rows)[1] != ["anchor_id", "candidate_id", "stratum"]:
-        raise FormatError(f"{path}: unexpected assignment header")
-    return [tuple(cols) for _, cols in rows]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
-from .io_formats import _rows, _text
+from .io_formats import _rows
 from .types import UnitSequence
 
 # sentinels used in n-gram contexts; real units are non-negative
@@ -82,28 +82,6 @@ class NgramModel:
         self._totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
         self._logprobs: dict = {}  # context + (target,) -> log P(target | context)
 
-    def _check_unit(self, unit: int) -> None:
-        if unit not in self._vocab_set:
-            raise ValidationError(f"unit {unit} not in the model vocabulary")
-
-    def logprob(self, unit: int | None, history) -> float:
-        """log P(unit | history); ``None`` queries the end symbol.
-
-        Only the last ``order - 1`` history tokens enter the context;
-        those and the target must be in the training vocabulary.
-        """
-        target = _END if unit is None else int(unit)
-        if target != _END:
-            self._check_unit(target)
-        if self.order > 1:
-            tail = [int(h) for h in list(history)[-(self.order - 1):]]
-            for h in tail:
-                self._check_unit(h)
-            ctx = tuple([_START] * (self.order - 1 - len(tail)) + tail)
-        else:
-            ctx = ()
-        return self._logprob(ctx + (target,))
-
     def _logprob(self, key: tuple) -> float:
         """log P(key[-1] | key[:-1]) over checked units, computed on first
         use and then read from the model's table."""
@@ -130,8 +108,9 @@ class NgramModel:
         for key in zip(*(tokens[k:] for k in range(n))):
             term = table.get(key)
             if term is None:
-                if key[-1] != _END:
-                    self._check_unit(key[-1])
+                if key[-1] != _END and key[-1] not in self._vocab_set:
+                    raise ValidationError(
+                        f"unit {key[-1]} not in the model vocabulary")
                 term = self._logprob(key)
             total += term
         return total
@@ -168,15 +147,33 @@ class NgramModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "NgramModel":
-        if not isinstance(doc["counts"], dict):
-            raise FormatError("'counts' is not a JSON object")
+        order = _integer(doc["order"], "order", 1)
+        if not isinstance(doc["counts"], dict) or not doc["counts"]:
+            raise FormatError("'counts' is not a non-empty JSON object")
         counts = {}
         for key, bucket in doc["counts"].items():
             if not isinstance(bucket, dict):
                 raise FormatError(f"counts for context {key!r} are not a JSON object")
-            ctx = tuple(cls._token_int(t) for t in key.split()) if key else ()
-            counts[ctx] = {cls._token_int(u): int(c) for u, c in bucket.items()}
-        return cls(int(doc["order"]), float(doc["alpha"]), doc["vocab"], counts)
+            ctx = tuple(cls._token_int(t) for t in key.split())
+            if len(ctx) != order - 1:
+                raise FormatError(f"context {key!r} is not {order - 1} tokens long")
+            where = f"counts[{json.dumps(key)}]"
+            counts[ctx] = {cls._token_int(u): _integer(c, f"{where}[{json.dumps(u)}]")
+                           for u, c in bucket.items()}
+        alpha = doc["alpha"]
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            raise FormatError(f"alpha: expected a number, got {json.dumps(alpha)}")
+        vocab = [_integer(u, "vocab") for u in doc["vocab"]]
+        return cls(order, float(alpha), vocab, counts)
+
+
+def _integer(value, key: str, least: int = 0) -> int:
+    """``value`` if it is a JSON integer >= ``least``; a boolean, a float
+    such as 1.9 or 1e999, or a string is a FormatError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise FormatError(
+            f"{key}: expected an integer >= {least}, got {json.dumps(value)}")
+    return value
 
 
 def save_ngram_model(model: NgramModel, path) -> None:
@@ -186,7 +183,9 @@ def save_ngram_model(model: NgramModel, path) -> None:
 
 def load_ngram_model(path) -> NgramModel:
     try:
-        doc = json.loads(_text(path))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid model JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -222,9 +221,10 @@ def chain_rule_logprob(model: NgramModel, seq: UnitSequence,
                        per_token: bool = False) -> PseudoProbability:
     """Left-to-right log-probability, including the end-symbol term.
 
-    Terms are read from the model's table and summed left to right from
-    0.0, ``==`` to summing ``model.logprob`` token by token. Pairs are
-    length-matched by construction, so raw scores are the default;
+    Each term is log P(u | h) from the model's counts, as the class
+    docstring defines it, computed on its n-gram's first use and then read
+    from the model's table; terms are summed left to right from 0.0. Pairs
+    are length-matched by construction, so raw scores are the default;
     ``per_token`` divides by the sequence length.
     """
     total = model._chain_rule(seq.units)

@@ -183,6 +183,40 @@ def per_pair_abx(dist):
         yield
 
 
+def context_scores(tokens, directions, metric="angular"):
+    """The directed cell scores of one context holding ``tokens`` (frame
+    matrices), through the engine's own path: ``_comparisons``,
+    ``_requests``, one ``prepare`` and one ``_distance_tables`` pass, and
+    ``_score_cells``. Each direction is ``(a_idx, b_idx, x_idx,
+    skip_same)`` as ``abx._comparisons`` takes it. ``abx.prepare`` and
+    ``abx.dtw_pairs`` are looked up at call time, so ``per_pair_abx``
+    intercepts them."""
+    n = len(tokens)
+    comparisons = abx._comparisons(n, directions)
+    table, = abx._distance_tables(abx.prepare(list(tokens), metric),
+                                  [(0, n, *abx._requests(n, comparisons))], metric)
+    return abx._score_cells(table, comparisons)
+
+
+def cell_score(a, b, metric="angular", x=None) -> float:
+    """The directed cell score e(A, B) in [0, 1]. With ``x`` unset the
+    probes are ``a``'s own tokens, the token playing a left out; else the
+    probes are the pool ``x`` (the across-speaker case)."""
+    a, b, x = list(a), list(b), None if x is None else list(x)
+    A, B = range(len(a)), range(len(a), len(a) + len(b))
+    X = A if x is None else range(len(a) + len(b), len(a) + len(b) + len(x))
+    return float(context_scores(a + b + (x or []), [(A, B, X, x is None)], metric)[0])
+
+
+def symmetrized_score(a, b, metric="angular") -> float:
+    """The mean of a within cell's two directed scores, as ``abx_evaluate``
+    takes it: both directions of one context, probes from each side."""
+    A, B = range(len(a)), range(len(a), len(a) + len(b))
+    scores = context_scores(list(a) + list(b), [(A, B, A, True), (B, A, B, True)],
+                            metric)
+    return float((scores[0] + scores[1]) / 2)
+
+
 # ---------------------------------------------------------------------------
 # rank-correlation oracle: average ranks + Pearson
 # ---------------------------------------------------------------------------

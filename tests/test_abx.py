@@ -6,7 +6,8 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from conftest import abx_oracle, dtw_reference, per_pair_abx
+from conftest import (abx_oracle, cell_score, dtw_reference, per_pair_abx,
+                      symmetrized_score)
 from zrc_eval import abx, distance, io_formats
 from zrc_eval.distance import dtw_distance
 from zrc_eval.errors import ValidationError
@@ -45,14 +46,14 @@ class TestAsymmetricCell:
         token = np.eye(3)[[0, 0]]
         a = [token.copy() for _ in range(3)]
         b = [token.copy() for _ in range(2)]
-        assert abx.asymmetric_abx(a, b, "angular") == 0.5
+        assert cell_score(a, b, "angular") == 0.5
 
     def test_separated_scalars_give_zero(self):
         # d(a, x) = 0.1 always beats d(b, x) >= 0.9
         a = [np.array([[0.0]]), np.array([[0.1]])]
         b = [np.array([[1.0]])]
         with per_pair_abx(absdiff):
-            assert abx.asymmetric_abx(a, b, "angular") == 0.0
+            assert cell_score(a, b, "angular") == 0.0
         assert abx_oracle(a, b, absdiff) == 0.0
 
     def test_matches_triple_loop_oracle(self):
@@ -63,7 +64,7 @@ class TestAsymmetricCell:
             b = [rng.standard_normal((rng.integers(1, 5), 3))
                  for _ in range(rng.integers(1, 6))]
             dist = lambda x, y: dtw_distance(x, y, "angular")
-            assert abx.asymmetric_abx(a, b, "angular") == pytest.approx(
+            assert cell_score(a, b, "angular") == pytest.approx(
                 abx_oracle(a, b, dist), abs=1e-12)
 
     def test_across_pool_matches_oracle(self):
@@ -73,7 +74,7 @@ class TestAsymmetricCell:
             b = [rng.standard_normal((3, 2)) for _ in range(rng.integers(1, 4))]
             x = [rng.standard_normal((3, 2)) for _ in range(rng.integers(1, 4))]
             dist = lambda u, v: dtw_distance(u, v, "angular")
-            assert abx.asymmetric_abx(a, b, "angular", x=x) == pytest.approx(
+            assert cell_score(a, b, "angular", x=x) == pytest.approx(
                 abx_oracle(a, b, dist, x_tokens=x), abs=1e-12)
 
     @pytest.mark.parametrize("metric", ["angular", "kl"])
@@ -95,16 +96,17 @@ class TestAsymmetricCell:
             assert table[i, j] == dtw_distance(seqs[i], seqs[j], metric)
 
     def test_needs_two_a_tokens(self):
-        with pytest.raises(ValidationError, match="2 tokens"):
-            abx.asymmetric_abx([np.ones((1, 2))], [np.ones((1, 2))], "angular")
+        # probes drawn from A: one a-token leaves the cell no (a, x) pair
+        with pytest.raises(ValidationError, match="empty ABX cell"):
+            cell_score([np.ones((1, 2))], [np.ones((1, 2))], "angular")
 
     def test_score_in_unit_interval_and_half_for_constant_distance(self):
         rng = np.random.default_rng(3)
         a = [rng.standard_normal((2, 2)) for _ in range(3)]
         b = [rng.standard_normal((2, 2)) for _ in range(3)]
         with per_pair_abx(lambda x, y: 7.0):
-            assert abx.asymmetric_abx(a, b, "angular") == 0.5
-        score = abx.asymmetric_abx(a, b, "angular")
+            assert cell_score(a, b, "angular") == 0.5
+        score = cell_score(a, b, "angular")
         assert 0.0 <= score <= 1.0
 
     def test_monotone_rescaling_invariance(self):
@@ -113,22 +115,22 @@ class TestAsymmetricCell:
         b = [rng.standard_normal((3, 2)) for _ in range(3)]
         base_dist = dtw_reference("angular")
         with per_pair_abx(base_dist):
-            base = abx.asymmetric_abx(a, b, "angular")
+            base = cell_score(a, b, "angular")
         for _ in range(10):
             alpha = float(rng.uniform(0.1, 3.0))
             beta = float(rng.uniform(0.0, 2.0))
             warped = lambda x, y: np.expm1(alpha * base_dist(x, y)) + beta
             with per_pair_abx(warped):
-                assert abx.asymmetric_abx(a, b, "angular") == base
+                assert cell_score(a, b, "angular") == base
 
     def test_token_permutation_invariance(self):
         rng = np.random.default_rng(5)
         a = [rng.standard_normal((3, 2)) for _ in range(4)]
         b = [rng.standard_normal((3, 2)) for _ in range(3)]
-        base = abx.asymmetric_abx(a, b, "angular")
+        base = cell_score(a, b, "angular")
         perm_a = [a[i] for i in rng.permutation(4)]
         perm_b = [b[i] for i in rng.permutation(3)]
-        assert abx.asymmetric_abx(perm_a, perm_b, "angular") == pytest.approx(
+        assert cell_score(perm_a, perm_b, "angular") == pytest.approx(
             base, abs=1e-12)
 
 
@@ -139,7 +141,7 @@ class TestSymmetrizedCell:
         b = [np.array([[1.0]]), np.array([[1.1]])]
         # both directions separate perfectly
         with per_pair_abx(zero):
-            assert abx.symmetrized_cell(a, b, "angular") == 0.0
+            assert symmetrized_score(a, b, "angular") == 0.0
 
     def test_mean_of_directions(self):
         rng = np.random.default_rng(6)
@@ -147,7 +149,7 @@ class TestSymmetrizedCell:
         b = [rng.standard_normal((2, 3)) for _ in range(3)]
         dist = lambda x, y: dtw_distance(x, y, "angular")
         expected = 0.5 * (abx_oracle(a, b, dist) + abx_oracle(b, a, dist))
-        assert abx.symmetrized_cell(a, b, "angular") == pytest.approx(
+        assert symmetrized_score(a, b, "angular") == pytest.approx(
             expected, abs=1e-12)
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import shutil
 import struct
 
@@ -17,6 +18,11 @@ from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken, UnitSeq
 
 def run(argv):
     return cli.main(argv)
+
+
+def tsv_rows(path):
+    """The tab-separated rows of a TSV report or an assignment file."""
+    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def raised(argv):
@@ -306,11 +312,11 @@ class TestPipelines:
                     "--features", str(mini_benchmark / "features"),
                     "--mode", "within", "--distance", "angular",
                     "--out", str(out)]) == 0
-        report = io_formats.read_report(out)
-        assert report.metric == "abx"
-        assert report.config == {"mode": "within", "distance": "angular"}
-        assert 0.0 <= report.aggregate <= 100.0
-        assert report.subsets  # per-phone-pair breakdown present
+        report = json.loads(out.read_text())
+        assert report["metric"] == "abx"
+        assert report["config"] == {"mode": "within", "distance": "angular"}
+        assert 0.0 <= report["aggregate"] <= 100.0
+        assert report["subsets"]  # per-phone-pair breakdown present
 
     def test_score_lexical_with_ngram_source(self, mini_benchmark, tmp_path):
         model_path = tmp_path / "model.json"
@@ -321,19 +327,19 @@ class TestPipelines:
                     "--ngram-model", str(model_path),
                     "--units", str(mini_benchmark / "units.txt"),
                     "--tie", "half", "--out", str(out)]) == 0
-        report = io_formats.read_report(out)
-        assert report.metric == "lexical-accuracy"
-        assert 0.0 <= report.aggregate <= 1.0
-        assert any(k.startswith("paradigm=") for k in report.subsets)
+        rows = tsv_rows(out)
+        assert rows[0] == ["metric", "lexical-accuracy"]
+        assert rows[1][0] == "aggregate" and 0.0 <= float(rows[1][1]) <= 1.0
+        assert any(r[0] == "subset" and r[1].startswith("paradigm=") for r in rows)
 
     def test_score_syntactic_with_external_scores(self, mini_benchmark, tmp_path):
         out = tmp_path / "syn.json"
         assert run(["score-syntactic", "--pairs", str(mini_benchmark / "spairs.tsv"),
                     "--scores", str(mini_benchmark / "sscores.tsv"),
                     "--out", str(out)]) == 0
-        report = io_formats.read_report(out)
-        assert report.metric == "syntactic-accuracy"
-        assert report.counts["pairs"] == 50
+        report = json.loads(out.read_text())
+        assert report["metric"] == "syntactic-accuracy"
+        assert report["counts"]["pairs"] == 50
 
     def test_score_semantic_sweep(self, mini_benchmark, tmp_path):
         out = tmp_path / "sem.json"
@@ -342,10 +348,10 @@ class TestPipelines:
                     str(mini_benchmark / "hidden1"),
                     "--pooling", "sweep", "--subset", "synthetic",
                     "--out", str(out)]) == 0
-        report = io_formats.read_report(out)
-        assert report.metric == "semantic-similarity"
-        assert -100.0 <= report.aggregate <= 100.0
-        assert report.config["pooling"] in ("mean", "max", "min")
+        report = json.loads(out.read_text())
+        assert report["metric"] == "semantic-similarity"
+        assert -100.0 <= report["aggregate"] <= 100.0
+        assert report["config"]["pooling"] in ("mean", "max", "min")
 
     def test_sample_pairs_words(self, mini_benchmark, tmp_path):
         out = tmp_path / "asgn.tsv"
@@ -353,10 +359,11 @@ class TestPipelines:
                     str(mini_benchmark / "candidates.tsv"),
                     "--seed", "42", "--restarts", "8", "--out", str(out),
                     "--report", str(tmp_path / "samp.json")]) == 0
-        rows = sampler.read_assignment(out)
-        assert len(rows) == 60
-        report = io_formats.read_report(tmp_path / "samp.json")
-        assert report.metric == "sampler-balance"
+        rows = tsv_rows(out)
+        assert rows[0] == ["anchor_id", "candidate_id", "stratum"]
+        assert len(rows[1:]) == 60
+        report = json.loads((tmp_path / "samp.json").read_text())
+        assert report["metric"] == "sampler-balance"
 
     def test_sample_pairs_sentences_needs_k(self, mini_benchmark, tmp_path):
         pool = tmp_path / "pool.tsv"
@@ -375,7 +382,7 @@ class TestPipelines:
         assert run(["sample-pairs", "--candidates", str(pool),
                     "--mode", "sentences", "--k-target", "20",
                     "--per-stratum", "--out", str(tmp_path / "x.tsv")]) == 0
-        assert len(sampler.read_assignment(tmp_path / "x.tsv")) == 20
+        assert len(tsv_rows(tmp_path / "x.tsv")[1:]) == 20
 
 
     @pytest.mark.parametrize("flags", [["--k-target", "20"], ["--per-stratum"]])
@@ -491,12 +498,14 @@ class TestNamedInputErrors:
             "c.zrck", lambda p: _codebook_file(p, [[0.0, 1.0], [0.0, 1.0]]),
             ["quantize", "--codebook"], quantizer.read_codebook,
             "duplicate centroids in codebook"),
-        "report-tsv-nan": (
-            "r.tsv", "metric\tm\naggregate\tnan\n", None, io_formats.read_report,
-            "m: non-finite aggregate score"),
-        "report-json-nan": (
-            "r.json", '{"metric": "m", "aggregate": NaN}\n', None,
-            io_formats.read_report, "m: non-finite aggregate score"),
+        "codebook-no-centroids": (
+            "c.zrck", lambda p: _codebook_file(p, np.zeros((0, 2))),
+            ["quantize", "--codebook"], quantizer.read_codebook,
+            "centroids must be a non-empty K x D matrix, got shape (0, 2)"),
+        "codebook-zero-dim": (
+            "c.zrck", lambda p: _codebook_file(p, np.zeros((1, 0))),
+            ["quantize", "--codebook"], quantizer.read_codebook,
+            "centroids must be a non-empty K x D matrix, got shape (1, 0)"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -512,8 +521,6 @@ class TestNamedInputErrors:
             reader(path)
         assert type(info.value) is ValidationError
         assert str(info.value) == f"{path}: {message}"
-        if command is None:
-            return  # no subcommand reads reports
         target = path.parent if command[-1] == "--features" else path
         rest = {"abx": ["--features", str(tmp_path)],
                 "score-lexical": ["--scores", str(tmp_path / "s.tsv")],
@@ -563,7 +570,7 @@ class TestPairScoreFlags:
         assert run(["score-lexical", "--pairs", str(inputs / "p.tsv"),
                     "--masked-table", str(inputs / "masked.tsv"),
                     "--units", str(inputs / "u.txt"), "--out", str(out)]) == 0
-        config = io_formats.read_report(out).config
+        config = json.loads(out.read_text())["config"]
         assert (config["span"], config["stride"]) == ("15", "5")
 
 
@@ -738,3 +745,160 @@ class TestInputContract:
         table.write_text(_mutated(table_rows, row, col, value, "\t"))
         code, err = self._score(root, "masked", units, table)
         assert code == 0 or (code == 1 and err.count("\n") == 1 and str(table) in err)
+
+    @pytest.fixture(scope="class")
+    def codebook_inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("codebook-contract")
+        rng = np.random.default_rng(4)
+        io_formats.write_feature_archive(root / "f", FeatureSequence(
+            "u1", 100.0, rng.normal(size=(5, 2))), "binary")
+        quantizer.write_codebook(quantizer.Codebook(rng.normal(size=(3, 2))),
+                                 root / "c.zrck")
+        return root, (root / "c.zrck").read_bytes()
+
+    # one byte of a 52-byte codebook replaced, or the file cut or grown there
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(pos=st.integers(0, 52), byte=st.integers(0, 255),
+           how=st.sampled_from(["set", "cut", "insert"]))
+    def test_codebook_mutation(self, codebook_inputs, pos, byte, how):
+        root, blob = codebook_inputs
+        mutated = {"set": blob[:pos] + bytes([byte]) + blob[pos + 1:],
+                   "cut": blob[:pos],
+                   "insert": blob[:pos] + bytes([byte]) + blob[pos:]}[how]
+        path = root / "mutated.zrck"
+        path.write_bytes(mutated)
+        try:
+            quantizer.read_codebook(path)
+        except (FormatError, ValidationError):
+            pass
+        code, err = _exit_and_stderr(["quantize", "--codebook", str(path), "--features",
+                                      str(root / "f"), "--out", str(root / "u.txt")])
+        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(path) in err)
+
+    # a value or a key of the model document replaced
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(where=st.integers(0, 200), rename=st.booleans(),
+           value=st.sampled_from([-1, 0, 7, 1.9, float("inf"), True, None, "x",
+                                  [], {}, "", "</s>", "<s> 9"]))
+    def test_ngram_model_mutation(self, lm_inputs, where, rename, value):
+        root, unit_rows, _ = lm_inputs
+        units = root / "model-units.txt"
+        units.write_text("".join(" ".join(r) + "\n" for r in unit_rows))
+        doc = json.loads((root / "m.json").read_text())
+        paths = [("order",), ("alpha",), ("vocab",), ("counts",)]
+        paths += [("vocab", i) for i in range(len(doc["vocab"]))]
+        for key, bucket in doc["counts"].items():
+            paths += [("counts", key)] + [("counts", key, u) for u in bucket]
+        *parents, last = paths[where % len(paths)]
+        target = doc
+        for step in parents:
+            target = target[step]
+        if rename and isinstance(last, str) and parents:  # a context or unit key
+            target[str(value)] = target.pop(last)
+        else:
+            target[last] = value
+        path = root / "mutated.json"
+        path.write_text(json.dumps(doc))
+        try:
+            scoring.load_ngram_model(path)
+        except (FormatError, ValidationError):
+            pass
+        code, err = _exit_and_stderr(
+            ["score-lexical", "--pairs", str(root / "p.tsv"), "--ngram-model", str(path),
+             "--units", str(units), "--out", str(root / "r.json")])
+        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(path) in err)
+
+
+def _shuffled_runs(tmp_path, argv, target, header=True):
+    """The ``--out`` bytes of ``argv``, first as given and then with the
+    data rows of its input ``target`` in three seeded shuffles, the header
+    line kept first."""
+    lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+    head, rows = (lines[:1], lines[1:]) if header else ([], lines)
+    outputs = []
+    for seed in (None, 0, 1, 2):
+        source = target
+        if seed is not None:
+            order = np.random.default_rng(seed).permutation(len(rows))
+            source = tmp_path / f"shuffled{seed}{target.suffix}"
+            source.write_text("".join(head + [rows[i] for i in order]),
+                              encoding="utf-8")
+        out = tmp_path / f"out{seed}"
+        assert run([str(source) if arg == str(target) else arg for arg in argv]
+                   + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    return outputs
+
+
+class TestRowOrder:
+    """Every output but sample-pairs' is independent of the order of its
+    inputs' data rows: shuffling them, header kept, leaves its bytes."""
+
+    @pytest.fixture(scope="class")
+    def abx_inputs(self, tmp_path_factory):
+        # posteriorgram frames, so that both distances apply; within mode
+        # sees 2 tokens per phone, speaker and context
+        root = tmp_path_factory.mktemp("row-order-abx")
+        rng = np.random.default_rng(8)
+        lines = [io_formats.ITEM_HEADER]
+        for speaker in ("s1", "s2", "s3"):
+            io_formats.write_feature_archive(root, FeatureSequence(
+                speaker, 100.0, rng.dirichlet(np.ones(4), size=60)), "binary")
+            for k in range(12):
+                lines.append(f"{speaker} {k * 0.05:.2f} {k * 0.05 + 0.04:.2f} "
+                             f"{'BPD'[k % 3]} {'AE'[k // 6]} T {speaker}")
+        (root / "items.item").write_text("\n".join(lines) + "\n")
+        return root
+
+    @pytest.mark.parametrize("mode", ["within", "across"])
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_abx_items(self, abx_inputs, tmp_path, mode, metric):
+        items = abx_inputs / "items.item"
+        outputs = _shuffled_runs(tmp_path, ["abx", "--items", str(items), "--features",
+                                            str(abx_inputs), "--mode", mode,
+                                            "--distance", metric], items)
+        assert outputs[1:] == outputs[:1] * 3
+
+    @pytest.fixture(scope="class")
+    def lm_inputs(self, mini_benchmark, tmp_path_factory):
+        root = tmp_path_factory.mktemp("row-order-lm")
+        rng = np.random.default_rng(9)
+        sequences = io_formats.read_unit_sequences(mini_benchmark / "units.txt")
+        scoring.save_ngram_model(scoring.ngram_train(sequences, 2), root / "m.json")
+        scoring.write_masked_scores(
+            {(seq.utt_id, start + 1, stop): float(rng.uniform(-9.0, -1.0))
+             for seq in sequences for start, stop in scoring.span_windows(
+                 len(seq.units), scoring.SpanConfig())}, root / "masked.tsv")
+        return root
+
+    def test_ngram_train_units(self, mini_benchmark, tmp_path):
+        units = mini_benchmark / "units.txt"
+        outputs = _shuffled_runs(tmp_path, ["ngram-train", "--units", str(units)],
+                                 units, header=False)
+        assert outputs[1:] == outputs[:1] * 3
+
+    @pytest.mark.parametrize("command, source, shuffled", [
+        ("score-lexical", "ngram", "pairs"), ("score-lexical", "ngram", "units"),
+        ("score-syntactic", "masked", "pairs"),
+        ("score-syntactic", "masked", "masked-table"),
+        ("score-syntactic", "masked", "units")])
+    def test_pair_scoring(self, mini_benchmark, lm_inputs, tmp_path, command, source,
+                          shuffled):
+        files = {"pairs": mini_benchmark / "pairs.tsv",
+                 "units": mini_benchmark / "units.txt",
+                 "masked-table": lm_inputs / "masked.tsv"}
+        model = (["--ngram-model", str(lm_inputs / "m.json")] if source == "ngram"
+                 else ["--masked-table", str(files["masked-table"])])
+        outputs = _shuffled_runs(
+            tmp_path, [command, "--pairs", str(files["pairs"]), *model,
+                       "--units", str(files["units"]), "--format", "tsv"],
+            files[shuffled], header=shuffled != "units")
+        assert outputs[1:] == outputs[:1] * 3
+
+    def test_score_semantic_gold(self, mini_benchmark, tmp_path):
+        gold = mini_benchmark / "gold.tsv"
+        outputs = _shuffled_runs(
+            tmp_path, ["score-semantic", "--gold", str(gold), "--features",
+                       str(mini_benchmark / "hidden0"), str(mini_benchmark / "hidden1"),
+                       "--format", "json"], gold)
+        assert outputs[1:] == outputs[:1] * 3

@@ -1,5 +1,7 @@
 """File-format readers/writers: round trips, error reporting, merging."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -417,11 +419,29 @@ class TestMetricReport:
         config={"tie": "half", "seed": "42"},
     )
 
+    WRITTEN = {
+        "tsv": "metric\tlexical-accuracy\n"
+               "aggregate\t0.625000\n"
+               "config\tseed\t42\n"
+               "config\ttie\thalf\n"
+               "subset\tparadigm=a\t0.750000\t2\n"
+               "subset\tparadigm=b\t0.500000\t2\n"
+               "count\tpairs\t4\n",
+        "json": '{\n  "aggregate": 0.625,\n'
+                '  "config": {\n    "seed": "42",\n    "tie": "half"\n  },\n'
+                '  "counts": {\n    "pairs": 4,\n    "paradigm=a": 2,\n'
+                '    "paradigm=b": 2\n  },\n'
+                '  "metric": "lexical-accuracy",\n'
+                '  "subsets": {\n    "paradigm=a": 0.75,\n    "paradigm=b": 0.5\n  }\n'
+                '}\n',
+    }
+
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_round_trip(self, tmp_path, fmt):
+        # the exact bytes: nothing in the package reads a report back
         path = tmp_path / f"r.{fmt}"
         io.write_report(self.REPORT, path, fmt)
-        assert io.read_report(path, fmt) == self.REPORT
+        assert path.read_bytes() == self.WRITTEN[fmt].encode()
 
     def test_format_inferred_from_extension(self, tmp_path):
         path = tmp_path / "r.json"
@@ -441,78 +461,16 @@ class TestMetricReport:
         io.write_report(self.REPORT, p2, "json")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_invalid_json_names_the_file(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text('{"metric": "m",\n "aggregate": }\n')
-        with pytest.raises(FormatError) as exc:
-            io.read_report(path)
-        assert str(exc.value).startswith(f"{path}: line 2: invalid JSON")
-
-    @pytest.mark.parametrize("doc", ['{"aggregate": 0.5}', '{"metric": "m"}', "[]"],
-                             ids=["no-metric", "no-aggregate", "not-an-object"])
-    def test_json_without_metric_or_aggregate_names_the_file(self, tmp_path, doc):
-        path = tmp_path / "r.json"
-        path.write_text(doc + "\n")
-        with pytest.raises(FormatError) as exc:
-            io.read_report(path)
-        assert str(exc.value) == f"{path}: report missing metric or aggregate"
-
-    @pytest.mark.parametrize("fields, message", [
-        ('"aggregate": true', "aggregate: expected a number, got true"),
-        ('"aggregate": "0.5"', 'aggregate: expected a number, got "0.5"'),
-        ('"aggregate": 0.5, "subsets": {"a": false}',
-         "subsets.a: expected a number, got false"),
-        ('"aggregate": 0.5, "subsets": {"a": "0.5"}',
-         'subsets.a: expected a number, got "0.5"'),
-        ('"aggregate": 0.5, "counts": {"pairs": 1.9}',
-         "counts.pairs: expected an integer, got 1.9"),
-        ('"aggregate": 0.5, "counts": {"pairs": true}',
-         "counts.pairs: expected an integer, got true"),
-        ('"aggregate": 0.5, "counts": {"pairs": "4"}',
-         'counts.pairs: expected an integer, got "4"'),
-    ], ids=["aggregate-bool", "aggregate-string", "subset-bool", "subset-string",
-            "count-float", "count-bool", "count-string"])
-    def test_json_value_of_wrong_type_names_file_and_key(self, tmp_path, fields,
-                                                         message):
-        path = tmp_path / "r.json"
-        path.write_text('{"metric": "m", ' + fields + "}\n")
-        with pytest.raises(FormatError) as exc:
-            io.read_report(path)
-        assert str(exc.value) == f"{path}: {message}"
-
-    @pytest.mark.parametrize("metric", ["1", "null", '["m"]'])
-    def test_json_metric_must_be_a_string(self, tmp_path, metric):
-        path = tmp_path / "r.json"
-        path.write_text('{"metric": ' + metric + ', "aggregate": 0.5}\n')
-        with pytest.raises(FormatError) as exc:
-            io.read_report(path)
-        assert str(exc.value) == f"{path}: metric: expected a string, got {metric}"
-
-    def test_json_integer_beyond_float_range_names_the_file(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text('{"metric": "m", "aggregate": 1' + "0" * 400 + "}\n")
-        with pytest.raises(FormatError) as exc:
-            io.read_report(path)
-        assert str(exc.value) == f"{path}: malformed report value"
-
-    def test_json_integral_numbers_are_read(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text('{"metric": "m", "aggregate": 1, "subsets": {"a": 0},'
-                        ' "counts": {"pairs": 3}}\n')
-        report = io.read_report(path)
-        assert (report.aggregate, report.subsets, report.counts) == \
-            (1.0, {"a": 0.0}, {"pairs": 3})
-        assert type(report.aggregate) is float and type(report.subsets["a"]) is float
-
-    @pytest.mark.parametrize("row", ["aggregate\tx", "subset\ta\t0.5\tx",
-                                     "count\tpairs\t1.5"],
-                             ids=["aggregate", "subset", "count"])
-    def test_non_numeric_tsv_value_names_the_line(self, tmp_path, row):
-        path = tmp_path / "r.tsv"
-        path.write_text(f"metric\tm\n{row}\n")
-        with pytest.raises(FormatError) as exc:
-            io.read_report(path)
-        assert str(exc.value) == f"{path}: line 2: non-numeric value"
+    # the aggregate as each format's parser yields it from the text shown
+    @pytest.mark.parametrize("aggregate", [
+        pytest.param(float("nan"), id="tsv-nan"),
+        pytest.param(json.loads("NaN"), id="json-nan"),
+        pytest.param(float("inf"), id="tsv-inf"),
+    ])
+    def test_non_finite_aggregate_is_rejected(self, aggregate):
+        with pytest.raises(ValidationError) as exc:
+            MetricReport(metric="m", aggregate=aggregate)
+        assert str(exc.value) == "m: non-finite aggregate score"
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +504,6 @@ TEXT_READERS = {
                       "anchor_id\tstratum\tcandidate_id\ts_1\n"
                       "a1\tst\t@self\t0.5\na1\tst\tc1\t0.25\n",
                       ("a1\tst\tc2", 4)),
-    "assignment": (sampler.read_assignment,
-                   "anchor_id\tcandidate_id\tstratum\na1\tc1\tst\na2\tc2\tst\n",
-                   ("a3\tc3", 3)),
-    "tsv-report": (lambda path: io.read_report(path, "tsv"),
-                   "metric\tm\naggregate\t0.500000\ncount\tpairs\t3\n", None),
 }
 NGRAM_JSON = '{"alpha": 1.0, "counts": {"": {"1": 2}}, "order": 1, "vocab": [1]}\n'
 LINE_READERS = [pytest.param(reader, text, id=name)

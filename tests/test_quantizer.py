@@ -327,6 +327,14 @@ class TestQuantize:
             quantizer.quantize(cb, FeatureSequence("u", 100.0, np.ones((2, 2))))
 
 
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 0)])
+    def test_empty_codebook_is_rejected(self, shape):
+        with pytest.raises(ValidationError) as exc:
+            quantizer.Codebook(np.zeros(shape))
+        assert str(exc.value) == (
+            f"centroids must be a non-empty K x D matrix, got shape {shape}")
+
+
 class TestCodebookFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

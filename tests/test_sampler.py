@@ -624,6 +624,8 @@ class TestCandidateFiles:
         got = sampler.sample_word_pairs(cs, seed=0, restarts=2)
         path = tmp_path / "a.tsv"
         sampler.write_assignment(got, cs, path)
-        rows = sampler.read_assignment(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "anchor_id\tcandidate_id\tstratum"
+        rows = [tuple(line.split("\t")) for line in lines[1:]]
         assert len(rows) == 6
         assert [r[0] for r in rows] == sorted(got.chosen)

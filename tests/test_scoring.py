@@ -17,24 +17,38 @@ def seqs(*unit_lists):
     return [UnitSequence(f"u{i}", units) for i, units in enumerate(unit_lists)]
 
 
+def term_oracle(model, unit, history):
+    """log P(unit | history) straight from the counts, as the chain rule's
+    per-token loop computed it before the model kept a table."""
+    target = -1 if unit is None else unit
+    for u in ([] if unit is None else [unit]) + list(history)[-(model.order - 1):]:
+        if u not in model.vocab:
+            raise ValidationError(f"unit {u} not in the model vocabulary")
+    tail = list(history)[-(model.order - 1):] if model.order > 1 else []
+    ctx = tuple([-2] * (model.order - 1 - len(tail)) + tail)
+    bucket = model.counts.get(ctx, {})
+    denom = sum(bucket.values()) + model.alpha * (len(model.vocab) + 1)
+    return math.log((bucket.get(target, 0) + model.alpha) / denom)
+
+
 class TestNgramTrain:
     def test_unigram_hand_count(self):
         # tokens seen: 0 x2, 1 x2, end x2; alphabet = {0, 1, end}
         alpha = 1e-9
         model = scoring.ngram_train(seqs([0, 1], [0, 1]), 1, alpha)
         expected = math.log((2 + alpha) / (6 + alpha * 3))
-        assert model.logprob(0, []) == pytest.approx(expected, abs=1e-15)
-        assert model.logprob(1, []) == pytest.approx(expected, abs=1e-15)
+        assert term_oracle(model, 0, []) == pytest.approx(expected, abs=1e-15)
+        assert term_oracle(model, 1, []) == pytest.approx(expected, abs=1e-15)
         # mass splits evenly between 0 and 1 once the end symbol is set aside
-        p0 = math.exp(model.logprob(0, []))
-        p_end = math.exp(model.logprob(None, []))
+        p0 = math.exp(term_oracle(model, 0, []))
+        p_end = math.exp(term_oracle(model, None, []))
         assert p0 / (1.0 - p_end) == pytest.approx(0.5, abs=1e-9)
 
     def test_bigram_prefers_observed_continuation(self):
         model = scoring.ngram_train(seqs([0, 1, 0, 1]), 2, 0.5)
-        p_1 = model.logprob(1, [0])
-        assert p_1 > model.logprob(0, [0])
-        assert p_1 > model.logprob(None, [0])
+        p_1 = term_oracle(model, 1, [0])
+        assert p_1 > term_oracle(model, 0, [0])
+        assert p_1 > term_oracle(model, None, [0])
         # hand count: context (0,) saw 1 twice and nothing else
         assert p_1 == pytest.approx(math.log((2 + 0.5) / (2 + 0.5 * 3)), abs=1e-15)
 
@@ -46,8 +60,8 @@ class TestNgramTrain:
             model = scoring.ngram_train(corpus, order, alpha=0.7)
             histories = [[], [0], [1, 2], [4, 4, 3]]
             for hist in histories:
-                total = sum(math.exp(model.logprob(u, hist)) for u in model.vocab)
-                total += math.exp(model.logprob(None, hist))
+                total = sum(math.exp(term_oracle(model, u, hist)) for u in model.vocab)
+                total += math.exp(term_oracle(model, None, hist))
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_large_alpha_flattens_to_uniform(self):
@@ -55,13 +69,13 @@ class TestNgramTrain:
         probs_by_alpha = []
         for alpha in (1.0, 1e3, 1e9):
             model = scoring.ngram_train(corpus, 1, alpha)
-            probs = [math.exp(model.logprob(u, [])) for u in model.vocab]
-            probs.append(math.exp(model.logprob(None, [])))
+            probs = [math.exp(term_oracle(model, u, [])) for u in model.vocab]
+            probs.append(math.exp(term_oracle(model, None, [])))
             probs_by_alpha.append(max(probs) / min(probs))
         assert probs_by_alpha[0] > probs_by_alpha[1] > probs_by_alpha[2]
         assert probs_by_alpha[2] == pytest.approx(1.0, abs=1e-6)
         model = scoring.ngram_train(corpus, 1, 1e9)
-        assert math.exp(model.logprob(0, [])) == pytest.approx(1 / 3, abs=1e-6)
+        assert math.exp(term_oracle(model, 0, [])) == pytest.approx(1 / 3, abs=1e-6)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_counts_equal_the_per_position_loop(self, order):
@@ -99,7 +113,7 @@ class TestNgramTrain:
 
     def _write_model(self, tmp_path, **fields):
         path = tmp_path / "model.json"
-        doc = {"order": 2, "alpha": 1.0, "vocab": [0, 1], "counts": {}}
+        doc = {"order": 2, "alpha": 1.0, "vocab": [0, 1], "counts": {"<s>": {"0": 1}}}
         path.write_text(json.dumps(dict(doc, **fields)))
         return path
 
@@ -107,6 +121,13 @@ class TestNgramTrain:
         path = self._write_model(tmp_path, counts=[])
         with pytest.raises(FormatError, match=re.escape(f"{path}: 'counts' is not")):
             scoring.load_ngram_model(path)
+
+    def test_empty_counts_names_path(self, tmp_path):
+        # an order is bounded by its contexts' length; no context, no bound
+        path = self._write_model(tmp_path, order=2 ** 62, counts={})
+        with pytest.raises(FormatError) as exc:
+            scoring.load_ngram_model(path)
+        assert str(exc.value) == f"{path}: 'counts' is not a non-empty JSON object"
 
     def test_non_object_bucket_names_path(self, tmp_path):
         path = self._write_model(tmp_path, counts={"<s>": [1, 2]})
@@ -117,6 +138,29 @@ class TestNgramTrain:
         path = self._write_model(tmp_path, counts={"x y": {"0": 1}})
         with pytest.raises(FormatError, match=re.escape(f"{path}: non-integer token 'x'")):
             scoring.load_ngram_model(path)
+
+    # a JSON value that int(...) would truncate, coerce or overflow on
+    @pytest.mark.parametrize("order, vocab, count, message", [
+        ("1e999", "1", "1", "order: expected an integer >= 1, got Infinity"),
+        ("1.9", "1", "1", "order: expected an integer >= 1, got 1.9"),
+        ("true", "1", "1", "order: expected an integer >= 1, got true"),
+        ("2", "1", "1e999", 'counts["<s>"]["0"]: expected an integer >= 0, got Infinity'),
+        ("2", "1", "1.9", 'counts["<s>"]["0"]: expected an integer >= 0, got 1.9'),
+        ("2", "1", "true", 'counts["<s>"]["0"]: expected an integer >= 0, got true'),
+        ("2", "1", "-3", 'counts["<s>"]["0"]: expected an integer >= 0, got -3'),
+        ("2", "1e999", "1", "vocab: expected an integer >= 0, got Infinity"),
+        ("3", "1", "1", "context '<s>' is not 2 tokens long"),
+    ], ids=["order-overflow", "order-float", "order-bool", "count-overflow",
+            "count-float", "count-bool", "count-negative", "vocab-overflow",
+            "order-unlike-contexts"])
+    def test_non_integer_json_value_names_path(self, tmp_path, order, vocab, count,
+                                               message):
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"order": {order}, "alpha": 1.0, "vocab": [0, {vocab}], '
+                        f'"counts": {{"<s>": {{"0": {count}}}}}}}')
+        with pytest.raises(FormatError) as exc:
+            scoring.load_ngram_model(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("field, value", [("counts", {"<s>": {"0": None}}),
                                               ("order", "x"), ("vocab", 5)])
@@ -130,8 +174,8 @@ class TestChainRule:
     def test_unigram_additivity(self):
         model = scoring.ngram_train(seqs([0, 1, 2], [2, 1]), 1, 1.0)
         score = scoring.chain_rule_logprob(model, UnitSequence("x", [0, 1]))
-        expected = (model.logprob(0, []) + model.logprob(1, [])
-                    + model.logprob(None, []))
+        expected = (term_oracle(model, 0, []) + term_oracle(model, 1, [])
+                    + term_oracle(model, None, []))
         assert score.log_score == pytest.approx(expected, abs=1e-15)
 
     def test_bigram_hand_computed(self):
@@ -157,9 +201,9 @@ class TestChainRule:
                 prob = 1.0
                 hist = []
                 for u in units:
-                    prob *= math.exp(model.logprob(u, hist))
+                    prob *= math.exp(term_oracle(model, u, hist))
                     hist.append(u)
-                prob *= math.exp(model.logprob(None, hist))
+                prob *= math.exp(term_oracle(model, None, hist))
                 got = scoring.chain_rule_logprob(model, UnitSequence("x", units))
                 assert got.log_score == pytest.approx(math.log(prob), abs=1e-12)
 
@@ -170,14 +214,14 @@ class TestChainRule:
         units = rng.integers(0, 6, size=5000).tolist()
         expected = 0.0
         for t, u in enumerate(units):
-            expected += model.logprob(u, units[:t])
-        expected += model.logprob(None, units)
+            expected += term_oracle(model, u, units[:t])
+        expected += term_oracle(model, None, units)
         got = scoring.chain_rule_logprob(model, UnitSequence("x", units))
         assert got.log_score == expected
 
     def test_unigram_concatenation_property(self):
         model = scoring.ngram_train(seqs([0, 1, 1, 2]), 1, 1.0)
-        end = model.logprob(None, [])
+        end = term_oracle(model, None, [])
         sx, sy = [0, 1], [2, 2, 1]
         score = lambda u: scoring.chain_rule_logprob(
             model, UnitSequence("t", u)).log_score
@@ -195,20 +239,6 @@ class TestChainRule:
         raw = scoring.chain_rule_logprob(model, seq).log_score
         normed = scoring.chain_rule_logprob(model, seq, per_token=True).log_score
         assert normed == pytest.approx(raw / 4, abs=1e-15)
-
-
-def term_oracle(model, unit, history):
-    """log P(unit | history) straight from the counts, as the chain rule's
-    per-token loop computed it before the model kept a table."""
-    target = -1 if unit is None else unit
-    for u in ([] if unit is None else [unit]) + list(history)[-(model.order - 1):]:
-        if u not in model.vocab:
-            raise ValidationError(f"unit {u} not in the model vocabulary")
-    tail = list(history)[-(model.order - 1):] if model.order > 1 else []
-    ctx = tuple([-2] * (model.order - 1 - len(tail)) + tail)
-    bucket = model.counts.get(ctx, {})
-    denom = sum(bucket.values()) + model.alpha * (len(model.vocab) + 1)
-    return math.log((bucket.get(target, 0) + model.alpha) / denom)
 
 
 def chain_oracle(model, units, per_token=False):
@@ -260,13 +290,16 @@ class TestChainRuleTable:
                 f"unit {oov} not in the model vocabulary")
 
     def test_oov_in_history_is_checked_after_the_target(self):
+        # every history unit of the chain rule was checked as an earlier
+        # target: the first out-of-vocabulary unit met raises
         model = scoring.ngram_train(seqs([0, 1, 2]), 3, 1.0)
         with pytest.raises(ValidationError, match="unit 9 not"):
-            model.logprob(1, [0, 9])
+            scoring.chain_rule_logprob(model, UnitSequence("x", [0, 9, 1]))
         with pytest.raises(ValidationError, match="unit 8 not"):
-            model.logprob(8, [0, 9])
+            scoring.chain_rule_logprob(model, UnitSequence("x", [0, 8, 9]))
         # only the last order - 1 history tokens enter the context
-        assert model.logprob(1, [9, 0, 2]) == term_oracle(model, 1, [0, 2])
+        scoring.chain_rule_logprob(model, UnitSequence("x", [0, 2, 1]))
+        assert model._logprobs[(0, 2, 1)] == term_oracle(model, 1, [9, 0, 2])
         # a failed lookup leaves nothing in the table
         assert all(9 not in key and 8 not in key for key in model._logprobs)
 
