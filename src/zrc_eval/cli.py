@@ -178,8 +178,14 @@ def cmd_kmeans_train(args) -> int:
 
 def cmd_quantize(args) -> int:
     codebook = quant_mod.read_codebook(args.codebook)
-    sequences = [quant_mod.quantize(codebook, io.read_feature_archive(args.features, u))
-                 for u in io.list_archive(args.features)]
+    sequences = []
+    for utt in io.list_archive(args.features):
+        fs = io.read_feature_archive(args.features, utt)
+        if fs.dim != codebook.dim:
+            raise ValidationError(
+                f"{io.feature_file(args.features, utt)}: feature dim {fs.dim} != "
+                f"codebook dim {codebook.dim} of {args.codebook}")
+        sequences.append(quant_mod.quantize(codebook, fs))
     if not sequences:
         raise ValidationError(f"no feature files under {args.features}")
     io.write_unit_sequences(sequences, args.out)

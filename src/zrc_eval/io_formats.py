@@ -124,13 +124,22 @@ def write_item_file(tokens, path) -> None:
 # feature archives
 # ---------------------------------------------------------------------------
 
+def feature_file(path, utt_id: str) -> Path:
+    """The file ``read_feature_archive`` reads for ``utt_id``."""
+    root = Path(path)
+    for file in (root / f"{utt_id}.zrcf", root / f"{utt_id}.txt", root / utt_id):
+        if file.is_file():
+            return file
+    raise FileNotFoundError(f"no feature file for {utt_id!r} under {root}")
+
+
 def read_feature_archive(path, utt_id: str) -> FeatureSequence:
     """Load one utterance from an archive directory, text or binary.
 
     The first of ``<utt_id>.zrcf``, ``<utt_id>.txt`` and a bare
-    ``<utt_id>`` that is a file is read. ``.zrcf`` files must be binary
-    and ``.txt`` files text; a bare file is sniffed by its leading magic
-    bytes.
+    ``<utt_id>`` that is a file is read (``feature_file`` names it).
+    ``.zrcf`` files must be binary and ``.txt`` files text; a bare file
+    is sniffed by its leading magic bytes.
     """
     root = Path(path)
     binary = root / f"{utt_id}.zrcf"

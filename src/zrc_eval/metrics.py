@@ -6,6 +6,12 @@
 * semantic similarity - cosine similarity between pooled hidden states,
   correlated against human judgments with Spearman's rho (x100)
 
+Spearman's rho is the Pearson correlation of average ranks: each input
+gets its ranks (ties share the mean of their positions, an exact
+half-integer), the two rank vectors are stacked as the rows of one
+2 x n array, and ``np.corrcoef`` correlates them. A tier-1 test pins the
+result ``==`` to the reference rank correlation of the ``test`` extra.
+
 Only comparisons matter: both scores are invariant under strictly
 increasing transformations of the model outputs.
 """
@@ -13,12 +19,10 @@ increasing transformations of the model outputs.
 from __future__ import annotations
 
 import bisect
-import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 import numpy as np
-from scipy import stats
 
 from .errors import ValidationError
 
@@ -141,18 +145,31 @@ def _cosines(vectors: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots / (norms[a] * norms[b])
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, ties (by ``==``, so -0.0 ties 0.0)
+    sharing the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    # positions starts+1 .. ends average to (starts + ends + 1) / 2, exactly
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(model_scores, human_scores) -> float:
     """Spearman's rho with average ranks for ties, on a -100..100 scale."""
     model_scores = np.asarray(model_scores, dtype=np.float64)
     human_scores = np.asarray(human_scores, dtype=np.float64)
     if len(model_scores) < 2:
         raise ValidationError("rank correlation needs at least 2 observations")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", stats.ConstantInputWarning)
-        rho = stats.spearmanr(model_scores, human_scores).statistic
-    if not np.isfinite(rho):
+    if (model_scores == model_scores[0]).all() or (human_scores == human_scores[0]).all():
         raise ValidationError("rank correlation undefined (constant input)")
-    return float(rho) * 100.0
+    if np.isnan(model_scores).any() or np.isnan(human_scores).any():
+        raise ValidationError("rank correlation undefined (NaN input)")
+    ranks = np.stack([_average_ranks(model_scores), _average_ranks(human_scores)])
+    return float(np.corrcoef(ranks)[1, 0]) * 100.0
 
 
 def record_refs(record) -> tuple:

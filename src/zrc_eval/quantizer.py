@@ -39,6 +39,18 @@ every row with a non-finite ``D~`` or ``E``, is labelled by the difference
 form over all K centroids. Every row's distance is then the difference
 form at its label, so labels, distances, inertia and everything fitted
 from them are bit-identical to the all-pairs difference form.
+
+Seeding. ``_kmeans_pp`` keeps ``d2``, each frame's difference-form
+distance to its nearest centre so far, and lowers it to the distance to
+each new centre ``c`` where that is smaller. A row is skipped when the
+computed ``D~ - E > d2``, with ``D~`` and ``E`` as above. That one
+subtraction rounds by at most ``u max(D~, E)``, which is ``E / 6`` at most
+as in the candidate test, and evaluating ``E`` loses a relative
+``(D + 9) u``: the 5/4 margin covers both. So a skipped row has
+``D~ - 2 gamma_{D+2} (|x| + |c|)**2 > d2`` in exact arithmetic, its
+difference form to ``c`` lies above ``d2``, and the full pass's
+``minimum`` would have kept ``d2``. A NaN comparison is not a skip.
+Seedings and codebooks are bit-identical to the full pass over all rows.
 """
 
 from __future__ import annotations
@@ -96,6 +108,17 @@ def _squared_distances(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def _form_bound(x_norm, c_norm, dim: int):
+    """``E = 2 gamma_{D+2} (|x| + |c|)**2`` with the 5/4 margin and the
+    subnormal floor: the most the Gram and difference forms can differ by."""
+    unit_m = (dim + 2) * 2.0 ** -53
+    bound = x_norm + c_norm
+    bound *= bound
+    bound *= 1.25 * 2.0 * unit_m / (1.0 - unit_m)
+    bound += 2.0 * (dim + 2) * 2.0 ** -1074
+    return bound
+
+
 def _assign(frames: np.ndarray, centroids: np.ndarray, chunk: int = 2048):
     """Labels and squared distance to the nearest centroid, ties to lowest index.
 
@@ -109,19 +132,12 @@ def _assign(frames: np.ndarray, centroids: np.ndarray, chunk: int = 2048):
     centroids_t = np.ascontiguousarray(centroids.T)
     c_sq = np.einsum("kd,kd->k", centroids, centroids)
     c_norm = np.sqrt(c_sq)
-    # E_j = scale (|x| + |c_j|)**2 + floor: 2 gamma_{D+2} with the 5/4 margin
-    unit_m = (dim + 2) * 2.0 ** -53
-    scale = 1.25 * 2.0 * unit_m / (1.0 - unit_m)
-    floor = 2.0 * (dim + 2) * 2.0 ** -1074
     for start in range(0, n, chunk):
         x = frames[start:start + chunk]
         x_sq = np.einsum("nd,nd->n", x, x)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = x_sq[:, None] - 2.0 * (x @ centroids_t) + c_sq
-            bound = np.sqrt(x_sq)[:, None] + c_norm
-            bound *= bound
-            bound *= scale
-            bound += floor
+            bound = _form_bound(np.sqrt(x_sq)[:, None], c_norm, dim)
             best = np.min(gram + bound, axis=1)
             candidates = gram - bound <= best[:, None]
             # any non-finite entry makes its row sum non-finite; a sum of
@@ -139,9 +155,13 @@ def _assign(frames: np.ndarray, centroids: np.ndarray, chunk: int = 2048):
 
 
 def _kmeans_pp(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ initialization."""
-    n = frames.shape[0]
-    centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
+    """Seeded k-means++ initialization. Each new centre re-scores only the
+    rows the Gram-form bound cannot rule out ("Seeding" in the module
+    docstring), so ``d2`` is bit-identical to a full pass."""
+    n, dim = frames.shape
+    centroids = np.empty((k, dim), dtype=np.float64)
+    x_sq = np.einsum("nd,nd->n", frames, frames)
+    x_norm = np.sqrt(x_sq)
     first = int(rng.integers(n))
     centroids[0] = frames[first]
     d2 = np.sum((frames - centroids[0]) ** 2, axis=1)
@@ -151,8 +171,12 @@ def _kmeans_pp(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
-        centroids[i] = frames[idx]
-        d2 = np.minimum(d2, np.sum((frames - centroids[i]) ** 2, axis=1))
+        c = centroids[i] = frames[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = x_sq - 2.0 * (frames @ c) + x_sq[idx]
+            # rows whose difference form can be below d2; NaN rows too
+            rows = np.flatnonzero(~(gram - _form_bound(x_norm, x_norm[idx], dim) > d2))
+        d2[rows] = np.minimum(d2[rows], np.sum((frames[rows] - c) ** 2, axis=1))
     return centroids
 
 

@@ -148,6 +148,8 @@ class NgramModel:
     @classmethod
     def from_json(cls, doc: dict) -> "NgramModel":
         order = _integer(doc["order"], "order", 1)
+        vocab = [_integer(u, "vocab") for u in doc["vocab"]]
+        targets = set(vocab) | {_END}
         if not isinstance(doc["counts"], dict) or not doc["counts"]:
             raise FormatError("'counts' is not a non-empty JSON object")
         counts = {}
@@ -158,12 +160,17 @@ class NgramModel:
             if len(ctx) != order - 1:
                 raise FormatError(f"context {key!r} is not {order - 1} tokens long")
             where = f"counts[{json.dumps(key)}]"
-            counts[ctx] = {cls._token_int(u): _integer(c, f"{where}[{json.dumps(u)}]")
-                           for u, c in bucket.items()}
+            counts[ctx] = {}
+            for u, c in bucket.items():
+                target = cls._token_int(u)
+                if target not in targets:
+                    # a count no conditional predicts would still enter count(h)
+                    raise FormatError(f"{where}[{json.dumps(u)}]: target is "
+                                      "neither in vocab nor </s>")
+                counts[ctx][target] = _integer(c, f"{where}[{json.dumps(u)}]")
         alpha = doc["alpha"]
         if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
             raise FormatError(f"alpha: expected a number, got {json.dumps(alpha)}")
-        vocab = [_integer(u, "vocab") for u in doc["vocab"]]
         return cls(order, float(alpha), vocab, counts)
 
 

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "wide_utt" in err and "frame dimension 3 differs from 2" in err
+
+    @pytest.mark.parametrize("fmt, name", [("binary", "u1.zrcf"), ("text", "u1.txt")])
+    def test_quantize_dim_mismatch_names_both_files(self, tmp_path, capsys, fmt, name):
+        codebook = tmp_path / "c.zrck"
+        _codebook_file(codebook, np.eye(3))
+        features = tmp_path / "features"
+        io_formats.write_feature_archive(
+            features, FeatureSequence("u1", 100.0, np.ones((4, 2))), fmt)
+        code = run(["quantize", "--codebook", str(codebook), "--features",
+                    str(features), "--out", str(tmp_path / "u.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {features / name}: feature dim 2 != codebook dim 3 of {codebook}\n")
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = run(["ngram-train", "--units", str(tmp_path / "nope.txt"),
@@ -436,6 +453,35 @@ class TestPipelines:
                     "restart_index": str(assignment.restart_index),
                     "k_target": "None"}), expected)
         assert report.read_bytes() == expected.read_bytes()
+
+
+# runs two subcommands in a fresh interpreter, then lists the scipy modules loaded
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from zrc_eval import cli
+bench, out = sys.argv[1:]
+codes = [
+    cli.main(["abx", "--items", f"{bench}/items.item", "--features", f"{bench}/features",
+              "--mode", "within", "--distance", "angular", "--out", f"{out}/abx.json"]),
+    cli.main(["score-semantic", "--gold", f"{bench}/gold.tsv", "--features",
+              f"{bench}/hidden0", f"{bench}/hidden1", "--pooling", "sweep",
+              "--out", f"{out}/sem.json"]),
+]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+class TestImports:
+    def test_subcommands_never_import_scipy(self, mini_benchmark, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(mini_benchmark), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300, check=True)
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen == {"codes": [0, 0], "scipy": []}
 
 
 class TestDeterminism:

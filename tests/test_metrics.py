@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats  # the Spearman oracle only; the package never imports it
 
 from conftest import spearman_oracle
 from zrc_eval import metrics
@@ -172,6 +173,53 @@ class TestSpearman:
     def test_constant_input_is_error(self):
         with pytest.raises(ValidationError, match="constant"):
             metrics.spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def scipy_spearman(a, b) -> float:
+    return stats.spearmanr(a, b).statistic * 100
+
+
+class TestSpearmanEqualsScipy:
+    """``metrics.spearman`` is ``==`` to ``scipy.stats.spearmanr`` x 100."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_tie_heavy_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        compared = 0
+        for _ in range(250):
+            n = int(rng.integers(2, 80))
+            levels_a, levels_b = rng.integers(1, 8, size=2)
+            a = rng.integers(0, levels_a, n) * rng.choice([1.0, 0.1, 1e-9, 1e9])
+            b = rng.integers(0, levels_b, n) + rng.choice([0.0, 0.5], n)
+            if rng.random() < 0.3:
+                b = rng.standard_normal(n)
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                continue
+            assert metrics.spearman(a, b) == scipy_spearman(a, b)
+            compared += 1
+        assert compared > 150
+
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, 2.0], [3.0, 4.0]),
+        ([1.0, 2.0], [4.0, 3.0]),
+        ([-np.inf, 0.0, np.inf, 1.0], [1.0, 2.0, 3.0, 3.0]),
+        ([np.inf, np.inf, -np.inf, 5.0, 5.0], [0.2, 0.1, 0.4, 0.3, 0.1]),
+        ([-0.0, 0.0, 1.0, -0.0, 2.0], [5.0, 4.0, 3.0, 2.0, 1.0]),
+        ([3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]),
+    ], ids=["n2-up", "n2-down", "inf", "inf-ties", "signed-zero", "integers"])
+    def test_edge_inputs(self, a, b):
+        assert metrics.spearman(a, b) == scipy_spearman(a, b)
+
+    @pytest.mark.parametrize("a, b, reason", [
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "constant"),
+        ([1.0, 2.0, 3.0], [-0.0, 0.0, -0.0], "constant"),
+        ([np.inf, np.inf], [1.0, 2.0], "constant"),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "NaN"),
+        ([1.0, 2.0, 3.0], [np.nan, np.nan, np.nan], "NaN"),
+    ])
+    def test_undefined_is_validation_error(self, a, b, reason):
+        with pytest.raises(ValidationError, match=f"undefined \\({reason} input\\)"):
+            metrics.spearman(a, b)
 
 
 def embedding(vec):

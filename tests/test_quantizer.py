@@ -291,6 +291,61 @@ class TestClusterSums:
         assert cb.inertia_trace == trace
 
 
+def kmeans_pp_oracle(frames, k, rng):
+    """k-means++ seeding with one full difference-form pass per centre."""
+    n = frames.shape[0]
+    centroids = np.empty((k, frames.shape[1]))
+    centroids[0] = frames[int(rng.integers(n))]
+    d2 = np.sum((frames - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+        centroids[i] = frames[idx]
+        d2 = np.minimum(d2, np.sum((frames - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
+def _seeding_frames(case):
+    rng = np.random.default_rng(11)
+    if case == "clusters":  # the lm-pipeline shape
+        return rng.standard_normal((8000, 64)) + rng.integers(0, 20, (8000, 1))
+    if case == "duplicates":
+        return rng.standard_normal((40, 5))[rng.integers(0, 40, 400)]
+    if case == "identical":
+        return np.full((50, 3), 2.5)
+    if case == "far-offset":  # the Gram form cancels: few rows can be skipped
+        return 1e8 + rng.standard_normal((300, 4))
+    if case == "large-norm":  # squared norms overflow, distances do not
+        return 1e154 + rng.standard_normal((300, 4)) * 1e152
+    if case == "mixed-scale":
+        return rng.standard_normal((600, 9)) * 10.0 ** rng.integers(-150, 150, (600, 1))
+    return rng.standard_normal((500, 2)) * 1e-160  # subnormal products
+
+
+class TestKmeansPP:
+    """The Gram-form skip leaves the seeding bit-identical to the full
+    difference-form pass over every frame."""
+
+    @pytest.mark.parametrize("case", ["clusters", "duplicates", "identical", "far-offset",
+                                      "large-norm", "mixed-scale", "tiny"])
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_equal_to_full_pass(self, case, seed):
+        frames = _seeding_frames(case)
+        k = min(50, len(frames))
+        want = kmeans_pp_oracle(frames, k, np.random.default_rng(seed))
+        got = quantizer._kmeans_pp(frames, k, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_codebook_equal_to_full_pass_fit(self, seed, monkeypatch):
+        frames = _seeding_frames("clusters")
+        got = quantizer.kmeans_fit(frames, 50, seed=seed, max_iter=8)
+        monkeypatch.setattr(quantizer, "_kmeans_pp", kmeans_pp_oracle)
+        want = quantizer.kmeans_fit(frames, 50, seed=seed, max_iter=8)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.inertia_trace == want.inertia_trace
+
+
 class TestQuantize:
     def test_frame_equal_to_centroid(self):
         rng = np.random.default_rng(5)

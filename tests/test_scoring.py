@@ -162,6 +162,16 @@ class TestNgramTrain:
             scoring.load_ngram_model(path)
         assert str(exc.value) == f"{path}: {message}"
 
+    # a count no conditional predicts would still enter its context's total
+    @pytest.mark.parametrize("target", ["9", "<s>", "-2"])
+    def test_count_target_outside_vocab_names_key(self, tmp_path, target):
+        path = self._write_model(tmp_path, vocab=[0, 1],
+                                 counts={"<s>": {"0": 1, target: 100}})
+        with pytest.raises(FormatError) as exc:
+            scoring.load_ngram_model(path)
+        assert str(exc.value) == (f'{path}: counts["<s>"][{json.dumps(target)}]: '
+                                  "target is neither in vocab nor </s>")
+
     @pytest.mark.parametrize("field, value", [("counts", {"<s>": {"0": None}}),
                                               ("order", "x"), ("vocab", 5)])
     def test_malformed_field_names_path(self, tmp_path, field, value):
