@@ -271,6 +271,19 @@ def cmd_score_pairs(args) -> int:
     return 0
 
 
+def _gold_frames(gold, directory, utt):
+    """``utt``'s frames under ``directory``; a missing file is named at the
+    first line of ``gold`` that reads ``utt`` (a word without refs reads
+    itself, as in ``metrics.record_refs``)."""
+    try:
+        return io.read_feature_archive(directory, utt).frames
+    except FileNotFoundError as exc:
+        rows = ((n, [u]) for n, row in io._read_tsv(gold, ()) for w in "ab"
+                for _, u in io._parse_refs(row.get(f"refs_{w}", ""))
+                or [("", row[f"word_{w}"])])
+        raise _row_error(gold, rows, 0, utt, exc) from None
+
+
 def cmd_score_semantic(args) -> int:
     sweep = args.pooling == "sweep"
     if not sweep and not (0 <= args.layer < len(args.features)):
@@ -279,7 +292,7 @@ def cmd_score_semantic(args) -> int:
     records = io.read_similarity_gold(args.gold)
     needed = sorted({utt for record in records
                      for refs in metrics_mod.record_refs(record) for _, utt in refs})
-    layers = [{utt: io.read_feature_archive(directory, utt).frames for utt in needed}
+    layers = [{utt: _gold_frames(args.gold, directory, utt) for utt in needed}
               for directory in (args.features if sweep
                                 else [args.features[args.layer]])]
     layer, pooling, score, sims = metrics_mod.layer_sweep(

@@ -125,7 +125,9 @@ def write_item_file(tokens, path) -> None:
 # ---------------------------------------------------------------------------
 
 def feature_file(path, utt_id: str) -> Path:
-    """The file ``read_feature_archive`` reads for ``utt_id``."""
+    """The file ``read_feature_archive`` reads for ``utt_id``: the first
+    of ``<utt_id>.zrcf``, ``<utt_id>.txt`` and a bare ``<utt_id>`` that
+    is a file."""
     root = Path(path)
     for file in (root / f"{utt_id}.zrcf", root / f"{utt_id}.txt", root / utt_id):
         if file.is_file():
@@ -134,31 +136,23 @@ def feature_file(path, utt_id: str) -> Path:
 
 
 def read_feature_archive(path, utt_id: str) -> FeatureSequence:
-    """Load one utterance from an archive directory, text or binary.
-
-    The first of ``<utt_id>.zrcf``, ``<utt_id>.txt`` and a bare
-    ``<utt_id>`` that is a file is read (``feature_file`` names it).
+    """Load one utterance from an archive directory: the file that
+    ``feature_file`` names, a ``.zrcf`` one read without a ``stat`` first.
     ``.zrcf`` files must be binary and ``.txt`` files text; a bare file
-    is sniffed by its leading magic bytes.
-    """
-    root = Path(path)
-    binary = root / f"{utt_id}.zrcf"
+    is sniffed by its leading magic bytes."""
+    binary = Path(path) / f"{utt_id}.zrcf"
     try:
         blob = binary.read_bytes()
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        pass
+        fpath = feature_file(path, utt_id)
     else:
         return _read_feature_binary(binary, utt_id, blob)
-    text = root / f"{utt_id}.txt"
-    if text.is_file():
-        return _read_feature_text(text, utt_id)
-    bare = root / utt_id
-    if not bare.is_file():
-        raise FileNotFoundError(f"no feature file for {utt_id!r} under {root}")
-    blob = bare.read_bytes()
+    if fpath.name != utt_id:  # <utt_id>.txt
+        return _read_feature_text(fpath, utt_id)
+    blob = fpath.read_bytes()
     if blob[:4] == _FEATURE_MAGIC:
-        return _read_feature_binary(bare, utt_id, blob)
-    return _read_feature_text(bare, utt_id)
+        return _read_feature_binary(fpath, utt_id, blob)
+    return _read_feature_text(fpath, utt_id)
 
 
 def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
@@ -181,15 +175,15 @@ def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
             raise FormatError(
                 f"{fpath}: line {lineno}: expected {dim} values, got {len(cols)}")
         try:
-            values.append([float(c) for c in cols])
+            row = [float(c) for c in cols]
         except ValueError:
             raise FormatError(f"{fpath}: line {lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"{fpath}: line {lineno}: non-finite value")
+        values.append(row)
     if not values:
         raise FormatError(f"{fpath}: no frames after header")
-    frames = np.array(values, dtype=np.float64)
-    if not np.isfinite(frames).all():
-        raise ValidationError(f"{fpath}: non-finite value in frames")
-    return _named(fpath, 1, FeatureSequence._finite, utt_id, rate, frames)
+    return _named(fpath, 1, FeatureSequence, utt_id, rate, values)
 
 
 def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequence:
@@ -214,11 +208,7 @@ def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequen
             f"({body} bytes for {n_frames}x{dim} f32)")
     frames = np.frombuffer(blob, dtype="<f4", count=n_frames * dim,
                            offset=_FEATURE_HEADER.size)
-    # an f32 value is finite exactly when its float64 widening is
-    if not np.isfinite(frames).all():
-        raise ValidationError(f"{fpath}: non-finite value in frames")
-    return _named(fpath, None, FeatureSequence._finite,
-                  utt_id, rate, frames.reshape(n_frames, dim).astype(np.float64))
+    return _named(fpath, None, FeatureSequence, utt_id, rate, frames.reshape(n_frames, dim))
 
 
 def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Path:
@@ -265,28 +255,22 @@ def list_archive(path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def read_unit_sequences(path) -> list:
-    """Parse ``<utt_id> u1 u2 ... uT`` lines into UnitSequence values; each
-    unit is parsed and range-checked once, here."""
+    """Parse ``<utt_id> u1 u2 ... uT`` lines into UnitSequence values."""
     sequences = []
     seen = set()
     for lineno, cols in _rows(path, sep=None):
-        utt_id, units = cols[0], cols[1:]
-        if not units:
-            raise ValidationError(
-                f"{path}: line {lineno}: no units for {utt_id!r}")
+        utt_id = cols[0]
         if utt_id in seen:
             raise ValidationError(
                 f"{path}: line {lineno}: duplicate utterance {utt_id!r}")
         seen.add(utt_id)
         try:
-            parsed = tuple(map(int, units))
-        except ValueError:
+            sequences.append(_named(path, lineno, UnitSequence, utt_id, cols[1:]))
+        except ValidationError:
+            raise
+        except ValueError:  # from int()
             raise FormatError(
                 f"{path}: line {lineno}: non-integer unit") from None
-        if min(parsed) < 0:
-            raise ValidationError(
-                f"{path}: line {lineno}: negative unit index")
-        sequences.append(UnitSequence._checked(utt_id, parsed))
     return sequences
 
 
@@ -369,6 +353,8 @@ def read_similarity_gold(path) -> list[SimilarityRecord]:
         word_a, word_b, dataset = row["word_a"], row["word_b"], row["dataset"]
         refs_a = _parse_refs(row.get("refs_a", ""))
         refs_b = _parse_refs(row.get("refs_b", ""))
+        if any(not utt for _, utt in refs_a + refs_b):
+            raise FormatError(f"{path}: line {lineno}: empty utterance id in refs")
         if not (0.0 <= score <= 10.0):
             raise ValidationError(
                 f"{path}: line {lineno}: score {score} outside [0, 10]")

@@ -55,6 +55,7 @@ Seedings and codebooks are bit-identical to the full pass over all rows.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,6 +93,8 @@ class Codebook:
         uniq = {tuple(row) for row in self.centroids}
         if len(uniq) != self.centroids.shape[0]:
             raise ValidationError("duplicate centroids in codebook")
+        if not 0 < self.frame_rate < math.inf:
+            raise ValidationError("frame rate must be finite and positive")
 
     @property
     def n_clusters(self) -> int:
@@ -288,8 +291,7 @@ def quantize(codebook: Codebook, fs: FeatureSequence) -> UnitSequence:
         raise ValidationError(
             f"{fs.utt_id}: feature dim {fs.dim} != codebook dim {codebook.dim}")
     labels, _ = _assign(fs.frames, codebook.centroids)
-    # labels index the codebook: non-negative ints, one per frame (T >= 1)
-    return UnitSequence._checked(fs.utt_id, tuple(labels.tolist()))
+    return UnitSequence(fs.utt_id, labels.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -46,25 +46,17 @@ class FeatureSequence:
     __slots__ = ("utt_id", "frame_rate", "frames")
 
     def __init__(self, utt_id: str, frame_rate: float, frames):
-        self._init(utt_id, frame_rate, np.asarray(frames, dtype=np.float64), True)
-
-    @classmethod
-    def _finite(cls, utt_id: str, frame_rate: float, frames: np.ndarray):
-        """A sequence over float64 ``frames`` that the caller has already
-        found finite; every other check still runs."""
-        seq = cls.__new__(cls)
-        seq._init(utt_id, frame_rate, frames, False)
-        return seq
-
-    def _init(self, utt_id, frame_rate, frames, check_finite: bool) -> None:
+        frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise ValidationError(
                 f"{utt_id}: frames must be a non-empty T x D matrix, "
                 f"got shape {frames.shape}")
-        if check_finite and not np.isfinite(frames).all():
+        if not np.isfinite(frames).all():
             raise ValidationError(f"{utt_id}: non-finite value in frames")
         if not (frame_rate > 0):
             raise ValidationError(f"{utt_id}: frame rate must be positive")
+        if frame_rate == math.inf:
+            raise ValidationError(f"{utt_id}: frame rate must be finite")
         self.utt_id = utt_id
         self.frame_rate = float(frame_rate)
         self.frames = frames
@@ -103,15 +95,6 @@ class UnitSequence:
             raise ValidationError(f"{utt_id}: negative unit index")
         object.__setattr__(self, "utt_id", utt_id)
         object.__setattr__(self, "units", units)
-
-    @classmethod
-    def _checked(cls, utt_id: str, units: tuple):
-        """A sequence over a non-empty tuple of non-negative ints that the
-        caller has already parsed and checked."""
-        seq = cls.__new__(cls)
-        object.__setattr__(seq, "utt_id", utt_id)
-        object.__setattr__(seq, "units", units)
-        return seq
 
     def __len__(self) -> int:
         return len(self.units)

@@ -14,10 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zrc_eval import abx, distance, io_formats, sampler
 from zrc_eval.distance import KL_EPS
 from zrc_eval.types import FeatureSequence, UnitSequence
+
+# every property test replays the same examples, keeps none between runs
+# and has no per-example deadline; each @settings only sets max_examples
+settings.register_profile("zrc-eval", derandomize=True, database=None, deadline=None)
+settings.load_profile("zrc-eval")
 
 # ---------------------------------------------------------------------------
 # Frame distance oracles: one pair of vectors, by direct summation

@@ -1,6 +1,7 @@
 """CLI wiring: exit codes, report writing, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zrc_eval
 from zrc_eval import cli, io_formats, quantizer, sampler, scoring
 from zrc_eval.errors import FormatError, ValidationError
 from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken, UnitSequence
@@ -496,15 +498,15 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def _codebook_file(path, centroids):
-    """A codebook file holding ``centroids`` unchecked."""
+def _codebook_file(path, centroids, rate=100.0):
+    """A codebook file holding ``centroids`` and ``rate`` unchecked."""
     centroids = np.asarray(centroids, dtype="<f4")
-    path.write_bytes(quantizer._CODEBOOK_HEADER.pack(b"ZRCK", 1, *centroids.shape, 100.0)
+    path.write_bytes(quantizer._CODEBOOK_HEADER.pack(b"ZRCK", 1, *centroids.shape, rate)
                      + centroids.tobytes() + struct.pack("<Q", 0))
 
 
-def _zero_rate_binary(path):
-    header = io_formats._FEATURE_HEADER.pack(b"ZRCF", 1, 2, 0.0, 1)
+def _one_frame_binary(path, rate):
+    header = io_formats._FEATURE_HEADER.pack(b"ZRCF", 1, 2, rate, 1)
     path.write_bytes(header + np.ones(2, dtype="<f4").tobytes())
 
 
@@ -533,9 +535,23 @@ class TestNamedInputErrors:
             lambda p: io_formats.read_feature_archive(p.parent, "u1"),
             "line 1: u1: frame rate must be positive"),
         "binary-features-rate-0": (
-            "f/u1.zrcf", _zero_rate_binary, ["kmeans-train", "--features"],
+            "f/u1.zrcf", lambda p: _one_frame_binary(p, 0.0),
+            ["kmeans-train", "--features"],
             lambda p: io_formats.read_feature_archive(p.parent, "u1"),
             "u1: frame rate must be positive"),
+        "text-features-rate-inf": (
+            "f/u1.txt", "dim=2 rate=inf\n1 0\n", ["kmeans-train", "--features"],
+            lambda p: io_formats.read_feature_archive(p.parent, "u1"),
+            "line 1: u1: frame rate must be finite"),
+        "binary-features-rate-inf": (
+            "f/u1.zrcf", lambda p: _one_frame_binary(p, np.inf),
+            ["kmeans-train", "--features"],
+            lambda p: io_formats.read_feature_archive(p.parent, "u1"),
+            "u1: frame rate must be finite"),
+        "codebook-rate-inf": (
+            "c.zrck", lambda p: _codebook_file(p, [[0.0, 1.0]], np.inf),
+            ["quantize", "--codebook"], quantizer.read_codebook,
+            "frame rate must be finite and positive"),
         "codebook-nan-centroid": (
             "c.zrck", lambda p: _codebook_file(p, [[0.0, 1.0], [np.nan, 0.0]]),
             ["quantize", "--codebook"], quantizer.read_codebook,
@@ -574,6 +590,17 @@ class TestNamedInputErrors:
                 "quantize": ["--features", str(tmp_path)]}[command[0]]
         assert run([*command, str(target), *rest, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_infinite_rate_is_named_before_abx_reads_frames(self, tmp_path, capsys):
+        # floor(time * rate) has no integer value for an infinite rate
+        path = tmp_path / "u1.txt"
+        path.write_text("dim=2 rate=inf\n1 0\n1 0\n")
+        items = tmp_path / "i.item"
+        items.write_text(self.ITEM + "u1 0.0 0.01 B A T s1\n")
+        assert run(["abx", "--items", str(items), "--features", str(tmp_path),
+                    "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: u1: frame rate must be finite\n")
 
 
 class TestPairScoreFlags:
@@ -672,6 +699,47 @@ class TestModelScoringErrors:
                     f"for {utt!r} under {features}")
 
 
+class TestGoldRefErrors:
+    """score-semantic names the gold file and line of a ref it cannot read."""
+
+    HEADER = "word_a\tword_b\tscore\tdataset\trefs_a\trefs_b\n"
+
+    @pytest.fixture
+    def layer(self, tmp_path):
+        for utt in ("u1", "u2"):
+            io_formats.write_feature_archive(tmp_path / "L0", FeatureSequence(
+                utt, 100.0, np.eye(2)))
+        return tmp_path / "L0"
+
+    # the first row that reads "ghost": by a ref, or by a word without refs;
+    # line 2's word "ghost" has refs, so that row does not read it
+    @pytest.mark.parametrize("row", ["c\td\t5\tD\t:u1\t:ghost\n",
+                                     "ghost\td\t5\tD\t\t:u2\n"], ids=["ref", "word"])
+    def test_missing_utterance_names_first_row(self, layer, capsys, row):
+        gold = layer.parent / "gold.tsv"
+        gold.write_text(self.HEADER + "ghost\tb\t5\tD\t:u1\t:u2\n" + row
+                        + "e\tf\t5\tD\t:ghost\t:u2\n")
+        argv = ["score-semantic", "--gold", str(gold), "--features", str(layer),
+                "--out", str(layer.parent / "r.json")]
+        expected = f"{gold}: line 3: no feature file for 'ghost' under {layer}"
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
+    def test_empty_utterance_id_names_its_line(self, layer, capsys):
+        gold = layer.parent / "gold.tsv"
+        gold.write_text(self.HEADER + "a\tb\t5\tD\t:u1\t:u2\n"
+                        "c\td\t5\tD\tA:\t:u2\n")
+        expected = f"{gold}: line 3: empty utterance id in refs"
+        with pytest.raises(FormatError) as exc:
+            io_formats.read_similarity_gold(gold)
+        assert str(exc.value) == expected
+        assert run(["score-semantic", "--gold", str(gold), "--features", str(layer),
+                    "--out", str(layer.parent / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 # single-field replacements: the neighbour row's value is drawn as None
 FIELD_VALUES = st.sampled_from(["-1", "nan", "inf", "", None])
 
@@ -694,6 +762,25 @@ def _exit_and_stderr(argv):
     return code, err.getvalue()
 
 
+def _byte_mutated(blob, pos, byte, how):
+    """``blob`` with the byte at ``pos`` replaced, or cut there, or grown by
+    ``byte`` there."""
+    return {"set": blob[:pos] + bytes([byte]) + blob[pos + 1:],
+            "cut": blob[:pos],
+            "insert": blob[:pos] + bytes([byte]) + blob[pos:]}[how]
+
+
+def _assert_contract(read, path, argv):
+    """``read()`` raises nothing but a FormatError or a ValidationError, and
+    ``argv`` exits 0, or 1 with one stderr line naming ``path``."""
+    try:
+        read()
+    except (FormatError, ValidationError):
+        pass
+    code, err = _exit_and_stderr(argv)
+    assert code == 0 or (code == 1 and err.count("\n") == 1 and str(path) in err)
+
+
 class TestInputContract:
     """Single-field mutations of valid inputs end as exit 0, or as exit 1
     with one stderr line naming the mutated file."""
@@ -711,7 +798,7 @@ class TestInputContract:
                              "BP"[k % 2], "A", "T", speaker])
         return root, rows
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(row=st.integers(0, 12), col=st.integers(0, 6), value=FIELD_VALUES)
     def test_item_file_mutation(self, abx_inputs, row, col, value):
         root, rows = abx_inputs
@@ -732,7 +819,7 @@ class TestInputContract:
         io_formats.write_external_scores(scores, root / "scores.tsv")
         return root, rows
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(row=st.integers(0, 4), col=st.integers(0, 3), value=FIELD_VALUES)
     def test_pair_manifest_mutation(self, pair_inputs, row, col, value):
         root, rows = pair_inputs
@@ -772,7 +859,7 @@ class TestInputContract:
                                  "--out", str(root / "r.json")])
 
     @pytest.mark.parametrize("route", ["ngram", "masked"])
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(row=st.integers(0, 5), col=st.integers(0, 7), value=FIELD_VALUES)
     def test_units_mutation(self, lm_inputs, route, row, col, value):
         root, unit_rows, _ = lm_inputs
@@ -781,7 +868,7 @@ class TestInputContract:
         code, err = self._score(root, route, units, root / "masked.tsv")
         assert code == 0 or (code == 1 and err.count("\n") == 1 and str(units) in err)
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(row=st.integers(0, 8), col=st.integers(0, 3), value=FIELD_VALUES)
     def test_masked_table_mutation(self, lm_inputs, row, col, value):
         root, unit_rows, table_rows = lm_inputs
@@ -803,26 +890,19 @@ class TestInputContract:
         return root, (root / "c.zrck").read_bytes()
 
     # one byte of a 52-byte codebook replaced, or the file cut or grown there
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(pos=st.integers(0, 52), byte=st.integers(0, 255),
            how=st.sampled_from(["set", "cut", "insert"]))
     def test_codebook_mutation(self, codebook_inputs, pos, byte, how):
         root, blob = codebook_inputs
-        mutated = {"set": blob[:pos] + bytes([byte]) + blob[pos + 1:],
-                   "cut": blob[:pos],
-                   "insert": blob[:pos] + bytes([byte]) + blob[pos:]}[how]
         path = root / "mutated.zrck"
-        path.write_bytes(mutated)
-        try:
-            quantizer.read_codebook(path)
-        except (FormatError, ValidationError):
-            pass
-        code, err = _exit_and_stderr(["quantize", "--codebook", str(path), "--features",
-                                      str(root / "f"), "--out", str(root / "u.txt")])
-        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(path) in err)
+        path.write_bytes(_byte_mutated(blob, pos, byte, how))
+        _assert_contract(lambda: quantizer.read_codebook(path), path,
+                         ["quantize", "--codebook", str(path), "--features",
+                          str(root / "f"), "--out", str(root / "u.txt")])
 
     # a value or a key of the model document replaced
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(where=st.integers(0, 200), rename=st.booleans(),
            value=st.sampled_from([-1, 0, 7, 1.9, float("inf"), True, None, "x",
                                   [], {}, "", "</s>", "<s> 9"]))
@@ -845,14 +925,102 @@ class TestInputContract:
             target[last] = value
         path = root / "mutated.json"
         path.write_text(json.dumps(doc))
-        try:
-            scoring.load_ngram_model(path)
-        except (FormatError, ValidationError):
-            pass
-        code, err = _exit_and_stderr(
-            ["score-lexical", "--pairs", str(root / "p.tsv"), "--ngram-model", str(path),
-             "--units", str(units), "--out", str(root / "r.json")])
-        assert code == 0 or (code == 1 and err.count("\n") == 1 and str(path) in err)
+        _assert_contract(lambda: scoring.load_ngram_model(path), path,
+                         ["score-lexical", "--pairs", str(root / "p.tsv"),
+                          "--ngram-model", str(path), "--units", str(units),
+                          "--out", str(root / "r.json")])
+
+    @pytest.fixture(scope="class")
+    def feature_inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("feature-contract")
+        rng = np.random.default_rng(5)
+        fs = FeatureSequence("u1", 100.0, rng.normal(size=(4, 2)).astype(np.float32))
+        quantizer.write_codebook(quantizer.Codebook(rng.normal(size=(3, 2))),
+                                 root / "c.zrck")
+        blob = io_formats.write_feature_archive(root / "b", fs, "binary").read_bytes()
+        text = io_formats.write_feature_archive(root / "t", fs, "text").read_text()
+        return root, blob, [line.split(" ") for line in text.splitlines()]
+
+    def _quantize(self, root, path):
+        _assert_contract(lambda: io_formats.read_feature_archive(path.parent, "u1"),
+                         path, ["quantize", "--codebook", str(root / "c.zrck"),
+                                "--features", str(path.parent),
+                                "--out", str(root / "u.txt")])
+
+    # one byte of a 56-byte .zrcf file replaced, or the file cut or grown there
+    @settings(max_examples=80)
+    @given(pos=st.integers(0, 56), byte=st.integers(0, 255),
+           how=st.sampled_from(["set", "cut", "insert"]))
+    def test_binary_features_mutation(self, feature_inputs, pos, byte, how):
+        root, blob, _ = feature_inputs
+        path = root / "b" / "u1.zrcf"
+        path.write_bytes(_byte_mutated(blob, pos, byte, how))
+        self._quantize(root, path)
+
+    @settings(max_examples=60)
+    @given(row=st.integers(0, 4), col=st.integers(0, 1), value=FIELD_VALUES)
+    def test_text_features_mutation(self, feature_inputs, row, col, value):
+        root, _, rows = feature_inputs
+        path = root / "t" / "u1.txt"
+        path.write_text(_mutated(rows, row, col, value, " "))
+        self._quantize(root, path)
+
+    @pytest.fixture(scope="class")
+    def candidate_rows(self, tmp_path_factory):
+        rng = np.random.default_rng(6)
+        rows = [["anchor_id", "stratum", "candidate_id", "s_1", "s_2"]]
+        for a in range(4):
+            for cand in ("@self", "c1", "c2"):
+                rows.append([f"a{a}", f"st{a % 2}", cand,
+                             *(f"{x:.3f}" for x in rng.normal(size=2))])
+        return tmp_path_factory.mktemp("candidate-contract"), rows
+
+    @settings(max_examples=60)
+    @given(row=st.integers(0, 12), col=st.integers(0, 4), value=FIELD_VALUES)
+    def test_candidate_set_mutation(self, candidate_rows, row, col, value):
+        root, rows = candidate_rows
+        path = root / "mutated.tsv"
+        path.write_text(_mutated(rows, row, col, value, "\t"))
+        _assert_contract(lambda: sampler.read_candidate_set(path), path,
+                         ["sample-pairs", "--candidates", str(path),
+                          "--out", str(root / "assignment.tsv")])
+
+    @pytest.fixture(scope="class")
+    def gold_inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gold-contract")
+        rng = np.random.default_rng(7)
+        for k in range(6):
+            io_formats.write_feature_archive(root / "L0", FeatureSequence(
+                f"u{k}", 100.0, rng.normal(size=(3, 2))))
+        rows = [["word_a", "word_b", "score", "dataset", "refs_a", "refs_b"]]
+        for k in range(4):
+            rows.append([f"w{k}", f"x{k}", f"{2 * k + 1.5}", "D", f"v:u{k}",
+                         f"v:u{k + 2}"])
+        return root, rows
+
+    @settings(max_examples=60)
+    @given(row=st.integers(0, 4), col=st.integers(0, 5), value=FIELD_VALUES)
+    def test_gold_mutation(self, gold_inputs, row, col, value):
+        root, rows = gold_inputs
+        path = root / "mutated.tsv"
+        path.write_text(_mutated(rows, row, col, value, "\t"))
+        _assert_contract(lambda: io_formats.read_similarity_gold(path), path,
+                         ["score-semantic", "--gold", str(path), "--features",
+                          str(root / "L0"), "--out", str(root / "r.json")])
+
+    @settings(max_examples=60)
+    @given(row=st.integers(0, 8), col=st.integers(0, 1), value=FIELD_VALUES)
+    def test_external_scores_mutation(self, pair_inputs, row, col, value):
+        root, pair_rows = pair_inputs
+        pairs = root / "pairs.tsv"
+        pairs.write_text("".join("\t".join(r) + "\n" for r in pair_rows))
+        score_rows = [line.split("\t") for line in
+                      (root / "scores.tsv").read_text().splitlines()]
+        path = root / "mutated-scores.tsv"
+        path.write_text(_mutated(score_rows, row, col, value, "\t"))
+        _assert_contract(lambda: io_formats.read_external_scores(path), path,
+                         ["score-lexical", "--pairs", str(pairs), "--scores", str(path),
+                          "--out", str(root / "r.json")])
 
 
 def _shuffled_runs(tmp_path, argv, target, header=True):
@@ -948,3 +1116,40 @@ class TestRowOrder:
                        str(mini_benchmark / "hidden0"), str(mini_benchmark / "hidden1"),
                        "--format", "json"], gold)
         assert outputs[1:] == outputs[:1] * 3
+
+
+class TestUnitRelabelling:
+    """Renumbering the units of a one-hot archive leaves the abx report's
+    bytes unchanged: equal distances must tie whatever the numbering."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        # the benchmark's generator: abx-units inputs at any seed
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            return importlib.import_module("workloads")
+
+    KL_TIES = pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: kl rounds the costs of equally distant one-hot "
+               "frames differently, so its ties depend on the unit numbering")
+
+    @pytest.mark.parametrize("metric", ["angular", pytest.param("kl", marks=KL_TIES)])
+    def test_abx_reports_ignore_unit_numbering(self, workloads, tmp_path, metric):
+        for seed in (0, 3, 5):
+            raw = workloads.generate("abx-units", seed)
+            rng = np.random.default_rng(seed)
+            perms = [np.arange(workloads.N_UNITS)]
+            perms += [rng.permutation(workloads.N_UNITS) for _ in range(3)]
+            reports = []
+            for k, perm in enumerate(perms):
+                root = tmp_path / f"{seed}-{k}"
+                workloads.write(zrc_eval, "abx-units", dict(raw, utterances={
+                    utt: perm[units] for utt, units in raw["utterances"].items()}), root)
+                for mode in ("within", "across"):
+                    out = root / f"{mode}.json"
+                    assert run(["abx", "--items", str(root / "items.item"),
+                                "--features", str(root / "features"), "--mode", mode,
+                                "--distance", metric, "--out", str(out)]) == 0
+                    reports.append(out.read_bytes())
+            assert reports[2:] == reports[:2] * 3

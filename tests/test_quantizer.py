@@ -389,6 +389,12 @@ class TestQuantize:
         assert str(exc.value) == (
             f"centroids must be a non-empty K x D matrix, got shape {shape}")
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValidationError) as exc:
+            quantizer.Codebook(np.eye(2), frame_rate=rate)
+        assert str(exc.value) == "frame rate must be finite and positive"
+
 
 class TestCodebookFile:
     def test_round_trip(self, tmp_path):
