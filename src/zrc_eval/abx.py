@@ -17,9 +17,8 @@ each other speaker in turn.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .types import FeatureSequence, UnitSequence
 
 log = logging.getLogger(__name__)
 
-# (a, b, x) comparisons held by one batch, and by one group of contexts:
-# bounds the flat index arrays
+# (a, b, x) comparisons held by one group of contexts: bounds the flat
+# index arrays
 SCORE_COMPARISONS = 1 << 18
 
 # (token, probe) pairs requested by one group of contexts, which share one
@@ -63,103 +62,112 @@ class AbxResult:
     skipped_cells: int = 0   # within cells lacking 2+ tokens on a side
 
 
-def _product(*axes):
-    """Flat index arrays over the Cartesian product of each cell's lists.
+def _product(*sizes):
+    """The Cartesian product of ranges, run by run.
 
-    ``axes`` holds, for each axis, one sequence of token indices per cell.
-    Returns one array per axis and the cell of each combination, cell by
-    cell, the last axis varying fastest.
+    ``sizes`` holds, per axis, one range length per run. Returns the run
+    of every combination and, per axis, its position in that run's range:
+    run by run, the last axis varying fastest. Each axis repeats the
+    combinations so far, so no index is divided.
     """
-    sizes = np.array([[len(v) for v in lists] for lists in axes], dtype=np.intp)
-    n = sizes.prod(axis=0)
-    cell = np.repeat(np.arange(n.size), n)
-    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    out = []
-    for lists, size in zip(reversed(axes), reversed(sizes)):
-        flat = np.fromiter(chain.from_iterable(lists), np.intp, size.sum())
-        start = np.repeat(np.cumsum(size) - size, n)
-        rank, pos = np.divmod(rank, size[cell])
-        out.append(flat[start + pos])
-    return (*reversed(out), cell)
+    combos = [np.arange(sizes[0].size)]  # the run, then each axis so far
+    for size in sizes:
+        n = size[combos[0]]
+        combos = [np.repeat(v, n) for v in combos]
+        combos.append(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+    return tuple(combos)
 
 
-def _comparisons(n: int, directions) -> list:
-    """The (a, b, x) comparisons of a context's directed cells, as flat
-    indices into its ``n`` x ``n`` distance table.
+def _runs(*keys) -> tuple:
+    """Where each run of equal consecutive rows of ``keys`` starts, and
+    its length."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    head = np.flatnonzero(new)
+    return head, np.diff(np.append(head, new.size))
 
-    Each direction is ``(a_idx, b_idx, x_idx, skip_same)``; with
-    ``skip_same`` the (a, x) pairs of one token are left out. Returns
-    batches of whole directions, cut where the running count of
-    comparisons crosses a multiple of ``SCORE_COMPARISONS``, each
-    ``(count, ax, bx)``: the number of comparisons of each direction, and
-    the table entries ``a * n + x`` and ``b * n + x`` of every comparison,
-    direction by direction. A group holds its contexts' batches from its
-    requests to its scores, so the entries are int32 where they fit.
+
+def _blocks(cells, sizes) -> tuple:
+    """The distinct (A, X) and (B, X) category blocks of directed ``cells``
+    (see ``_score_cells``), as ``(p, q, block)``: each block's two
+    categories and, for every (A, X) and then every (B, X), its block."""
+    a_cat, b_cat, x_cat = cells
+    blocks, block = np.unique(np.concatenate((a_cat, b_cat)) * sizes.size
+                              + np.concatenate((x_cat, x_cat)), return_inverse=True)
+    return (*np.divmod(blocks, sizes.size), block)
+
+
+def _comparisons(cells, sizes) -> np.ndarray:
+    """The number of (a, b, x) comparisons of each directed cell."""
+    a_cat, b_cat, x_cat = cells
+    return sizes[a_cat] * sizes[b_cat] * (sizes[x_cat] - (a_cat == x_cat))
+
+
+def _requests(members, bounds, p, q, n) -> tuple:
+    """The (token, probe) pairs of the category blocks ``p`` x ``q``.
+
+    ``members`` and ``bounds`` are as ``_score_cells`` takes them, and
+    ``n`` is the number of tokens. The blocks' entries are their
+    categories' products, row-major, block after block; a token is never
+    paired with itself. Blocks of disjoint categories hold distinct
+    pairs, so sorting the entries' keys gives every pair once, in
+    row-major order. Returns ``(rows, cols, entry)``: the pairs, and the
+    block entry each one is.
     """
-    sizes = [len(a) * len(b) * len(x) for a, b, x, _ in directions]
-    batch = np.cumsum(sizes) // SCORE_COMPARISONS
-    heads = np.flatnonzero(np.diff(batch, prepend=-1)).tolist()
-    entry = np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
-    batches = []
-    for lo, hi in zip(heads, heads[1:] + [len(directions)]):
-        a_idx, b_idx, x_idx, skip_same = zip(*directions[lo:hi])
-        a, b, x, cell = _product(a_idx, b_idx, x_idx)
-        keep = ~(np.array(skip_same)[cell] & (a == x))
-        a, b, x = a[keep], b[keep], x[keep]
-        batches.append((np.bincount(cell[keep], minlength=hi - lo),
-                        (a * n + x).astype(entry), (b * n + x).astype(entry)))
-    return batches
+    starts, sizes = bounds
+    run, i, j = _product(sizes[p], sizes[q])
+    keys = members[starts[p][run] + i] * n + members[starts[q][run] + j]
+    entry = np.flatnonzero((p != q)[run] | (i != j))
+    entry = entry[np.argsort(keys[entry])]
+    return (*np.divmod(keys[entry], n), entry)
 
 
-def _requests(n: int, comparisons) -> tuple:
-    """Row and column arrays (int32) of the (token, probe) pairs that one
-    context's ``comparisons`` (from ``_comparisons``) read among its ``n``
-    tokens, each pair once, in row-major order."""
-    need = np.zeros(n * n, dtype=bool)
-    for _, ax, bx in comparisons:
-        need[ax] = True
-        need[bx] = True
-    need = need.reshape(n, n)
-    np.fill_diagonal(need, False)  # d(x, x) is never compared
-    return tuple(index.astype(np.int32) for index in np.nonzero(need))
+def _score_cells(frames, members, bounds, cells, metric) -> np.ndarray:
+    """Directed cell scores over one store of tokens.
 
+    ``members`` holds indices into ``frames``, category by category, the
+    categories being disjoint; ``bounds`` is ``(starts, sizes)``, each
+    category's range in ``members``. ``cells`` holds three arrays of
+    category ids, the A, B and X of each directed cell; where X is A, a
+    token is never its own probe.
 
-def _distance_tables(tokens, contexts, metric):
-    """Yield the directed distance table of each context of a group.
-
-    ``tokens`` is the ``Prepared`` store of all the group's contexts'
-    tokens, back to back. Each context is ``(base, n, rows, cols)``: its
-    tokens are ``tokens[base:base + n]`` and ``rows``/``cols`` are its
-    ``_requests``. Its table holds ``table[i, j] = d(tokens[base + i],
-    tokens[base + j])`` for every requested pair and NaN elsewhere. All
-    the group's requests go through one ``dtw_pairs`` call.
+    The cells compare the distances of their distinct (A, X) and (B, X)
+    category blocks, whose pairs (see ``_requests``) all go through one
+    ``dtw_pairs`` call. One product then lists every cell's (a, b, x)
+    comparisons, which read their two distances from the blocks' entries.
+    Errors, ties and comparisons are summed per cell as exact integer
+    counts.
     """
-    rows = np.concatenate([base + r for base, _, r, _ in contexts], dtype=np.intp)
-    cols = np.concatenate([base + c for base, _, _, c in contexts], dtype=np.intp)
-    dist = dtw_pairs(tokens, rows, cols, metric)
-    stop = 0
-    for _, n, r, c in contexts:
-        table = np.full((n, n), np.nan)
-        start, stop = stop, stop + r.size
-        table[r, c] = dist[start:stop]
-        yield table
+    starts, sizes = bounds
+    a_cat, b_cat, x_cat = cells
+    same = a_cat == x_cat
+    count = _comparisons(cells, sizes)
+    if not count.all():
+        raise ValidationError("empty ABX cell")
+    p, q, block = _blocks(cells, sizes)
+    rows, cols, entry = _requests(members, bounds, p, q, len(frames))
+    entries = sizes[p] * sizes[q]
+    dist = np.empty(entries.sum())
+    dist[entry] = dtw_pairs(prepare(frames, metric), rows, cols, metric)
 
-
-def _score_cells(table, comparisons) -> np.ndarray:
-    """Directed cell scores from a context's ``_comparisons`` and its
-    distance table: errors, ties and comparisons are summed per cell as
-    exact integer counts."""
-    flat = table.reshape(-1)
-    scores = []
-    for count, ax, bx in comparisons:
-        if not count.all():
-            raise ValidationError("empty ABX cell")
-        starts = np.cumsum(count) - count
-        d_ax, d_bx = flat[ax], flat[bx]
-        errors = np.add.reduceat(d_bx < d_ax, starts, dtype=np.intp)
-        ties = np.add.reduceat(d_bx == d_ax, starts, dtype=np.intp)
-        scores.append((errors + 0.5 * ties) / count)
-    return np.concatenate(scores)
+    # the (a, b) pairs of every cell, then their probes x, skipping a's
+    # own token where X is A; an entry is its block's first + row * width + x
+    cell, a, b = _product(sizes[a_cat], sizes[b_cat])
+    width = sizes[x_cat][cell]
+    n = width - same[cell]
+    head = np.cumsum(n) - n
+    x = np.arange(n.sum())
+    if same.any():
+        x += x >= np.repeat(np.where(same[cell], head + a, x.size), n)
+    first = np.cumsum(entries) - entries
+    d_ax = dist[np.repeat(first[block[:a_cat.size]][cell] + a * width - head, n) + x]
+    d_bx = dist[np.repeat(first[block[a_cat.size:]][cell] + b * width - head, n) + x]
+    heads = np.cumsum(count) - count
+    errors = np.add.reduceat(d_bx < d_ax, heads, dtype=np.intp)
+    ties = np.add.reduceat(d_bx == d_ax, heads, dtype=np.intp)
+    return (errors + 0.5 * ties) / count
 
 
 # ---------------------------------------------------------------------------
@@ -170,86 +178,117 @@ def _token_name(token) -> str:
     return f"token ({token.file_id}, {token.onset}, {token.offset})"
 
 
-def _token_span(root, loaded: dict, token) -> tuple:
-    """``(utterance, start, stop, clamped)`` of a token's frames; ``loaded``
-    keeps each utterance read from the archive directory ``root``.
+def _token_error(tokens, index, message) -> ValidationError:
+    error = ValidationError(f"{_token_name(tokens[index])}: {message}")
+    error.index = index  # lets a caller name the token's item-file line
+    return error
 
-    Frame indices are floor(time * rate) for both onset and offset, the
-    offset being exclusive and clamped at the utterance end.
+
+def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
+    """Check every token against its utterance and keep the non-empty ones.
+
+    ``file_ids``, ``onsets`` and ``offsets`` are the tokens' columns. Each
+    utterance is read once from the archive directory ``root``, in order
+    of first use. A token's frames run from floor(onset * rate) to
+    floor(offset * rate), the offset exclusive and clamped at the
+    utterance end. Each token is checked in turn: its utterance exists,
+    its frame indices are finite, its frames are not empty (else it is
+    dropped, with a warning), its frame dimension is the first kept
+    token's, and the metric accepts its frames. The first token in item
+    order that fails a check is the error, and only the dropped tokens
+    before it are logged.
+
+    Returns ``(kept, frames, dropped, clamped)``: the item indices of the
+    kept tokens, their frames as views into the utterances, and the
+    numbers of dropped tokens and of kept tokens whose offset was clamped.
     """
-    if token.file_id not in loaded:
+    n = len(tokens)
+    # utterance -> its position in order of first use
+    index = {f: i for i, f in enumerate(dict.fromkeys(file_ids))}
+    utt = np.fromiter(map(index.__getitem__, file_ids), np.intp, n)
+    utterances, failure = [], None
+    for file_id, user in zip(index, np.unique(utt, return_index=True)[1].tolist()):
         try:
-            loaded[token.file_id] = io_formats.read_feature_archive(root, token.file_id)
-        except FileNotFoundError as exc:
-            error = ValidationError(f"{_token_name(token)}: {exc}")
-            error.token = token  # lets a caller name the token's item-file line
-            raise error from None
-    fs = loaded[token.file_id]
-    rate = fs.frame_rate
-    start = math.floor(token.onset * rate)
-    stop = math.floor(token.offset * rate)
-    return fs, start, min(stop, len(fs)), stop > len(fs)
+            utterances.append(io_formats.read_feature_archive(root, file_id))
+        except (OSError, ValueError) as exc:
+            # raised once the tokens before its first user pass their checks
+            failure, n = exc, user
+            break
+    utt = utt[:n]
+    lengths = [len(fs) for fs in utterances]
+    rate = np.array([fs.frame_rate for fs in utterances])[utt]
+    length = np.array(lengths, dtype=np.int64)[utt]
+    with np.errstate(over="ignore"):
+        start = np.floor(np.array(onsets[:n]) * rate)
+        stop = np.floor(np.array(offsets[:n]) * rate)
+    # offset > onset, so a finite stop bounds the start; a start past the
+    # end moves to the end, where the token stays empty
+    unindexed = ~np.isfinite(stop)
+    clamp = stop > length
+    start = np.where(unindexed, 0, np.minimum(start, length)).astype(np.int64)
+    stop = np.where(unindexed, 0, np.minimum(stop, length)).astype(np.int64)
+    empty = ~unindexed & (stop <= start)
+    kept = ~unindexed & ~empty
+
+    dim = np.array([fs.frames.shape[1] for fs in utterances], dtype=np.intp)[utt]
+    # the first kept token sets the frame dimension
+    first = int(np.argmax(kept)) if kept.any() else None
+    mismatch = kept if first is None else kept & (dim != dim[first])
+    # the frames each utterance's metric check rejects, counted along all
+    # the utterances back to back
+    rejects = [invalid_frames(fs.frames, metric) for fs in utterances]
+    seen = np.concatenate([[0], *(bad for bad, _ in rejects)]).cumsum()
+    base = np.cumsum([0] + lengths)[utt]
+    rejected = kept & ~mismatch & (seen[base + stop] > seen[base + start])
+
+    failed = np.flatnonzero(unindexed | mismatch | rejected)
+    end = int(failed[0]) if failed.size else n
+    for i in np.flatnonzero(empty[:end]).tolist():
+        log.warning("dropping token (%s, %s, %s): empty frame extraction",
+                    file_ids[i], onsets[i], offsets[i])
+    if end < n:
+        if unindexed[end]:
+            raise _token_error(tokens, end, "no finite frame index at frame "
+                                            f"rate {float(rate[end])}")
+        if mismatch[end]:
+            raise ValidationError(
+                f"{_token_name(tokens[end])}: frame dimension {dim[end]} "
+                f"differs from {dim[first]} in {_token_name(tokens[first])}")
+        raise ValidationError(f"{_token_name(tokens[end])}: {rejects[utt[end]][1]}")
+    if isinstance(failure, FileNotFoundError):
+        raise _token_error(tokens, n, failure) from None
+    if failure is not None:
+        raise failure
+    frames = [utterances[u].frames[a:b] for u, a, b in
+              zip(utt[kept].tolist(), start[kept].tolist(), stop[kept].tolist())]
+    return (np.flatnonzero(kept), frames, int(empty.sum()),
+            int((clamp & kept).sum()))
 
 
-def _context_cells(by_center, mode: str, context) -> tuple:
-    """The symmetrized cells of one context, in aggregation order, and the
-    number of within cells skipped for lack of tokens.
-
-    Each cell is ``(phone_pair, [direction, direction])``, a direction
-    being ``(a_idx, b_idx, x_idx, skip_same)`` as ``_comparisons`` takes it.
-    """
-    cells = []
-    skipped = 0
-    centers = sorted(by_center)
-    for i, c1 in enumerate(centers):
-        for c2 in centers[i + 1:]:
-            pair = (c1, c2)
-            cat1, cat2 = by_center[c1], by_center[c2]
-            speakers = sorted(set(cat1) & set(cat2))
-            if mode == "within":
-                for speaker in speakers:
-                    a_idx, b_idx = cat1[speaker], cat2[speaker]
-                    if len(a_idx) < 2 or len(b_idx) < 2:
-                        log.info(
-                            "skipping within cell %s/%s @%s %s: "
-                            "needs 2+ tokens on both sides",
-                            c1, c2, speaker, context)
-                        skipped += 1
-                        continue
-                    cells.append((pair, [
-                        (a_idx, b_idx, a_idx, True),
-                        (b_idx, a_idx, b_idx, True),
-                    ]))
-            else:
-                for s1 in speakers:
-                    for s2 in speakers:
-                        if s1 == s2:
-                            continue
-                        cells.append((pair, [
-                            (cat1[s1], cat2[s1], cat1[s2], False),
-                            (cat2[s1], cat1[s1], cat2[s2], False),
-                        ]))
-    return cells, skipped
+def _ranks(values) -> tuple:
+    """The sorted distinct ``values``, and each value's index among them."""
+    distinct = sorted(set(values))
+    rank = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(rank.__getitem__, values), np.intp, len(values))
 
 
 def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     """Evaluate the ABX error rate over an item set.
 
-    ``features`` is an archive directory. Tokens are checked in item-file
-    order, each against its utterance's frames as the metric sees them
-    once, and kept as views into the utterance; the first token whose
-    frames the metric rejects is an error naming it.
+    ``features`` is an archive directory. The tokens' columns are taken
+    out once and checked as arrays (see ``_extract``): the first token in
+    item-file order that fails a check is an error naming it. Kept tokens
+    are views into their utterances, ordered by context, centre phone
+    and speaker, so that each category is one range of that order.
 
-    Contexts are evaluated in sorted order, a group at a time: a group
-    grows while its requested (token, probe) pairs stay within
+    Every context's cells are enumerated from those ranges, contexts in
+    sorted order, and the contexts are evaluated a group at a time: a
+    group grows while its requested (token, probe) pairs stay within
     ``GROUP_PAIRS`` and its (a, b, x) comparisons within
-    ``SCORE_COMPARISONS``, and a larger context runs alone. Each
-    context's comparison indices are built once: they give its requested
-    pairs, and later index its distance table. Each group's tokens go
-    through one ``prepare`` and its pairs through one DTW pass; each
-    context's cells are then scored from its own distance table. Memory
-    is bounded by one group and by the largest context's table and
-    comparisons.
+    ``SCORE_COMPARISONS``, and a larger context runs alone. Each group's
+    tokens go through one ``prepare`` and its pairs through one DTW pass;
+    all its directed cells are scored at once by ``_score_cells``. Memory
+    is bounded by one group and by the largest context's comparisons.
 
     Cells lacking enough tokens are skipped with a logged reason; an item
     set producing no valid cell at all is an error. The result counts
@@ -259,101 +298,115 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
         raise ValueError(f"unknown ABX mode {mode!r}")
     if metric not in FRAME_METRICS:
         raise ValueError(f"unknown frame metric {metric!r}")
-    loaded: dict = {}  # utt_id -> FeatureSequence, each read once
+    tokens = list(items)
+    columns = attrgetter("file_id", "onset", "offset", "center", "left", "right",
+                         "speaker")
+    file_ids, onsets, offsets, centers, lefts, rights, speakers = \
+        zip(*map(columns, tokens)) if tokens else [()] * 7
+    kept, frames, dropped, clamped = _extract(tokens, file_ids, onsets, offsets,
+                                              features, metric)
 
-    # (left, right) -> ([frames], center -> speaker -> [index into that list])
-    contexts: dict = {}
-    first = None  # (token, frame dimension) of the first kept token
-    rejected: dict = {}  # utterance -> (mask of frames the metric rejects, why)
-    dropped = clamped = 0
-    for token in items:
-        fs, start, stop, clamp = _token_span(features, loaded, token)
-        if stop <= start:
-            log.warning("dropping token (%s, %s, %s): empty frame extraction",
-                        token.file_id, token.onset, token.offset)
-            dropped += 1
-            continue
-        clamped += clamp
-        frames = fs.frames[start:stop]
-        if first is None:
-            first = (token, frames.shape[1])
-        elif frames.shape[1] != first[1]:
-            raise ValidationError(
-                f"{_token_name(token)}: frame dimension {frames.shape[1]} "
-                f"differs from {first[1]} in {_token_name(first[0])}")
-        if token.file_id not in rejected:
-            rejected[token.file_id] = invalid_frames(fs.frames, metric)
-        bad, reason = rejected[token.file_id]
-        if bad[start:stop].any():
-            raise ValidationError(f"{_token_name(token)}: {reason}")
-        tokens, by_center = contexts.setdefault((token.left, token.right), ([], {}))
-        by_center.setdefault(token.center, {}) \
-                 .setdefault(token.speaker, []).append(len(tokens))
-        tokens.append(frames)
+    contexts, ctx = _ranks(list(zip(lefts, rights)))
+    phones, phone = _ranks(centers)
+    talkers, talker = _ranks(speakers)
+    ctx, phone, talker = ctx[kept], phone[kept], talker[kept]
+    # categories: kept tokens by context, centre and speaker, item order within
+    members = np.lexsort((talker, phone, ctx))
+    starts, sizes = _runs(ctx[members], phone[members], talker[members])
+    cat_ctx, cat_phone, cat_talker = (v[members[starts]] for v in (ctx, phone, talker))
 
-    # phone pair -> context -> [symmetrized cell score]
-    per_pair_context: dict = {}
-    cell_count = skipped = requested = compared = 0
-    group, group_tokens = [], []  # the group's contexts; their tokens, back to back
-    for context in sorted(contexts):
-        tokens, by_center = contexts.pop(context)
-        cells, skipped_here = _context_cells(by_center, mode, context)
-        skipped += skipped_here
-        if not cells:
-            continue
-        directions = [d for _, both in cells for d in both]
-        comparisons = _comparisons(len(tokens), directions)
-        rows, cols = _requests(len(tokens), comparisons)
-        compares = sum(batch[1].size for batch in comparisons)
-        if group and (requested + rows.size > GROUP_PAIRS
-                      or compared + compares > SCORE_COMPARISONS):
-            _score_group(group_tokens, group, metric, per_pair_context)
-            group, group_tokens, requested, compared = [], [], 0, 0
-        group.append((context, cells, comparisons,
-                      (len(group_tokens), len(tokens), rows, cols)))
-        group_tokens += tokens
-        requested += rows.size
-        compared += compares
-        cell_count += len(cells)
-    if group:
-        _score_group(group_tokens, group, metric, per_pair_context)
-
-    if not cell_count:
+    # (c1, c2) category pairs of one context and speaker, c1's phone first,
+    # in aggregation order: context, phone pair, speaker
+    by_talker = np.lexsort((cat_phone, cat_talker, cat_ctx))
+    head, size = _runs(cat_ctx[by_talker], cat_talker[by_talker])
+    run, i, j = _product(size, size)
+    c1, c2 = (by_talker[head[run] + k][i < j] for k in (i, j))
+    order = np.lexsort((cat_talker[c1], cat_phone[c2], cat_phone[c1], cat_ctx[c1]))
+    c1, c2 = c1[order], c2[order]
+    # each symmetrized cell probes (a1, b1) with x1's tokens and (b1, a1)
+    # with x2's
+    if mode == "within":
+        small = (sizes[c1] < 2) | (sizes[c2] < 2)
+        for k in np.flatnonzero(small).tolist():
+            log.info("skipping within cell %s/%s @%s %s: "
+                     "needs 2+ tokens on both sides",
+                     phones[cat_phone[c1[k]]], phones[cat_phone[c2[k]]],
+                     talkers[cat_talker[c1[k]]], contexts[cat_ctx[c1[k]]])
+        skipped = int(small.sum())
+        a1, b1 = c1[~small], c2[~small]
+        x1, x2 = a1, b1
+    else:  # every ordered pair of the speakers a phone pair shares
+        head, size = _runs(cat_ctx[c1], cat_phone[c1], cat_phone[c2])
+        run, p, q = _product(size, size)
+        p, q = ((head[run] + k)[p != q] for k in (p, q))
+        a1, b1, x1, x2 = c1[p], c2[p], c1[q], c2[q]
+        skipped = 0
+    if not a1.size:
         raise ValidationError(f"no valid ABX cells in {mode} mode")
+    cells = tuple(np.column_stack(pair).ravel()
+                  for pair in ((a1, b1), (b1, a1), (x1, x2)))
 
-    # speaker assignments -> context -> phone pair, uniform means at each level
+    # each context's requested pairs, those of its cells' blocks, and its
+    # comparisons
+    p, q, _ = _blocks(cells, sizes)
+    requests = np.bincount(cat_ctx[p], sizes[p] * (sizes[q] - (p == q)),
+                           len(contexts)).tolist()
+    compares = np.bincount(cat_ctx[cells[0]], _comparisons(cells, sizes),
+                           len(contexts)).tolist()
+    groups = []  # [first, last] context of each group
+    scored = cat_ctx[a1][_runs(cat_ctx[a1])[0]]  # the contexts with cells
+    for c in scored.tolist():
+        if (groups and requested + requests[c] <= GROUP_PAIRS
+                and compared + compares[c] <= SCORE_COMPARISONS):
+            groups[-1][1] = c
+            requested += requests[c]
+            compared += compares[c]
+        else:
+            groups.append([c, c])
+            requested, compared = requests[c], compares[c]
+
+    # the store: the tokens of every context with cells, context by context
+    active = np.zeros(len(contexts), dtype=bool)
+    active[scored] = True
+    store = np.flatnonzero(active[ctx])
+    store = store[np.argsort(ctx[store], kind="stable")]
+    position = np.full(ctx.size, -1)
+    position[store] = np.arange(store.size)
+    stored = position[members]
+    frames = [frames[k] for k in store.tolist()]
+    ends = np.cumsum(np.bincount(ctx[store], minlength=len(contexts)))
+    cell_ctx = cat_ctx[cells[0]]
+    means = []
+    for first, last in groups:
+        lo, hi = int(ends[first - 1]) if first else 0, int(ends[last])
+        d_lo, d_hi = np.searchsorted(cell_ctx, [first, last + 1]).tolist()
+        scores = _score_cells(frames[lo:hi], stored - lo, (starts, sizes),
+                              tuple(v[d_lo:d_hi] for v in cells), metric)
+        # each cell's two directions are adjacent: their mean, in order
+        means.append((scores[0::2] + scores[1::2]) / 2)
+    means = np.concatenate(means).tolist()
+
+    # speaker assignments -> context -> phone pair, uniform means at each
+    # level; a (context, phone pair)'s cells are adjacent
+    by_pair: dict = {}  # phone pair -> its context means, in context order
+    head, size = _runs(cat_ctx[a1], cat_phone[a1], cat_phone[b1])
+    for h, k, p1, p2 in zip(head.tolist(), size.tolist(),
+                            cat_phone[a1[head]].tolist(), cat_phone[b1[head]].tolist()):
+        run = means[h:h + k]
+        by_pair.setdefault((phones[p1], phones[p2]), []).append(sum(run) / k)
     pair_scores = {}
-    for pair in sorted(per_pair_context):
-        context_means = [sum(v) / len(v)
-                         for _, v in sorted(per_pair_context[pair].items())]
+    for pair in sorted(by_pair):
+        context_means = by_pair[pair]
         pair_scores[pair] = sum(context_means) / len(context_means)
     aggregate = sum(pair_scores.values()) / len(pair_scores)
 
     return AbxResult(
         mode=mode,
         error_rate=100.0 * aggregate,
-        cell_count=cell_count,
+        cell_count=a1.size,
         by_phone_pair={f"{p1}-{p2}": 100.0 * s
                        for (p1, p2), s in sorted(pair_scores.items())},
         dropped_tokens=dropped,
         clamped_tokens=clamped,
         skipped_cells=skipped,
     )
-
-
-def _score_group(frames, group, metric, per_pair_context) -> None:
-    """Score every cell of a group of contexts into ``per_pair_context``.
-
-    ``frames`` are the tokens of all the group's contexts, back to back;
-    each context is ``(context, cells, comparisons, (base, n, rows,
-    cols))``, the last as ``_distance_tables`` takes it.
-    """
-    tables = _distance_tables(prepare(frames, metric),
-                              [span for *_, span in group], metric)
-    for (context, cells, comparisons, _), table in zip(group, tables):
-        scores = _score_cells(table, comparisons)
-        # each cell's two directions are adjacent: their mean, in order
-        means = (scores[0::2] + scores[1::2]) / 2
-        for (pair, _), mean in zip(cells, means.tolist()):
-            per_pair_context.setdefault(pair, {}).setdefault(context, []) \
-                            .append(mean)

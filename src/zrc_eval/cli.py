@@ -133,10 +133,11 @@ def cmd_abx(args) -> int:
     try:
         result = abx_mod.abx_evaluate(items, args.features, args.mode, args.distance)
     except ValidationError as exc:
-        if not hasattr(exc, "token"):  # set when the token's utterance is missing
+        if not hasattr(exc, "index"):  # set for a token without frames to read
             raise
-        rows = ((n, row) for n, row in io._rows(args.items, sep=None) if n > 1)
-        raise _row_error(args.items, rows, 0, exc.token.file_id, exc) from None
+        rows = enumerate(n for n, _ in io._rows(args.items, sep=None) if n > 1)
+        raise _row_error(args.items, ((n, [i]) for i, n in rows), 0, exc.index,
+                         exc) from None
     report = MetricReport(
         metric="abx",
         aggregate=result.error_rate,
@@ -295,9 +296,20 @@ def cmd_score_semantic(args) -> int:
     layers = [{utt: _gold_frames(args.gold, directory, utt) for utt in needed}
               for directory in (args.features if sweep
                                 else [args.features[args.layer]])]
-    layer, pooling, score, sims = metrics_mod.layer_sweep(
-        layers, records, args.subset,
-        metrics_mod.POOLINGS if sweep else (args.pooling,))
+    try:
+        layer, pooling, score, sims = metrics_mod.layer_sweep(
+            layers, records, args.subset,
+            metrics_mod.POOLINGS if sweep else (args.pooling,))
+    except ValidationError as exc:
+        if not hasattr(exc, "record"):  # set for a record without token pairs
+            raise
+        # a record's first row: the rows of one dataset and word pair merge
+        rows = ((n, [(row["dataset"], {row["word_a"], row["word_b"]})])
+                for n, row in io._read_tsv(args.gold, ()))
+        record = exc.record
+        raise _row_error(args.gold, rows, 0, (record.dataset,
+                                              {record.word_a, record.word_b}),
+                         exc) from None
     by_dataset: dict = {}  # dataset -> its records' (model, human) similarities
     for record, sim in zip(records, sims):
         by_dataset.setdefault(record.dataset, []).append((sim, record.human_score))
@@ -330,9 +342,15 @@ def cmd_sample_pairs(args) -> int:
         assignment = sampler_mod.sample_word_pairs(
             cs, seed=args.seed, restarts=args.restarts)
     else:
-        assignment = sampler_mod.sample_sentence_pairs(
-            cs, args.k_target, seed=args.seed,
-            per_stratum=args.per_stratum, restarts=args.restarts)
+        try:
+            assignment = sampler_mod.sample_sentence_pairs(
+                cs, args.k_target, seed=args.seed,
+                per_stratum=args.per_stratum, restarts=args.restarts)
+        except ValidationError as exc:
+            if not hasattr(exc, "anchor_id"):  # set for an anchor's candidates
+                raise
+            rows = ((n, cols) for n, cols in io._rows(args.candidates) if n > 1)
+            raise _row_error(args.candidates, rows, 0, exc.anchor_id, exc) from None
     sampler_mod.write_assignment(assignment, cs, args.out)
     if args.report:
         by_stratum: dict = {}

@@ -192,9 +192,11 @@ def _token_pairs(record, subset: str) -> list:
     else:
         raise ValueError(f"unknown similarity subset {subset!r}")
     if not pairs:
-        raise ValidationError(
+        error = ValidationError(
             f"({record.word_a}, {record.word_b}): no comparable token pairs "
             f"for the {subset} subset")
+        error.record = record  # lets a caller name the record's gold line
+        raise error
     return pairs
 
 

@@ -202,9 +202,11 @@ def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
     """
     for anchor in pool.anchors:
         if len(anchor.candidates) != 1:
-            raise ValidationError(
+            error = ValidationError(
                 f"anchor {anchor.anchor_id!r}: sentence pools carry exactly "
                 "one candidate per anchor")
+            error.anchor_id = anchor.anchor_id  # lets a caller name its line
+            raise error
     n_total = len(pool.anchors)
     if not (1 <= k_target <= n_total):
         raise ValidationError(

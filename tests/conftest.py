@@ -7,9 +7,11 @@ checks itself.
 
 from __future__ import annotations
 
+import logging
 import math
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import settings
 
 from zrc_eval import abx, distance, io_formats, sampler
 from zrc_eval.distance import KL_EPS
+from zrc_eval.errors import ValidationError
 from zrc_eval.types import FeatureSequence, UnitSequence
 
 # every property test replays the same examples, keeps none between runs
@@ -191,17 +194,23 @@ def per_pair_abx(dist):
 
 def context_scores(tokens, directions, metric="angular"):
     """The directed cell scores of one context holding ``tokens`` (frame
-    matrices), through the engine's own path: ``_comparisons``,
-    ``_requests``, one ``prepare`` and one ``_distance_tables`` pass, and
-    ``_score_cells``. Each direction is ``(a_idx, b_idx, x_idx,
-    skip_same)`` as ``abx._comparisons`` takes it. ``abx.prepare`` and
-    ``abx.dtw_pairs`` are looked up at call time, so ``per_pair_abx``
-    intercepts them."""
-    n = len(tokens)
-    comparisons = abx._comparisons(n, directions)
-    table, = abx._distance_tables(abx.prepare(list(tokens), metric),
-                                  [(0, n, *abx._requests(n, comparisons))], metric)
-    return abx._score_cells(table, comparisons)
+    matrices), through the engine's own scorer, ``abx._score_cells``.
+    Each direction is ``(a_idx, b_idx, x_idx, skip_same)``: token indices
+    on each side, and whether x runs over the a tokens, each a token
+    then never being its own probe. Each distinct index list is one
+    category. ``abx.prepare`` and ``abx.dtw_pairs`` are looked up at call
+    time, so ``per_pair_abx`` intercepts them."""
+    categories: dict = {}  # index list -> category id
+    for a_idx, b_idx, x_idx, _ in directions:
+        for idx in (a_idx, b_idx, x_idx):
+            categories.setdefault(tuple(idx), len(categories))
+    members = [i for idx in categories for i in idx]
+    sizes = np.array([len(idx) for idx in categories], dtype=np.intp)
+    cells = np.array([[categories[tuple(a)], categories[tuple(b)],
+                       categories[tuple(a if same else x)]]
+                      for a, b, x, same in directions], dtype=np.intp)
+    return abx._score_cells(list(tokens), np.array(members, dtype=np.intp),
+                            (np.cumsum(sizes) - sizes, sizes), tuple(cells.T), metric)
 
 
 def cell_score(a, b, metric="angular", x=None) -> float:
@@ -221,6 +230,179 @@ def symmetrized_score(a, b, metric="angular") -> float:
     scores = context_scores(list(a) + list(b), [(A, B, A, True), (B, A, B, True)],
                             metric)
     return float((scores[0] + scores[1]) / 2)
+
+
+# ---------------------------------------------------------------------------
+# ABX reference: tokens one by one, then context by context, each context
+# with its own cell lists, comparison indices, requests and distance table
+# ---------------------------------------------------------------------------
+
+REFERENCE_LOG = logging.getLogger("abx-reference")
+
+
+def _index_product(*axes):
+    """Flat index arrays over the Cartesian product of each cell's lists:
+    one array per axis, then the cell of each combination, cell by cell,
+    the last axis varying fastest."""
+    sizes = np.array([[len(v) for v in lists] for lists in axes], dtype=np.intp)
+    n = sizes.prod(axis=0)
+    cell = np.repeat(np.arange(n.size), n)
+    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    out = []
+    for lists, size in zip(reversed(axes), reversed(sizes)):
+        flat = np.fromiter(chain.from_iterable(lists), np.intp, size.sum())
+        start = np.repeat(np.cumsum(size) - size, n)
+        rank, pos = np.divmod(rank, size[cell])
+        out.append(flat[start + pos])
+    return (*reversed(out), cell)
+
+
+def _context_comparisons(n, directions) -> tuple:
+    """``(count, ax, bx)``: each direction's number of comparisons and the
+    table entries ``a * n + x`` and ``b * n + x`` of every comparison.
+    Each direction is ``(a_idx, b_idx, x_idx, skip_same)``."""
+    a_idx, b_idx, x_idx, skip_same = zip(*directions)
+    a, b, x, cell = _index_product(a_idx, b_idx, x_idx)
+    keep = ~(np.array(skip_same)[cell] & (a == x))
+    a, b, x = a[keep], b[keep], x[keep]
+    return np.bincount(cell[keep], minlength=len(directions)), a * n + x, b * n + x
+
+
+def _context_requests(n, ax, bx) -> tuple:
+    """The (token, probe) pairs the comparisons read, each once, row-major."""
+    need = np.zeros(n * n, dtype=bool)
+    need[ax] = True
+    need[bx] = True
+    need = need.reshape(n, n)
+    np.fill_diagonal(need, False)  # d(x, x) is never compared
+    return np.nonzero(need)
+
+
+def _context_cells(by_center, mode, context) -> tuple:
+    """The symmetrized cells of one context, in aggregation order, each
+    ``(phone_pair, [direction, direction])``, and the number of within
+    cells skipped for lack of tokens."""
+    cells = []
+    skipped = 0
+    centers = sorted(by_center)
+    for i, c1 in enumerate(centers):
+        for c2 in centers[i + 1:]:
+            cat1, cat2 = by_center[c1], by_center[c2]
+            speakers = sorted(set(cat1) & set(cat2))
+            if mode == "within":
+                for speaker in speakers:
+                    a_idx, b_idx = cat1[speaker], cat2[speaker]
+                    if len(a_idx) < 2 or len(b_idx) < 2:
+                        REFERENCE_LOG.info(
+                            "skipping within cell %s/%s @%s %s: "
+                            "needs 2+ tokens on both sides",
+                            c1, c2, speaker, context)
+                        skipped += 1
+                        continue
+                    cells.append(((c1, c2), [(a_idx, b_idx, a_idx, True),
+                                             (b_idx, a_idx, b_idx, True)]))
+            else:
+                for s1 in speakers:
+                    for s2 in speakers:
+                        if s1 != s2:
+                            cells.append(((c1, c2), [
+                                (cat1[s1], cat2[s1], cat1[s2], False),
+                                (cat2[s1], cat1[s1], cat2[s2], False)]))
+    return cells, skipped
+
+
+def _reference_token_name(token) -> str:
+    return f"token ({token.file_id}, {token.onset}, {token.offset})"
+
+
+def abx_reference(items, features, mode, metric="angular"):
+    """``abx.abx_evaluate`` token by token and context by context.
+
+    Each token is read, spanned and checked in item-file order; each
+    context then builds its cells, its comparison indices, its requested
+    pairs (one ``dtw_pairs`` call) and its NaN-filled distance table, and
+    its cells are scored from that table. Logs go to ``REFERENCE_LOG``
+    with the engine's texts."""
+    loaded: dict = {}
+    contexts: dict = {}  # (left, right) -> ([frames], center -> speaker -> [index])
+    first = None
+    rejected: dict = {}
+    dropped = clamped = 0
+    for token in items:
+        if token.file_id not in loaded:
+            try:
+                loaded[token.file_id] = io_formats.read_feature_archive(
+                    features, token.file_id)
+            except FileNotFoundError as exc:
+                raise ValidationError(
+                    f"{_reference_token_name(token)}: {exc}") from None
+        fs = loaded[token.file_id]
+        start = math.floor(token.onset * fs.frame_rate)
+        stop = math.floor(token.offset * fs.frame_rate)
+        clamp, stop = stop > len(fs), min(stop, len(fs))
+        if stop <= start:
+            REFERENCE_LOG.warning("dropping token (%s, %s, %s): empty frame extraction",
+                                  token.file_id, token.onset, token.offset)
+            dropped += 1
+            continue
+        clamped += clamp
+        frames = fs.frames[start:stop]
+        if first is None:
+            first = (token, frames.shape[1])
+        elif frames.shape[1] != first[1]:
+            raise ValidationError(
+                f"{_reference_token_name(token)}: frame dimension {frames.shape[1]} "
+                f"differs from {first[1]} in {_reference_token_name(first[0])}")
+        if token.file_id not in rejected:
+            rejected[token.file_id] = distance.invalid_frames(fs.frames, metric)
+        bad, reason = rejected[token.file_id]
+        if bad[start:stop].any():
+            raise ValidationError(f"{_reference_token_name(token)}: {reason}")
+        tokens, by_center = contexts.setdefault((token.left, token.right), ([], {}))
+        by_center.setdefault(token.center, {}) \
+                 .setdefault(token.speaker, []).append(len(tokens))
+        tokens.append(frames)
+
+    per_pair_context: dict = {}  # phone pair -> context -> [cell mean]
+    cell_count = skipped = 0
+    for context in sorted(contexts):
+        tokens, by_center = contexts[context]
+        cells, skipped_here = _context_cells(by_center, mode, context)
+        skipped += skipped_here
+        if not cells:
+            continue
+        n = len(tokens)
+        count, ax, bx = _context_comparisons(
+            n, [d for _, both in cells for d in both])
+        rows, cols = _context_requests(n, ax, bx)
+        table = np.full((n, n), np.nan)
+        table[rows, cols] = distance.dtw_pairs(distance.prepare(tokens, metric),
+                                               rows, cols, metric)
+        flat = table.reshape(-1)
+        starts = np.cumsum(count) - count
+        errors = np.add.reduceat(flat[bx] < flat[ax], starts, dtype=np.intp)
+        ties = np.add.reduceat(flat[bx] == flat[ax], starts, dtype=np.intp)
+        scores = (errors + 0.5 * ties) / count
+        for (pair, _), mean in zip(cells, ((scores[0::2] + scores[1::2]) / 2).tolist()):
+            per_pair_context.setdefault(pair, {}).setdefault(context, []).append(mean)
+        cell_count += len(cells)
+    if not cell_count:
+        raise ValidationError(f"no valid ABX cells in {mode} mode")
+    pair_scores = {}
+    for pair in sorted(per_pair_context):
+        means = [sum(v) / len(v) for _, v in sorted(per_pair_context[pair].items())]
+        pair_scores[pair] = sum(means) / len(means)
+    aggregate = sum(pair_scores.values()) / len(pair_scores)
+    return abx.AbxResult(
+        mode=mode,
+        error_rate=100.0 * aggregate,
+        cell_count=cell_count,
+        by_phone_pair={f"{p1}-{p2}": 100.0 * s
+                       for (p1, p2), s in sorted(pair_scores.items())},
+        dropped_tokens=dropped,
+        clamped_tokens=clamped,
+        skipped_cells=skipped,
+    )
 
 
 # ---------------------------------------------------------------------------

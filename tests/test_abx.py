@@ -6,12 +6,29 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from conftest import (abx_oracle, cell_score, dtw_reference, per_pair_abx,
-                      symmetrized_score)
+from conftest import (abx_oracle, abx_reference, cell_score, context_scores,
+                      dtw_reference, per_pair_abx, symmetrized_score)
 from zrc_eval import abx, distance, io_formats
 from zrc_eval.distance import dtw_distance
 from zrc_eval.errors import ValidationError
 from zrc_eval.types import FeatureSequence, TriphoneToken, UnitSequence
+
+
+def record_pairs(patch) -> list:
+    """Through ``patch``, have ``abx.dtw_pairs`` (whatever it is when
+    called) also record each requested ``(token, probe, distance)``, in
+    request order, into the returned list."""
+    asked = []
+    dtw_pairs = abx.dtw_pairs
+
+    def recording(store, rows, cols, metric):
+        dist = dtw_pairs(store, rows, cols, metric)
+        asked.extend(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist(),
+                         np.asarray(dist).tolist()))
+        return dist
+
+    patch.setattr(abx, "dtw_pairs", recording)
+    return asked
 
 
 def absdiff(a, b):
@@ -78,22 +95,19 @@ class TestAsymmetricCell:
                 abx_oracle(a, b, dist, x_tokens=x), abs=1e-12)
 
     @pytest.mark.parametrize("metric", ["angular", "kl"])
-    def test_table_holds_only_requested_directions(self, metric):
+    def test_table_holds_only_requested_directions(self, metric, monkeypatch):
         # a separate probe pool asks for d(a, x) and d(b, x) but never
-        # d(x, a): the mirrored half of an angular pair is left out
+        # d(x, a): the mirrored half of an angular pair is left out; each
+        # requested pair goes to dtw_pairs once, in row-major order
         rng = np.random.default_rng(18)
         seqs = [rng.dirichlet(np.ones(3), size=int(rng.integers(1, 6)))
                 for _ in range(6)]
-        directions = [(range(2), range(2, 4), range(4, 6), False)]
-        table, = abx._distance_tables(distance.prepare(seqs, metric),
-                                      [(0, 6, *abx._requests(
-                                          6, abx._comparisons(6, directions)))],
-                                      metric)
-        requested = np.zeros((6, 6), dtype=bool)
-        requested[:4, 4:] = True
-        assert (~np.isnan(table) == requested).all()
-        for i, j in zip(*np.nonzero(requested)):
-            assert table[i, j] == dtw_distance(seqs[i], seqs[j], metric)
+        asked = record_pairs(monkeypatch)
+        context_scores(seqs, [(range(2), range(2, 4), range(4, 6), False)], metric)
+        assert [(i, j) for i, j, _ in asked] == [(i, j) for i in range(4)
+                                                 for j in range(4, 6)]
+        for i, j, d in asked:
+            assert d == dtw_distance(seqs[i], seqs[j], metric)
 
     def test_needs_two_a_tokens(self):
         # probes drawn from A: one a-token leaves the cell no (a, x) pair
@@ -291,7 +305,7 @@ class TestAbxEvaluate:
         for (p1, p2), score in pair_scores.items():
             assert result.by_phone_pair[f"{p1}-{p2}"] == pytest.approx(
                 100.0 * score, abs=1e-12)
-        # a small budget scores the cells of a context over many batches
+        # a small budget scores every context in a group of its own
         monkeypatch.setattr(abx, "SCORE_COMPARISONS", 7)
         assert abx.abx_evaluate(tokens, tmp_path, mode, "angular") == result
 
@@ -354,10 +368,10 @@ class TestAbxEvaluate:
 
     @pytest.mark.parametrize("mode", ["within", "across"])
     @pytest.mark.parametrize("metric", ["angular", "kl"])
-    def test_one_index_product_per_context(self, tmp_path, monkeypatch, metric,
-                                           mode):
-        # a context's (a, b, x) product gives both its requested pairs and
-        # the comparisons scored from its table: one _product call each
+    def test_one_scoring_pass_per_group(self, tmp_path, monkeypatch, metric, mode):
+        # a group's directed cells are scored in one _score_cells call, whose
+        # products give both its requested pairs and its comparisons; a
+        # budget of one comparison runs every context alone
         rng = np.random.default_rng(23)
         contexts = (("A", "T"), ("A", "K"), ("I", "K"), ("U", "P"))
         cats = [(center, left, right, speaker,
@@ -369,41 +383,44 @@ class TestAbxEvaluate:
         with per_pair_abx(dtw_reference(metric)):
             want = abx.abx_evaluate(tokens, tmp_path, mode, metric)
         calls = []
-        product = abx._product
+        score_cells = abx._score_cells
 
-        def counting_product(*axes):
-            calls.append(len(axes))
-            return product(*axes)
+        def counting_scores(frames, members, bounds, cells, metric):
+            calls.append(cells[0].size)
+            return score_cells(frames, members, bounds, cells, metric)
 
-        monkeypatch.setattr(abx, "_product", counting_product)
+        monkeypatch.setattr(abx, "_score_cells", counting_scores)
         assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == want
-        assert calls == [3] * len(contexts)
-        # comparison batches of one direction each: same result
+        assert calls == [2 * want.cell_count]
         calls.clear()
         monkeypatch.setattr(abx, "SCORE_COMPARISONS", 1)
         assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == want
-        assert len(calls) == 2 * want.cell_count
+        assert len(calls) == len(contexts) and sum(calls) == 2 * want.cell_count
 
-    def test_requests_are_the_compared_pairs(self):
-        # every (a, x) and (b, x) pair of a direction, never (x, x)
+    def test_requests_are_the_compared_pairs(self, monkeypatch):
+        # every (a, x) and (b, x) pair of a direction, never (x, x), each
+        # once and in row-major order, over categories that split the tokens
         rng = np.random.default_rng(29)
+        asked = record_pairs(monkeypatch)
         for _ in range(30):
-            n = int(rng.integers(4, 12))
+            n = int(rng.integers(6, 14))
+            cuts = np.sort(rng.choice(np.arange(1, n), 3, replace=False))
+            categories = [c.tolist() for c in np.split(rng.permutation(n), cuts)]
             directions = []
             for _ in range(int(rng.integers(1, 5))):
-                a = sorted(rng.choice(n, int(rng.integers(2, 4)), replace=False))
-                b = sorted(rng.choice(n, int(rng.integers(1, 4)), replace=False))
-                same = bool(rng.integers(2))
-                x = a if same else sorted(rng.choice(n, int(rng.integers(1, 4)),
-                                                     replace=False))
-                directions.append((a, b, x, same))
+                a, b, x = rng.choice(len(categories), 3, replace=False)
+                same = bool(rng.integers(2)) and len(categories[a]) > 1
+                x = a if same else x
+                directions.append((categories[a], categories[b], categories[x], same))
             need = np.zeros((n, n), dtype=bool)
             for a, b, x, _ in directions:
                 need[np.ix_(a, x)] = True
                 need[np.ix_(b, x)] = True
             np.fill_diagonal(need, False)
-            rows, cols = abx._requests(n, abx._comparisons(n, directions))
-            assert [rows.tolist(), cols.tolist()] == [v.tolist() for v in np.nonzero(need)]
+            asked.clear()
+            context_scores([np.ones((1, 1))] * n, directions)
+            assert [(i, j) for i, j, _ in asked] == list(zip(*map(np.ndarray.tolist,
+                                                                 np.nonzero(need))))
 
     @pytest.mark.parametrize("mode", ["within", "across"])
     def test_kernel_runs_each_unordered_angular_pair_once(self, tmp_path,
@@ -418,36 +435,29 @@ class TestAbxEvaluate:
                   for _ in range(int(rng.integers(2, 4)))])
                 for center in ("B", "P", "D") for speaker in ("s1", "s2")]
         tokens = build_items(cats, tmp_path)
-        runs, tables = [], []
-        kernel, distance_tables = distance._kernel.dtw_accumulate, abx._distance_tables
+        runs = []
+        kernel = distance._kernel.dtw_accumulate
 
         def counting_kernel(cost, t_len, s_len, mirror=False):
             runs.append((cost.shape[2], mirror))
             return kernel(cost, t_len, s_len, mirror=mirror)
 
-        def keeping_tables(*args):
-            for table in distance_tables(*args):
-                tables.append(table)
-                yield table
-
         monkeypatch.setattr(distance._kernel, "dtw_accumulate", counting_kernel)
-        monkeypatch.setattr(abx, "_distance_tables", keeping_tables)
         patterns = []
         for metric, reference in (("angular", False), ("kl", False), ("kl", True)):
             runs.clear()
-            tables.clear()
-            with per_pair_abx(dtw_reference(metric)) if reference else nullcontext():
+            with per_pair_abx(dtw_reference(metric)) if reference else nullcontext(), \
+                    pytest.MonkeyPatch.context() as patch:
+                asked = record_pairs(patch)
                 abx.abx_evaluate(tokens, tmp_path, mode, metric)
-            requested = [~np.isnan(table) for table in tables]
-            directed = sum(int(r.sum()) for r in requested)
-            unordered = sum(int(np.triu(r | r.T, 1).sum()) for r in requested)
-            assert 2 * unordered == directed
+            directed = {(i, j) for i, j, _ in asked}
+            unordered = {(min(i, j), max(i, j)) for i, j in directed}
+            assert len(directed) == len(asked) and 2 * len(unordered) == len(directed)
             mirrored = metric == "angular"
-            assert sum(b for b, _ in runs) == (unordered if mirrored else directed)
+            assert sum(b for b, _ in runs) == len(unordered if mirrored else directed)
             assert {m for _, m in runs} == {mirrored}
-            patterns.append(requested)
-        for pattern in patterns[1:]:
-            assert all((p == q).all() for p, q in zip(pattern, patterns[0]))
+            patterns.append([(i, j) for i, j, _ in asked])
+        assert patterns[1:] == patterns[:1] * 2
 
     def test_no_cells_is_error(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -544,7 +554,172 @@ class TestAbxEvaluate:
         io_formats.write_feature_archive(
             tmp_path, FeatureSequence("u", 100.0, frames), "text")
         token = TriphoneToken("u", 0.019, 0.051, "B", "A", "T", "s1")
-        fs, start, stop, clamped = abx._token_span(tmp_path, {}, token)
+        kept, spans, dropped, clamped = abx._extract(
+            [token], ("u",), (token.onset,), (token.offset,), tmp_path, "angular")
         # floor(0.019*100)=1, floor(0.051*100)=5, exclusive
-        assert fs.frames[start:stop].tolist() == [[2.0], [3.0], [4.0], [5.0]]
-        assert not clamped
+        assert spans[0].tolist() == [[2.0], [3.0], [4.0], [5.0]]
+        assert (kept.tolist(), dropped, clamped) == ([0], 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the array bookkeeping against the token-by-token, context-by-context
+# reference (conftest.abx_reference)
+# ---------------------------------------------------------------------------
+
+def random_items(root, rng, contexts):
+    """A shuffled item set over ``contexts`` contexts: 1-4 phones each,
+    speakers s1-s3 with some categories left out, 1-4 tokens of 1-5 frames
+    per category, all laid back to back in two utterances per speaker;
+    plus dropped (sub-frame) and clamped (offset past the end) tokens.
+    Frames are one-hot (tie-heavy) or drawn from a Dirichlet."""
+    rows = []
+    for c in range(contexts):
+        for phone in rng.choice(["B", "P", "D", "G"], int(rng.integers(1, 5)),
+                                replace=False):
+            for speaker in ("s1", "s2", "s3"):
+                if rng.random() < 0.25:
+                    continue
+                rows += [(str(phone), f"L{c}", f"R{c % 2}", speaker,
+                          int(rng.integers(1, 6)))] * int(rng.integers(1, 5))
+    lengths: dict = {}
+    tokens = []
+    for k in rng.permutation(len(rows)).tolist():
+        center, left, right, speaker, n = rows[k]
+        utt = f"{speaker}_{k % 2}"
+        start = lengths.get(utt, 0)
+        lengths[utt] = start + n
+        tokens.append(TriphoneToken(utt, (start + 0.5) / 100, (start + n + 0.5) / 100,
+                                    center, left, right, speaker))
+    for k in range(4):
+        t = tokens[int(rng.integers(len(tokens)))]
+        end = lengths[t.file_id]
+        span = ((end - 1 + 0.1) / 100, (end - 1 + 0.3) / 100) if k % 2 else \
+               ((end - 2 + 0.5) / 100, (end + 3.5) / 100)
+        tokens.insert(int(rng.integers(len(tokens) + 1)),
+                      TriphoneToken(t.file_id, *span, t.center, t.left, t.right,
+                                    t.speaker))
+    one_hot = rng.random() < 0.5
+    write_archive(root, {
+        utt: np.eye(4)[rng.integers(0, 4, n)] if one_hot
+        else rng.dirichlet(np.ones(4), n) for utt, n in lengths.items()})
+    return tokens
+
+
+def outcome(caplog, run):
+    """``run()``'s result, or its error's type and text, and the log
+    records it left, as (level, text)."""
+    caplog.clear()
+    try:
+        value = run()
+    except Exception as exc:  # compared, not handled
+        value = (type(exc), str(exc))
+    return value, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+class TestArrayBookkeeping:
+    @pytest.mark.parametrize("mode", ["within", "across"])
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_engine_equals_context_reference(self, tmp_path, caplog, monkeypatch,
+                                             metric, mode):
+        # one context or many; uneven categories, skipped within cells,
+        # contexts without cells, dropped and clamped tokens; whatever the
+        # group budget, the same result, logs and counts
+        rng = np.random.default_rng(41)
+        caplog.set_level("INFO")
+        scored = 0
+        for trial in range(10):
+            root = tmp_path / f"t{trial}"
+            tokens = random_items(root, rng, 1 if trial % 3 == 0 else 6)
+            want = outcome(caplog, lambda: abx_reference(tokens, root, mode, metric))
+            if isinstance(want[0], abx.AbxResult):
+                assert (want[0].dropped_tokens, want[0].clamped_tokens) == (2, 2)
+                scored += 1
+            for budget in (abx.GROUP_PAIRS, 40):
+                monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+                assert outcome(caplog, lambda: abx.abx_evaluate(
+                    tokens, root, mode, metric)) == want
+        assert scored >= 7  # the rest have no valid cell
+
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_first_failing_token_wins(self, tmp_path, caplog, metric):
+        # faults at random places in the item order: a missing utterance, a
+        # wider utterance, a frame the metric rejects, an unreadable file,
+        # an empty token; the error, its text and the dropped-token lines
+        # before it are the reference's
+        rng = np.random.default_rng(43)
+        caplog.set_level("INFO")
+        kinds = set()
+        for trial in range(40):
+            root = tmp_path / f"t{trial}"
+            tokens = random_items(root, rng, 3)
+            for k, fault in enumerate(rng.choice(
+                    ["ghost", "wide", "bad", "unreadable", "empty"], 3).tolist()):
+                t = tokens[int(rng.integers(len(tokens)))]
+                utt, span = f"{fault}{k}", (0.005, 0.035)
+                if fault == "wide":
+                    write_archive(root, {utt: np.eye(5)[[0, 1, 2, 3]]})
+                elif fault == "bad":  # its second frame is all zeros
+                    write_archive(root, {utt: np.diag([1.0, 0.0, 1.0, 1.0])})
+                elif fault == "unreadable":
+                    (root / f"{utt}.txt").write_text("dim=4 rate=100\n1 0 0\n")
+                elif fault == "empty":
+                    utt, span = t.file_id, (0.0011, 0.0013)
+                tokens.insert(int(rng.integers(len(tokens) + 1)),
+                              TriphoneToken(utt, *span, t.center, t.left, t.right,
+                                            t.speaker))
+            want = outcome(caplog, lambda: abx_reference(tokens, root, "within",
+                                                         metric))
+            assert outcome(caplog, lambda: abx.abx_evaluate(
+                tokens, root, "within", metric)) == want
+            if isinstance(want[0], tuple):
+                kinds.add(want[0][1].split(": ")[-1][:12])
+        assert len(kinds) == 4  # every fault but the empty token is an error
+
+    @pytest.mark.parametrize("order, message", [
+        # a rejected frame before an unreadable utterance's first token wins
+        (("drop", "bad", "junk", "ghost"),
+         "token (bad, 0.0, 0.03): angular distance undefined for zero-norm frames"),
+        # the unreadable utterance is met first: its own error
+        (("drop", "junk", "bad", "ghost"), "line 2: expected 2 values, got 1"),
+        (("ghost", "bad", "junk"), "token (ghost, 0.0, 0.02): no feature file for "),
+        # a wider utterance's kept token before the bad frame
+        (("wide", "bad"), "token (bad, 0.0, 0.03): frame dimension 2 differs from "
+                          "3 in token (wide, 0.0, 0.02)"),
+        # an empty token is dropped, however wide or bad its utterance
+        (("empty-bad", "empty-wide"), None),
+    ])
+    def test_error_precedence(self, tmp_path, caplog, order, message):
+        write_archive(tmp_path, {"good": np.eye(2)[[0, 1, 0, 1]],
+                                 "bad": np.eye(2)[[0, 1, 0]] * [[1], [0], [1]],
+                                 "wide": np.eye(3)[[0, 1]]})
+        (tmp_path / "junk.txt").write_text("dim=2 rate=100\n1\n")
+        tokens = {"drop": ("good", 0.001, 0.002), "bad": ("bad", 0.0, 0.03),
+                  "junk": ("junk", 0.0, 0.01), "ghost": ("ghost", 0.0, 0.02),
+                  "wide": ("wide", 0.0, 0.02), "empty-bad": ("bad", 0.011, 0.012),
+                  "empty-wide": ("wide", 0.001, 0.002)}
+        items = [TriphoneToken(*tokens[name], "B", "A", "T", "s1") for name in order]
+        items += [TriphoneToken("good", 0.0, 0.02, "P", "A", "T", "s1")]
+        caplog.set_level("INFO")
+        want = outcome(caplog, lambda: abx_reference(items, tmp_path, "within"))
+        got = outcome(caplog, lambda: abx.abx_evaluate(items, tmp_path, "within"))
+        assert got == want
+        if message is None:
+            assert got[0] == (ValidationError, "no valid ABX cells in within mode")
+        else:
+            assert message in got[0][1]
+        assert [text.split(" ")[2] for _, text in got[1]] == \
+            ["(good," if n == "drop" else f"({tokens[n][0]},"
+             for n in order if n in ("drop", "empty-bad", "empty-wide")]
+
+    def test_time_past_the_frame_index_names_the_token(self, tmp_path):
+        # floor(time * rate) has no finite value: an error naming the token
+        # and its position among the items, not an OverflowError
+        (tmp_path / "u1.txt").write_text("dim=2 rate=1e308\n1 0\n0 1\n")
+        write_archive(tmp_path, {"u2": np.eye(2)[[0, 1, 0, 1]]})
+        tokens = [TriphoneToken("u2", 0.0, 0.02, "B", "A", "T", "s1"),
+                  TriphoneToken("u1", 10.0, 10.5, "P", "A", "T", "s1")]
+        with pytest.raises(ValidationError) as info:
+            abx.abx_evaluate(tokens, tmp_path, "within", "kl")
+        assert str(info.value) == ("token (u1, 10.0, 10.5): no finite frame index "
+                                   "at frame rate 1e+308")
+        assert info.value.index == 1

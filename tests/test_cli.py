@@ -428,6 +428,21 @@ class TestPipelines:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{cands}: line " in err
 
+    def test_sentence_pool_anchor_with_two_candidates_names_its_line(self, tmp_path,
+                                                                      capsys):
+        path = tmp_path / "pool.tsv"
+        path.write_text("anchor_id\tstratum\tcandidate_id\ts_1\n"
+                        "a0\tx\t@self\t1.0\na0\tx\tc0\t0.5\n"
+                        "a1\tx\t@self\t1.0\na1\tx\tc1\t0.5\na1\tx\tc2\t0.2\n")
+        argv = ["sample-pairs", "--candidates", str(path), "--mode", "sentences",
+                "--k-target", "1", "--out", str(tmp_path / "a.tsv")]
+        expected = (f"{path}: line 4: anchor 'a1': sentence pools carry exactly one "
+                    "candidate per anchor")
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
     def test_sample_pairs_report_per_stratum(self, mini_benchmark, tmp_path):
         # the candidate set has six strata; each subset is the stratum's
         # balance_objective, as if computed on its own
@@ -727,6 +742,20 @@ class TestGoldRefErrors:
         error = raised(argv)
         assert type(error) is ValidationError and str(error) == expected
 
+    def test_refs_without_a_shared_voice_name_the_record_line(self, layer, capsys):
+        # the record (d, c) merges lines 3 and 4; its first line is named
+        gold = layer.parent / "gold.tsv"
+        gold.write_text(self.HEADER + "a\tb\t5\tD\tA:u1\tA:u2\n"
+                        "c\td\t5\tD\tA:u1\tB:u2\n" "d\tc\t6\tD\tC:u1\tD:u2\n")
+        argv = ["score-semantic", "--gold", str(gold), "--features", str(layer),
+                "--out", str(layer.parent / "r.json")]
+        expected = (f"{gold}: line 3: (c, d): no comparable token pairs for the "
+                    "synthetic subset")
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
     def test_empty_utterance_id_names_its_line(self, layer, capsys):
         gold = layer.parent / "gold.tsv"
         gold.write_text(self.HEADER + "a\tb\t5\tD\t:u1\t:u2\n"
@@ -807,6 +836,17 @@ class TestInputContract:
         code, err = _exit_and_stderr(["abx", "--items", str(items), "--features",
                                       str(root), "--out", str(root / "r.json")])
         assert code == 0 or (code == 1 and err.count("\n") == 1 and str(items) in err)
+
+    def test_item_time_past_the_frame_index(self, tmp_path):
+        # onset 10.0 s at 1e308 frames/s has no finite frame index
+        (tmp_path / "u1.txt").write_text("dim=2 rate=1e308\n1 0\n0 1\n")
+        items = tmp_path / "i.item"
+        items.write_text(io_formats.ITEM_HEADER + "\nu1 0.0 1e-308 B A T s1\n\n"
+                         "u1 10.0 10.5 P A T s1\n")
+        code, err = _exit_and_stderr(["abx", "--items", str(items), "--features",
+                                      str(tmp_path), "--out", str(tmp_path / "r.json")])
+        assert (code, err) == (1, f"error: {items}: line 4: token (u1, 10.0, 10.5): "
+                                  "no finite frame index at frame rate 1e+308\n")
 
     @pytest.fixture(scope="class")
     def pair_inputs(self, tmp_path_factory):
@@ -978,12 +1018,15 @@ class TestInputContract:
     @settings(max_examples=60)
     @given(row=st.integers(0, 12), col=st.integers(0, 4), value=FIELD_VALUES)
     def test_candidate_set_mutation(self, candidate_rows, row, col, value):
+        # sentence mode meets anchors with two candidates: an error naming
+        # the file too
         root, rows = candidate_rows
         path = root / "mutated.tsv"
         path.write_text(_mutated(rows, row, col, value, "\t"))
-        _assert_contract(lambda: sampler.read_candidate_set(path), path,
-                         ["sample-pairs", "--candidates", str(path),
-                          "--out", str(root / "assignment.tsv")])
+        for mode in (["words"], ["sentences", "--k-target", "2"]):
+            _assert_contract(lambda: sampler.read_candidate_set(path), path,
+                             ["sample-pairs", "--candidates", str(path), "--mode",
+                              *mode, "--out", str(root / "assignment.tsv")])
 
     @pytest.fixture(scope="class")
     def gold_inputs(self, tmp_path_factory):
