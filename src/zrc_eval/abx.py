@@ -25,7 +25,7 @@ import numpy as np
 from . import io_formats
 from .distance import FRAME_METRICS, dtw_pairs, invalid_frames, prepare
 from .distance import dtw_distance  # noqa: F401  (perfbench/spans.py wraps abx.dtw_distance)
-from .errors import ValidationError
+from .errors import ValidationError, _at
 from .types import FeatureSequence, UnitSequence
 
 log = logging.getLogger(__name__)
@@ -178,10 +178,8 @@ def _token_name(token) -> str:
     return f"token ({token.file_id}, {token.onset}, {token.offset})"
 
 
-def _token_error(tokens, index, message) -> ValidationError:
-    error = ValidationError(f"{_token_name(tokens[index])}: {message}")
-    error.index = index  # lets a caller name the token's item-file line
-    return error
+def _token_error(token, message) -> ValidationError:
+    return _at(token.where, f"{_token_name(token)}: {message}")
 
 
 def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
@@ -248,15 +246,15 @@ def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
                     file_ids[i], onsets[i], offsets[i])
     if end < n:
         if unindexed[end]:
-            raise _token_error(tokens, end, "no finite frame index at frame "
+            raise _token_error(tokens[end], "no finite frame index at frame "
                                             f"rate {float(rate[end])}")
         if mismatch[end]:
-            raise ValidationError(
-                f"{_token_name(tokens[end])}: frame dimension {dim[end]} "
-                f"differs from {dim[first]} in {_token_name(tokens[first])}")
-        raise ValidationError(f"{_token_name(tokens[end])}: {rejects[utt[end]][1]}")
+            raise _token_error(tokens[end], f"frame dimension {dim[end]} differs "
+                                            f"from {dim[first]} in "
+                                            f"{_token_name(tokens[first])}")
+        raise _token_error(tokens[end], rejects[utt[end]][1])
     if isinstance(failure, FileNotFoundError):
-        raise _token_error(tokens, n, failure) from None
+        raise _token_error(tokens[n], failure) from None
     if failure is not None:
         raise failure
     frames = [utterances[u].frames[a:b] for u, a, b in
@@ -272,12 +270,14 @@ def _ranks(values) -> tuple:
     return distinct, np.fromiter(map(rank.__getitem__, values), np.intp, len(values))
 
 
-def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
+def abx_evaluate(items, features, mode: str, metric="angular",
+                 where=None) -> AbxResult:
     """Evaluate the ABX error rate over an item set.
 
     ``features`` is an archive directory. The tokens' columns are taken
     out once and checked as arrays (see ``_extract``): the first token in
-    item-file order that fails a check is an error naming it. Kept tokens
+    item-file order that fails a check is an error naming it, led by its
+    ``where``. Kept tokens
     are views into their utterances, ordered by context, centre phone
     and speaker, so that each category is one range of that order.
 
@@ -291,7 +291,8 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
     is bounded by one group and by the largest context's comparisons.
 
     Cells lacking enough tokens are skipped with a logged reason; an item
-    set producing no valid cell at all is an error. The result counts
+    set producing no valid cell at all is an error, led by ``where`` (the
+    item file) when it is given. The result counts
     dropped (empty) tokens, clamped offsets and skipped cells.
     """
     if mode not in ("within", "across"):
@@ -342,7 +343,7 @@ def abx_evaluate(items, features, mode: str, metric="angular") -> AbxResult:
         a1, b1, x1, x2 = c1[p], c2[p], c1[q], c2[q]
         skipped = 0
     if not a1.size:
-        raise ValidationError(f"no valid ABX cells in {mode} mode")
+        raise _at(where, f"no valid ABX cells in {mode} mode")
     cells = tuple(np.column_stack(pair).ravel()
                   for pair in ((a1, b1), (b1, a1), (x1, x2)))
 

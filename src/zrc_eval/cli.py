@@ -18,7 +18,7 @@ from . import metrics as metrics_mod
 from . import quantizer as quant_mod
 from . import sampler as sampler_mod
 from . import scoring as scoring_mod
-from .errors import ValidationError
+from .errors import FormatError, ValidationError, _at
 from .types import MetricReport
 
 
@@ -122,22 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _row_error(path, rows, key, value, message) -> ValidationError:
-    """``message`` at ``path``'s first line in ``rows`` with ``row[key] == value``."""
-    lineno = next(n for n, row in rows if row[key] == value)
-    return ValidationError(f"{path}: line {lineno}: {message}")
-
-
 def cmd_abx(args) -> int:
     items = io.read_item_file(args.items)
-    try:
-        result = abx_mod.abx_evaluate(items, args.features, args.mode, args.distance)
-    except ValidationError as exc:
-        if not hasattr(exc, "index"):  # set for a token without frames to read
-            raise
-        rows = enumerate(n for n, _ in io._rows(args.items, sep=None) if n > 1)
-        raise _row_error(args.items, ((n, [i]) for i, n in rows), 0, exc.index,
-                         exc) from None
+    result = abx_mod.abx_evaluate(items, args.features, args.mode, args.distance,
+                                  where=args.items)
     report = MetricReport(
         metric="abx",
         aggregate=result.error_rate,
@@ -157,7 +145,16 @@ def cmd_kmeans_train(args) -> int:
     if not utt_ids:
         raise ValidationError(f"no feature files under {args.features}")
     sequences = [io.read_feature_archive(args.features, u) for u in utt_ids]
+    first = io.feature_file(args.features, utt_ids[0])
+    for utt, fs in zip(utt_ids, sequences):
+        if fs.dim != sequences[0].dim:
+            raise ValidationError(f"{io.feature_file(args.features, utt)}: feature "
+                                  f"dim {fs.dim} != {sequences[0].dim} of {first}")
     frame_rate = sequences[0].frame_rate
+    with np.errstate(over="ignore"):
+        if not 0 < np.float32(frame_rate) < np.inf:  # the codebook's f32
+            raise ValidationError(f"{first}: frame rate {frame_rate} is not "
+                                  "finite and positive as f32")
     frames = np.concatenate([fs.frames for fs in sequences])
     del sequences  # the fit holds the frames once, concatenated
     codebook = quant_mod.kmeans_fit(
@@ -195,7 +192,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_ngram_train(args) -> int:
     corpus = io.read_unit_sequences(args.units)
-    model = scoring_mod.ngram_train(corpus, args.order, args.alpha)
+    model = scoring_mod.ngram_train(corpus, args.order, args.alpha, where=args.units)
     scoring_mod.save_ngram_model(model, args.out)
     return 0
 
@@ -217,26 +214,9 @@ def _pair_scores(args, cfg) -> dict:
     for seq in sequences:
         try:
             scores[seq.utt_id] = score(seq, per_token=args.per_token).log_score
-        except ValidationError as exc:  # name the utterance's line and the model
-            raise _row_error(args.units, io._rows(args.units, sep=None), 0,
-                             seq.utt_id, f"{exc} ({source})") from None
+        except ValidationError as exc:  # led by the utterance's line
+            raise ValidationError(f"{exc} ({source})") from None
     return scores
-
-
-def _unscored_pair(args, pairs, scores):
-    """The error for the first pair naming an utterance that ``scores``
-    lacks, with its manifest line and score source; None if none does."""
-    for pair in pairs:
-        utt = next((u for u in (pair.accepted_id, pair.rejected_id)
-                    if u not in scores), None)
-        if utt is not None:
-            source = (f"--scores {args.scores}" if args.scores else
-                      f"--units {args.units}" if args.ngram_model else
-                      f"--units {args.units} (--masked-table {args.masked_table})")
-            return _row_error(args.pairs, io._read_tsv(args.pairs, ("pair_id",)),
-                              "pair_id", pair.pair_id, f"pair {pair.pair_id}: "
-                              f"no score for utterance {utt!r} in {source}")
-    return None
 
 
 def cmd_score_pairs(args) -> int:
@@ -251,9 +231,15 @@ def cmd_score_pairs(args) -> int:
     pairs = io.read_pair_manifest(args.pairs)
     scores = _pair_scores(args, cfg)
     try:
-        acc = metrics_mod.paired_accuracy(pairs, scores, args.tie)
+        acc = metrics_mod.paired_accuracy(pairs, scores, args.tie, where=args.pairs)
     except ValidationError as exc:
-        raise _unscored_pair(args, pairs, scores) or exc from None
+        if not pairs:
+            raise
+        # a pair without a score, led by its line
+        source = (f"--scores {args.scores}" if args.scores else
+                  f"--units {args.units}" if args.ngram_model else
+                  f"--units {args.units} (--masked-table {args.masked_table})")
+        raise ValidationError(f"{exc} in {source}") from None
     config = {"tie": args.tie,
               "source": ("scores" if args.scores else
                          "ngram" if args.ngram_model else "masked")}
@@ -279,10 +265,10 @@ def _gold_frames(gold, directory, utt):
     try:
         return io.read_feature_archive(directory, utt).frames
     except FileNotFoundError as exc:
-        rows = ((n, [u]) for n, row in io._read_tsv(gold, ()) for w in "ab"
-                for _, u in io._parse_refs(row.get(f"refs_{w}", ""))
-                or [("", row[f"word_{w}"])])
-        raise _row_error(gold, rows, 0, utt, exc) from None
+        lineno = next(n for n, row in io._read_tsv(gold, ()) for w in "ab"
+                      for _, u in io._parse_refs(row.get(f"refs_{w}", ""))
+                      or [("", row[f"word_{w}"])] if u == utt)
+        raise _at(f"{gold}: line {lineno}", exc) from None
 
 
 def cmd_score_semantic(args) -> int:
@@ -296,20 +282,9 @@ def cmd_score_semantic(args) -> int:
     layers = [{utt: _gold_frames(args.gold, directory, utt) for utt in needed}
               for directory in (args.features if sweep
                                 else [args.features[args.layer]])]
-    try:
-        layer, pooling, score, sims = metrics_mod.layer_sweep(
-            layers, records, args.subset,
-            metrics_mod.POOLINGS if sweep else (args.pooling,))
-    except ValidationError as exc:
-        if not hasattr(exc, "record"):  # set for a record without token pairs
-            raise
-        # a record's first row: the rows of one dataset and word pair merge
-        rows = ((n, [(row["dataset"], {row["word_a"], row["word_b"]})])
-                for n, row in io._read_tsv(args.gold, ()))
-        record = exc.record
-        raise _row_error(args.gold, rows, 0, (record.dataset,
-                                              {record.word_a, record.word_b}),
-                         exc) from None
+    layer, pooling, score, sims = metrics_mod.layer_sweep(
+        layers, records, args.subset,
+        metrics_mod.POOLINGS if sweep else (args.pooling,), where=args.gold)
     by_dataset: dict = {}  # dataset -> its records' (model, human) similarities
     for record, sim in zip(records, sims):
         by_dataset.setdefault(record.dataset, []).append((sim, record.human_score))
@@ -342,15 +317,9 @@ def cmd_sample_pairs(args) -> int:
         assignment = sampler_mod.sample_word_pairs(
             cs, seed=args.seed, restarts=args.restarts)
     else:
-        try:
-            assignment = sampler_mod.sample_sentence_pairs(
-                cs, args.k_target, seed=args.seed,
-                per_stratum=args.per_stratum, restarts=args.restarts)
-        except ValidationError as exc:
-            if not hasattr(exc, "anchor_id"):  # set for an anchor's candidates
-                raise
-            rows = ((n, cols) for n, cols in io._rows(args.candidates) if n > 1)
-            raise _row_error(args.candidates, rows, 0, exc.anchor_id, exc) from None
+        assignment = sampler_mod.sample_sentence_pairs(
+            cs, args.k_target, seed=args.seed,
+            per_stratum=args.per_stratum, restarts=args.restarts)
     sampler_mod.write_assignment(assignment, cs, args.out)
     if args.report:
         by_stratum: dict = {}
@@ -384,7 +353,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (FormatError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,9 @@
 Every text file is UTF-8; undecodable bytes are a FormatError naming the
 file. Whitespace-only lines are ignored in every line-oriented format
 (in a TSV table a tab-only line is skipped, not read as a row of empty
-fields). Every row error names the file and the line.
+fields). Every row error names the file and the line, and every record
+read from a row keeps that ``"<path>: line N"`` as its ``where`` (a
+merged gold record and a candidate anchor keep their first row's).
 
 Formats
 -------
@@ -37,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, _named
+from .errors import FormatError, ValidationError, _at, _named
 from .types import (FeatureSequence, MetricReport, ScoredPair, SimilarityRecord,
                     TriphoneToken, UnitSequence)
 
@@ -89,6 +91,7 @@ def read_item_file(path) -> list[TriphoneToken]:
     if next(rows)[1] != ITEM_HEADER.split():
         raise FormatError(
             f"{path}: line 1: expected item header {ITEM_HEADER!r}")
+    line = f"{path}: line "
     tokens = []
     seen = set()
     for lineno, cols in rows:
@@ -96,17 +99,14 @@ def read_item_file(path) -> list[TriphoneToken]:
         try:
             onset, offset = float(onset_s), float(offset_s)
         except ValueError:
-            raise FormatError(
-                f"{path}: line {lineno}: non-numeric onset/offset") from None
+            raise FormatError(f"{line}{lineno}: non-numeric onset/offset") from None
         if not (math.isfinite(onset) and math.isfinite(offset)):
-            raise FormatError(
-                f"{path}: line {lineno}: non-finite onset/offset")
-        token = _named(path, lineno, TriphoneToken,
-                       file_id, onset, offset, center, left, right, speaker)
+            raise FormatError(f"{line}{lineno}: non-finite onset/offset")
+        token = TriphoneToken(file_id, onset, offset, center, left, right, speaker,
+                              f"{line}{lineno}")
         key = (file_id, onset, offset)
         if key in seen:
-            raise ValidationError(
-                f"{path}: line {lineno}: duplicate token {key}")
+            raise _at(token.where, f"duplicate token {key}")
         seen.add(key)
         tokens.append(token)
     return tokens
@@ -183,7 +183,7 @@ def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
         values.append(row)
     if not values:
         raise FormatError(f"{fpath}: no frames after header")
-    return _named(fpath, 1, FeatureSequence, utt_id, rate, values)
+    return _named(f"{fpath}: line 1", FeatureSequence, utt_id, rate, values)
 
 
 def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequence:
@@ -208,7 +208,7 @@ def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequen
             f"({body} bytes for {n_frames}x{dim} f32)")
     frames = np.frombuffer(blob, dtype="<f4", count=n_frames * dim,
                            offset=_FEATURE_HEADER.size)
-    return _named(fpath, None, FeatureSequence, utt_id, rate, frames.reshape(n_frames, dim))
+    return _named(fpath, FeatureSequence, utt_id, rate, frames.reshape(n_frames, dim))
 
 
 def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Path:
@@ -256,21 +256,20 @@ def list_archive(path) -> list[str]:
 
 def read_unit_sequences(path) -> list:
     """Parse ``<utt_id> u1 u2 ... uT`` lines into UnitSequence values."""
+    line = f"{path}: line "
     sequences = []
     seen = set()
     for lineno, cols in _rows(path, sep=None):
         utt_id = cols[0]
         if utt_id in seen:
-            raise ValidationError(
-                f"{path}: line {lineno}: duplicate utterance {utt_id!r}")
+            raise _at(f"{line}{lineno}", f"duplicate utterance {utt_id!r}")
         seen.add(utt_id)
         try:
-            sequences.append(_named(path, lineno, UnitSequence, utt_id, cols[1:]))
+            sequences.append(UnitSequence(utt_id, cols[1:], f"{line}{lineno}"))
         except ValidationError:
             raise
         except ValueError:  # from int()
-            raise FormatError(
-                f"{path}: line {lineno}: non-integer unit") from None
+            raise FormatError(f"{line}{lineno}: non-integer unit") from None
     return sequences
 
 
@@ -302,17 +301,17 @@ def _read_tsv(path, required: tuple[str, ...]):
 
 def read_pair_manifest(path) -> list[ScoredPair]:
     """Read a pair manifest; extra columns become tags."""
+    line = f"{path}: line "
     pairs = []
     seen = set()
     for lineno, row in _read_tsv(path, ("pair_id", "accepted_id", "rejected_id")):
         pair_id = row.pop("pair_id")
         if pair_id in seen:
-            raise ValidationError(f"{path}: line {lineno}: duplicate pair_id {pair_id!r}")
+            raise _at(f"{line}{lineno}", f"duplicate pair_id {pair_id!r}")
         seen.add(pair_id)
         accepted = row.pop("accepted_id")
         rejected = row.pop("rejected_id")
-        pairs.append(_named(path, lineno, ScoredPair,
-                            pair_id, accepted, rejected, dict(row)))
+        pairs.append(ScoredPair(pair_id, accepted, rejected, row, f"{line}{lineno}"))
     return pairs
 
 
@@ -342,7 +341,8 @@ def read_similarity_gold(path) -> list[SimilarityRecord]:
     """Read a similarity gold table, merging opposite-order duplicates.
 
     Rows naming the same unordered word pair within one dataset collapse to
-    a single record whose score is the mean of the duplicates.
+    a single record whose score is the mean of the duplicates, and whose
+    ``where`` is the first of those rows.
     """
     merged: dict = {}  # in first-seen order
     for lineno, row in _read_tsv(path, ("word_a", "word_b", "score", "dataset")):
@@ -360,7 +360,8 @@ def read_similarity_gold(path) -> list[SimilarityRecord]:
                 f"{path}: line {lineno}: score {score} outside [0, 10]")
         key = (dataset,) + tuple(sorted((word_a, word_b)))
         if key not in merged:
-            merged[key] = [word_a, word_b, [score], refs_a, refs_b]
+            merged[key] = [word_a, word_b, [score], refs_a, refs_b,
+                           f"{path}: line {lineno}"]
         else:
             entry = merged[key]
             entry[2].append(score)
@@ -369,10 +370,9 @@ def read_similarity_gold(path) -> list[SimilarityRecord]:
             entry[3] += tuple(r for r in extra_a if r not in entry[3])
             entry[4] += tuple(r for r in extra_b if r not in entry[4])
     records = []
-    for key, (word_a, word_b, scores, refs_a, refs_b) in merged.items():
+    for key, (word_a, word_b, scores, refs_a, refs_b, where) in merged.items():
         records.append(SimilarityRecord(
-            word_a, word_b, sum(scores) / len(scores), key[0],
-            refs_a=refs_a, refs_b=refs_b))
+            word_a, word_b, sum(scores) / len(scores), key[0], refs_a, refs_b, where))
     return records
 
 

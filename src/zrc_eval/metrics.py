@@ -24,7 +24,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _at
 
 POOLINGS = ("mean", "max", "min")
 
@@ -38,16 +38,19 @@ class AccuracyReport:
     tie_count: int = 0
 
 
-def paired_accuracy(pairs, scores: dict, tie_policy: str = "half") -> AccuracyReport:
+def paired_accuracy(pairs, scores: dict, tie_policy: str = "half",
+                    where=None) -> AccuracyReport:
     """Score accepted-vs-rejected pairs against a log-score table.
 
     ``tie_policy`` is 'half' (ties earn 0.5) or 'zero'. The overall
-    accuracy is the mean over pairs, not the mean of per-tag means.
+    accuracy is the mean over pairs, not the mean of per-tag means. A
+    pair without a score is an error led by the pair's ``where``, and no
+    pairs at all one led by ``where`` (the pairs' file) when it is given.
     """
     if tie_policy not in ("half", "zero"):
         raise ValueError(f"unknown tie policy {tie_policy!r}")
     if not pairs:
-        raise ValidationError("no pairs to score")
+        raise _at(where, "no pairs to score")
     outcomes = []
     tags: dict = {}
     ties = 0
@@ -56,8 +59,8 @@ def paired_accuracy(pairs, scores: dict, tie_policy: str = "half") -> AccuracyRe
             accepted = scores[pair.accepted_id]
             rejected = scores[pair.rejected_id]
         except KeyError as exc:
-            raise ValidationError(
-                f"pair {pair.pair_id}: no score for utterance {exc.args[0]!r}") from None
+            raise _at(pair.where, f"pair {pair.pair_id}: no score for utterance "
+                                  f"{exc.args[0]!r}") from None
         if accepted > rejected:
             outcome = 1.0
         elif accepted == rejected:
@@ -192,11 +195,8 @@ def _token_pairs(record, subset: str) -> list:
     else:
         raise ValueError(f"unknown similarity subset {subset!r}")
     if not pairs:
-        error = ValidationError(
-            f"({record.word_a}, {record.word_b}): no comparable token pairs "
-            f"for the {subset} subset")
-        error.record = record  # lets a caller name the record's gold line
-        raise error
+        raise _at(record.where, f"({record.word_a}, {record.word_b}): no "
+                                f"comparable token pairs for the {subset} subset")
     return pairs
 
 
@@ -235,9 +235,8 @@ def _similarities(records: list, plan: tuple, reprs: dict) -> list:
         first = min(map(names.index, absent))
         pair = first // 2
         record = records[bisect.bisect_right(ends, pair)]
-        failure = ValidationError(
-            f"({record.word_a}, {record.word_b}): no representation "
-            f"for utterance {names[first]!r}")
+        failure = _at(record.where, f"({record.word_a}, {record.word_b}): no "
+                                    f"representation for utterance {names[first]!r}")
         names = names[:2 * pair]
     rows: dict = {}  # utterance -> its index in vectors
     flat = np.array([rows.setdefault(utt, len(rows)) for utt in names],
@@ -260,9 +259,9 @@ def record_similarities(records, reprs: dict, subset: str) -> list:
     return _similarities(records, _token_plan(records, subset), reprs)
 
 
-def _check_records(records: list) -> None:
+def _check_records(records: list, where=None) -> None:
     if len(records) < 2:
-        raise ValidationError("similarity scoring needs at least 2 records")
+        raise _at(where, "similarity scoring needs at least 2 records")
 
 
 def similarity_score(records, reprs: dict, subset: str = "synthetic") -> float:
@@ -275,12 +274,14 @@ def similarity_score(records, reprs: dict, subset: str = "synthetic") -> float:
 
 
 def layer_sweep(layer_archives, records, subset: str = "synthetic",
-                poolings=POOLINGS):
+                poolings=POOLINGS, where=None):
     """Pick the (layer, pooling) pair maximizing the dev similarity score.
 
     ``layer_archives`` maps each layer index to a dict of utt_id -> T x D
     hidden-state matrix. Returns the winner's ``(layer, pooling, score,
     record similarities)``; ties go to the lower layer, then the earlier pooling.
+    An error about one record is led by its ``where``, and fewer than 2
+    records by ``where`` (the records' file) when it is given.
     """
     if not layer_archives:
         raise ValidationError("layer sweep needs at least one layer")
@@ -291,7 +292,7 @@ def layer_sweep(layer_archives, records, subset: str = "synthetic",
         for kind in poolings:
             reprs = {utt: pool(mat, kind) for utt, mat in archive.items()}
             if plan is None:
-                _check_records(records)
+                _check_records(records, where)
                 plan = _token_plan(records, subset)
             sims = _similarities(records, plan, reprs)
             score = spearman(sims, [r.human_score for r in records])

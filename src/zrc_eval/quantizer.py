@@ -93,8 +93,9 @@ class Codebook:
         uniq = {tuple(row) for row in self.centroids}
         if len(uniq) != self.centroids.shape[0]:
             raise ValidationError("duplicate centroids in codebook")
-        if not 0 < self.frame_rate < math.inf:
-            raise ValidationError("frame rate must be finite and positive")
+        with np.errstate(over="ignore"):  # the codebook file stores an f32
+            if not 0 < np.float32(self.frame_rate) < math.inf:
+                raise ValidationError("frame rate must be finite and positive")
 
     @property
     def n_clusters(self) -> int:
@@ -324,4 +325,4 @@ def read_codebook(path) -> Codebook:
             f"{path}: expected {expected} bytes after header, got {len(body)}")
     centroids = np.frombuffer(body[:-8], dtype="<f4").reshape(k, d).astype(np.float64)
     (seed,) = struct.unpack("<Q", body[-8:])
-    return _named(path, None, Codebook, centroids, rate, seed)
+    return _named(path, Codebook, centroids, rate, seed)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _at
 from .io_formats import _rows
 
 # groups with at most this many choices (see above) are solved exactly
@@ -55,12 +55,15 @@ EXACT_SEARCH_LIMIT = 4096
 
 @dataclass(frozen=True)
 class AnchorEntry:
-    """One anchor with its M scores and its candidate counterparts."""
+    """One anchor with its M scores and its candidate counterparts;
+    ``where`` is the ``"<path>: line N"`` of its first row, None when built
+    in code, left out of ``==``, hash and repr."""
 
     anchor_id: str
     stratum: str
     scores: tuple
     candidates: tuple  # ((candidate_id, scores), ...)
+    where: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -202,11 +205,8 @@ def sample_sentence_pairs(pool: CandidateSet, k_target: int, seed: int = 0,
     """
     for anchor in pool.anchors:
         if len(anchor.candidates) != 1:
-            error = ValidationError(
-                f"anchor {anchor.anchor_id!r}: sentence pools carry exactly "
-                "one candidate per anchor")
-            error.anchor_id = anchor.anchor_id  # lets a caller name its line
-            raise error
+            raise _at(anchor.where, f"anchor {anchor.anchor_id!r}: sentence pools "
+                                    "carry exactly one candidate per anchor")
     n_total = len(pool.anchors)
     if not (1 <= k_target <= n_total):
         raise ValidationError(
@@ -436,8 +436,8 @@ def read_candidate_set(path) -> CandidateSet:
             what = "@self row" if entry["self"] is None else "candidates"
             raise ValidationError(f"{path}: line {entry['line']}: anchor "
                                   f"{anchor_id!r} has no {what}")
-        entries.append(AnchorEntry(
-            anchor_id, entry["stratum"], entry["self"], tuple(entry["cands"])))
+        entries.append(AnchorEntry(anchor_id, entry["stratum"], entry["self"],
+                                   tuple(entry["cands"]), f"{path}: line {entry['line']}"))
     return CandidateSet._checked(entries)
 
 

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _at, _named
 from .io_formats import _rows
 from .types import UnitSequence
 
@@ -80,6 +80,12 @@ class NgramModel:
         self._vocab_set = frozenset(self.vocab)
         self.counts = counts  # context tuple -> {unit or _END: count}
         self._totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
+        # the least probability, alpha over the largest denominator, bounds
+        # every other from below: it must not round to 0 (log(0) fails)
+        denom = max(self._totals.values(), default=0) + self.alpha * (len(self.vocab) + 1)
+        if not self.alpha / denom > 0:
+            raise ValidationError(
+                f"alpha {alpha} puts a smoothed probability out of float range")
         self._logprobs: dict = {}  # context + (target,) -> log P(target | context)
 
     def _logprob(self, key: tuple) -> float:
@@ -206,11 +212,12 @@ def load_ngram_model(path) -> NgramModel:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def ngram_train(corpus, order: int, alpha: float = 1.0) -> NgramModel:
-    """Train an additively smoothed n-gram model on unit sequences."""
+def ngram_train(corpus, order: int, alpha: float = 1.0, where=None) -> NgramModel:
+    """Train an additively smoothed n-gram model on unit sequences; an
+    empty corpus is an error led by ``where`` (its file) when it is given."""
     corpus = list(corpus)
     if not corpus:
-        raise ValidationError("cannot train an n-gram model on an empty corpus")
+        raise _at(where, "cannot train an n-gram model on an empty corpus")
     grams: Counter = Counter()  # context + (target,) -> count
     vocab: set[int] = set()
     for seq in corpus:
@@ -232,9 +239,10 @@ def chain_rule_logprob(model: NgramModel, seq: UnitSequence,
     docstring defines it, computed on its n-gram's first use and then read
     from the model's table; terms are summed left to right from 0.0. Pairs
     are length-matched by construction, so raw scores are the default;
-    ``per_token`` divides by the sequence length.
+    ``per_token`` divides by the sequence length. An out-of-vocabulary
+    unit is an error led by the sequence's ``where``.
     """
-    total = model._chain_rule(seq.units)
+    total = _named(seq.where, model._chain_rule, seq.units)
     if per_token:
         total /= len(seq.units)
     return PseudoProbability(total)
@@ -259,8 +267,8 @@ def span_pseudo_logprob(table, seq: UnitSequence,
     1-based inclusive bounds as in the masked-score format, to log
     P(window | the remaining tokens); windows that would run past T are
     clamped at T, and a window missing from the table is a
-    ValidationError naming it. ``per_token`` divides the sum by the
-    sequence length.
+    ValidationError naming it, led by the sequence's ``where``.
+    ``per_token`` divides the sum by the sequence length.
     """
     cfg = cfg or SpanConfig()
     total = 0.0
@@ -268,12 +276,11 @@ def span_pseudo_logprob(table, seq: UnitSequence,
         try:
             total += table[seq.utt_id, start + 1, stop]
         except KeyError:
-            raise ValidationError(
-                f"no masked score for window ({seq.utt_id}, {start + 1}, "
-                f"{stop})") from None
+            raise _at(seq.where, f"no masked score for window ({seq.utt_id}, "
+                                 f"{start + 1}, {stop})") from None
     if per_token:
         total /= len(seq.units)
-    return PseudoProbability(total)
+    return _named(seq.where, PseudoProbability, total)
 
 
 def read_masked_scores(path) -> dict:

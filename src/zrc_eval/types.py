@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _at
 
 
 @dataclass(frozen=True)
@@ -15,6 +15,10 @@ class TriphoneToken:
     """One labelled speech fragment: a center phone with its context.
 
     Onset/offset are in seconds relative to the start of ``file_id``.
+    ``where`` is the ``"<path>: line N"`` the token was read from, None
+    when built in code, as in UnitSequence, ScoredPair and
+    SimilarityRecord: it leads the record's errors and is left out of
+    ``==``, hash and repr.
     """
 
     file_id: str
@@ -24,20 +28,20 @@ class TriphoneToken:
     left: str
     right: str
     speaker: str
+    where: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.onset) and math.isfinite(self.offset)):
-            raise ValidationError(
-                f"non-finite onset/offset ({self.onset}, {self.offset}) "
-                f"in {self.file_id}")
+            raise _at(self.where, f"non-finite onset/offset ({self.onset}, "
+                                  f"{self.offset}) in {self.file_id}")
         if self.onset < 0:
-            raise ValidationError(f"negative onset {self.onset} in {self.file_id}")
+            raise _at(self.where, f"negative onset {self.onset} in {self.file_id}")
         if self.offset <= self.onset:
-            raise ValidationError(
-                f"offset {self.offset} <= onset {self.onset} in {self.file_id}")
+            raise _at(self.where,
+                      f"offset {self.offset} <= onset {self.onset} in {self.file_id}")
         for label in (self.center, self.left, self.right):
             if not label:
-                raise ValidationError(f"empty phone label in {self.file_id}")
+                raise _at(self.where, f"empty phone label in {self.file_id}")
 
 
 class FeatureSequence:
@@ -86,15 +90,17 @@ class UnitSequence:
 
     utt_id: str
     units: tuple[int, ...]
+    where: str | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, utt_id: str, units):
+    def __init__(self, utt_id: str, units, where: str | None = None):
         units = tuple(map(int, units))
         if not units:
-            raise ValidationError(f"{utt_id}: empty unit sequence")
+            raise _at(where, f"{utt_id}: empty unit sequence")
         if min(units) < 0:
-            raise ValidationError(f"{utt_id}: negative unit index")
+            raise _at(where, f"{utt_id}: negative unit index")
         object.__setattr__(self, "utt_id", utt_id)
         object.__setattr__(self, "units", units)
+        object.__setattr__(self, "where", where)
 
     def __len__(self) -> int:
         return len(self.units)
@@ -108,11 +114,12 @@ class ScoredPair:
     accepted_id: str
     rejected_id: str
     tags: dict = field(default_factory=dict)
+    where: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.accepted_id == self.rejected_id:
-            raise ValidationError(
-                f"pair {self.pair_id}: accepted and rejected ids are identical")
+            raise _at(self.where,
+                      f"pair {self.pair_id}: accepted and rejected ids are identical")
 
 
 @dataclass
@@ -129,12 +136,12 @@ class SimilarityRecord:
     dataset: str
     refs_a: tuple = ()
     refs_b: tuple = ()
+    where: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.human_score <= 10.0):
-            raise ValidationError(
-                f"({self.word_a}, {self.word_b}): score {self.human_score} "
-                "outside [0, 10]")
+            raise _at(self.where, f"({self.word_a}, {self.word_b}): score "
+                                  f"{self.human_score} outside [0, 10]")
 
 
 @dataclass

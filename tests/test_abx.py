@@ -712,14 +712,19 @@ class TestArrayBookkeeping:
              for n in order if n in ("drop", "empty-bad", "empty-wide")]
 
     def test_time_past_the_frame_index_names_the_token(self, tmp_path):
-        # floor(time * rate) has no finite value: an error naming the token
-        # and its position among the items, not an OverflowError
+        # floor(time * rate) has no finite value: an error naming the token,
+        # and its item-file line once the token is read from one, not an
+        # OverflowError
         (tmp_path / "u1.txt").write_text("dim=2 rate=1e308\n1 0\n0 1\n")
         write_archive(tmp_path, {"u2": np.eye(2)[[0, 1, 0, 1]]})
         tokens = [TriphoneToken("u2", 0.0, 0.02, "B", "A", "T", "s1"),
                   TriphoneToken("u1", 10.0, 10.5, "P", "A", "T", "s1")]
+        message = "token (u1, 10.0, 10.5): no finite frame index at frame rate 1e+308"
         with pytest.raises(ValidationError) as info:
             abx.abx_evaluate(tokens, tmp_path, "within", "kl")
-        assert str(info.value) == ("token (u1, 10.0, 10.5): no finite frame index "
-                                   "at frame rate 1e+308")
-        assert info.value.index == 1
+        assert str(info.value) == message
+        items = tmp_path / "x.item"
+        io_formats.write_item_file(tokens, items)
+        with pytest.raises(ValidationError) as info:
+            abx.abx_evaluate(io_formats.read_item_file(items), tmp_path, "within", "kl")
+        assert str(info.value) == f"{items}: line 3: {message}"

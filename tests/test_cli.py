@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zrc_eval
-from zrc_eval import cli, io_formats, quantizer, sampler, scoring
+from zrc_eval import abx, cli, io_formats, metrics, quantizer, sampler, scoring
 from zrc_eval.errors import FormatError, ValidationError
 from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken, UnitSequence
 
@@ -84,9 +84,10 @@ class TestExitCodes:
                     "--mode", "within", "--distance", distance,
                     "--out", str(tmp_path / "r.json")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "bad_utt" in err
+        reason = {"angular": "angular distance undefined for zero-norm frames",
+                  "kl": "KL distance requires probability frames"}[distance]
+        assert capsys.readouterr().err == (
+            f"error: {items}: line 5: token (bad_utt, 0.0, 0.02): {reason}\n")
 
     def test_mixed_frame_dimensions_name_the_utterance(self, tmp_path, capsys):
         # one 3-dim utterance among 2-dim ones, all in one context
@@ -104,9 +105,53 @@ class TestExitCodes:
         code = run(["abx", "--items", str(items), "--features", str(features),
                     "--mode", "within", "--out", str(tmp_path / "r.json")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "wide_utt" in err and "frame dimension 3 differs from 2" in err
+        assert capsys.readouterr().err == (
+            f"error: {items}: line 4: token (wide_utt, 0.0, 0.02): frame dimension "
+            "3 differs from 2 in token (u0, 0.0, 0.02)\n")
+
+    # the codebook stores its rate as an f32: 1e300 overflows it, 1e-50
+    # rounds to 0
+    @pytest.mark.parametrize("rate", ["1e300", "1e-50"])
+    def test_codebook_rate_must_survive_f32(self, tmp_path, capsys, rate):
+        features = tmp_path / "features"
+        features.mkdir()
+        (features / "u1.txt").write_text(f"dim=2 rate={rate}\n0 0\n0 1\n1 0\n")
+        out = tmp_path / "c.zrck"
+        assert run(["kmeans-train", "--features", str(features), "--k", "2",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {features / 'u1.txt'}: frame rate {float(rate)} is not finite "
+            "and positive as f32\n")
+        assert not out.exists()
+
+    def test_mixed_dimensions_in_kmeans_archive_name_both_files(self, tmp_path,
+                                                                 capsys):
+        features = tmp_path / "features"
+        for utt, dim in (("u1", 2), ("u2", 3)):
+            io_formats.write_feature_archive(
+                features, FeatureSequence(utt, 100.0, np.eye(dim)), "binary")
+        out = tmp_path / "c.zrck"
+        assert run(["kmeans-train", "--features", str(features), "--k", "2",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {features / 'u2.zrcf'}: feature dim 3 != 2 of "
+            f"{features / 'u1.zrcf'}\n")
+        assert not out.exists()
+
+    def test_library_bug_is_not_an_input_error(self, tmp_path, monkeypatch):
+        # main maps only FormatError, ValidationError and OSError to exit 1
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("pair_id\taccepted_id\trejected_id\np\tu1\tu2\n")
+        scores = tmp_path / "s.tsv"
+        scores.write_text("u1\t-1.0\nu2\t-2.0\n")
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(metrics, "paired_accuracy", broken)
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
+            run(["score-lexical", "--pairs", str(pairs), "--scores", str(scores),
+                 "--out", str(tmp_path / "r.json")])
 
     @pytest.mark.parametrize("fmt, name", [("binary", "u1.zrcf"), ("text", "u1.txt")])
     def test_quantize_dim_mismatch_names_both_files(self, tmp_path, capsys, fmt, name):
@@ -227,6 +272,17 @@ class TestExitCodes:
             ["ngram-train", "--alpha", "inf"],
             "alpha must be finite and positive, got inf",
             lambda f: scoring.ngram_train(f["corpus"], 2, float("inf")),
+            ValidationError),
+        # alpha over the largest denominator must not round to 0
+        "alpha-overflows-the-denominator": (
+            ["ngram-train", "--alpha", "1e308"],
+            "alpha 1e+308 puts a smoothed probability out of float range",
+            lambda f: scoring.ngram_train(f["corpus"], 2, 1e308),
+            ValidationError),
+        "alpha-underflows": (
+            ["ngram-train", "--alpha", "5e-324"],
+            "alpha 5e-324 puts a smoothed probability out of float range",
+            lambda f: scoring.ngram_train(f["corpus"], 2, 5e-324),
             ValidationError),
         "model-alpha-inf": (
             ["score-lexical"], "{model}: alpha must be finite and positive, got inf",
@@ -520,6 +576,16 @@ def _codebook_file(path, centroids, rate=100.0):
                      + centroids.tobytes() + struct.pack("<Q", 0))
 
 
+def _beside(text, files):
+    """A writer of ``text`` to its path that writes each of ``files`` (name
+    -> text) beside it."""
+    def write(path):
+        path.write_text(text)
+        for name, content in files.items():
+            (path.parent / name).write_text(content)
+    return write
+
+
 def _one_frame_binary(path, rate):
     header = io_formats._FEATURE_HEADER.pack(b"ZRCF", 1, 2, rate, 1)
     path.write_bytes(header + np.ones(2, dtype="<f4").tobytes())
@@ -527,7 +593,8 @@ def _one_frame_binary(path, rate):
 
 class TestNamedInputErrors:
     """A check that a type makes on what a reader parsed names the file,
-    and the line in row formats; the library raises ValidationError."""
+    and the line in row formats, and so does a library rule about the
+    whole input read; the library raises ValidationError."""
 
     ITEM = io_formats.ITEM_HEADER + "\n"
     PAIRS = "pair_id\taccepted_id\trejected_id\n"
@@ -583,6 +650,30 @@ class TestNamedInputErrors:
             "c.zrck", lambda p: _codebook_file(p, np.zeros((1, 0))),
             ["quantize", "--codebook"], quantizer.read_codebook,
             "centroids must be a non-empty K x D matrix, got shape (1, 0)"),
+        # whole inputs that give nothing to score, read and then scored
+        "item-file-without-cells": (
+            "i.item", _beside(ITEM + "u1 0.0 0.02 B A T s1\n",
+                              {"u1.txt": "dim=2 rate=100\n1 0\n0 1\n"}),
+            ["abx", "--items"],
+            lambda p: abx.abx_evaluate(io_formats.read_item_file(p), p.parent,
+                                       "within", where=p),
+            "no valid ABX cells in within mode"),
+        "pair-manifest-header-only": (
+            "p.tsv", PAIRS, ["score-lexical", "--pairs"],
+            lambda p: metrics.paired_accuracy(io_formats.read_pair_manifest(p), {},
+                                              where=p),
+            "no pairs to score"),
+        "gold-one-record": (
+            "g.tsv", _beside("word_a\tword_b\tscore\tdataset\na\tb\t5\tD\n",
+                             {name: "dim=2 rate=100\n1 0\n" for name in ("a.txt", "b.txt")}),
+            ["score-semantic", "--gold"],
+            lambda p: metrics.layer_sweep([{}], io_formats.read_similarity_gold(p),
+                                          where=p),
+            "similarity scoring needs at least 2 records"),
+        "units-empty": (
+            "u.txt", "", ["ngram-train", "--units"],
+            lambda p: scoring.ngram_train(io_formats.read_unit_sequences(p), 2, where=p),
+            "cannot train an n-gram model on an empty corpus"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -599,9 +690,11 @@ class TestNamedInputErrors:
         assert type(info.value) is ValidationError
         assert str(info.value) == f"{path}: {message}"
         target = path.parent if command[-1] == "--features" else path
+        (tmp_path / "s.tsv").write_text("")
         rest = {"abx": ["--features", str(tmp_path)],
                 "score-lexical": ["--scores", str(tmp_path / "s.tsv")],
-                "kmeans-train": [],
+                "score-semantic": ["--features", str(tmp_path)],
+                "kmeans-train": [], "ngram-train": [],
                 "quantize": ["--features", str(tmp_path)]}[command[0]]
         assert run([*command, str(target), *rest, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"

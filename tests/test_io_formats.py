@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from zrc_eval import abx, metrics, sampler, scoring
 from zrc_eval import io_formats as io
-from zrc_eval import sampler, scoring
 from zrc_eval.errors import FormatError, ValidationError
-from zrc_eval.types import (FeatureSequence, MetricReport, ScoredPair, TriphoneToken,
-                            UnitSequence)
+from zrc_eval.types import (FeatureSequence, MetricReport, ScoredPair, SimilarityRecord,
+                            TriphoneToken, UnitSequence)
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +553,93 @@ class TestReaderContract:
             reader(path)
         assert str(exc.value) == (
             f"{path}: line {lineno}: expected {width} columns, got {width - 1}")
+
+
+# ---------------------------------------------------------------------------
+# where a record was read from
+# ---------------------------------------------------------------------------
+
+def _scored(name, tmp_path):
+    """A library call over records read from a file, and the same call over
+    the same records built in code: ``(file, line, call, records read,
+    records built, message)``; the call fails on the record of ``line``."""
+    root = tmp_path
+    if name == "abx":
+        io.write_feature_archive(root, FeatureSequence("u1", 100.0, np.eye(2)))
+        built = [TriphoneToken("u1", 0.0, 0.02, "B", "A", "T", "s1"),
+                 TriphoneToken("ghost", 0.0, 0.02, "P", "A", "T", "s1")]
+        path = root / "i.item"
+        io.write_item_file(built, path)
+        return (path, 3, lambda tokens: abx.abx_evaluate(tokens, root, "within"),
+                io.read_item_file(path), built,
+                f"token (ghost, 0.0, 0.02): no feature file for 'ghost' under {root}")
+    if name == "pairs":
+        built = [ScoredPair("p1", "u1", "u2"), ScoredPair("p2", "u2", "ghost")]
+        path = root / "p.tsv"
+        io.write_pair_manifest(built, path)
+        return (path, 3, lambda pairs: metrics.paired_accuracy(
+                    pairs, {"u1": -1.0, "u2": -2.0}),
+                io.read_pair_manifest(path), built,
+                "pair p2: no score for utterance 'ghost'")
+    if name == "gold":
+        # the record (c, d) merges lines 3 and 4: its first is named
+        path = root / "g.tsv"
+        path.write_text("word_a\tword_b\tscore\tdataset\trefs_a\trefs_b\n"
+                        "a\tb\t5\tD\tA:u1\tA:u2\n" "c\td\t5\tD\tA:u1\tB:u2\n"
+                        "d\tc\t6\tD\tC:u1\tD:u2\n")
+        built = [SimilarityRecord("a", "b", 5.0, "D", (("A", "u1"),), (("A", "u2"),)),
+                 SimilarityRecord("c", "d", 5.5, "D", (("A", "u1"), ("D", "u2")),
+                                  (("B", "u2"), ("C", "u1")))]
+        layers = [{"u1": np.eye(2), "u2": np.ones((2, 2))}]
+        return (path, 3, lambda records: metrics.layer_sweep(layers, records),
+                io.read_similarity_gold(path), built,
+                "(c, d): no comparable token pairs for the synthetic subset")
+    if name == "candidates":
+        built = sampler.CandidateSet([
+            sampler.AnchorEntry("a0", "s", (0.0,), (("c0", (1.0,)),)),
+            sampler.AnchorEntry("a1", "s", (1.0,), (("c1", (0.0,)), ("c2", (2.0,))))])
+        path = root / "c.tsv"
+        sampler.write_candidate_set(built, path)
+        return (path, 4, lambda cs: sampler.sample_sentence_pairs(cs, 1),
+                sampler.read_candidate_set(path), built,
+                "anchor 'a1': sentence pools carry exactly one candidate per anchor")
+    # units: an out-of-vocabulary unit
+    model = scoring.ngram_train([UnitSequence("t", [1, 2])], 2)
+    built = [UnitSequence("u1", [1, 2]), UnitSequence("u2", [2, 9])]
+    path = root / "u.txt"
+    io.write_unit_sequences(built, path)
+    return (path, 2, lambda seqs: [scoring.chain_rule_logprob(model, s) for s in seqs],
+            io.read_unit_sequences(path), built, "unit 9 not in the model vocabulary")
+
+
+class TestRecordWhere:
+    """Records read from a file keep ``"<path>: line N"`` in ``where``, and
+    the library's errors about one record lead with it."""
+
+    @pytest.mark.parametrize("name", ["abx", "pairs", "gold", "candidates", "units"])
+    def test_library_error_names_the_line(self, tmp_path, name):
+        path, line, call, read, built, message = _scored(name, tmp_path)
+        assert read == built
+        with pytest.raises(ValidationError) as info:
+            call(read)
+        assert str(info.value) == f"{path}: line {line}: {message}"
+        # records built in code keep the message without a place
+        with pytest.raises(ValidationError) as info:
+            call(built)
+        assert str(info.value) == message
+
+    # a pair's tags dict and a mutable gold record are not hashable
+    @pytest.mark.parametrize("make, hashable", [
+        (lambda where: TriphoneToken("u", 0.0, 0.1, "B", "A", "T", "s", where), True),
+        (lambda where: UnitSequence("u", [1, 2], where), True),
+        (lambda where: ScoredPair("p", "a", "b", {"k": "v"}, where), False),
+        (lambda where: SimilarityRecord("a", "b", 5.0, "D", where=where), False),
+        (lambda where: sampler.AnchorEntry("a", "s", (1.0,), (("c", (0.0,)),), where),
+         True),
+    ], ids=["token", "units", "pair", "gold", "anchor"])
+    def test_where_is_left_out_of_eq_hash_and_repr(self, make, hashable):
+        built, read = make(None), make("f.tsv: line 2")
+        assert read.where == "f.tsv: line 2" and built.where is None
+        assert built == read and repr(built) == repr(read)
+        if hashable:
+            assert hash(built) == hash(read)

@@ -389,7 +389,8 @@ class TestQuantize:
         assert str(exc.value) == (
             f"centroids must be a non-empty K x D matrix, got shape {shape}")
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    # the file stores an f32: 1e300 overflows it and 1e-50 rounds to 0
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf, 1e300, 1e-50])
     def test_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValidationError) as exc:
             quantizer.Codebook(np.eye(2), frame_rate=rate)
