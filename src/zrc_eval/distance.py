@@ -15,13 +15,21 @@ Work is split in three pieces that every caller shares:
 
 * ``prepare`` validates a list of sequences (``invalid_frames`` names the
   frames a metric rejects) and computes, once, what every pair cost
-  involving them needs: unit-normalized frames for ``angular``; the
-  floored frames, their log and the row term ``sum p log p`` for ``kl``.
+  involving them needs: the unit-normalized frames and their squared
+  norms for ``angular``; the floored frames, their log and the row term
+  ``sum p log p`` for ``kl``.
   The result, ``Prepared``, holds each component as one array over all
   the sequences' frames, with one offset and length per sequence;
 * ``pair_cost`` is the one cost expression: the T x S cost matrix of one
   pair, or with leading batch axes those of many same-shape pairs, each
-  slice computed exactly as the pair alone (no stacked GEMM);
+  slice computed exactly as the pair alone. Both metrics take their
+  cross term from one ``matmul`` per slice. For ``angular`` that gives
+  ``chord^2 = n_x + n_y - 2 x . y``, off by at most about (4D + 8)u.
+  The cells where the cost's slope in chord^2 could pass 2.5 (tiny
+  chords and near antipodes; a wider band at large D, ``_angular_band``)
+  are recomputed from their difference vectors, and every other cost is
+  within ``min(2.5 (4D + 8)u, 5e-13)`` of its exact chord's cost
+  (``pair_cost`` gives the argument);
 * ``_dtw_py.dtw_accumulate`` runs the DTW recursion over a padded
   T x S x B stack of cost matrices, one anti-diagonal at a time, keeping
   only the accumulated sums (16 B a cell with the costs); each path
@@ -36,23 +44,22 @@ x, ``log q`` for y), and its costs come from one ``pair_cost`` call,
 split only where a chunk boundary falls inside the run or where the call
 would exceed its budget. Two bounds keep memory flat whatever the number
 of pairs: a cost call builds at most ``RUN_ELEMENTS`` elements (the
-T x S x D difference tensor for ``angular``; the gathered frames and the
-T x S product for ``kl``), and the kernel runs over chunks whose padded
-tensor holds at most ``CHUNK_CELLS`` cells.
+gathered (T + S) x D frames and the T x S product, for either metric),
+and the kernel runs over chunks whose padded tensor holds at most
+``CHUNK_CELLS`` cells.
 
 ``dtw_pairs`` alone decides which requested pairs share a kernel pair.
 For ``angular`` it runs each unordered pair once, whichever directions
-are asked for: the cost is symmetric (``pair_cost(y, x)`` is exactly
-``pair_cost(x, y).T``: the squared differences are the same numbers,
-summed in the same order), and so are the accumulated sums; only the
-path length can differ, where a tie is broken the other way, and the
-kernel walks back a second time, preferring horizontal to vertical
-steps. ``kl`` is asymmetric, so it keeps one cost matrix per directed
-pair.
+are asked for, so d(x, y) and d(y, x) come from one cost matrix and one
+set of accumulated sums; only the path length can differ, where a tie is
+broken the other way, and the kernel walks back a second time, preferring
+horizontal to vertical steps. ``kl`` is asymmetric, so it keeps one cost
+matrix per directed pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +76,12 @@ KL_EPS = 1e-10
 CHUNK_CELLS = 1 << 16
 
 # Elements one cost call over a run of same-shape pairs may build: the
-# T x S x D difference tensor for angular, the gathered (T + S) x D frames
-# and the T x S product for kl. Larger calls are no faster and raise peak
-# memory.
+# gathered (T + S) x D frames and the T x S product. Larger calls are no
+# faster and raise peak memory.
 RUN_ELEMENTS = 1 << 17
 
 # per metric, the prepared components ``pair_cost`` reads of x and of y
-_READS = {"angular": ((0,), (0,)), "kl": ((0, 2), (1,))}
+_READS = {"angular": ((0, 1), (0, 1)), "kl": ((0, 2), (1,))}
 
 
 def _frames(x) -> np.ndarray:
@@ -138,7 +144,8 @@ def prepare(seqs, metric: str) -> Prepared:
     if bad.any():
         raise ValidationError(reason)
     if metric == "angular":
-        parts = (np.divide(f, np.linalg.norm(f, axis=1)[:, None], out=f),)
+        unit = np.divide(f, np.linalg.norm(f, axis=1)[:, None], out=f)
+        parts = (unit, np.einsum("nd,nd->n", unit, unit))
     else:
         p = np.maximum(f, KL_EPS, out=f)
         log_p = np.log(p)
@@ -154,21 +161,60 @@ def prepare(seqs, metric: str) -> Prepared:
     return Prepared(parts, np.cumsum(lengths) - lengths, lengths)
 
 
+def _angular_band(dim: int) -> tuple:
+    """The squared chords ``(lo, hi)`` outside of which ``pair_cost``
+    recomputes an angular cost from its difference vector.
+
+    ``err`` past ``lo`` the cost's slope in chord^2 is 2.5, or less where
+    2.5 err would pass 5e-13, half the 1e-12 oracle tolerance; see
+    ``pair_cost``.
+    """
+    err = (4 * dim + 8) * 2.0 ** -53
+    slope = min(2.5, 5e-13 / err)
+    # chord^2 (4 - chord^2) = 1 / slope^2 at the edge, moved out by err
+    edge = 2.0 - math.sqrt(max(0.0, 4.0 - slope ** -2)) + err
+    return edge, 4.0 - edge
+
+
 def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
     """Framewise cost matrices between prepared sequences, ``... x T x S``.
 
     The components of ``x`` and ``y`` may carry the same leading batch
     axes (``... x T x D`` against ``... x S x D``); each batch slice is
-    then exactly the one-pair expression over that pair's own frames.
-    For ``angular``, x's frames are repeated along S and y's subtracted
-    in place: the differences ``x_t - y_s`` are those of a broadcast
-    subtraction, but each subtraction runs over a contiguous S x D block.
+    then the one-pair expression over that pair's own frames, computed
+    by a ``matmul`` of its own, so its bits do not depend on the batch.
+
+    For ``angular``, the squared chord between unit rows is
+    ``n_x + n_y - 2 x . y``, with ``n`` their prepared squared norms and
+    the dot products one ``matmul``; the cost is ``2 arcsin(chord / 2)``.
+    Each of the three terms is a sum of D products, so the computed
+    chord^2 is off by at most about ``err = (4D + 8)u`` (u = 2^-53). The
+    cost's slope in chord^2 is ``1 / (2 sin theta)``, unbounded at both
+    ends of the range: where the chord is tiny (cancellation) and where
+    the frames are nearly antipodal. A cell whose computed chord^2 lies
+    below ``lo`` or above ``4 - lo`` is recomputed from its difference
+    vector ``x_t - y_s`` as the sum of its squares, which is the cost as
+    it is without a ``matmul`` (``RUN_ELEMENTS // D`` cells at a time).
+    At ``lo - err`` the slope is 2.5, or less where D makes 2.5 err pass
+    5e-13, so every other cost is off by at most ``min(2.5 err, 5e-13)``
+    (``_angular_band``). Up to D = 448 the band is chord^2 < 0.0404
+    (theta < 11.5 degrees) and its mirror, and the bound is 7.4e-14 at
+    D = 64 and 2.9e-13 at D = 256; at D = 512 the band is
+    chord^2 < 0.053. Past D = 2,249 no slope is small enough, and every
+    cell is recomputed.
     """
     if metric == "angular":
-        diff = np.repeat(x[0][..., :, None, :], y[0].shape[-2], axis=-2)
-        diff -= y[0][..., None, :, :]
-        chord = np.sqrt(np.einsum("...tsd,...tsd->...ts", diff, diff))
-        return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+        (ux, nx), (uy, ny) = x, y
+        chord2 = (nx[..., :, None] + ny[..., None, :]
+                  - 2.0 * (ux @ np.swapaxes(uy, -1, -2)))
+        lo, hi = _angular_band(ux.shape[-1])
+        band = np.nonzero((chord2 < lo) | (chord2 > hi))
+        step = max(1, RUN_ELEMENTS // ux.shape[-1])
+        for start in range(0, band[0].size, step):
+            cells = tuple(i[start:start + step] for i in band)
+            diff = ux[cells[:-1]] - uy[cells[:-2] + cells[-1:]]
+            chord2[cells] = np.einsum("nd,nd->n", diff, diff)
+        return 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(chord2), 0.0, 1.0))
     p, _, row_term = x
     return row_term[..., :, None] - p @ np.swapaxes(y[1], -1, -2)
 
@@ -246,8 +292,7 @@ def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:
         cuts = edges[(edges > start) & (edges < stop)].tolist()
         for lo, hi in zip([start, *cuts], [*cuts, stop]):
             t, s = int(t_len[lo]), int(s_len[lo])
-            size = t * s * dim if metric == "angular" else (t + s) * dim + t * s
-            step = max(1, RUN_ELEMENTS // size)
+            step = max(1, RUN_ELEMENTS // ((t + s) * dim + t * s))
             for a in range(lo, hi, step):
                 b = min(hi, a + step)
                 fx = x_start[a:b, None] + np.arange(t)

@@ -110,7 +110,8 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None]).reshape(-1)
 
 
-def _cosines(vectors: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cosines(vectors: list, a: np.ndarray, b: np.ndarray,
+             where_of=lambda k: None) -> np.ndarray:
     """``np.dot(x, y) / (norm(x) * norm(y))`` for every pair ``x =
     vectors[a[k]]``, ``y = vectors[b[k]]``.
 
@@ -118,7 +119,8 @@ def _cosines(vectors: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     root of its stacked self-product (as ``np.linalg.norm`` computes it)
     and the pairs' dot products are stacked ``matmul`` slices, a bounded
     block of pairs at a time. The first pair of mismatched shapes or with
-    a zero vector raises, mismatch first.
+    a zero vector raises, mismatch first, led by ``where_of(k)`` for that
+    pair ``k``.
     """
     shapes: dict = {}  # shape -> its stack's index
     group = np.array([shapes.setdefault(v.shape, len(shapes)) for v in vectors],
@@ -137,8 +139,8 @@ def _cosines(vectors: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = int(np.argmax(bad))
         x, y = vectors[a[k]], vectors[b[k]]
         if x.shape != y.shape:
-            raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
-        raise ValidationError("cosine undefined for zero vectors")
+            raise _at(where_of(k), f"dimension mismatch: {x.shape} vs {y.shape}")
+        raise _at(where_of(k), "cosine undefined for zero vectors")
     dots = np.empty(a.size)
     for g, x in enumerate(stacks):
         pick = np.flatnonzero(group[a] == g)
@@ -224,17 +226,22 @@ def _similarities(records: list, plan: tuple, reprs: dict) -> list:
 
     Each representation is converted to float64 once and all the cosines
     come from one ``_cosines`` call. Errors are those of scoring the
-    records one by one, pair by pair: a missing representation, or a
-    record without comparable pairs, is reported only if no earlier pair
-    has mismatched shapes or a zero vector.
+    records one by one, pair by pair, led by the failing record's
+    ``where``: a missing representation, or a record without comparable
+    pairs, is reported only if no earlier pair has mismatched shapes or a
+    zero vector.
     """
     names, sizes, failure = plan
     ends = list(accumulate(sizes))  # each record's pairs end here
+
+    def owner(pair):
+        return records[bisect.bisect_right(ends, pair)]
+
     absent = [utt for utt in dict.fromkeys(names) if utt not in reprs]
     if absent:
         first = min(map(names.index, absent))
         pair = first // 2
-        record = records[bisect.bisect_right(ends, pair)]
+        record = owner(pair)
         failure = _at(record.where, f"({record.word_a}, {record.word_b}): no "
                                     f"representation for utterance {names[first]!r}")
         names = names[:2 * pair]
@@ -242,7 +249,8 @@ def _similarities(records: list, plan: tuple, reprs: dict) -> list:
     flat = np.array([rows.setdefault(utt, len(rows)) for utt in names],
                     dtype=np.intp)
     vectors = [np.asarray(reprs[utt], dtype=np.float64) for utt in rows]
-    sims = _cosines(vectors, flat[0::2], flat[1::2]).tolist() if names else []
+    sims = _cosines(vectors, flat[0::2], flat[1::2],
+                    lambda k: owner(k).where).tolist() if names else []
     if failure is not None:
         raise failure
     return [sum(sims[end - size:end]) / size for end, size in zip(ends, sizes)]

@@ -82,7 +82,11 @@ class NgramModel:
         self._totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
         # the least probability, alpha over the largest denominator, bounds
         # every other from below: it must not round to 0 (log(0) fails)
-        denom = max(self._totals.values(), default=0) + self.alpha * (len(self.vocab) + 1)
+        try:
+            denom = (max(self._totals.values(), default=0)
+                     + self.alpha * (len(self.vocab) + 1))
+        except OverflowError:
+            raise ValidationError("a context's total count is out of float range") from None
         if not self.alpha / denom > 0:
             raise ValidationError(
                 f"alpha {alpha} puts a smoothed probability out of float range")

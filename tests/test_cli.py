@@ -849,6 +849,21 @@ class TestGoldRefErrors:
         error = raised(argv)
         assert type(error) is ValidationError and str(error) == expected
 
+    def test_zero_frame_names_the_record_line(self, layer, capsys):
+        # word c's only frame is all zeros: its cosine is undefined
+        io_formats.write_feature_archive(layer, FeatureSequence(
+            "u3", 100.0, np.zeros((1, 2))))
+        gold = layer.parent / "gold.tsv"
+        gold.write_text(self.HEADER + "a\tb\t5\tD\t:u1\t:u2\n"
+                        "a\tc\t6\tD\t:u1\t:u3\n")
+        argv = ["score-semantic", "--gold", str(gold), "--features", str(layer),
+                "--out", str(layer.parent / "r.json")]
+        expected = f"{gold}: line 3: cosine undefined for zero vectors"
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
     def test_empty_utterance_id_names_its_line(self, layer, capsys):
         gold = layer.parent / "gold.tsv"
         gold.write_text(self.HEADER + "a\tb\t5\tD\t:u1\t:u2\n"

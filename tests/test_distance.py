@@ -29,6 +29,44 @@ def dtw_scalar(cost):
     return acc[t - 1, s - 1]
 
 
+def adversarial_frames(rng, n, dim):
+    """``n`` frames a side whose pairs x_k, y_k are exact duplicates, near
+    duplicates at chord 1e-8, near antipodes at 1e-8 from -x, at the angular
+    band's two edges, or independent; every other pair of the two sides
+    is some mixture of these."""
+    x = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, (n, 1))
+    unit = x / np.linalg.norm(x, axis=1)[:, None]
+    normal = rng.standard_normal((n, dim))
+    normal -= np.sum(normal * unit, axis=1)[:, None] * unit
+    normal /= np.maximum(np.linalg.norm(normal, axis=1), 1e-300)[:, None]
+    edge = 2 * np.arcsin(np.sqrt(distance._angular_band(dim)[0]) / 2)
+    theta = np.select([np.arange(n) % 6 == k for k in range(5)],
+                      [0.0, 1e-8, np.pi - 1e-8, edge * rng.uniform(0.98, 1.02, n),
+                       np.pi - edge * rng.uniform(0.98, 1.02, n)])
+    y = np.cos(theta)[:, None] * unit + np.sin(theta)[:, None] * normal
+    rest = np.arange(n) % 6 == 5
+    y[rest] = rng.standard_normal((int(rest.sum()), dim))
+    if dim == 1:
+        y = np.where(y == 0, 1.0, y)
+    y *= rng.uniform(0.1, 10.0, (n, 1))
+    y[::6] = x[::6]
+    return x, y
+
+
+def angular_sides(x, y):
+    """The prepared ``(unit rows, squared norms)`` of x and of y."""
+    both = distance.prepare([x, y], "angular")
+    return [tuple(p[:len(x)] for p in both.parts),
+            tuple(p[len(x):] for p in both.parts)]
+
+
+def angular_difference_form(ux, uy):
+    """Angular costs from the sums of squared differences of unit rows."""
+    diff = ux[..., :, None, :] - uy[..., None, :, :]
+    chord = np.sqrt(np.einsum("...tsd,...tsd->...ts", diff, diff))
+    return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+
+
 class TestAngular:
     def test_identical_direction(self):
         assert angular_frame_distance([1, 0], [1, 0]) == 0.0
@@ -280,6 +318,32 @@ class TestDtw:
                 if seqs[0].shape[1] == 3:
                     assert (got != back).sum() >= 10
 
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_pairs_driver_bits_ignore_request_order(self, metric, monkeypatch):
+        # a run's batch is made of whichever pairs share its shape, in the
+        # order they were asked for: shuffled, reversed or one at a time,
+        # each pair keeps its bits; near-duplicate sequences put angular
+        # cells in the recomputed band
+        rng = np.random.default_rng(19)
+        lengths = rng.permutation(np.repeat([1, 3, 6], 8))
+        if metric == "kl":
+            seqs = [rng.dirichlet(np.full(50, 0.1), size=n) for n in lengths]
+        else:
+            seqs = [rng.standard_normal((n, 64)) for n in lengths]
+            seqs[1::2] = [f + 1e-3 * rng.standard_normal(f.shape) for f in seqs[::2]]
+        rows, cols = np.nonzero(~np.eye(len(lengths), dtype=bool))
+        for budgets in ((distance.CHUNK_CELLS, distance.RUN_ELEMENTS), (40, 1000)):
+            monkeypatch.setattr(distance, "CHUNK_CELLS", budgets[0])
+            monkeypatch.setattr(distance, "RUN_ELEMENTS", budgets[1])
+            prepared = distance.prepare(seqs, metric)
+            want = distance.dtw_pairs(prepared, rows, cols, metric)
+            for order in (rng.permutation(rows.size), np.arange(rows.size)[::-1]):
+                got = distance.dtw_pairs(prepared, rows[order], cols[order], metric)
+                assert np.array_equal(got, want[order])
+            for k in rng.choice(rows.size, 40, replace=False):
+                assert distance.dtw_pairs(prepared, rows[k:k + 1], cols[k:k + 1],
+                                          metric)[0] == want[k]
+
     def test_symmetry_angular(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
@@ -352,25 +416,71 @@ class TestCostMatrix:
             full = row_term if full is None else full
             assert np.array_equal(row_term, full)
 
-    def test_angular_pair_cost_equals_broadcast_difference(self):
-        # the repeat-and-subtract form gives exactly the broadcast
-        # subtraction's costs, for one frame on either side and over
-        # leading batch axes, and each batch slice is the pair alone
+    @pytest.mark.parametrize("dim", [1, 2, 64, 256, 512])
+    def test_angular_costs_hold_the_bound_on_adversarial_frames(self, dim):
+        # off the band a cost is within the documented bound of the exact
+        # chord's (extended precision); in the band it is the difference
+        # form's, bit for bit; off the band that form is within about the
+        # bound of the exact cost too, so the two are within twice it
+        rng = np.random.default_rng(dim)
+        (ux, nx), (uy, ny) = angular_sides(*adversarial_frames(rng, 60, dim))
+        got = distance.pair_cost((ux, nx), (uy, ny), "angular")
+        err = (4 * dim + 8) * 2.0 ** -53
+        bound = min(2.5 * err, 5e-13)
+        lo, hi = distance._angular_band(dim)
+        wide = ux.astype(np.longdouble)[:, None, :] - uy.astype(np.longdouble)[None]
+        chord2 = np.einsum("tsd,tsd->ts", wide, wide)
+        exact = 2 * np.arcsin(np.minimum(np.sqrt(chord2) / 2, 1))
+        off = (chord2 > lo + err) & (chord2 < hi - err)
+        band = (chord2 < lo - err) | (chord2 > hi + err)
+        assert np.diag(band)[np.arange(60) % 6 < 3].all() and (off.any() or dim == 1)
+        assert (np.abs(got - exact)[off] <= bound + 2 * np.spacing(np.pi)).all()
+        want = angular_difference_form(ux, uy)
+        assert np.array_equal(got[band], want[band])
+        assert (np.abs(got - want) <= 2 * bound).all()
+        assert (np.diag(got)[::6] == 0.0).all()  # the duplicates
+
+    @pytest.mark.parametrize("dim", [1, 64, 448, 449, 512, 2249, 2250, 4096])
+    def test_angular_band_is_the_narrowest_the_bound_allows(self, dim):
+        # err past the band's edge the slope 1 / sqrt(c (4 - c)) is at most
+        # 2.5 and at most 5e-13 / err, and one of the two is met exactly;
+        # from D = 2250 no slope is small enough and the band is everything
+        err = (4 * dim + 8) * 2.0 ** -53
+        lo, hi = distance._angular_band(dim)
+        assert hi == 4.0 - lo
+        if dim >= 2250:
+            assert lo > 2.0 > hi
+            return
+        slope = 1 / math.sqrt((lo - err) * (4 - lo + err))
+        assert slope == pytest.approx(min(2.5, 5e-13 / err), rel=1e-9)
+        assert 0.0404 <= lo <= 1.95
+
+    def test_angular_batch_slice_is_the_pair_alone_at_any_position(self):
+        # every pair of a batch has the bits it has computed alone, and
+        # keeps them at every position of the batch and under two batch axes
         rng = np.random.default_rng(22)
-        for t, s, batch in ((1, 5, ()), (4, 1, ()), (1, 1, ()), (3, 6, (7,)),
-                            (1, 4, (2, 3)), (5, 1, (4,))):
-            x, y = (distance.prepare([rng.standard_normal((n * int(np.prod(batch)), 64))],
-                                     "angular").parts[0].reshape(*batch, n, 64)
-                    for n in (t, s))
-            diff = x[..., :, None, :] - y[..., None, :, :]
-            chord = np.sqrt(np.einsum("...tsd,...tsd->...ts", diff, diff))
-            expected = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
-            got = distance.pair_cost((x,), (y,), "angular")
-            assert got.shape == (*batch, t, s)
-            assert np.array_equal(got, expected)
-            for k in np.ndindex(*batch):
-                assert np.array_equal(got[k], distance.pair_cost(
-                    (x[k],), (y[k],), "angular"))
+        for dim in (1, 3, 64, 257):
+            for t, s, batch in ((1, 5, 6), (4, 1, 5), (1, 1, 4), (3, 6, 7), (9, 12, 5)):
+                x, y = adversarial_frames(rng, batch * max(t, s), dim)
+                sides = [(u.reshape(batch, n, dim), norms.reshape(batch, n))
+                         for (u, norms), n in zip(angular_sides(x[:batch * t],
+                                                                y[:batch * s]), (t, s))]
+                got = distance.pair_cost(*sides, "angular")
+                assert got.shape == (batch, t, s)
+                for k in range(batch):
+                    alone = distance.pair_cost(*[(u[k].copy(), n[k].copy())
+                                                 for u, n in sides], "angular")
+                    assert np.array_equal(got[k], alone)
+                for shift in range(1, batch):
+                    moved = [(np.roll(u, shift, axis=0), np.roll(n, shift, axis=0))
+                             for u, n in sides]
+                    assert np.array_equal(np.roll(distance.pair_cost(
+                        *moved, "angular"), -shift, axis=0), got)
+                if batch == 6:
+                    two = [(u.reshape(2, 3, *u.shape[1:]), n.reshape(2, 3, -1))
+                           for u, n in sides]
+                    assert np.array_equal(distance.pair_cost(*two, "angular"),
+                                          got.reshape(2, 3, t, s))
 
     def test_entries_match_scalar_distances(self):
         rng = np.random.default_rng(13)

@@ -139,7 +139,8 @@ class TestNgramTrain:
         with pytest.raises(FormatError, match=re.escape(f"{path}: non-integer token 'x'")):
             scoring.load_ngram_model(path)
 
-    # a JSON value that int(...) would truncate, coerce or overflow on
+    # a JSON value that int(...) would truncate, coerce or overflow on, or
+    # a count that float(...) would overflow on
     @pytest.mark.parametrize("order, vocab, count, message", [
         ("1e999", "1", "1", "order: expected an integer >= 1, got Infinity"),
         ("1.9", "1", "1", "order: expected an integer >= 1, got 1.9"),
@@ -150,9 +151,10 @@ class TestNgramTrain:
         ("2", "1", "-3", 'counts["<s>"]["0"]: expected an integer >= 0, got -3'),
         ("2", "1e999", "1", "vocab: expected an integer >= 0, got Infinity"),
         ("3", "1", "1", "context '<s>' is not 2 tokens long"),
+        ("2", "1", "1" + "0" * 400, "a context's total count is out of float range"),
     ], ids=["order-overflow", "order-float", "order-bool", "count-overflow",
             "count-float", "count-bool", "count-negative", "vocab-overflow",
-            "order-unlike-contexts"])
+            "order-unlike-contexts", "count-above-float-range"])
     def test_non_integer_json_value_names_path(self, tmp_path, order, vocab, count,
                                                message):
         path = tmp_path / "model.json"
