@@ -23,7 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import io_formats
-from .distance import FRAME_METRICS, dtw_pairs, invalid_frames, prepare
+from .distance import FRAME_METRICS, Prepared, dtw_pairs, invalid_frames, prepare
 from .distance import dtw_distance  # noqa: F401  (perfbench/spans.py wraps abx.dtw_distance)
 from .errors import ValidationError, _at
 from .types import FeatureSequence, UnitSequence
@@ -35,7 +35,7 @@ log = logging.getLogger(__name__)
 SCORE_COMPARISONS = 1 << 18
 
 # (token, probe) pairs requested by one group of contexts, which share one
-# prepared store and one DTW pass: bounds the group's pair index arrays
+# DTW pass: bounds the group's pair index arrays
 GROUP_PAIRS = 1 << 14
 
 
@@ -124,10 +124,10 @@ def _requests(members, bounds, p, q, n) -> tuple:
     return (*np.divmod(keys[entry], n), entry)
 
 
-def _score_cells(frames, members, bounds, cells, metric) -> np.ndarray:
-    """Directed cell scores over one store of tokens.
+def _score_cells(store, members, bounds, cells, metric) -> np.ndarray:
+    """Directed cell scores over one ``Prepared`` store of tokens.
 
-    ``members`` holds indices into ``frames``, category by category, the
+    ``members`` holds indices into ``store``, category by category, the
     categories being disjoint; ``bounds`` is ``(starts, sizes)``, each
     category's range in ``members``. ``cells`` holds three arrays of
     category ids, the A, B and X of each directed cell; where X is A, a
@@ -147,10 +147,10 @@ def _score_cells(frames, members, bounds, cells, metric) -> np.ndarray:
     if not count.all():
         raise ValidationError("empty ABX cell")
     p, q, block = _blocks(cells, sizes)
-    rows, cols, entry = _requests(members, bounds, p, q, len(frames))
+    rows, cols, entry = _requests(members, bounds, p, q, len(store))
     entries = sizes[p] * sizes[q]
     dist = np.empty(entries.sum())
-    dist[entry] = dtw_pairs(prepare(frames, metric), rows, cols, metric)
+    dist[entry] = dtw_pairs(store, rows, cols, metric)
 
     # the (a, b) pairs of every cell, then their probes x, skipping a's
     # own token where X is A; an entry is its block's first + row * width + x
@@ -196,9 +196,9 @@ def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
     order that fails a check is the error, and only the dropped tokens
     before it are logged.
 
-    Returns ``(kept, frames, dropped, clamped)``: the item indices of the
-    kept tokens, their frames as views into the utterances, and the
-    numbers of dropped tokens and of kept tokens whose offset was clamped.
+    Returns ``(kept, frames, rows, dropped, clamped)``: kept item indices;
+    the frames of the utterances holding kept tokens, by first use; each
+    kept token's ``(offsets, lengths)`` in them back to back; the counts.
     """
     n = len(tokens)
     # utterance -> its position in order of first use
@@ -257,10 +257,11 @@ def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
         raise _token_error(tokens[n], failure) from None
     if failure is not None:
         raise failure
-    frames = [utterances[u].frames[a:b] for u, a, b in
-              zip(utt[kept].tolist(), start[kept].tolist(), stop[kept].tolist())]
-    return (np.flatnonzero(kept), frames, int(empty.sum()),
-            int((clamp & kept).sum()))
+    used, rank = np.unique(utt[kept], return_inverse=True)
+    sizes = np.array(lengths, dtype=np.int64)[used]
+    rows = ((np.cumsum(sizes) - sizes)[rank] + start[kept], (stop - start)[kept])
+    return (np.flatnonzero(kept), [utterances[u].frames for u in used.tolist()],
+            rows, int(empty.sum()), int((clamp & kept).sum()))
 
 
 def _ranks(values) -> tuple:
@@ -277,18 +278,18 @@ def abx_evaluate(items, features, mode: str, metric="angular",
     ``features`` is an archive directory. The tokens' columns are taken
     out once and checked as arrays (see ``_extract``): the first token in
     item-file order that fails a check is an error naming it, led by its
-    ``where``. Kept tokens
-    are views into their utterances, ordered by context, centre phone
-    and speaker, so that each category is one range of that order.
+    ``where``; no frame is checked again. Kept tokens are ordered by
+    context, centre phone and speaker, each category one range of that.
 
     Every context's cells are enumerated from those ranges, contexts in
     sorted order, and the contexts are evaluated a group at a time: a
     group grows while its requested (token, probe) pairs stay within
     ``GROUP_PAIRS`` and its (a, b, x) comparisons within
-    ``SCORE_COMPARISONS``, and a larger context runs alone. Each group's
-    tokens go through one ``prepare`` and its pairs through one DTW pass;
-    all its directed cells are scored at once by ``_score_cells``. Memory
-    is bounded by one group and by the largest context's comparisons.
+    ``SCORE_COMPARISONS``, and a larger context runs alone. The frames of
+    the utterances holding kept tokens go through one ``prepare``, each
+    token being rows of that store, however tokens overlap. A group's
+    pairs take one DTW pass and its cells one ``_score_cells`` call.
+    Memory: the store, one group and the largest context's comparisons.
 
     Cells lacking enough tokens are skipped with a logged reason; an item
     set producing no valid cell at all is an error, led by ``where`` (the
@@ -304,8 +305,8 @@ def abx_evaluate(items, features, mode: str, metric="angular",
                          "speaker")
     file_ids, onsets, offsets, centers, lefts, rights, speakers = \
         zip(*map(columns, tokens)) if tokens else [()] * 7
-    kept, frames, dropped, clamped = _extract(tokens, file_ids, onsets, offsets,
-                                              features, metric)
+    kept, frames, rows, dropped, clamped = _extract(tokens, file_ids, onsets,
+                                                    offsets, features, metric)
 
     contexts, ctx = _ranks(list(zip(lefts, rights)))
     phones, phone = _ranks(centers)
@@ -366,22 +367,13 @@ def abx_evaluate(items, features, mode: str, metric="angular",
             groups.append([c, c])
             requested, compared = requests[c], compares[c]
 
-    # the store: the tokens of every context with cells, context by context
-    active = np.zeros(len(contexts), dtype=bool)
-    active[scored] = True
-    store = np.flatnonzero(active[ctx])
-    store = store[np.argsort(ctx[store], kind="stable")]
-    position = np.full(ctx.size, -1)
-    position[store] = np.arange(store.size)
-    stored = position[members]
-    frames = [frames[k] for k in store.tolist()]
-    ends = np.cumsum(np.bincount(ctx[store], minlength=len(contexts)))
+    # every kept token as rows of one store over its utterances' frames
+    store = Prepared(prepare(frames, metric).parts, *rows)
     cell_ctx = cat_ctx[cells[0]]
     means = []
     for first, last in groups:
-        lo, hi = int(ends[first - 1]) if first else 0, int(ends[last])
         d_lo, d_hi = np.searchsorted(cell_ctx, [first, last + 1]).tolist()
-        scores = _score_cells(frames[lo:hi], stored - lo, (starts, sizes),
+        scores = _score_cells(store, members, (starts, sizes),
                               tuple(v[d_lo:d_hi] for v in cells), metric)
         # each cell's two directions are adjacent: their mean, in order
         means.append((scores[0::2] + scores[1::2]) / 2)

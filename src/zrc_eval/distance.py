@@ -13,11 +13,11 @@ broken by preferring diagonal, then vertical, then horizontal steps).
 
 Work is split in three pieces that every caller shares:
 
-* ``prepare`` validates a list of sequences (``invalid_frames`` names the
-  frames a metric rejects) and computes, once, what every pair cost
-  involving them needs: the unit-normalized frames and their squared
-  norms for ``angular``; the floored frames, their log and the row term
-  ``sum p log p`` for ``kl``.
+* ``prepare`` computes, once, what every pair cost involving a list of
+  sequences needs: the unit-normalized frames and their squared norms
+  for ``angular``; the floored frames, their log and the row term
+  ``sum p log p`` for ``kl``. It checks nothing: a caller checks the
+  frames it will read (``invalid_frames`` names those a metric rejects).
   The result, ``Prepared``, holds each component as one array over all
   the sequences' frames, with one offset and length per sequence;
 * ``pair_cost`` is the one cost expression: the T x S cost matrix of one
@@ -84,37 +84,28 @@ RUN_ELEMENTS = 1 << 17
 _READS = {"angular": ((0, 1), (0, 1)), "kl": ((0, 2), (1,))}
 
 
-def _frames(x) -> np.ndarray:
-    arr = x.frames if hasattr(x, "frames") else np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValidationError("expected a non-empty T x D frame matrix")
-    return arr
-
-
 def invalid_frames(frames, metric: str) -> tuple:
     """The frames ``metric`` cannot score, as a per-frame mask, and why.
 
-    ``angular`` rejects zero-norm frames and ``kl`` frames that are not
+    ``angular`` rejects all-zero frames and ``kl`` frames that are not
     probability vectors (a negative entry or a sum off 1 by more than
     1e-6). Raises ValueError on an unknown metric.
     """
-    f = np.asarray(frames, dtype=np.float64)
     if metric == "angular":
-        return (np.linalg.norm(f, axis=1) == 0,
-                "angular distance undefined for zero-norm frames")
+        return ~frames.any(axis=1), "angular distance undefined for zero-norm frames"
     if metric == "kl":
-        return ((f < 0).any(axis=1) | (np.abs(f.sum(axis=1) - 1.0) > 1e-6),
+        return ((frames < 0).any(axis=1) | (np.abs(frames.sum(axis=1) - 1) > 1e-6),
                 "KL distance requires probability frames")
     raise ValueError(f"unknown frame metric {metric!r}")
 
 
 @dataclass(frozen=True)
 class Prepared:
-    """Frame sequences passed through ``prepare``, held back to back.
+    """Rows passed through ``prepare``, and the sequences that read them.
 
-    Each component in ``parts`` is one array over the frames of all the
-    sequences; sequence ``i`` owns rows ``offsets[i]`` to
-    ``offsets[i] + lengths[i]`` of each.
+    Each component in ``parts`` is one array over all the rows; sequence
+    ``i`` is rows ``offsets[i]`` to ``offsets[i] + lengths[i]`` of each.
+    ``prepare`` lays its sequences back to back; ABX tokens may overlap.
     """
 
     parts: tuple
@@ -126,25 +117,24 @@ class Prepared:
 
 
 def prepare(seqs, metric: str) -> Prepared:
-    """Validate frame sequences and precompute their share of pair costs.
+    """Precompute frame sequences' share of pair costs.
 
     The sequences are concatenated once and every component is computed
-    over all their frames: the unit-normalized frames for ``angular``;
-    the frames floored at ``KL_EPS`` (p), their log and the row term
-    ``sum p log p`` for ``kl``. Raises ValidationError on an empty or
-    non-2-D matrix, on sequences of different frame dimensions or on the
-    frames ``invalid_frames`` names, and ValueError on an unknown metric.
+    over all their frames: the unit-normalized frames and their squared
+    norms for ``angular``; the frames floored at ``KL_EPS`` (p), their log
+    and the row term ``sum p log p`` for ``kl``. Nothing is checked: a row
+    ``invalid_frames`` rejects is prepared without error or warning, and
+    must not be read. Raises ValueError on an unknown metric.
     """
-    frames = [_frames(x) for x in seqs]
-    dims = sorted({f.shape[1] for f in frames})
-    if len(dims) > 1:
-        raise ValidationError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
-    f = np.concatenate(frames)  # a copy, so the steps below work in place
-    bad, reason = invalid_frames(f, metric)
-    if bad.any():
-        raise ValidationError(reason)
+    if metric not in FRAME_METRICS:
+        raise ValueError(f"unknown frame metric {metric!r}")
+    f = np.concatenate(seqs, dtype=np.float64)  # a copy, worked in place
     if metric == "angular":
-        unit = np.divide(f, np.linalg.norm(f, axis=1)[:, None], out=f)
+        # each row scaled exactly, by a power of two, to a largest magnitude
+        # in [0.5, 1): its squared norm can neither overflow nor reach 0
+        np.ldexp(f, -np.frexp(np.abs(f).max(axis=1))[1][:, None], out=f)
+        norm = np.linalg.norm(f, axis=1)[:, None]
+        unit = np.divide(f, norm, out=f, where=norm > 0)
         parts = (unit, np.einsum("nd,nd->n", unit, unit))
     else:
         p = np.maximum(f, KL_EPS, out=f)
@@ -153,11 +143,12 @@ def prepare(seqs, metric: str) -> Prepared:
         # no third full-size array is built
         rows = max(1, RUN_ELEMENTS // p.shape[1])
         row_term = np.empty(len(p))
-        for start in range(0, len(p), rows):
-            block = slice(start, start + rows)
-            row_term[block] = np.sum(p[block] * log_p[block], axis=1)
+        with np.errstate(over="ignore"):  # only in rows that are not read
+            for start in range(0, len(p), rows):
+                block = slice(start, start + rows)
+                row_term[block] = np.sum(p[block] * log_p[block], axis=1)
         parts = (p, log_p, row_term)
-    lengths = np.array([len(x) for x in frames], dtype=np.intp)
+    lengths = np.array([len(x) for x in seqs], dtype=np.intp)
     return Prepared(parts, np.cumsum(lengths) - lengths, lengths)
 
 
@@ -192,9 +183,9 @@ def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
     cost's slope in chord^2 is ``1 / (2 sin theta)``, unbounded at both
     ends of the range: where the chord is tiny (cancellation) and where
     the frames are nearly antipodal. A cell whose computed chord^2 lies
-    below ``lo`` or above ``4 - lo`` is recomputed from its difference
-    vector ``x_t - y_s`` as the sum of its squares, which is the cost as
-    it is without a ``matmul`` (``RUN_ELEMENTS // D`` cells at a time).
+    below ``lo`` is recomputed from the squares of ``x_t - y_s``, and one
+    above ``4 - lo`` as ``pi - 2 arcsin(|x_t + y_s| / 2)``, each form
+    well-conditioned there (``RUN_ELEMENTS // D`` cells at a time).
     At ``lo - err`` the slope is 2.5, or less where D makes 2.5 err pass
     5e-13, so every other cost is off by at most ``min(2.5 err, 5e-13)``
     (``_angular_band``). Up to D = 448 the band is chord^2 < 0.0404
@@ -208,20 +199,36 @@ def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
         chord2 = (nx[..., :, None] + ny[..., None, :]
                   - 2.0 * (ux @ np.swapaxes(uy, -1, -2)))
         lo, hi = _angular_band(ux.shape[-1])
-        band = np.nonzero((chord2 < lo) | (chord2 > hi))
+        band = np.nonzero((chord2 < lo) | (far := chord2 > hi))
         step = max(1, RUN_ELEMENTS // ux.shape[-1])
         for start in range(0, band[0].size, step):
             cells = tuple(i[start:start + step] for i in band)
-            diff = ux[cells[:-1]] - uy[cells[:-2] + cells[-1:]]
+            a, b = ux[cells[:-1]], uy[cells[:-2] + cells[-1:]]
+            diff = np.where(far[cells][:, None], a + b, a - b)
             chord2[cells] = np.einsum("nd,nd->n", diff, diff)
-        return 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(chord2), 0.0, 1.0))
+        cost = 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(chord2), 0.0, 1.0))
+        return np.subtract(np.pi, cost, out=cost, where=far)
     p, _, row_term = x
     return row_term[..., :, None] - p @ np.swapaxes(y[1], -1, -2)
 
 
+def _checked_pair(rx, ry, metric: str) -> Prepared:
+    """``prepare`` of two non-empty T x D matrices of one D, checked."""
+    frames = [np.asarray(getattr(x, "frames", x), dtype=np.float64) for x in (rx, ry)]
+    if any(f.ndim != 2 or f.shape[0] < 1 for f in frames):
+        raise ValidationError("expected a non-empty T x D frame matrix")
+    low, high = sorted(f.shape[1] for f in frames)
+    if low != high:
+        raise ValidationError(f"dimension mismatch: {low} vs {high}")
+    for bad, reason in (invalid_frames(f, metric) for f in frames):
+        if bad.any():
+            raise ValidationError(reason)
+    return prepare(frames, metric)
+
+
 def frame_cost_matrix(rx, ry, metric: str = "angular") -> np.ndarray:
     """All pairwise framewise distances between two sequences (T x S)."""
-    both = prepare((rx, ry), metric)
+    both = _checked_pair(rx, ry, metric)
     t = both.lengths[0]
     return pair_cost(tuple(p[:t] for p in both.parts),
                      tuple(p[t:] for p in both.parts), metric)
@@ -229,7 +236,7 @@ def frame_cost_matrix(rx, ry, metric: str = "angular") -> np.ndarray:
 
 def dtw_distance(rx, ry, metric: str = "angular") -> float:
     """Mean framewise distance along the optimal DTW alignment path."""
-    return float(dtw_pairs(prepare((rx, ry), metric), [0], [1], metric)[0])
+    return float(dtw_pairs(_checked_pair(rx, ry, metric), [0], [1], metric)[0])
 
 
 def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:

@@ -178,16 +178,25 @@ def dtw_reference(metric):
 def per_pair_abx(dist):
     """Within the block, ``abx`` gets each requested (token, probe)
     distance from ``dist(token frames, probe frames)``, one call per pair
-    in request order: ``abx.prepare`` passes the raw frames through and
-    ``abx.dtw_pairs`` becomes a loop. Grouping, tables and cell scoring
-    are the engine's own; the metric name only passes the name checks."""
-    def pairs(frames, rows, cols, metric):
+    in request order: ``abx.prepare`` makes an identity store, the raw
+    frames back to back as its one component, and ``abx.dtw_pairs``
+    becomes a loop over its tokens' rows. Grouping, tables and cell
+    scoring are the engine's own; the metric name only passes the name
+    checks."""
+    def identity(seqs, metric):
+        lengths = np.array([len(x) for x in seqs], dtype=np.intp)
+        return distance.Prepared((np.concatenate(seqs),),
+                                 np.cumsum(lengths) - lengths, lengths)
+
+    def pairs(store, rows, cols, metric):
+        frames = [store.parts[0][o:o + n] for o, n in
+                  zip(store.offsets.tolist(), store.lengths.tolist())]
         return np.array([dist(frames[i], frames[j])
                          for i, j in zip(rows.tolist(), cols.tolist())],
                         dtype=np.float64)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(abx, "prepare", lambda seqs, metric: list(seqs))
+        patch.setattr(abx, "prepare", identity)
         patch.setattr(abx, "dtw_pairs", pairs)
         yield
 
@@ -198,8 +207,9 @@ def context_scores(tokens, directions, metric="angular"):
     Each direction is ``(a_idx, b_idx, x_idx, skip_same)``: token indices
     on each side, and whether x runs over the a tokens, each a token
     then never being its own probe. Each distinct index list is one
-    category. ``abx.prepare`` and ``abx.dtw_pairs`` are looked up at call
-    time, so ``per_pair_abx`` intercepts them."""
+    category. The tokens go through ``abx.prepare`` as one store;
+    ``abx.prepare`` and ``abx.dtw_pairs`` are looked up at call time, so
+    ``per_pair_abx`` intercepts them."""
     categories: dict = {}  # index list -> category id
     for a_idx, b_idx, x_idx, _ in directions:
         for idx in (a_idx, b_idx, x_idx):
@@ -209,7 +219,8 @@ def context_scores(tokens, directions, metric="angular"):
     cells = np.array([[categories[tuple(a)], categories[tuple(b)],
                        categories[tuple(a if same else x)]]
                       for a, b, x, same in directions], dtype=np.intp)
-    return abx._score_cells(list(tokens), np.array(members, dtype=np.intp),
+    return abx._score_cells(abx.prepare(list(tokens), metric),
+                            np.array(members, dtype=np.intp),
                             (np.cumsum(sizes) - sizes, sizes), tuple(cells.T), metric)
 
 

@@ -554,10 +554,11 @@ class TestAbxEvaluate:
         io_formats.write_feature_archive(
             tmp_path, FeatureSequence("u", 100.0, frames), "text")
         token = TriphoneToken("u", 0.019, 0.051, "B", "A", "T", "s1")
-        kept, spans, dropped, clamped = abx._extract(
+        kept, store, ((offset,), (length,)), dropped, clamped = abx._extract(
             [token], ("u",), (token.onset,), (token.offset,), tmp_path, "angular")
         # floor(0.019*100)=1, floor(0.051*100)=5, exclusive
-        assert spans[0].tolist() == [[2.0], [3.0], [4.0], [5.0]]
+        rows = np.concatenate(store)[offset:offset + length]
+        assert rows.tolist() == [[2.0], [3.0], [4.0], [5.0]]
         assert (kept.tolist(), dropped, clamped) == ([0], 0, 0)
 
 
@@ -728,3 +729,86 @@ class TestArrayBookkeeping:
         with pytest.raises(ValidationError) as info:
             abx.abx_evaluate(io_formats.read_item_file(items), tmp_path, "within", "kl")
         assert str(info.value) == f"{items}: line 3: {message}"
+
+
+# ---------------------------------------------------------------------------
+# one store over the utterances: overlapping triphone tokens share its rows
+# ---------------------------------------------------------------------------
+
+def triphone_items(root, rng):
+    """Triphone tokens as in LibriSpeech item files: each utterance is a
+    run of phones of 1-3 frames, context phones (A, I) alternating with
+    centre phones (B, P, D), and every centre phone is one token spanning
+    its two neighbours too, so neighbouring tokens share a context
+    phone's frames. Three speakers, three utterances each; frames are
+    one-hot (tie-heavy) or drawn from a Dirichlet."""
+    one_hot = rng.random() < 0.5
+    utterances, tokens = {}, []
+    for speaker in ("s1", "s2", "s3"):
+        for u in range(3):
+            utt = f"{speaker}_{u}"
+            phones = [str(rng.choice(["A", "I"] if k % 2 == 0 else ["B", "P", "D"]))
+                      for k in range(int(rng.integers(11, 20)) | 1)]
+            ends = np.cumsum(rng.integers(1, 4, len(phones)))
+            for k in range(1, len(phones) - 1, 2):
+                tokens.append(TriphoneToken(
+                    utt, (ends[k - 2] if k > 1 else 0) / 100, ends[k + 1] / 100,
+                    phones[k], phones[k - 1], phones[k + 1], speaker))
+            utterances[utt] = np.eye(4)[rng.integers(0, 4, ends[-1])] if one_hot \
+                else rng.dirichlet(np.ones(4), ends[-1])
+    write_archive(root, utterances)
+    order = rng.permutation(len(tokens)).tolist()
+    return [tokens[k] for k in order], utterances
+
+
+class TestUtteranceStore:
+    @pytest.mark.parametrize("mode", ["within", "across"])
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_overlapping_tokens_equal_context_reference(self, tmp_path, caplog,
+                                                        monkeypatch, metric, mode):
+        # the engine prepares each utterance's frames once, however many
+        # tokens share them; results and logs are the reference's, which
+        # copies every token's frames into a store per context
+        rng = np.random.default_rng(47)
+        caplog.set_level("INFO")
+        prepared = []
+        prepare = abx.prepare
+
+        def counting_prepare(seqs, metric):
+            prepared.append(sum(len(x) for x in seqs))
+            return prepare(seqs, metric)
+
+        monkeypatch.setattr(abx, "prepare", counting_prepare)
+        for trial in range(5):
+            root = tmp_path / f"t{trial}"
+            tokens, utterances = triphone_items(root, rng)
+            covered = sum(round(100 * (t.offset - t.onset)) for t in tokens)
+            assert covered > sum(map(len, utterances.values()))  # overlapping
+            want = outcome(caplog, lambda: abx_reference(tokens, root, mode, metric))
+            assert isinstance(want[0], abx.AbxResult)
+            for budget in (abx.GROUP_PAIRS, 40):
+                monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+                prepared.clear()
+                assert outcome(caplog, lambda: abx.abx_evaluate(
+                    tokens, root, mode, metric)) == want
+                assert prepared == [sum(map(len, utterances.values()))]
+
+    @pytest.mark.parametrize("metric, bad", [("angular", [0.0, 0.0, 0.0, 0.0]),
+                                             ("kl", [1e308, 0.0, 0.0, 0.0])])
+    def test_rejected_frame_outside_every_token_is_never_read(self, tmp_path, caplog,
+                                                              metric, bad):
+        # a frame the metric rejects, in a stored utterance but in no token:
+        # no error and no warning (a RuntimeWarning fails the run), and the
+        # reference's result; text archives, which hold any finite value
+        rng = np.random.default_rng(53)
+        caplog.set_level("INFO")
+        tokens, utterances = triphone_items(tmp_path, rng)
+        for utt, frames in utterances.items():
+            (tmp_path / f"{utt}.zrcf").unlink()
+            io_formats.write_feature_archive(tmp_path, FeatureSequence(
+                utt, 100.0, np.vstack([frames, bad, frames[-1:]])), "text")
+        want = outcome(caplog, lambda: abx_reference(tokens, tmp_path, "within",
+                                                     metric))
+        assert isinstance(want[0], abx.AbxResult)
+        assert outcome(caplog, lambda: abx.abx_evaluate(
+            tokens, tmp_path, "within", metric)) == want

@@ -89,6 +89,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {items}: line 5: token (bad_utt, 0.0, 0.02): {reason}\n")
 
+    def test_all_dropped_items_have_no_valid_cells(self, tmp_path, capsys):
+        # every token rounds to an empty frame span: no frame is prepared,
+        # and the run ends as the item file's error, not a traceback
+        features = tmp_path / "features"
+        io_formats.write_feature_archive(
+            features, FeatureSequence("u1", 100.0, np.eye(2)[[0, 1, 0, 1]]), "binary")
+        items = tmp_path / "x.item"
+        io_formats.write_item_file(
+            [TriphoneToken("u1", k / 100 + 0.001, k / 100 + 0.002, c, "A", "T", "s1")
+             for k, c in enumerate("BBPP")], items)
+        code = run(["abx", "--items", str(items), "--features", str(features),
+                    "--mode", "within", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {items}: no valid ABX cells in within mode\n")
+
+    def test_angular_frames_of_any_finite_magnitude(self, tmp_path, capsys):
+        # a text archive holds any finite value: no frame is taken for a
+        # zero one, no squared norm overflows, and each token is scored by
+        # its direction alone; B tokens along one axis, P along the other
+        features = tmp_path / "features"
+        features.mkdir()
+        magnitudes = {"B": ("1e200", "5e-324"), "P": ("1e-200", "1e308")}
+        tokens = []
+        for center, (first, second) in magnitudes.items():
+            for k, m in enumerate((first, second)):
+                utt = f"{center}{k}"
+                row = f"{m} 0" if center == "B" else f"0 -{m}"
+                (features / f"{utt}.txt").write_text(f"dim=2 rate=100\n{row}\n{row}\n")
+                tokens.append(TriphoneToken(utt, 0.0, 0.02, center, "A", "T", "s1"))
+        items = tmp_path / "x.item"
+        io_formats.write_item_file(tokens, items)
+        out = tmp_path / "r.json"
+        assert run(["abx", "--items", str(items), "--features", str(features),
+                    "--mode", "within", "--distance", "angular",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["aggregate"] == 0.0
+
     def test_mixed_frame_dimensions_name_the_utterance(self, tmp_path, capsys):
         # one 3-dim utterance among 2-dim ones, all in one context
         features = tmp_path / "features"

@@ -67,6 +67,14 @@ def angular_difference_form(ux, uy):
     return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
 
 
+def angular_sum_form(ux, uy):
+    """Angular costs ``pi - 2 arcsin(|x + y| / 2)`` of unit rows, the form
+    that is well-conditioned for nearly antipodal frames."""
+    total = ux[..., :, None, :] + uy[..., None, :, :]
+    norm = np.sqrt(np.einsum("...tsd,...tsd->...ts", total, total))
+    return np.pi - 2.0 * np.arcsin(np.clip(0.5 * norm, 0.0, 1.0))
+
+
 class TestAngular:
     def test_identical_direction(self):
         assert angular_frame_distance([1, 0], [1, 0]) == 0.0
@@ -89,6 +97,38 @@ class TestAngular:
             x, y = rng.standard_normal(5), rng.standard_normal(5)
             d = angular_frame_distance(x, y)
             assert 0.0 <= d <= math.pi
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e308, 5e-324])
+    def test_any_finite_non_zero_frame_has_a_direction(self, magnitude):
+        # no squared norm overflows, none underflows to a "zero-norm" frame
+        # (both warnings fail the run); a frame's cost is its direction's
+        assert distance.dtw_distance([[magnitude, 0]], [[1, 0]], "angular") == 0.0
+        assert distance.dtw_distance([[magnitude, 0]], [[0, 1]], "angular") \
+            == pytest.approx(math.pi / 2, abs=1e-15)
+        assert distance.dtw_distance([[0, -magnitude]], [[0, 1]], "angular") \
+            == pytest.approx(math.pi, abs=1e-15)
+        assert not distance.invalid_frames(np.array([[magnitude, 0]]), "angular")[0]
+
+    @pytest.mark.parametrize("dim", [2, 64, 256])
+    @pytest.mark.parametrize("gap", [1e-5, 1e-7])
+    def test_nearly_antipodal_costs_hold_the_contract(self, dim, gap):
+        # at pi - gap the difference form is off by 6e-11 to 1e-8; the sum
+        # form pi - 2 arcsin(|x + y| / 2) is within 1e-12 of the same unit
+        # rows' extended-precision sum form
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((8, dim))
+        unit = x / np.linalg.norm(x, axis=1)[:, None]
+        normal = rng.standard_normal((8, dim))
+        normal -= np.sum(normal * unit, axis=1)[:, None] * unit
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        theta = np.pi - gap * rng.uniform(0.5, 2.0, 8)
+        y = np.cos(theta)[:, None] * unit + np.sin(theta)[:, None] * normal
+        (ux, nx), (uy, ny) = angular_sides(x, y)
+        got = np.diag(distance.pair_cost((ux, nx), (uy, ny), "angular"))
+        total = ux.astype(np.longdouble) + uy.astype(np.longdouble)
+        norm = np.sqrt(np.sum(total * total, axis=1))
+        exact = np.arccos(np.longdouble(-1)) - 2 * np.arcsin(norm / 2)
+        assert (np.abs(got - exact) <= 1e-12).all()
 
 
 class TestKl:
@@ -375,7 +415,7 @@ class TestDtw:
     ], ids=["not-2d", "empty", "dimensions", "zero-norm", "not-probabilities"])
     def test_rejected_input_is_a_validation_error(self, seqs, metric, message):
         with pytest.raises(ValidationError) as info:
-            distance.prepare(seqs, metric)
+            distance.dtw_distance(*seqs, metric)
         assert str(info.value) == message
 
     def test_dimension_mismatch(self):
@@ -403,6 +443,28 @@ class TestDtw:
 
 
 class TestCostMatrix:
+    @pytest.mark.parametrize("dim", [1, 50, 64, 256])
+    @pytest.mark.parametrize("metric", ["angular", "kl"])
+    def test_prepared_row_is_the_same_alone_stacked_and_in_a_store(self, metric,
+                                                                   dim):
+        # a token's rows have the same bits prepared alone, as one stack and
+        # inside a store of the utterances holding them: unit rows and squared
+        # norms for angular; p, log p and the row term for kl
+        rng = np.random.default_rng(dim)
+        if metric == "kl":
+            frames = rng.dirichlet(np.full(dim, 0.5), 60)
+        else:
+            frames = rng.standard_normal((60, dim)) * rng.uniform(1e-3, 1e3, (60, 1))
+        stacked = distance.prepare([frames], metric)
+        store = distance.prepare(np.split(frames, [7, 20, 41]), metric)
+        assert store.offsets.tolist() == [0, 7, 20, 41]
+        for start, stop in ((0, 1), (3, 9), (20, 41), (59, 60)):
+            alone = distance.prepare([frames[start:stop]], metric)
+            for part, whole, utterances in zip(alone.parts, stacked.parts,
+                                               store.parts):
+                assert np.array_equal(part, whole[start:stop])
+                assert np.array_equal(part, utterances[start:stop])
+
     def test_kl_row_term_is_summed_in_row_blocks(self, monkeypatch):
         # each row's sum p log p is the same numbers whatever the block
         rng = np.random.default_rng(31)
@@ -420,8 +482,9 @@ class TestCostMatrix:
     def test_angular_costs_hold_the_bound_on_adversarial_frames(self, dim):
         # off the band a cost is within the documented bound of the exact
         # chord's (extended precision); in the band it is the difference
-        # form's, bit for bit; off the band that form is within about the
-        # bound of the exact cost too, so the two are within twice it
+        # form's, bit for bit, or near antipodes the sum form's; off the
+        # band those forms are within about the bound of the exact cost
+        # too, so the two are within twice it
         rng = np.random.default_rng(dim)
         (ux, nx), (uy, ny) = angular_sides(*adversarial_frames(rng, 60, dim))
         got = distance.pair_cost((ux, nx), (uy, ny), "angular")
@@ -435,7 +498,8 @@ class TestCostMatrix:
         band = (chord2 < lo - err) | (chord2 > hi + err)
         assert np.diag(band)[np.arange(60) % 6 < 3].all() and (off.any() or dim == 1)
         assert (np.abs(got - exact)[off] <= bound + 2 * np.spacing(np.pi)).all()
-        want = angular_difference_form(ux, uy)
+        want = np.where(chord2 > 2, angular_sum_form(ux, uy),
+                        angular_difference_form(ux, uy))
         assert np.array_equal(got[band], want[band])
         assert (np.abs(got - want) <= 2 * bound).all()
         assert (np.diag(got)[::6] == 0.0).all()  # the duplicates
