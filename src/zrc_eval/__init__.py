@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .abx import AbxResult, abx_evaluate, one_hot_encode
 from .distance import dtw_distance
 from .errors import FormatError, ValidationError
-from .metrics import paired_accuracy, pool, similarity_score, spearman
+from .metrics import layer_sweep, paired_accuracy, pool, spearman
 from .quantizer import Codebook, kmeans_fit, quantize, read_codebook, write_codebook
-from .sampler import Assignment, CandidateSet, balance_objective, sample_sentence_pairs, sample_word_pairs
+from .sampler import Assignment, CandidateSet, sample_sentence_pairs, sample_word_pairs, stratum_objectives
 from .scoring import NgramModel, SpanConfig, chain_rule_logprob, ngram_train, span_pseudo_logprob
 from .types import FeatureSequence, MetricReport, ScoredPair, SimilarityRecord, TriphoneToken, UnitSequence
 

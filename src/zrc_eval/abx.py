@@ -30,13 +30,12 @@ from .types import FeatureSequence, UnitSequence
 
 log = logging.getLogger(__name__)
 
-# (a, b, x) comparisons held by one group of contexts: bounds the flat
-# index arrays
-SCORE_COMPARISONS = 1 << 18
-
-# (token, probe) pairs requested by one group of contexts, which share one
-# DTW pass: bounds the group's pair index arrays
-GROUP_PAIRS = 1 << 14
+# (a, b, x) comparisons held by one group of contexts, which share one
+# DTW pass: bounds the flat index arrays, and the group's (token, probe)
+# pairs at twice as many, as each comparison reads two pairs and every
+# pair is read, (a, x) with every b and (b, x) with every a != x (a
+# within cell keeps 2+ tokens a side)
+SCORE_COMPARISONS = 1 << 15
 
 
 def one_hot_encode(seq: UnitSequence, n_units: int,
@@ -89,16 +88,6 @@ def _runs(*keys) -> tuple:
     return head, np.diff(np.append(head, new.size))
 
 
-def _blocks(cells, sizes) -> tuple:
-    """The distinct (A, X) and (B, X) category blocks of directed ``cells``
-    (see ``_score_cells``), as ``(p, q, block)``: each block's two
-    categories and, for every (A, X) and then every (B, X), its block."""
-    a_cat, b_cat, x_cat = cells
-    blocks, block = np.unique(np.concatenate((a_cat, b_cat)) * sizes.size
-                              + np.concatenate((x_cat, x_cat)), return_inverse=True)
-    return (*np.divmod(blocks, sizes.size), block)
-
-
 def _comparisons(cells, sizes) -> np.ndarray:
     """The number of (a, b, x) comparisons of each directed cell."""
     a_cat, b_cat, x_cat = cells
@@ -146,7 +135,10 @@ def _score_cells(store, members, bounds, cells, metric) -> np.ndarray:
     count = _comparisons(cells, sizes)
     if not count.all():
         raise ValidationError("empty ABX cell")
-    p, q, block = _blocks(cells, sizes)
+    # the distinct blocks p x q, and the block of every (A, X), then (B, X)
+    blocks, block = np.unique(np.concatenate((a_cat, b_cat)) * sizes.size
+                              + np.concatenate((x_cat, x_cat)), return_inverse=True)
+    p, q = np.divmod(blocks, sizes.size)
     rows, cols, entry = _requests(members, bounds, p, q, len(store))
     entries = sizes[p] * sizes[q]
     dist = np.empty(entries.sum())
@@ -283,10 +275,10 @@ def abx_evaluate(items, features, mode: str, metric="angular",
 
     Every context's cells are enumerated from those ranges, contexts in
     sorted order, and the contexts are evaluated a group at a time: a
-    group grows while its requested (token, probe) pairs stay within
-    ``GROUP_PAIRS`` and its (a, b, x) comparisons within
-    ``SCORE_COMPARISONS``, and a larger context runs alone. The frames of
-    the utterances holding kept tokens go through one ``prepare``, each
+    group grows while its (a, b, x) comparisons stay within
+    ``SCORE_COMPARISONS``, and a larger context runs alone; its (token,
+    probe) pairs are at most twice its comparisons. The frames of the
+    utterances holding kept tokens go through one ``prepare``, each
     token being rows of that store, however tokens overlap. A group's
     pairs take one DTW pass and its cells one ``_score_cells`` call.
     Memory: the store, one group and the largest context's comparisons.
@@ -348,24 +340,17 @@ def abx_evaluate(items, features, mode: str, metric="angular",
     cells = tuple(np.column_stack(pair).ravel()
                   for pair in ((a1, b1), (b1, a1), (x1, x2)))
 
-    # each context's requested pairs, those of its cells' blocks, and its
-    # comparisons
-    p, q, _ = _blocks(cells, sizes)
-    requests = np.bincount(cat_ctx[p], sizes[p] * (sizes[q] - (p == q)),
-                           len(contexts)).tolist()
     compares = np.bincount(cat_ctx[cells[0]], _comparisons(cells, sizes),
                            len(contexts)).tolist()
     groups = []  # [first, last] context of each group
     scored = cat_ctx[a1][_runs(cat_ctx[a1])[0]]  # the contexts with cells
     for c in scored.tolist():
-        if (groups and requested + requests[c] <= GROUP_PAIRS
-                and compared + compares[c] <= SCORE_COMPARISONS):
+        if groups and compared + compares[c] <= SCORE_COMPARISONS:
             groups[-1][1] = c
-            requested += requests[c]
             compared += compares[c]
         else:
             groups.append([c, c])
-            requested, compared = requests[c], compares[c]
+            compared = compares[c]
 
     # every kept token as rows of one store over its utterances' frames
     store = Prepared(prepare(frames, metric).parts, *rows)

@@ -330,7 +330,7 @@ def cmd_sample_pairs(args) -> int:
         report = MetricReport(
             metric="sampler-balance",
             aggregate=assignment.objective,
-            subsets=sampler_mod._stratum_objectives(by_stratum, cs),
+            subsets=sampler_mod.stratum_objectives(by_stratum, cs),
             counts={s: len(chosen) for s, chosen in sorted(by_stratum.items())},
             config={"mode": args.mode, "seed": str(args.seed),
                     "restarts": str(args.restarts),

@@ -214,18 +214,32 @@ def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequen
 def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Path:
     """Write one utterance into an archive directory; returns the file path.
 
-    The binary format stores 32-bit floats, so values outside f32 range or
-    precision are rounded on write.
+    The binary format stores 32-bit floats: values are rounded to f32
+    precision, and a frame value or rate that f32 cannot hold (a value
+    that would overflow, a rate that is not finite and positive) is a
+    ValidationError naming the utterance, raised before any file is
+    opened. Text archives hold any finite value.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     if fmt == "binary":
+        with np.errstate(over="ignore"):
+            frames = np.ascontiguousarray(fs.frames, dtype="<f4")
+            rate = np.float32(fs.frame_rate)
+        if not 0 < rate < math.inf:
+            raise ValidationError(f"{fs.utt_id}: frame rate {fs.frame_rate} is not "
+                                  "finite and positive as f32 (text archives hold "
+                                  "any finite rate)")
+        if not np.isfinite(frames).all():
+            raise ValidationError(f"{fs.utt_id}: frame value beyond the f32 range of "
+                                  "binary archives (text archives hold any finite "
+                                  "value)")
         fpath = root / f"{fs.utt_id}.zrcf"
         t, d = fs.frames.shape
         with open(fpath, "wb") as fh:
             fh.write(_FEATURE_HEADER.pack(
-                _FEATURE_MAGIC, _FEATURE_VERSION, d, fs.frame_rate, t))
-            fh.write(np.ascontiguousarray(fs.frames, dtype="<f4").tobytes())
+                _FEATURE_MAGIC, _FEATURE_VERSION, d, rate, t))
+            fh.write(frames.tobytes())
     elif fmt == "text":
         fpath = root / f"{fs.utt_id}.txt"
         with open(fpath, "w", encoding="utf-8") as fh:

@@ -188,7 +188,8 @@ def record_refs(record) -> tuple:
 
 
 def _token_pairs(record, subset: str) -> list:
-    """The (utt_a, utt_b) token pairs a record's similarity averages over."""
+    """The (utt_a, utt_b) token pairs a record's similarity averages over:
+    same-voice pairs (synthetic), or all but single-token ones (natural)."""
     refs_a, refs_b = record_refs(record)
     if subset == "synthetic":
         pairs = [(ua, ub) for va, ua in refs_a for vb, ub in refs_b if va == vb]
@@ -256,38 +257,15 @@ def _similarities(records: list, plan: tuple, reprs: dict) -> list:
     return [sum(sims[end - size:end]) / size for end, size in zip(ends, sizes)]
 
 
-def record_similarities(records, reprs: dict, subset: str) -> list:
-    """Model similarity of each gold record, in order, from one pass.
-
-    The synthetic subset averages cosine over same-voice token pairs;
-    the natural subset averages over all cross-word token pairs (minus
-    any pair built from one single token).
-    """
-    records = list(records)
-    return _similarities(records, _token_plan(records, subset), reprs)
-
-
-def _check_records(records: list, where=None) -> None:
-    if len(records) < 2:
-        raise _at(where, "similarity scoring needs at least 2 records")
-
-
-def similarity_score(records, reprs: dict, subset: str = "synthetic") -> float:
-    """Spearman correlation (x100) of model vs human similarities; each
-    representation is converted, and its norm taken, once per call."""
-    records = list(records)
-    _check_records(records)
-    return spearman(record_similarities(records, reprs, subset),
-                    [r.human_score for r in records])
-
-
 def layer_sweep(layer_archives, records, subset: str = "synthetic",
                 poolings=POOLINGS, where=None):
     """Pick the (layer, pooling) pair maximizing the dev similarity score.
 
     ``layer_archives`` maps each layer index to a dict of utt_id -> T x D
-    hidden-state matrix. Returns the winner's ``(layer, pooling, score,
-    record similarities)``; ties go to the lower layer, then the earlier pooling.
+    hidden-state matrix; a record's similarity is its mean cosine over its
+    token pairs (``_token_pairs``). Returns the winner's ``(layer, pooling,
+    score, record similarities)``; ties go to the lower layer, then the
+    earlier pooling.
     An error about one record is led by its ``where``, and fewer than 2
     records by ``where`` (the records' file) when it is given.
     """
@@ -300,7 +278,8 @@ def layer_sweep(layer_archives, records, subset: str = "synthetic",
         for kind in poolings:
             reprs = {utt: pool(mat, kind) for utt, mat in archive.items()}
             if plan is None:
-                _check_records(records, where)
+                if len(records) < 2:
+                    raise _at(where, "similarity scoring needs at least 2 records")
                 plan = _token_plan(records, subset)
             sims = _similarities(records, plan, reprs)
             score = spearman(sims, [r.human_score for r in records])

@@ -300,12 +300,22 @@ def quantize(codebook: Codebook, fs: FeatureSequence) -> UnitSequence:
 # ---------------------------------------------------------------------------
 
 def write_codebook(codebook: Codebook, path) -> None:
-    """Binary codebook: ZRCK magic, sizes, f32 centroids, trailing seed."""
+    """Binary codebook: ZRCK magic, sizes, f32 centroids, trailing seed.
+
+    A centroid value that f32 cannot hold is a ValidationError naming
+    ``path``, raised before the file is opened (``Codebook`` already
+    checks the rate as f32).
+    """
+    with np.errstate(over="ignore"):
+        centroids = np.ascontiguousarray(codebook.centroids, dtype="<f4")
+    if not np.isfinite(centroids).all():
+        raise ValidationError(f"{path}: centroid value beyond the f32 range of "
+                              "codebook files")
     k, d = codebook.centroids.shape
     with open(path, "wb") as fh:
         fh.write(_CODEBOOK_HEADER.pack(
             _CODEBOOK_MAGIC, _CODEBOOK_VERSION, k, d, codebook.frame_rate))
-        fh.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
+        fh.write(centroids.tobytes())
         fh.write(struct.pack("<Q", codebook.seed))
 
 

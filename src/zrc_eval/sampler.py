@@ -87,7 +87,15 @@ class CandidateSet:
             if not anchor.candidates:
                 raise ValidationError(
                     f"anchor {anchor.anchor_id!r} has no candidates")
+            ids = set()
             for k, (cand_id, scores) in enumerate(anchor.candidates):
+                if cand_id == SELF_MARKER:
+                    raise _at(anchor.where, f"anchor {anchor.anchor_id!r}: candidate "
+                                            f"id {SELF_MARKER!r} is reserved")
+                if cand_id in ids:
+                    raise _at(anchor.where, f"duplicate candidate {cand_id!r} for "
+                                            f"{anchor.anchor_id!r}")
+                ids.add(cand_id)
                 if len(scores) != m:
                     raise ValidationError(
                         f"candidate {cand_id!r}: inconsistent score count")
@@ -147,14 +155,9 @@ def _accepts(trial, n: int, num, m: int):
     return trial <= m if n == 0 else trial * n <= num * (n + 1)
 
 
-def balance_objective(assignment, cs: CandidateSet) -> float:
-    """Eq-style balance objective of a (possibly partial) assignment."""
-    chosen = assignment.chosen if isinstance(assignment, Assignment) else assignment
-    return _stratum_objectives({None: chosen}, cs)[None]
-
-
-def _stratum_objectives(chosen_by_stratum: dict, cs: CandidateSet) -> dict:
-    """``balance_objective`` of each stratum's choices, from one outcome array."""
+def stratum_objectives(chosen_by_stratum: dict, cs: CandidateSet) -> dict:
+    """The balance objective of each stratum's choices (anchor_id ->
+    candidate index), from one outcome array; no choices score m/2."""
     outcomes, counts = _outcomes(cs)
     m = cs.n_scores
     by_id = {a.anchor_id: i for i, a in enumerate(cs.anchors)}
@@ -398,8 +401,8 @@ def read_candidate_set(path) -> CandidateSet:
         raise FormatError(
             f"{path}: header must be anchor_id, stratum, candidate_id, "
             "then one or more score columns")
+    # anchor_id -> [first line, stratum, @self scores, {candidate_id: scores}]
     anchors: dict = {}
-    order = []
     for lineno, cols in rows:
         anchor_id, stratum, cand_id = cols[:3]
         try:
@@ -409,35 +412,31 @@ def read_candidate_set(path) -> CandidateSet:
                 f"{path}: line {lineno}: non-numeric score") from None
         if not all(map(math.isfinite, scores)):
             raise ValidationError(f"{path}: line {lineno}: non-finite score")
-        if anchor_id not in anchors:
-            anchors[anchor_id] = {"stratum": stratum, "self": None,
-                                  "cands": [], "ids": set(), "line": lineno}
-            order.append(anchor_id)
-        entry = anchors[anchor_id]
+        entry = anchors.get(anchor_id)
+        if entry is None:
+            entry = anchors[anchor_id] = [lineno, stratum, None, {}]
         if cand_id == SELF_MARKER:
-            if entry["self"] is not None:
+            if entry[2] is not None:
                 raise ValidationError(
                     f"{path}: line {lineno}: duplicate @self row for "
                     f"{anchor_id!r}")
-            entry["self"] = scores
+            entry[2] = scores
+        elif cand_id in entry[3]:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate candidate "
+                f"{cand_id!r} for {anchor_id!r}")
         else:
-            if cand_id in entry["ids"]:
-                raise ValidationError(
-                    f"{path}: line {lineno}: duplicate candidate "
-                    f"{cand_id!r} for {anchor_id!r}")
-            entry["ids"].add(cand_id)
-            entry["cands"].append((cand_id, scores))
-    if not order:
+            entry[3][cand_id] = scores
+    if not anchors:
         raise ValidationError(f"{path}: line 2: candidate set is empty")
     entries = []
-    for anchor_id in order:
-        entry = anchors[anchor_id]
-        if entry["self"] is None or not entry["cands"]:
-            what = "@self row" if entry["self"] is None else "candidates"
-            raise ValidationError(f"{path}: line {entry['line']}: anchor "
+    for anchor_id, (line, stratum, own, cands) in anchors.items():
+        if own is None or not cands:
+            what = "@self row" if own is None else "candidates"
+            raise ValidationError(f"{path}: line {line}: anchor "
                                   f"{anchor_id!r} has no {what}")
-        entries.append(AnchorEntry(anchor_id, entry["stratum"], entry["self"],
-                                   tuple(entry["cands"]), f"{path}: line {entry['line']}"))
+        entries.append(AnchorEntry(anchor_id, stratum, own, tuple(cands.items()),
+                                   f"{path}: line {line}"))
     return CandidateSet._checked(entries)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from zrc_eval import abx, distance, io_formats, sampler
+from zrc_eval import abx, distance, io_formats, metrics, sampler
 from zrc_eval.distance import KL_EPS
 from zrc_eval.errors import ValidationError
 from zrc_eval.types import FeatureSequence, UnitSequence
@@ -440,6 +440,21 @@ def spearman_oracle(a, b) -> float:
     return float(np.corrcoef(ra, rb)[0, 1]) * 100.0
 
 
+def similarity_score(records, reprs: dict, subset: str = "synthetic") -> float:
+    """The semantic score of one vector per utterance: ``layer_sweep`` over
+    one layer of one-row matrices, mean pooled (the mean of one row is
+    that row, exactly)."""
+    return metrics.layer_sweep([{u: v[None] for u, v in reprs.items()}],
+                               records, subset, ("mean",))[2]
+
+
+def record_similarities(records, reprs: dict, subset: str) -> list:
+    """Each record's model similarity over one vector per utterance, for
+    any number of records."""
+    records = list(records)
+    return metrics._similarities(records, metrics._token_plan(records, subset), reprs)
+
+
 # ---------------------------------------------------------------------------
 # sampler oracles: exhaustive enumeration
 # ---------------------------------------------------------------------------
@@ -452,6 +467,12 @@ def outcome_rows(cs) -> list:
                    for sa, sc in zip(anchor.scores, cand_scores))
              for _, cand_scores in anchor.candidates]
             for anchor in cs.anchors]
+
+
+def balance_objective(chosen: dict, cs) -> float:
+    """The balance objective of one set of choices, anchor_id -> candidate
+    index."""
+    return sampler.stratum_objectives({None: chosen}, cs)[None]
 
 
 def word_assignment_minimum(cs) -> float:

@@ -336,8 +336,9 @@ class TestAbxEvaluate:
     @pytest.mark.parametrize("metric", ["angular", "kl"])
     def test_group_budget_invariance(self, tmp_path, monkeypatch, metric, mode):
         # one-hot frames of mixed lengths (1-6) tie often; a budget of one
-        # pair runs every context alone, a mid budget groups a few contexts
-        # and a huge one takes them all in one DTW pass
+        # comparison runs every context alone, a mid budget groups a few
+        # contexts (140-288 comparisons each within, 453-864 across) and a
+        # huge one takes them all in one DTW pass
         rng = np.random.default_rng(19)
         cats = []
         for left, right in (("A", "T"), ("A", "K"), ("I", "K"), ("I", "T"),
@@ -359,8 +360,8 @@ class TestAbxEvaluate:
 
         monkeypatch.setattr(abx, "dtw_pairs", counting_pairs)
         counts = []
-        for budget in (1, 800, 1 << 30):
-            monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+        for budget in (1, 800 if mode == "within" else 1500, 1 << 30):
+            monkeypatch.setattr(abx, "SCORE_COMPARISONS", budget)
             passes.clear()
             assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == called
             counts.append(len(passes))
@@ -512,8 +513,8 @@ class TestAbxEvaluate:
             bad.append(tokens[1] if utt == "u1" else tokens[-1])
         assert len(bad) == 2 and tokens.index(bad[0]) < tokens.index(bad[1])
         first = bad[0]
-        for budget in (1, abx.GROUP_PAIRS):
-            monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+        for budget in (1, abx.SCORE_COMPARISONS):
+            monkeypatch.setattr(abx, "SCORE_COMPARISONS", budget)
             with pytest.raises(ValidationError, match=re.escape(
                     f"token ({first.file_id}, {first.onset}, {first.offset}): ")):
                 abx.abx_evaluate(tokens, tmp_path, "within", metric)
@@ -635,8 +636,8 @@ class TestArrayBookkeeping:
             if isinstance(want[0], abx.AbxResult):
                 assert (want[0].dropped_tokens, want[0].clamped_tokens) == (2, 2)
                 scored += 1
-            for budget in (abx.GROUP_PAIRS, 40):
-                monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+            for budget in (abx.SCORE_COMPARISONS, 40):
+                monkeypatch.setattr(abx, "SCORE_COMPARISONS", budget)
                 assert outcome(caplog, lambda: abx.abx_evaluate(
                     tokens, root, mode, metric)) == want
         assert scored >= 7  # the rest have no valid cell
@@ -786,8 +787,8 @@ class TestUtteranceStore:
             assert covered > sum(map(len, utterances.values()))  # overlapping
             want = outcome(caplog, lambda: abx_reference(tokens, root, mode, metric))
             assert isinstance(want[0], abx.AbxResult)
-            for budget in (abx.GROUP_PAIRS, 40):
-                monkeypatch.setattr(abx, "GROUP_PAIRS", budget)
+            for budget in (abx.SCORE_COMPARISONS, 40):
+                monkeypatch.setattr(abx, "SCORE_COMPARISONS", budget)
                 prepared.clear()
                 assert outcome(caplog, lambda: abx.abx_evaluate(
                     tokens, root, mode, metric)) == want

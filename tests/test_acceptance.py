@@ -22,7 +22,9 @@ from conftest import (
     build_mini_benchmark,
     cell_score,
     dtw_oracle_fast,
+    record_similarities,
     sentence_subset_minimum,
+    similarity_score,
     spearman_oracle,
     word_assignment_minimum,
 )
@@ -331,8 +333,8 @@ def test_criterion_09_metric_invariances():
             records.append(SimilarityRecord(
                 "w0", f"w{i}", float(rng.uniform(0, 10)), "ds",
                 (("", "w0"),), (("", f"w{i}"),)))
-    base_sim = metrics.similarity_score(records, reprs, "synthetic")
-    base_model = [metrics.record_similarities([r], reprs, "synthetic")[0]
+    base_sim = similarity_score(records, reprs, "synthetic")
+    base_model = [record_similarities([r], reprs, "synthetic")[0]
                   for r in records]
     human = [r.human_score for r in records]
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zrc_eval
+from conftest import balance_objective
 from zrc_eval import abx, cli, io_formats, metrics, quantizer, sampler, scoring
 from zrc_eval.errors import FormatError, ValidationError
 from zrc_eval.types import FeatureSequence, MetricReport, TriphoneToken, UnitSequence
@@ -161,6 +162,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {features / 'u1.txt'}: frame rate {float(rate)} is not finite "
             "and positive as f32\n")
+        assert not out.exists()
+
+    def test_codebook_values_must_survive_f32(self, tmp_path, capsys):
+        # a text archive holds values near 1e39, the codebook's f32 does not
+        features = tmp_path / "features"
+        features.mkdir()
+        (features / "u1.txt").write_text("dim=2 rate=100\n0 0\n0 1e39\n1e39 0\n")
+        out = tmp_path / "c.zrck"
+        assert run(["kmeans-train", "--features", str(features), "--k", "2",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: centroid value beyond the f32 range of codebook files\n")
         assert not out.exists()
 
     def test_mixed_dimensions_in_kmeans_archive_name_both_files(self, tmp_path,
@@ -558,7 +571,7 @@ class TestPipelines:
         io_formats.write_report(MetricReport(
             metric="sampler-balance",
             aggregate=assignment.objective,
-            subsets={s: sampler.balance_objective(chosen, cs)
+            subsets={s: balance_objective(chosen, cs)
                      for s, chosen in sorted(by_stratum.items())},
             counts={s: len(chosen) for s, chosen in sorted(by_stratum.items())},
             config={"mode": "words", "seed": "5", "restarts": "4",

@@ -137,6 +137,26 @@ class TestFeatureArchive:
         with pytest.raises(FileNotFoundError):
             io.read_feature_archive(tmp_path, "ghost")
 
+    @pytest.mark.parametrize("rate, frames, message", [
+        (100.0, [[1e308, 0.0], [1.0, 0.0]], "frame value beyond the f32 range of "
+         "binary archives (text archives hold any finite value)"),
+        (1e300, [[1.0]], "frame rate 1e+300 is not finite and positive as f32 "
+         "(text archives hold any finite rate)"),
+        (1e-50, [[1.0]], "frame rate 1e-50 is not finite and positive as f32 "
+         "(text archives hold any finite rate)"),
+    ])
+    def test_binary_writer_refuses_what_f32_cannot_hold(self, tmp_path, rate, frames,
+                                                        message):
+        # f32 would hold inf, or 0 for the rate, or cannot pack the rate:
+        # nothing is written, and a text archive holds the sequence
+        fs = FeatureSequence("u", rate, frames)
+        with pytest.raises(ValidationError) as exc:
+            io.write_feature_archive(tmp_path, fs, "binary")
+        assert str(exc.value) == f"u: {message}"
+        assert io.list_archive(tmp_path) == []
+        io.write_feature_archive(tmp_path, fs, "text")
+        assert io.read_feature_archive(tmp_path, "u") == fs
+
     def test_list_archive(self, tmp_path):
         io.write_feature_archive(tmp_path, FeatureSequence("b", 1.0, [[1.0]]), "binary")
         io.write_feature_archive(tmp_path, FeatureSequence("a", 1.0, [[1.0]]), "text")

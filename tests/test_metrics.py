@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats  # the Spearman oracle only; the package never imports it
 
-from conftest import spearman_oracle
+from conftest import record_similarities, similarity_score, spearman_oracle
 from zrc_eval import metrics
 from zrc_eval.errors import ValidationError
 from zrc_eval.types import ScoredPair, SimilarityRecord
@@ -247,12 +247,12 @@ class TestSimilarityScore:
 
     def test_perfect_monotone_gives_100(self):
         records, reprs = self._perfect_setup()
-        assert metrics.similarity_score(records, reprs, "synthetic") == \
+        assert similarity_score(records, reprs, "synthetic") == \
             pytest.approx(100.0, abs=1e-12)
 
     def test_perfect_antimonotone_gives_minus_100(self):
         records, reprs = self._perfect_setup(invert=True)
-        assert metrics.similarity_score(records, reprs, "synthetic") == \
+        assert similarity_score(records, reprs, "synthetic") == \
             pytest.approx(-100.0, abs=1e-12)
 
     def test_synthetic_averages_same_voice_pairs(self):
@@ -260,7 +260,7 @@ class TestSimilarityScore:
                  "b_A": embedding([1.0, 1.0]), "b_B": embedding([1.0, -1.0])}
         rec = record("a", "b", 5.0,
                      [("A", "a_A"), ("B", "a_B")], [("A", "b_A"), ("B", "b_B")])
-        got = metrics.record_similarities([rec], reprs, "synthetic")[0]
+        got = record_similarities([rec], reprs, "synthetic")[0]
         expected = 0.5 * (cosine(reprs["a_A"], reprs["b_A"])
                           + cosine(reprs["a_B"], reprs["b_B"]))
         assert got == pytest.approx(expected, abs=1e-15)
@@ -269,7 +269,7 @@ class TestSimilarityScore:
         reprs = {"a1": embedding([1.0, 0.0]), "a2": embedding([0.5, 0.5]),
                  "b1": embedding([0.0, 1.0])}
         rec = record("a", "b", 5.0, [("", "a1"), ("", "a2")], [("", "b1")])
-        got = metrics.record_similarities([rec], reprs, "natural")[0]
+        got = record_similarities([rec], reprs, "natural")[0]
         expected = 0.5 * (cosine(reprs["a1"], reprs["b1"])
                           + cosine(reprs["a2"], reprs["b1"]))
         assert got == pytest.approx(expected, abs=1e-15)
@@ -277,22 +277,22 @@ class TestSimilarityScore:
     def test_missing_representation_is_error(self):
         rec = record("a", "b", 5.0, [("", "a")], [("", "b")])
         with pytest.raises(ValidationError, match="representation"):
-            metrics.record_similarities([rec], {"a": embedding([1.0])}, "synthetic")
+            record_similarities([rec], {"a": embedding([1.0])}, "synthetic")
 
     def test_fewer_than_two_records_is_error(self):
         rec = record("a", "b", 5.0, [("", "a")], [("", "b")])
         with pytest.raises(ValidationError):
-            metrics.similarity_score([rec], {}, "synthetic")
+            similarity_score([rec], {}, "synthetic")
 
     def test_monotone_transform_invariance(self):
         records, reprs = self._perfect_setup()
         rng = np.random.default_rng(4)
-        base = metrics.similarity_score(records, reprs, "synthetic")
+        base = similarity_score(records, reprs, "synthetic")
         # warp every representation's agreement by shrinking angles uniformly
         for _ in range(5):
             scale = float(rng.uniform(0.5, 2.0))
             scaled = {k: v * scale for k, v in reprs.items()}
-            assert metrics.similarity_score(records, scaled, "synthetic") == base
+            assert similarity_score(records, scaled, "synthetic") == base
 
 
 class TestLayerSweep:
@@ -404,9 +404,9 @@ class TestStackedCosines:
         want = similarities_oracle(records, reprs, subset)
         for block in (metrics.COSINE_PAIRS, 7, 1):
             monkeypatch.setattr(metrics, "COSINE_PAIRS", block)
-            assert [metrics.record_similarities([r], reprs, subset)[0]
+            assert [record_similarities([r], reprs, subset)[0]
                     for r in records] == want
-            assert metrics.similarity_score(records, reprs, subset) == \
+            assert similarity_score(records, reprs, subset) == \
                 metrics.spearman(want, [r.human_score for r in records])
 
     def test_semantic_distance_is_the_dot_over_the_norms(self):
@@ -454,7 +454,7 @@ class TestStackedCosines:
         reprs = {u: embedding(v) for u, v in reprs.items()}
         want = outcome(similarities_oracle, records, reprs, "synthetic")
         assert want.startswith("error: ")
-        assert outcome(metrics.similarity_score, records, reprs,
+        assert outcome(similarity_score, records, reprs,
                        "synthetic") == want
 
     def test_fuzzed_errors_match_the_per_pair_loop(self):

@@ -409,6 +409,14 @@ class TestCodebookFile:
         assert loaded.frame_rate == 50.0
         assert loaded.seed == 77
 
+    def test_centroid_beyond_f32_is_refused(self, tmp_path):
+        path = tmp_path / "cb.zrck"
+        with pytest.raises(ValidationError) as exc:
+            quantizer.write_codebook(quantizer.Codebook([[1e39, 0.0], [0.0, 1.0]]), path)
+        assert str(exc.value) == (f"{path}: centroid value beyond the f32 range of "
+                                  "codebook files")
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "cb.zrck"
         quantizer.write_codebook(quantizer.Codebook(np.eye(2)), path)

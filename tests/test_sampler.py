@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import outcome_rows, sentence_subset_minimum, word_assignment_minimum
+from conftest import (balance_objective, outcome_rows, sentence_subset_minimum,
+                      word_assignment_minimum)
 from zrc_eval import sampler
 from zrc_eval.errors import ValidationError
 from zrc_eval.sampler import AnchorEntry, CandidateSet
@@ -35,12 +36,12 @@ class TestBalanceObjective:
     def test_half_wins_is_zero(self):
         cs = fixed_set([["win"], ["loss"], ["win"], ["loss"]])
         chosen = {f"a{i}": 0 for i in range(4)}
-        assert sampler.balance_objective(chosen, cs) == 0.0
+        assert balance_objective(chosen, cs) == 0.0
 
     def test_all_wins_is_half(self):
         cs = fixed_set([["win"]] * 6)
         chosen = {f"a{i}": 0 for i in range(6)}
-        assert sampler.balance_objective(chosen, cs) == 0.5
+        assert balance_objective(chosen, cs) == 0.5
 
     def test_two_scores_direct_evaluation(self):
         # accuracies (0.75, 0.25) -> |0.25| + |-0.25| = 0.5
@@ -52,17 +53,17 @@ class TestBalanceObjective:
         ]
         cs = CandidateSet(anchors)
         chosen = {f"a{i}": 0 for i in range(4)}
-        assert sampler.balance_objective(chosen, cs) == 0.5
+        assert balance_objective(chosen, cs) == 0.5
 
     def test_empty_assignment_is_m_times_half(self):
         anchors = [anchor("a0", [1.0, 2.0, 3.0], [[0.0, 0.0, 0.0]])]
         cs = CandidateSet(anchors)
-        assert sampler.balance_objective({}, cs) == 1.5
+        assert balance_objective({}, cs) == 1.5
 
     def test_tie_counts_half(self):
         cs = fixed_set([["tie"], ["tie"]])
         chosen = {"a0": 0, "a1": 0}
-        assert sampler.balance_objective(chosen, cs) == 0.0
+        assert balance_objective(chosen, cs) == 0.0
 
 
 class TestWordSampler:
@@ -93,7 +94,7 @@ class TestWordSampler:
         assert len(got.restart_objectives) == 10
         assert got.objective == min(got.restart_objectives)
         assert got.restart_objectives[got.restart_index] == got.objective
-        assert sampler.balance_objective(got, cs) == pytest.approx(
+        assert balance_objective(got.chosen, cs) == pytest.approx(
             got.objective, abs=1e-12)
 
     def test_toy_instances_reach_exhaustive_minimum(self):
@@ -169,7 +170,7 @@ class TestSentenceSampler:
         got = sampler.sample_sentence_pairs(pool, 12, seed=0, restarts=2)
         assert set(got.chosen) == {a.anchor_id for a in pool.anchors}
         assert got.objective == pytest.approx(
-            sampler.balance_objective(got, pool), abs=1e-12)
+            balance_objective(got.chosen, pool), abs=1e-12)
 
     def test_subset_reaches_exhaustive_minimum(self):
         rng = np.random.default_rng(6)
@@ -464,8 +465,8 @@ class TestSentenceScan:
         for a in pool.anchors:
             if a.anchor_id in got.chosen:
                 by_stratum.setdefault(a.stratum, {})[a.anchor_id] = 0
-        assert sampler._stratum_objectives(by_stratum, pool) == {
-            s: sampler.balance_objective(chosen, pool)
+        assert sampler.stratum_objectives(by_stratum, pool) == {
+            s: balance_objective(chosen, pool)
             for s, chosen in by_stratum.items()}
 
 
@@ -558,7 +559,7 @@ class TestLockstep:
         cs = fixed_set([["win", "loss"], ["win"]])
         for bad in (2, -1):
             with pytest.raises(ValidationError, match="out of range"):
-                sampler.balance_objective({"a0": bad, "a1": 0}, cs)
+                balance_objective({"a0": bad, "a1": 0}, cs)
 
 
 class TestCandidateFiles:
@@ -571,6 +572,39 @@ class TestCandidateFiles:
         sampler.write_candidate_set(cs, path)
         loaded = sampler.read_candidate_set(path)
         assert loaded.anchors == cs.anchors
+
+    @pytest.mark.parametrize("cands, message", [
+        ((("c", (1.0,)), ("c", (2.0,))), "duplicate candidate 'c' for 'a'"),
+        ((("c", (1.0,)), ("@self", (2.0,))), "anchor 'a': candidate id '@self' is reserved"),
+    ])
+    def test_direct_set_keeps_the_file_rules(self, cands, message):
+        # the reader rejects both, as a duplicate candidate and a duplicate
+        # @self row; the anchor's where leads the error when it is set
+        for where in (None, "src.tsv: line 9"):
+            with pytest.raises(ValidationError) as exc:
+                CandidateSet([AnchorEntry("a", "s", (0.0,), cands, where)])
+            assert str(exc.value) == (f"{where}: {message}" if where else message)
+
+    def test_every_accepted_set_reads_back(self, tmp_path):
+        # candidate ids drawn with repeats and '@self': whatever the
+        # constructor accepts, the file it is written to reads back ==
+        rng = np.random.default_rng(13)
+        path = tmp_path / "c.tsv"
+        accepted = 0
+        for _ in range(200):
+            anchors = [AnchorEntry(f"a{i}", f"s{i % 2}", (float(rng.normal()),),
+                                   tuple((str(rng.choice(["c", "d", "e", "@self"])),
+                                          (float(rng.normal()),))
+                                         for _ in range(int(rng.integers(1, 4)))))
+                       for i in range(int(rng.integers(1, 4)))]
+            try:
+                cs = CandidateSet(anchors)
+            except ValidationError:
+                continue
+            accepted += 1
+            sampler.write_candidate_set(cs, path)
+            assert sampler.read_candidate_set(path).anchors == cs.anchors
+        assert accepted >= 20
 
     def test_missing_self_row(self, tmp_path):
         path = tmp_path / "c.tsv"
