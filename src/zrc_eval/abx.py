@@ -23,9 +23,10 @@ from operator import attrgetter
 import numpy as np
 
 from . import io_formats
-from .distance import FRAME_METRICS, Prepared, dtw_pairs, invalid_frames, prepare
+from .distance import (FRAME_METRICS, Prepared, dtw_pairs, empty_parts, invalid_frames,
+                       prepare_into)
 from .distance import dtw_distance  # noqa: F401  (perfbench/spans.py wraps abx.dtw_distance)
-from .errors import ValidationError, _at
+from .errors import FormatError, ValidationError, _at
 from .types import FeatureSequence, UnitSequence
 
 log = logging.getLogger(__name__)
@@ -175,40 +176,49 @@ def _token_error(token, message) -> ValidationError:
 
 
 def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
-    """Check every token against its utterance and keep the non-empty ones.
+    """Check every token against its utterance and store the kept ones.
 
-    ``file_ids``, ``onsets`` and ``offsets`` are the tokens' columns. Each
-    utterance is read once from the archive directory ``root``, in order
-    of first use. A token's frames run from floor(onset * rate) to
-    floor(offset * rate), the offset exclusive and clamped at the
-    utterance end. Each token is checked in turn: its utterance exists,
-    its frame indices are finite, its frames are not empty (else it is
-    dropped, with a warning), its frame dimension is the first kept
-    token's, and the metric accepts its frames. The first token in item
-    order that fails a check is the error, and only the dropped tokens
-    before it are logged.
+    ``file_ids``, ``onsets`` and ``offsets`` are the tokens' columns. The
+    utterances are taken from the archive directory ``root`` in order of
+    first use: first each one's frame count, dimension and rate
+    (``io_formats.feature_header``), then each one's frames, read once. A
+    token's frames run from floor(onset * rate) to floor(offset * rate),
+    the offset exclusive and clamped at the utterance end. Each token is
+    checked in turn: its utterance exists, its frame indices are finite,
+    its frames are not empty (else it is dropped, with a warning), its
+    frame dimension is the first kept token's, and the metric accepts its
+    frames. The first token in item order that fails a check is the
+    error, and only the dropped tokens before it are logged. An
+    utterance that fails to read, or whose frames are not the shape its
+    header gave, is the error unless a token before its first user fails.
 
-    Returns ``(kept, frames, rows, dropped, clamped)``: kept item indices;
-    the frames of the utterances holding kept tokens, by first use; each
-    kept token's ``(offsets, lengths)`` in them back to back; the counts.
+    Unless a token fails, the utterances holding kept tokens are prepared
+    one at a time, as their frames are read and checked, into one store
+    sized from their headers. Returns ``(kept, store, dropped, clamped)``:
+    kept item indices; the ``Prepared`` store whose sequences are the
+    kept tokens; the counts.
     """
     n = len(tokens)
     # utterance -> its position in order of first use
     index = {f: i for i, f in enumerate(dict.fromkeys(file_ids))}
     utt = np.fromiter(map(index.__getitem__, file_ids), np.intp, n)
-    utterances, failure = [], None
-    for file_id, user in zip(index, np.unique(utt, return_index=True)[1].tolist()):
+    users = np.unique(utt, return_index=True)[1].tolist()
+    shapes, failure = [], None
+    for file_id, user in zip(index, users):
         try:
-            utterances.append(io_formats.read_feature_archive(root, file_id))
+            shapes.append(io_formats.feature_header(root, file_id))
         except (OSError, ValueError) as exc:
             # raised once the tokens before its first user pass their checks
             failure, n = exc, user
             break
     utt = utt[:n]
-    lengths = [len(fs) for fs in utterances]
-    rate = np.array([fs.frame_rate for fs in utterances])[utt]
-    length = np.array(lengths, dtype=np.int64)[utt]
-    with np.errstate(over="ignore"):
+    lengths = np.array([t for t, _, _ in shapes], dtype=np.int64)
+    rate = np.array([r for _, _, r in shapes], dtype=np.float64)[utt]
+    length = lengths[utt]
+    # a header rate the full read rejects (not finite and positive) may
+    # give no index; that read then fails before the utterance's tokens
+    # are checked
+    with np.errstate(over="ignore", invalid="ignore"):
         start = np.floor(np.array(onsets[:n]) * rate)
         stop = np.floor(np.array(offsets[:n]) * rate)
     # offset > onset, so a finite stop bounds the start; a start past the
@@ -220,18 +230,42 @@ def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
     empty = ~unindexed & (stop <= start)
     kept = ~unindexed & ~empty
 
-    dim = np.array([fs.frames.shape[1] for fs in utterances], dtype=np.intp)[utt]
+    dim = np.array([d for _, d, _ in shapes], dtype=np.intp)[utt]
     # the first kept token sets the frame dimension
     first = int(np.argmax(kept)) if kept.any() else None
     mismatch = kept if first is None else kept & (dim != dim[first])
-    # the frames each utterance's metric check rejects, counted along all
-    # the utterances back to back
-    rejects = [invalid_frames(fs.frames, metric) for fs in utterances]
-    seen = np.concatenate([[0], *(bad for bad, _ in rejects)]).cumsum()
-    base = np.cumsum([0] + lengths)[utt]
-    rejected = kept & ~mismatch & (seen[base + stop] > seen[base + start])
 
-    failed = np.flatnonzero(unindexed | mismatch | rejected)
+    # the first row of each utterance holding kept tokens in the store
+    sizes = lengths * np.isin(np.arange(len(shapes)), utt[kept])
+    rows = np.cumsum(sizes) - sizes
+    # a store only for a run that no token's header facts fail
+    fill = failure is None and not (unindexed | mismatch).any()
+    parts, rejects = (), []
+    for u, (file_id, user, shape) in enumerate(zip(index, users, shapes)):
+        try:
+            fs = io_formats.read_feature_archive(root, file_id)
+            if (len(fs), fs.dim, fs.frame_rate) != shape:
+                raise FormatError(
+                    f"{io_formats.feature_file(root, file_id)}: {len(fs)} x {fs.dim} "
+                    f"frames at rate {fs.frame_rate}, but {shape[0]} x {shape[1]} "
+                    f"at rate {shape[2]} when its header was read")
+        except (OSError, ValueError) as exc:
+            failure, n = exc, user
+            break
+        bad, reason = invalid_frames(fs.frames, metric)
+        rejects.append(bad)
+        if fill and sizes[u]:
+            if not parts:
+                parts = empty_parts(metric, int(sizes.sum()), fs.dim)
+            prepare_into(parts, rows[u], fs.frames, metric)
+    # the frames the metric rejects, counted along the utterances read
+    # back to back
+    utt, start, stop = utt[:n], start[:n], stop[:n]
+    seen = np.concatenate([[0], *rejects]).cumsum()
+    base = (np.cumsum(lengths) - lengths)[utt]
+    rejected = (kept & ~mismatch)[:n] & (seen[base + stop] > seen[base + start])
+
+    failed = np.flatnonzero((unindexed | mismatch)[:n] | rejected)
     end = int(failed[0]) if failed.size else n
     for i in np.flatnonzero(empty[:end]).tolist():
         log.warning("dropping token (%s, %s, %s): empty frame extraction",
@@ -244,16 +278,13 @@ def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
             raise _token_error(tokens[end], f"frame dimension {dim[end]} differs "
                                             f"from {dim[first]} in "
                                             f"{_token_name(tokens[first])}")
-        raise _token_error(tokens[end], rejects[utt[end]][1])
+        raise _token_error(tokens[end], reason)
     if isinstance(failure, FileNotFoundError):
         raise _token_error(tokens[n], failure) from None
     if failure is not None:
         raise failure
-    used, rank = np.unique(utt[kept], return_inverse=True)
-    sizes = np.array(lengths, dtype=np.int64)[used]
-    rows = ((np.cumsum(sizes) - sizes)[rank] + start[kept], (stop - start)[kept])
-    return (np.flatnonzero(kept), [utterances[u].frames for u in used.tolist()],
-            rows, int(empty.sum()), int((clamp & kept).sum()))
+    store = Prepared(parts, rows[utt[kept]] + start[kept], (stop - start)[kept])
+    return np.flatnonzero(kept), store, int(empty.sum()), int((clamp & kept).sum())
 
 
 def _ranks(values) -> tuple:
@@ -277,11 +308,12 @@ def abx_evaluate(items, features, mode: str, metric="angular",
     sorted order, and the contexts are evaluated a group at a time: a
     group grows while its (a, b, x) comparisons stay within
     ``SCORE_COMPARISONS``, and a larger context runs alone; its (token,
-    probe) pairs are at most twice its comparisons. The frames of the
-    utterances holding kept tokens go through one ``prepare``, each
-    token being rows of that store, however tokens overlap. A group's
-    pairs take one DTW pass and its cells one ``_score_cells`` call.
-    Memory: the store, one group and the largest context's comparisons.
+    probe) pairs are at most twice its comparisons. The utterances
+    holding kept tokens are prepared into one store as they are read,
+    each token being rows of that store, however tokens overlap. A
+    group's pairs take one DTW pass and its cells one ``_score_cells``
+    call. Memory: the store, one utterance, one group and the largest
+    context's comparisons.
 
     Cells lacking enough tokens are skipped with a logged reason; an item
     set producing no valid cell at all is an error, led by ``where`` (the
@@ -297,8 +329,8 @@ def abx_evaluate(items, features, mode: str, metric="angular",
                          "speaker")
     file_ids, onsets, offsets, centers, lefts, rights, speakers = \
         zip(*map(columns, tokens)) if tokens else [()] * 7
-    kept, frames, rows, dropped, clamped = _extract(tokens, file_ids, onsets,
-                                                    offsets, features, metric)
+    kept, store, dropped, clamped = _extract(tokens, file_ids, onsets, offsets,
+                                             features, metric)
 
     contexts, ctx = _ranks(list(zip(lefts, rights)))
     phones, phone = _ranks(centers)
@@ -352,8 +384,6 @@ def abx_evaluate(items, features, mode: str, metric="angular",
             groups.append([c, c])
             compared = compares[c]
 
-    # every kept token as rows of one store over its utterances' frames
-    store = Prepared(prepare(frames, metric).parts, *rows)
     cell_ctx = cat_ctx[cells[0]]
     means = []
     for first, last in groups:

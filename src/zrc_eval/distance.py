@@ -19,7 +19,13 @@ Work is split in three pieces that every caller shares:
   ``sum p log p`` for ``kl``. It checks nothing: a caller checks the
   frames it will read (``invalid_frames`` names those a metric rejects).
   The result, ``Prepared``, holds each component as one array over all
-  the sequences' frames, with one offset and length per sequence;
+  the sequences' frames, with one offset and length per sequence. The
+  store is allocated once (``empty_parts``) and filled one sequence at a
+  time by ``prepare_into``, ``RUN_ELEMENTS // D`` rows at a time, in
+  place: no concatenated copy or full-size temporary is built, so a
+  caller that reads its sequences one by one, as ABX does, holds the
+  store and one sequence. Every step is row-local, so a row has the
+  same bits alone, stacked, in any block and in any store;
 * ``pair_cost`` is the one cost expression: the T x S cost matrix of one
   pair, or with leading batch axes those of many same-shape pairs, each
   slice computed exactly as the pair alone. Both metrics take their
@@ -76,7 +82,8 @@ KL_EPS = 1e-10
 CHUNK_CELLS = 1 << 16
 
 # Elements one cost call over a run of same-shape pairs may build: the
-# gathered (T + S) x D frames and the T x S product. Larger calls are no
+# gathered (T + S) x D frames and the T x S product; also the values of
+# one block of rows ``prepare_into`` works at a time. Larger calls are no
 # faster and raise peak memory.
 RUN_ELEMENTS = 1 << 17
 
@@ -116,40 +123,60 @@ class Prepared:
         return self.lengths.size
 
 
-def prepare(seqs, metric: str) -> Prepared:
-    """Precompute frame sequences' share of pair costs.
-
-    The sequences are concatenated once and every component is computed
-    over all their frames: the unit-normalized frames and their squared
-    norms for ``angular``; the frames floored at ``KL_EPS`` (p), their log
-    and the row term ``sum p log p`` for ``kl``. Nothing is checked: a row
-    ``invalid_frames`` rejects is prepared without error or warning, and
-    must not be read. Raises ValueError on an unknown metric.
-    """
-    if metric not in FRAME_METRICS:
-        raise ValueError(f"unknown frame metric {metric!r}")
-    f = np.concatenate(seqs, dtype=np.float64)  # a copy, worked in place
+def empty_parts(metric: str, rows: int, dim: int) -> tuple:
+    """The components of a store of ``rows`` prepared rows of ``dim``
+    values, unfilled: ``prepare_into`` writes them. Raises ValueError on
+    an unknown metric."""
     if metric == "angular":
-        # each row scaled exactly, by a power of two, to a largest magnitude
-        # in [0.5, 1): its squared norm can neither overflow nor reach 0
-        np.ldexp(f, -np.frexp(np.abs(f).max(axis=1))[1][:, None], out=f)
-        norm = np.linalg.norm(f, axis=1)[:, None]
-        unit = np.divide(f, norm, out=f, where=norm > 0)
-        parts = (unit, np.einsum("nd,nd->n", unit, unit))
-    else:
-        p = np.maximum(f, KL_EPS, out=f)
-        log_p = np.log(p)
-        # summed a block of rows at a time: each row's sum is unchanged, and
-        # no third full-size array is built
-        rows = max(1, RUN_ELEMENTS // p.shape[1])
-        row_term = np.empty(len(p))
-        with np.errstate(over="ignore"):  # only in rows that are not read
-            for start in range(0, len(p), rows):
-                block = slice(start, start + rows)
-                row_term[block] = np.sum(p[block] * log_p[block], axis=1)
-        parts = (p, log_p, row_term)
+        return np.empty((rows, dim)), np.empty(rows)
+    if metric == "kl":
+        return np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows)
+    raise ValueError(f"unknown frame metric {metric!r}")
+
+
+def prepare_into(parts, at: int, frames, metric: str) -> None:
+    """Prepare the T x D ``frames`` into rows ``at`` to ``at + T`` of the
+    store components ``parts`` (see ``empty_parts``).
+
+    Rows are taken ``RUN_ELEMENTS // D`` at a time, each block copied
+    into the store and worked there in place. For ``angular`` each row is
+    scaled exactly, by a power of two, to a largest magnitude in
+    [0.5, 1), so that its squared norm can neither overflow nor reach 0,
+    then unit-normalized, and its squared norm kept; for ``kl`` it is
+    floored at ``KL_EPS`` (p), its log kept, and the row term
+    ``sum p log p`` summed. Every step is row-local, so a row's bits do
+    not depend on the block or the store it is prepared in. Nothing is
+    checked: a row ``invalid_frames`` rejects is prepared without error
+    or warning, and must not be read.
+    """
+    step = max(1, RUN_ELEMENTS // parts[0].shape[1])
+    for lo in range(0, len(frames), step):
+        block = frames[lo:lo + step]
+        rows = slice(at + lo, at + lo + len(block))
+        f = parts[0][rows]
+        f[...] = block
+        if metric == "angular":
+            np.ldexp(f, -np.frexp(np.abs(f).max(axis=1))[1][:, None], out=f)
+            norm = np.linalg.norm(f, axis=1)[:, None]
+            np.divide(f, norm, out=f, where=norm > 0)
+            parts[1][rows] = np.einsum("nd,nd->n", f, f)
+        else:
+            np.maximum(f, KL_EPS, out=f)
+            log_p = np.log(f, out=parts[1][rows])
+            with np.errstate(over="ignore"):  # only in rows that are not read
+                parts[2][rows] = np.sum(f * log_p, axis=1)
+
+
+def prepare(seqs, metric: str) -> Prepared:
+    """Precompute frame sequences' share of pair costs: one store over
+    all their frames, the sequences back to back, each filled by
+    ``prepare_into``. Raises ValueError on an unknown metric."""
     lengths = np.array([len(x) for x in seqs], dtype=np.intp)
-    return Prepared(parts, np.cumsum(lengths) - lengths, lengths)
+    offsets = np.cumsum(lengths) - lengths
+    parts = empty_parts(metric, int(lengths.sum()), np.shape(seqs[0])[1])
+    for at, seq in zip(offsets.tolist(), seqs):
+        prepare_into(parts, at, seq, metric)
+    return Prepared(parts, offsets, lengths)
 
 
 def _angular_band(dim: int) -> tuple:
@@ -196,17 +223,28 @@ def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
     """
     if metric == "angular":
         (ux, nx), (uy, ny) = x, y
-        chord2 = (nx[..., :, None] + ny[..., None, :]
-                  - 2.0 * (ux @ np.swapaxes(uy, -1, -2)))
+        # chord^2, then the cost, in one buffer
+        chord2 = nx[..., :, None] + ny[..., None, :]
+        dot = ux @ np.swapaxes(uy, -1, -2)
+        dot *= 2.0
+        chord2 -= dot
+        del dot
         lo, hi = _angular_band(ux.shape[-1])
-        band = np.nonzero((chord2 < lo) | (far := chord2 > hi))
-        step = max(1, RUN_ELEMENTS // ux.shape[-1])
-        for start in range(0, band[0].size, step):
-            cells = tuple(i[start:start + step] for i in band)
-            a, b = ux[cells[:-1]], uy[cells[:-2] + cells[-1:]]
-            diff = np.where(far[cells][:, None], a + b, a - b)
-            chord2[cells] = np.einsum("nd,nd->n", diff, diff)
-        cost = 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(chord2), 0.0, 1.0))
+        far = chord2 > hi
+        near = (chord2 < lo) | far
+        if near.any():
+            band = np.nonzero(near)
+            step = max(1, RUN_ELEMENTS // ux.shape[-1])
+            for start in range(0, band[0].size, step):
+                cells = tuple(i[start:start + step] for i in band)
+                a, b = ux[cells[:-1]], uy[cells[:-2] + cells[-1:]]
+                diff = np.where(far[cells][:, None], a + b, a - b)
+                chord2[cells] = np.einsum("nd,nd->n", diff, diff)
+        cost = np.sqrt(chord2, out=chord2)
+        cost *= 0.5
+        np.clip(cost, 0.0, 1.0, out=cost)
+        np.arcsin(cost, out=cost)
+        cost *= 2.0
         return np.subtract(np.pi, cost, out=cost, where=far)
     p, _, row_term = x
     return row_term[..., :, None] - p @ np.swapaxes(y[1], -1, -2)
@@ -304,9 +342,9 @@ def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:
                 b = min(hi, a + step)
                 fx = x_start[a:b, None] + np.arange(t)
                 fy = y_start[a:b, None] + np.arange(s)
-                x = tuple(f[fx] if k in x_reads else None
+                x = tuple(np.take(f, fx, axis=0) if k in x_reads else None
                           for k, f in enumerate(parts))
-                y = tuple(f[fy] if k in y_reads else None
+                y = tuple(np.take(f, fy, axis=0) if k in y_reads else None
                           for k, f in enumerate(parts))
                 costs = pair_cost(x, y, metric)
                 cost[:t, :s, a - start:b - start] = costs.transpose(1, 2, 0)

@@ -155,7 +155,32 @@ def read_feature_archive(path, utt_id: str) -> FeatureSequence:
     return _read_feature_text(fpath, utt_id)
 
 
-def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
+def feature_header(path, utt_id: str) -> tuple:
+    """``(frames, dim, rate)`` of the utterance ``read_feature_archive``
+    reads, without reading its frames: a binary file's header, or a text
+    file's header and its number of rows. Raises what that read raises
+    for a missing file and a malformed header; the frames, and a count
+    that does not match them, are checked only by the full read."""
+    binary = Path(path) / f"{utt_id}.zrcf"
+    try:
+        with open(binary, "rb") as fh:
+            head = fh.read(_FEATURE_HEADER.size)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        fpath = feature_file(path, utt_id)
+    else:
+        return _binary_header(binary, head)
+    if fpath.name == utt_id:  # a bare file, sniffed
+        with open(fpath, "rb") as fh:
+            head = fh.read(_FEATURE_HEADER.size)
+        if head[:4] == _FEATURE_MAGIC:
+            return _binary_header(fpath, head)
+    dim, rate, rows = _text_header(fpath)
+    return sum(1 for _ in rows), dim, rate
+
+
+def _text_header(fpath: Path) -> tuple:
+    """The ``dim`` and ``rate`` of a text feature file's header, and its
+    frame rows still to be read, as ``_rows`` yields them."""
     rows = _rows(fpath, sep=None)
     lineno, head = next(rows, (1, None))
     if head is None:
@@ -165,10 +190,13 @@ def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
         raise bad_header
     fields = dict(tok.split("=", 1) for tok in head)
     try:
-        dim = int(fields["dim"])
-        rate = float(fields["rate"])
+        return int(fields["dim"]), float(fields["rate"]), rows
     except (KeyError, ValueError):
         raise bad_header from None
+
+
+def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
+    dim, rate, rows = _text_header(fpath)
     values = []
     for lineno, cols in rows:
         if len(cols) != dim:
@@ -186,8 +214,9 @@ def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
     return _named(f"{fpath}: line 1", FeatureSequence, utt_id, rate, values)
 
 
-def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequence:
-    """Decode the bytes ``blob`` of the binary feature file ``fpath``."""
+def _binary_header(fpath: Path, blob: bytes) -> tuple:
+    """``(frames, dim, rate)`` from the header at the start of ``blob``,
+    the bytes of the binary feature file ``fpath``."""
     if len(blob) < _FEATURE_HEADER.size:
         raise FormatError(f"{fpath}: truncated header")
     magic, version, dim, rate, n_frames = _FEATURE_HEADER.unpack_from(blob)
@@ -197,6 +226,12 @@ def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequen
         raise FormatError(f"{fpath}: unsupported version {version}")
     if dim < 1:
         raise FormatError(f"{fpath}: non-positive dimension {dim}")
+    return n_frames, dim, float(rate)
+
+
+def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequence:
+    """Decode the bytes ``blob`` of the binary feature file ``fpath``."""
+    n_frames, dim, rate = _binary_header(fpath, blob)
     body = len(blob) - _FEATURE_HEADER.size
     expected = n_frames * dim * 4
     if body < expected:
@@ -243,8 +278,7 @@ def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Pat
     elif fmt == "text":
         fpath = root / f"{fs.utt_id}.txt"
         with open(fpath, "w", encoding="utf-8") as fh:
-            rate = fs.frame_rate
-            fh.write(f"dim={fs.dim} rate={int(rate) if rate == int(rate) else rate}\n")
+            fh.write(f"dim={fs.dim} rate={fs.frame_rate!r}\n")
             for row in fs.frames:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
     else:

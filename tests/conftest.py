@@ -178,15 +178,13 @@ def dtw_reference(metric):
 def per_pair_abx(dist):
     """Within the block, ``abx`` gets each requested (token, probe)
     distance from ``dist(token frames, probe frames)``, one call per pair
-    in request order: ``abx.prepare`` makes an identity store, the raw
-    frames back to back as its one component, and ``abx.dtw_pairs``
-    becomes a loop over its tokens' rows. Grouping, tables and cell
-    scoring are the engine's own; the metric name only passes the name
-    checks."""
-    def identity(seqs, metric):
-        lengths = np.array([len(x) for x in seqs], dtype=np.intp)
-        return distance.Prepared((np.concatenate(seqs),),
-                                 np.cumsum(lengths) - lengths, lengths)
+    in request order: ``abx.prepare_into`` copies each utterance's raw
+    frames into the store's first component, and ``abx.dtw_pairs``
+    becomes a loop over its tokens' rows of that component. Grouping,
+    tables and cell scoring are the engine's own; the metric name only
+    passes the name checks."""
+    def identity(parts, at, frames, metric):
+        parts[0][at:at + len(frames)] = frames
 
     def pairs(store, rows, cols, metric):
         frames = [store.parts[0][o:o + n] for o, n in
@@ -196,7 +194,7 @@ def per_pair_abx(dist):
                         dtype=np.float64)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(abx, "prepare", identity)
+        patch.setattr(abx, "prepare_into", identity)
         patch.setattr(abx, "dtw_pairs", pairs)
         yield
 
@@ -207,9 +205,9 @@ def context_scores(tokens, directions, metric="angular"):
     Each direction is ``(a_idx, b_idx, x_idx, skip_same)``: token indices
     on each side, and whether x runs over the a tokens, each a token
     then never being its own probe. Each distinct index list is one
-    category. The tokens go through ``abx.prepare`` as one store;
-    ``abx.prepare`` and ``abx.dtw_pairs`` are looked up at call time, so
-    ``per_pair_abx`` intercepts them."""
+    category. The tokens go through ``abx.prepare_into`` into one store,
+    back to back; ``abx.prepare_into`` and ``abx.dtw_pairs`` are looked
+    up at call time, so ``per_pair_abx`` intercepts them."""
     categories: dict = {}  # index list -> category id
     for a_idx, b_idx, x_idx, _ in directions:
         for idx in (a_idx, b_idx, x_idx):
@@ -219,7 +217,12 @@ def context_scores(tokens, directions, metric="angular"):
     cells = np.array([[categories[tuple(a)], categories[tuple(b)],
                        categories[tuple(a if same else x)]]
                       for a, b, x, same in directions], dtype=np.intp)
-    return abx._score_cells(abx.prepare(list(tokens), metric),
+    lengths = np.array([len(x) for x in tokens], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    parts = distance.empty_parts(metric, int(lengths.sum()), np.shape(tokens[0])[1])
+    for at, x in zip(offsets.tolist(), tokens):
+        abx.prepare_into(parts, at, x, metric)
+    return abx._score_cells(distance.Prepared(parts, offsets, lengths),
                             np.array(members, dtype=np.intp),
                             (np.cumsum(sizes) - sizes, sizes), tuple(cells.T), metric)
 

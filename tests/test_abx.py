@@ -1,6 +1,7 @@
 """ABX cell scores and full evaluation against brute-force oracles."""
 
 import re
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import (abx_oracle, abx_reference, cell_score, context_scores,
                       dtw_reference, per_pair_abx, symmetrized_score)
 from zrc_eval import abx, distance, io_formats
 from zrc_eval.distance import dtw_distance
-from zrc_eval.errors import ValidationError
+from zrc_eval.errors import FormatError, ValidationError
 from zrc_eval.types import FeatureSequence, TriphoneToken, UnitSequence
 
 
@@ -551,15 +552,18 @@ class TestAbxEvaluate:
         assert any("dropping token" in r.message for r in caplog.records)
 
     def test_frame_extraction_uses_floor(self, tmp_path):
-        frames = np.arange(10, dtype=float).reshape(10, 1) + 1.0
+        # every row a direction of its own
+        frames = np.column_stack([np.arange(10) + 1.0, np.ones(10)])
         io_formats.write_feature_archive(
             tmp_path, FeatureSequence("u", 100.0, frames), "text")
         token = TriphoneToken("u", 0.019, 0.051, "B", "A", "T", "s1")
-        kept, store, ((offset,), (length,)), dropped, clamped = abx._extract(
+        kept, store, dropped, clamped = abx._extract(
             [token], ("u",), (token.onset,), (token.offset,), tmp_path, "angular")
         # floor(0.019*100)=1, floor(0.051*100)=5, exclusive
-        rows = np.concatenate(store)[offset:offset + length]
-        assert rows.tolist() == [[2.0], [3.0], [4.0], [5.0]]
+        (offset,), (length,) = store.offsets.tolist(), store.lengths.tolist()
+        for part, want in zip(store.parts,
+                              distance.prepare([frames[1:5]], "angular").parts):
+            assert np.array_equal(part[offset:offset + length], want)
         assert (kept.tolist(), dropped, clamped) == ([0], 0, 0)
 
 
@@ -689,16 +693,24 @@ class TestArrayBookkeeping:
                           "3 in token (wide, 0.0, 0.02)"),
         # an empty token is dropped, however wide or bad its utterance
         (("empty-bad", "empty-wide"), None),
+        # a body that fails its read, whose header was read: the second
+        # utterance's, its own error; after a bad frame's token, that token
+        (("drop", "short", "bad"), "short.zrcf: truncated body, expected 16 bytes, "
+                                   "got 12"),
+        (("drop", "bad", "short"), "token (bad, 0.0, 0.03): angular distance "
+                                   "undefined for zero-norm frames"),
     ])
     def test_error_precedence(self, tmp_path, caplog, order, message):
         write_archive(tmp_path, {"good": np.eye(2)[[0, 1, 0, 1]],
                                  "bad": np.eye(2)[[0, 1, 0]] * [[1], [0], [1]],
-                                 "wide": np.eye(3)[[0, 1]]})
+                                 "wide": np.eye(3)[[0, 1]], "short": np.eye(2)})
         (tmp_path / "junk.txt").write_text("dim=2 rate=100\n1\n")
+        short = tmp_path / "short.zrcf"
+        short.write_bytes(short.read_bytes()[:-4])
         tokens = {"drop": ("good", 0.001, 0.002), "bad": ("bad", 0.0, 0.03),
                   "junk": ("junk", 0.0, 0.01), "ghost": ("ghost", 0.0, 0.02),
                   "wide": ("wide", 0.0, 0.02), "empty-bad": ("bad", 0.011, 0.012),
-                  "empty-wide": ("wide", 0.001, 0.002)}
+                  "empty-wide": ("wide", 0.001, 0.002), "short": ("short", 0.0, 0.02)}
         items = [TriphoneToken(*tokens[name], "B", "A", "T", "s1") for name in order]
         items += [TriphoneToken("good", 0.0, 0.02, "P", "A", "T", "s1")]
         caplog.set_level("INFO")
@@ -773,13 +785,13 @@ class TestUtteranceStore:
         rng = np.random.default_rng(47)
         caplog.set_level("INFO")
         prepared = []
-        prepare = abx.prepare
+        prepare_into = abx.prepare_into
 
-        def counting_prepare(seqs, metric):
-            prepared.append(sum(len(x) for x in seqs))
-            return prepare(seqs, metric)
+        def counting_prepare(parts, at, frames, metric):
+            prepared.append(len(frames))
+            prepare_into(parts, at, frames, metric)
 
-        monkeypatch.setattr(abx, "prepare", counting_prepare)
+        monkeypatch.setattr(abx, "prepare_into", counting_prepare)
         for trial in range(5):
             root = tmp_path / f"t{trial}"
             tokens, utterances = triphone_items(root, rng)
@@ -792,7 +804,9 @@ class TestUtteranceStore:
                 prepared.clear()
                 assert outcome(caplog, lambda: abx.abx_evaluate(
                     tokens, root, mode, metric)) == want
-                assert prepared == [sum(map(len, utterances.values()))]
+                # each utterance's frames once, in order of first use
+                assert prepared == [len(utterances[u]) for u in
+                                    dict.fromkeys(t.file_id for t in tokens)]
 
     @pytest.mark.parametrize("metric, bad", [("angular", [0.0, 0.0, 0.0, 0.0]),
                                              ("kl", [1e308, 0.0, 0.0, 0.0])])
@@ -813,3 +827,67 @@ class TestUtteranceStore:
         assert isinstance(want[0], abx.AbxResult)
         assert outcome(caplog, lambda: abx.abx_evaluate(
             tokens, tmp_path, "within", metric)) == want
+
+    def test_a_body_unlike_its_header_is_an_error_naming_the_file(self, tmp_path,
+                                                                   monkeypatch):
+        # the store is sized from the headers; a body read that disagrees
+        # (the file changed in between) is an error, never a misplaced row
+        rng = np.random.default_rng(59)
+        tokens, utterances = triphone_items(tmp_path, rng)
+        victim = tokens[0].file_id
+        header = io_formats.feature_header
+
+        def stale(path, utt_id):
+            frames, dim, rate = header(path, utt_id)
+            return (frames + (utt_id == victim), dim, rate)
+
+        monkeypatch.setattr(io_formats, "feature_header", stale)
+        t = len(utterances[victim])
+        with pytest.raises(FormatError) as info:
+            abx.abx_evaluate(tokens, tmp_path, "within", "kl")
+        assert str(info.value) == (f"{tmp_path / victim}.zrcf: {t} x 4 frames at rate "
+                                   f"100.0, but {t + 1} x 4 at rate 100.0 when its "
+                                   "header was read")
+
+    def test_peak_memory_is_the_store_and_one_utterance(self, tmp_path):
+        # 1,200 tokens of 256-dim frames, 20 contexts x 10 speakers x 3
+        # phones x 2 tokens, each speaker's context one utterance of six
+        # back-to-back tokens of 5-15 frames: a store of about 12,000 rows.
+        # The traced peak of a within run may pass the store's bytes only
+        # by one utterance, read and widened (4 + 8 bytes a value), and by
+        # a constant in 8-byte elements:
+        #   5 RUN_ELEMENTS: a prepare block's |f| and squares (2), one
+        #     cost call's gathered frames and product, and its chord^2
+        #     and dot buffers (3);
+        #   5 CHUNK_CELLS: a chunk's cost tensor (1) and the kernel's
+        #     sums, whose border at most quadruples the cells (4);
+        #   16 SCORE_COMPARISONS: a group's comparisons and its requested
+        #     pairs (at most twice as many), as a few index and distance
+        #     arrays each.
+        # Every full-size copy of the frames beside the store (the frames
+        # of every utterance, their concatenation, |f| or the squared
+        # norms of all of them) breaks the bound by a store's size.
+        rng = np.random.default_rng(61)
+        dim, tokens, lengths = 256, [], []
+        for c in range(20):
+            for s in range(10):
+                spans = np.cumsum(rng.integers(5, 16, 6)).tolist()
+                utt = f"u{c}_{s}"
+                lengths.append(spans[-1])
+                write_archive(tmp_path, {utt: rng.standard_normal((spans[-1], dim))})
+                for k, (a, b) in enumerate(zip([0] + spans[:-1], spans)):
+                    tokens.append(TriphoneToken(utt, (a + 0.5) / 100, (b + 0.5) / 100,
+                                                "BPD"[k // 2], f"L{c}", "R", f"s{s}"))
+        store = sum(lengths) * (dim + 1) * 8
+        utterance = max(lengths) * dim * 12
+        constant = 8 * (5 * distance.RUN_ELEMENTS + 5 * distance.CHUNK_CELLS
+                        + 16 * abx.SCORE_COMPARISONS)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            abx.abx_evaluate(tokens, tmp_path, "within", "angular")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert store <= peak <= store + utterance + constant

@@ -464,19 +464,37 @@ class TestCostMatrix:
                                                store.parts):
                 assert np.array_equal(part, whole[start:stop])
                 assert np.array_equal(part, utterances[start:stop])
+        # a store filled one utterance at a time, last first, as ABX fills
+        # its store while it reads: the one prepared whole
+        parts = distance.empty_parts(metric, 60, dim)
+        for start, utterance in reversed(list(zip([0, 7, 20, 41],
+                                                  np.split(frames, [7, 20, 41])))):
+            distance.prepare_into(parts, start, utterance, metric)
+        for part, whole in zip(parts, stacked.parts):
+            assert np.array_equal(part, whole)
 
-    def test_kl_row_term_is_summed_in_row_blocks(self, monkeypatch):
-        # each row's sum p log p is the same numbers whatever the block
+    def test_prepared_parts_do_not_depend_on_the_row_block(self, monkeypatch):
+        # every part of every row has the same bits whatever the rows per
+        # block, RUN_ELEMENTS // D: from one row at a time to every row in
+        # one block; the kl row term is each row's sum p log p
         rng = np.random.default_rng(31)
-        seqs = [rng.dirichlet(np.ones(7) * 0.3, size=int(rng.integers(1, 40)))
-                for _ in range(12)]
-        full = None
-        for budget in (1, 7, 50, 1 << 17):
-            monkeypatch.setattr(distance, "RUN_ELEMENTS", budget)
-            p, log_p, row_term = distance.prepare(seqs, "kl").parts
-            assert np.array_equal(row_term, np.sum(p * log_p, axis=1))
-            full = row_term if full is None else full
-            assert np.array_equal(row_term, full)
+        sizes = rng.integers(1, 40, 12)
+        for metric in ("angular", "kl"):
+            if metric == "kl":
+                seqs = [rng.dirichlet(np.ones(7) * 0.3, size=n) for n in sizes]
+            else:
+                seqs = [rng.standard_normal((n, 7)) * rng.uniform(1e-3, 1e3, (n, 1))
+                        for n in sizes]
+            full = None
+            for budget in (1, 7, 50, 1 << 17):
+                monkeypatch.setattr(distance, "RUN_ELEMENTS", budget)
+                parts = distance.prepare(seqs, metric).parts
+                if metric == "kl":
+                    p, log_p, row_term = parts
+                    assert np.array_equal(row_term, np.sum(p * log_p, axis=1))
+                full = parts if full is None else full
+                for part, whole in zip(parts, full):
+                    assert np.array_equal(part, whole)
 
     @pytest.mark.parametrize("dim", [1, 2, 64, 256, 512])
     def test_angular_costs_hold_the_bound_on_adversarial_frames(self, dim):

@@ -157,6 +157,42 @@ class TestFeatureArchive:
         io.write_feature_archive(tmp_path, fs, "text")
         assert io.read_feature_archive(tmp_path, "u") == fs
 
+    def test_text_rate_header_is_short_and_exact(self, tmp_path):
+        # an integral rate is written as its float repr, not as int(rate)
+        fs = FeatureSequence("u", 1e300, [[1.0]])
+        fpath = io.write_feature_archive(tmp_path, fs, "text")
+        assert len(fpath.read_text().splitlines()[0]) <= 32
+        assert io.read_feature_archive(tmp_path, "u") == fs
+
+    def test_header_gives_the_shape_and_rate_of_the_read(self, tmp_path):
+        # binary, text, bare binary and bare text files; blank lines in
+        # text are not frames
+        binary_feature_file(tmp_path / "b.zrcf", np.ones((3, 2)), rate=50.0)
+        (tmp_path / "t.txt").write_text("dim=2 rate=1e+300\n1 0\n\n0 1\n")
+        binary_feature_file(tmp_path / "bb", np.ones((1, 4)), rate=0.5)
+        (tmp_path / "bt").write_text("dim=1 rate=100\n4\n5\n6\n")
+        for utt in ("b", "t", "bb", "bt"):
+            fs = io.read_feature_archive(tmp_path, utt)
+            assert io.feature_header(tmp_path, utt) == (len(fs), fs.dim,
+                                                        fs.frame_rate)
+        with pytest.raises(FileNotFoundError, match="no feature file for 'ghost'"):
+            io.feature_header(tmp_path, "ghost")
+
+    @pytest.mark.parametrize("name, content", [
+        ("u.zrcf", b"ZRCF\x01"),
+        ("u.zrcf", b"NOPE" + bytes(20)),
+        ("u.txt", b""),
+        ("u.txt", b"dim=2 rate=fast\n1 0\n"),
+        ("u.txt", b"\xff\n"),
+    ])
+    def test_header_errors_are_the_reads(self, tmp_path, name, content):
+        (tmp_path / name).write_bytes(content)
+        with pytest.raises(FormatError) as header:
+            io.feature_header(tmp_path, "u")
+        with pytest.raises(FormatError) as read:
+            io.read_feature_archive(tmp_path, "u")
+        assert str(header.value) == str(read.value)
+
     def test_list_archive(self, tmp_path):
         io.write_feature_archive(tmp_path, FeatureSequence("b", 1.0, [[1.0]]), "binary")
         io.write_feature_archive(tmp_path, FeatureSequence("a", 1.0, [[1.0]]), "text")
