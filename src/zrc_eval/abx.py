@@ -246,9 +246,9 @@ def _extract(tokens, file_ids, onsets, offsets, root, metric) -> tuple:
             fs = io_formats.read_feature_archive(root, file_id)
             if (len(fs), fs.dim, fs.frame_rate) != shape:
                 raise FormatError(
-                    f"{io_formats.feature_file(root, file_id)}: {len(fs)} x {fs.dim} "
-                    f"frames at rate {fs.frame_rate}, but {shape[0]} x {shape[1]} "
-                    f"at rate {shape[2]} when its header was read")
+                    f"{fs.where}: {len(fs)} x {fs.dim} frames at rate "
+                    f"{fs.frame_rate}, but {shape[0]} x {shape[1]} at rate "
+                    f"{shape[2]} when its header was read")
         except (OSError, ValueError) as exc:
             failure, n = exc, user
             break

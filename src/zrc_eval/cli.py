@@ -145,11 +145,10 @@ def cmd_kmeans_train(args) -> int:
     if not utt_ids:
         raise ValidationError(f"no feature files under {args.features}")
     sequences = [io.read_feature_archive(args.features, u) for u in utt_ids]
-    first = io.feature_file(args.features, utt_ids[0])
-    for utt, fs in zip(utt_ids, sequences):
-        if fs.dim != sequences[0].dim:
-            raise ValidationError(f"{io.feature_file(args.features, utt)}: feature "
-                                  f"dim {fs.dim} != {sequences[0].dim} of {first}")
+    dim, first = sequences[0].dim, sequences[0].where
+    for fs in sequences:
+        if fs.dim != dim:
+            raise _at(fs.where, f"feature dim {fs.dim} != {dim} of {first}")
     frame_rate = sequences[0].frame_rate
     with np.errstate(over="ignore"):
         if not 0 < np.float32(frame_rate) < np.inf:  # the codebook's f32
@@ -180,9 +179,8 @@ def cmd_quantize(args) -> int:
     for utt in io.list_archive(args.features):
         fs = io.read_feature_archive(args.features, utt)
         if fs.dim != codebook.dim:
-            raise ValidationError(
-                f"{io.feature_file(args.features, utt)}: feature dim {fs.dim} != "
-                f"codebook dim {codebook.dim} of {args.codebook}")
+            raise _at(fs.where, f"feature dim {fs.dim} != codebook dim "
+                                f"{codebook.dim} of {args.codebook}")
         sequences.append(quant_mod.quantize(codebook, fs))
     if not sequences:
         raise ValidationError(f"no feature files under {args.features}")
@@ -258,17 +256,13 @@ def cmd_score_pairs(args) -> int:
     return 0
 
 
-def _gold_frames(gold, directory, utt):
-    """``utt``'s frames under ``directory``; a missing file is named at the
-    first line of ``gold`` that reads ``utt`` (a word without refs reads
-    itself, as in ``metrics.record_refs``)."""
+def _gold_frames(directory, utt, where):
+    """``utt``'s frames under ``directory``; a missing file is led by
+    ``where``."""
     try:
         return io.read_feature_archive(directory, utt).frames
     except FileNotFoundError as exc:
-        lineno = next(n for n, row in io._read_tsv(gold, ()) for w in "ab"
-                      for _, u in io._parse_refs(row.get(f"refs_{w}", ""))
-                      or [("", row[f"word_{w}"])] if u == utt)
-        raise _at(f"{gold}: line {lineno}", exc) from None
+        raise _at(where, exc) from None
 
 
 def cmd_score_semantic(args) -> int:
@@ -277,9 +271,10 @@ def cmd_score_semantic(args) -> int:
         raise UsageError(f"--layer {args.layer} out of range for "
                          f"{len(args.features)} archives")
     records = io.read_similarity_gold(args.gold)
-    needed = sorted({utt for record in records
-                     for refs in metrics_mod.record_refs(record) for _, utt in refs})
-    layers = [{utt: _gold_frames(args.gold, directory, utt) for utt in needed}
+    # each utterance read -> the where of the first record that reads it
+    reader = {utt: record.where for record in reversed(records)
+              for refs in metrics_mod.record_refs(record) for _, utt in refs}
+    layers = [{utt: _gold_frames(directory, utt, reader[utt]) for utt in sorted(reader)}
               for directory in (args.features if sweep
                                 else [args.features[args.layer]])]
     layer, pooling, score, sims = metrics_mod.layer_sweep(

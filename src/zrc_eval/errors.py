@@ -2,10 +2,11 @@
 
 A record read from a file (``TriphoneToken``, ``UnitSequence``,
 ``ScoredPair``, ``SimilarityRecord``, ``sampler.AnchorEntry``) keeps in
-``where`` the ``"<path>: line N"`` it was read from, and None when built
-in code. Every error about one record is built by ``_at`` from that
-``where``, and every error about a whole input from the input's path, so
-it names the file and line without its caller reading the file again.
+``where`` the ``"<path>: line N"`` it was read from, a ``FeatureSequence``
+the path of its file, and None when built in code. Every error about one
+record is built by ``_at`` from that ``where``, and every error about a
+whole input from the input's path, so it names the file and line without
+its caller reading the file again.
 """
 
 

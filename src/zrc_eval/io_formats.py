@@ -14,7 +14,10 @@ item file        : whitespace columns with the literal header
 feature archive  : one file per utterance inside a directory, either text
                    (``dim=<D> rate=<R>`` header then one row of floats per
                    frame) or binary (magic ``ZRCF``, version u32=1, D u32,
-                   rate f32, T u64, then T*D little-endian f32, row-major)
+                   rate f32, T u64, then T*D little-endian f32, row-major);
+                   ``<utt_id>`` is read from ``<utt_id>.zrcf`` (binary),
+                   else ``<utt_id>.txt`` (text), else a bare ``<utt_id>``
+                   file, binary if it starts with the magic
 unit sequences   : one line per utterance, ``<utt_id> u1 u2 ... uT``, ids unique
 pair manifest    : TSV with header ``pair_id accepted_id rejected_id`` plus
                    arbitrary extra columns, which become tags
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -124,58 +128,59 @@ def write_item_file(tokens, path) -> None:
 # feature archives
 # ---------------------------------------------------------------------------
 
-def feature_file(path, utt_id: str) -> Path:
-    """The file ``read_feature_archive`` reads for ``utt_id``: the first
-    of ``<utt_id>.zrcf``, ``<utt_id>.txt`` and a bare ``<utt_id>`` that
-    is a file."""
+def _locate(path, utt_id: str, count: int = -1) -> tuple:
+    """``(file, head, size)`` of the feature file of ``utt_id`` under the
+    archive directory ``path``: for a binary file its first ``count``
+    bytes (every byte for -1) and its size in bytes, for a text file
+    None and None. A ``.zrcf`` file is opened without a ``stat`` first."""
     root = Path(path)
-    for file in (root / f"{utt_id}.zrcf", root / f"{utt_id}.txt", root / utt_id):
-        if file.is_file():
-            return file
-    raise FileNotFoundError(f"no feature file for {utt_id!r} under {root}")
+    try:
+        return _head(root / f"{utt_id}.zrcf", count)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        pass
+    if (root / f"{utt_id}.txt").is_file():
+        return root / f"{utt_id}.txt", None, None
+    if not (root / utt_id).is_file():
+        raise FileNotFoundError(f"no feature file for {utt_id!r} under {root}")
+    file, head, size = _head(root / utt_id, count)
+    return (file, head, size) if head[:4] == _FEATURE_MAGIC else (file, None, None)
+
+
+def _head(file: Path, count: int) -> tuple:
+    """``(file, head, size)``: the first ``count`` bytes of ``file`` (every
+    byte for -1) and its size, the bytes read or one ``fstat`` of the
+    handle."""
+    with open(file, "rb") as fh:
+        head = fh.read(count)
+        return file, head, len(head) if count < 0 else os.fstat(fh.fileno()).st_size
 
 
 def read_feature_archive(path, utt_id: str) -> FeatureSequence:
-    """Load one utterance from an archive directory: the file that
-    ``feature_file`` names, a ``.zrcf`` one read without a ``stat`` first.
-    ``.zrcf`` files must be binary and ``.txt`` files text; a bare file
-    is sniffed by its leading magic bytes."""
-    binary = Path(path) / f"{utt_id}.zrcf"
-    try:
-        blob = binary.read_bytes()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        fpath = feature_file(path, utt_id)
-    else:
-        return _read_feature_binary(binary, utt_id, blob)
-    if fpath.name != utt_id:  # <utt_id>.txt
+    """Load one utterance from an archive directory. ``.zrcf`` files must
+    be binary and ``.txt`` files text; a bare file is sniffed by its
+    leading magic bytes. The sequence's ``where`` is the file."""
+    fpath, blob, size = _locate(path, utt_id)
+    if blob is None:
         return _read_feature_text(fpath, utt_id)
-    blob = fpath.read_bytes()
-    if blob[:4] == _FEATURE_MAGIC:
-        return _read_feature_binary(fpath, utt_id, blob)
-    return _read_feature_text(fpath, utt_id)
+    n_frames, dim, rate = _binary_header(fpath, blob, size)
+    frames = np.frombuffer(blob, dtype="<f4", count=n_frames * dim,
+                           offset=_FEATURE_HEADER.size)
+    return _named(fpath, FeatureSequence, utt_id, rate,
+                  frames.reshape(n_frames, dim), str(fpath))
 
 
 def feature_header(path, utt_id: str) -> tuple:
     """``(frames, dim, rate)`` of the utterance ``read_feature_archive``
     reads, without reading its frames: a binary file's header, or a text
     file's header and its number of rows. Raises what that read raises
-    for a missing file and a malformed header; the frames, and a count
-    that does not match them, are checked only by the full read."""
-    binary = Path(path) / f"{utt_id}.zrcf"
-    try:
-        with open(binary, "rb") as fh:
-            head = fh.read(_FEATURE_HEADER.size)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        fpath = feature_file(path, utt_id)
-    else:
-        return _binary_header(binary, head)
-    if fpath.name == utt_id:  # a bare file, sniffed
-        with open(fpath, "rb") as fh:
-            head = fh.read(_FEATURE_HEADER.size)
-        if head[:4] == _FEATURE_MAGIC:
-            return _binary_header(fpath, head)
-    dim, rate, rows = _text_header(fpath)
-    return sum(1 for _ in rows), dim, rate
+    for a missing file, a malformed header and, in a binary file, a body
+    of another size than the header gives; the frame values and the
+    rate's range are checked only by the full read."""
+    fpath, head, size = _locate(path, utt_id, _FEATURE_HEADER.size)
+    if head is None:
+        dim, rate, rows = _text_header(fpath)
+        return sum(1 for _ in rows), dim, rate
+    return _binary_header(fpath, head, size)
 
 
 def _text_header(fpath: Path) -> tuple:
@@ -211,28 +216,24 @@ def _read_feature_text(fpath: Path, utt_id: str) -> FeatureSequence:
         values.append(row)
     if not values:
         raise FormatError(f"{fpath}: no frames after header")
-    return _named(f"{fpath}: line 1", FeatureSequence, utt_id, rate, values)
+    return _named(f"{fpath}: line 1", FeatureSequence, utt_id, rate, values,
+                  str(fpath))
 
 
-def _binary_header(fpath: Path, blob: bytes) -> tuple:
-    """``(frames, dim, rate)`` from the header at the start of ``blob``,
-    the bytes of the binary feature file ``fpath``."""
-    if len(blob) < _FEATURE_HEADER.size:
+def _binary_header(fpath: Path, head: bytes, size: int) -> tuple:
+    """``(frames, dim, rate)`` from ``head``, the leading bytes of the
+    binary feature file ``fpath`` of ``size`` bytes, once the header and
+    the body's size are checked."""
+    if len(head) < _FEATURE_HEADER.size:
         raise FormatError(f"{fpath}: truncated header")
-    magic, version, dim, rate, n_frames = _FEATURE_HEADER.unpack_from(blob)
+    magic, version, dim, rate, n_frames = _FEATURE_HEADER.unpack_from(head)
     if magic != _FEATURE_MAGIC:
         raise FormatError(f"{fpath}: bad magic {magic!r}, expected {_FEATURE_MAGIC!r}")
     if version != _FEATURE_VERSION:
         raise FormatError(f"{fpath}: unsupported version {version}")
     if dim < 1:
         raise FormatError(f"{fpath}: non-positive dimension {dim}")
-    return n_frames, dim, float(rate)
-
-
-def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequence:
-    """Decode the bytes ``blob`` of the binary feature file ``fpath``."""
-    n_frames, dim, rate = _binary_header(fpath, blob)
-    body = len(blob) - _FEATURE_HEADER.size
+    body = size - _FEATURE_HEADER.size
     expected = n_frames * dim * 4
     if body < expected:
         raise FormatError(
@@ -241,9 +242,7 @@ def _read_feature_binary(fpath: Path, utt_id: str, blob: bytes) -> FeatureSequen
         raise FormatError(
             f"{fpath}: dimension mismatch between header and body "
             f"({body} bytes for {n_frames}x{dim} f32)")
-    frames = np.frombuffer(blob, dtype="<f4", count=n_frames * dim,
-                           offset=_FEATURE_HEADER.size)
-    return _named(fpath, FeatureSequence, utt_id, rate, frames.reshape(n_frames, dim))
+    return n_frames, dim, float(rate)
 
 
 def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Path:

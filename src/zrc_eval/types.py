@@ -45,11 +45,13 @@ class TriphoneToken:
 
 
 class FeatureSequence:
-    """A timed matrix of frames for one utterance (T x D, float64)."""
+    """A timed matrix of frames for one utterance (T x D, float64); ``where``
+    is its file, None when built in code, and ``==`` and repr leave it out."""
 
-    __slots__ = ("utt_id", "frame_rate", "frames")
+    __slots__ = ("utt_id", "frame_rate", "frames", "where")
 
-    def __init__(self, utt_id: str, frame_rate: float, frames):
+    def __init__(self, utt_id: str, frame_rate: float, frames,
+                 where: str | None = None):
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise ValidationError(
@@ -64,6 +66,7 @@ class FeatureSequence:
         self.utt_id = utt_id
         self.frame_rate = float(frame_rate)
         self.frames = frames
+        self.where = where
 
     @property
     def dim(self) -> int:

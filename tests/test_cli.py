@@ -762,6 +762,32 @@ class TestNamedInputErrors:
         assert capsys.readouterr().err == (
             f"error: {path}: line 1: u1: frame rate must be finite\n")
 
+    def test_a_frame_count_the_file_cannot_hold_is_its_read_error(self, tmp_path,
+                                                                  capsys):
+        # the store is sized from the headers: a header claiming 2^40 frames
+        # is the error of its file before any store is allocated
+        feats = tmp_path / "feats"
+        rng = np.random.default_rng(3)
+        for utt in ("u1", "u2"):
+            io_formats.write_feature_archive(feats, FeatureSequence(
+                utt, 100.0, rng.uniform(0.1, 1.0, (40, 4))))
+        victim = feats / "u2.zrcf"
+        blob = bytearray(victim.read_bytes())
+        struct.pack_into("<Q", blob, 16, 2 ** 40)
+        victim.write_bytes(bytes(blob))
+        items = tmp_path / "i.item"
+        items.write_text(self.ITEM + "".join(
+            f"{utt} {t / 10} {t / 10 + 0.05} {c} A T {s}\n"
+            for utt, s in (("u1", "s1"), ("u2", "s2"))
+            for t, c in enumerate("BCBC")))
+        out = tmp_path / "r.json"
+        assert run(["abx", "--items", str(items), "--features", str(feats),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {victim}: truncated body, expected 17592186044416 bytes, "
+            "got 640\n")
+        assert not out.exists()
+
 
 class TestPairScoreFlags:
     """Flags that the chosen score source does not use are usage errors."""
@@ -882,6 +908,22 @@ class TestGoldRefErrors:
         argv = ["score-semantic", "--gold", str(gold), "--features", str(layer),
                 "--out", str(layer.parent / "r.json")]
         expected = f"{gold}: line 3: no feature file for 'ghost' under {layer}"
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
+    def test_missing_utterance_of_a_merged_row_names_the_record_line(self, layer,
+                                                                     capsys):
+        # line 4 reverses line 2's words and merges into its record, (c, d);
+        # only line 4 reads "ghost", as a ref of d: the record's first line
+        # is named
+        gold = layer.parent / "gold.tsv"
+        gold.write_text(self.HEADER + "c\td\t5\tD\t:u1\t:u2\n"
+                        "a\tb\t5\tD\t:u1\t:u2\n" "d\tc\t6\tD\t:ghost\t:u1\n")
+        argv = ["score-semantic", "--gold", str(gold), "--features", str(layer),
+                "--out", str(layer.parent / "r.json")]
+        expected = f"{gold}: line 2: no feature file for 'ghost' under {layer}"
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
         error = raised(argv)

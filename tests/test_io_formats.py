@@ -171,10 +171,14 @@ class TestFeatureArchive:
         (tmp_path / "t.txt").write_text("dim=2 rate=1e+300\n1 0\n\n0 1\n")
         binary_feature_file(tmp_path / "bb", np.ones((1, 4)), rate=0.5)
         (tmp_path / "bt").write_text("dim=1 rate=100\n4\n5\n6\n")
-        for utt in ("b", "t", "bb", "bt"):
+        for utt, name in (("b", "b.zrcf"), ("t", "t.txt"), ("bb", "bb"), ("bt", "bt")):
             fs = io.read_feature_archive(tmp_path, utt)
             assert io.feature_header(tmp_path, utt) == (len(fs), fs.dim,
                                                         fs.frame_rate)
+            # each read keeps its file, which == and repr leave out
+            assert fs.where == str(tmp_path / name)
+            built = FeatureSequence(utt, fs.frame_rate, fs.frames)
+            assert built.where is None and built == fs and repr(built) == repr(fs)
         with pytest.raises(FileNotFoundError, match="no feature file for 'ghost'"):
             io.feature_header(tmp_path, "ghost")
 
@@ -184,6 +188,9 @@ class TestFeatureArchive:
         ("u.txt", b""),
         ("u.txt", b"dim=2 rate=fast\n1 0\n"),
         ("u.txt", b"\xff\n"),
+        # a body shorter, or longer, than the header's frame count gives
+        ("u.zrcf", io._FEATURE_HEADER.pack(b"ZRCF", 1, 2, 100.0, 2) + bytes(8)),
+        ("u.zrcf", io._FEATURE_HEADER.pack(b"ZRCF", 1, 2, 100.0, 1) + bytes(12)),
     ])
     def test_header_errors_are_the_reads(self, tmp_path, name, content):
         (tmp_path / name).write_bytes(content)

@@ -12,11 +12,9 @@ import zrc_eval
 
 PACKAGE = Path(zrc_eval.__file__).parent
 
-# (module, name) shared on purpose: how errors name their input, the row
-# reader, and the gold-table parse that cli._gold_frames repeats to name
-# the line of a missing utterance
-SHARED = {("errors", "_at"), ("errors", "_named"), ("io_formats", "_rows"),
-          ("io_formats", "_read_tsv"), ("io_formats", "_parse_refs")}
+# (module, name) shared on purpose: how errors name their input, and the
+# row reader
+SHARED = {("errors", "_at"), ("errors", "_named"), ("io_formats", "_rows")}
 
 
 def private_uses(path: Path) -> set:
