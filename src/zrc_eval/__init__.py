@@ -18,4 +18,7 @@ from .sampler import Assignment, CandidateSet, sample_sentence_pairs, sample_wor
 from .scoring import NgramModel, SpanConfig, chain_rule_logprob, ngram_train, span_pseudo_logprob
 from .types import FeatureSequence, MetricReport, ScoredPair, SimilarityRecord, TriphoneToken, UnitSequence
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions and classes; the submodules their imports bind are
+# left out, so a star-import cannot shadow a module such as ``types``
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], type(abx))]

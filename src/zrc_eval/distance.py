@@ -26,8 +26,11 @@ Work is split in three pieces that every caller shares:
   caller that reads its sequences one by one, as ABX does, holds the
   store and one sequence. Every step is row-local, so a row has the
   same bits alone, stacked, in any block and in any store;
-* ``pair_cost`` is the one cost expression: the T x S cost matrix of one
-  pair, or with leading batch axes those of many same-shape pairs, each
+* ``frame_cost_matrix`` is the one cost function: given a store's
+  components and two arrays of row indices, ``... x T`` and ``... x S``,
+  it gathers the rows its metric reads (``angular``: the unit rows and
+  their squared norms on both sides; ``kl``: ``p`` and the row term of
+  x, ``log q`` of y) and returns the ``... x T x S`` costs, each batch
   slice computed exactly as the pair alone. Both metrics take their
   cross term from one ``matmul`` per slice. For ``angular`` that gives
   ``chord^2 = n_x + n_y - 2 x . y``, off by at most about (4D + 8)u.
@@ -35,24 +38,22 @@ Work is split in three pieces that every caller shares:
   chords and near antipodes; a wider band at large D, ``_angular_band``)
   are recomputed from their difference vectors, and every other cost is
   within ``min(2.5 (4D + 8)u, 5e-13)`` of its exact chord's cost
-  (``pair_cost`` gives the argument);
+  (``frame_cost_matrix`` gives the argument);
 * ``_dtw_py.dtw_accumulate`` runs the DTW recursion over a padded
   T x S x B stack of cost matrices, one anti-diagonal at a time, keeping
   only the accumulated sums (16 B a cell with the costs); each path
   length comes from walking back over the sums from the pair's corner.
 
 ``dtw_pairs``, the kernel's one caller, drives many pairs of one
-``Prepared`` store at once; ``dtw_distance`` is its one-pair case. It
-sorts pairs by shape and cuts them into runs of one ``(T, S)``; a run's
-frames are gathered from the store with one index per component that
-``pair_cost`` reads on that side (for ``kl``, ``p`` and the row term for
-x, ``log q`` for y), and its costs come from one ``pair_cost`` call,
-split only where a chunk boundary falls inside the run or where the call
-would exceed its budget. Two bounds keep memory flat whatever the number
-of pairs: a cost call builds at most ``RUN_ELEMENTS`` elements (the
-gathered (T + S) x D frames and the T x S product, for either metric),
-and the kernel runs over chunks whose padded tensor holds at most
-``CHUNK_CELLS`` cells.
+``Prepared`` store at once; ``dtw_distance`` checks one raw pair and is
+its one-pair case. It sorts pairs by shape and cuts them into runs of
+one ``(T, S)``; a run's costs come from one ``frame_cost_matrix`` call
+over its pairs' row indices, split only where a chunk boundary falls
+inside the run or where the call would exceed its budget. Two bounds
+keep memory flat whatever the number of pairs: a cost call builds at
+most ``RUN_ELEMENTS`` elements (the gathered (T + S) x D frames and the
+T x S product, for either metric), and the kernel runs over chunks whose
+padded tensor holds at most ``CHUNK_CELLS`` cells.
 
 ``dtw_pairs`` alone decides which requested pairs share a kernel pair.
 For ``angular`` it runs each unordered pair once, whichever directions
@@ -86,9 +87,6 @@ CHUNK_CELLS = 1 << 16
 # one block of rows ``prepare_into`` works at a time. Larger calls are no
 # faster and raise peak memory.
 RUN_ELEMENTS = 1 << 17
-
-# per metric, the prepared components ``pair_cost`` reads of x and of y
-_READS = {"angular": ((0, 1), (0, 1)), "kl": ((0, 2), (1,))}
 
 
 def invalid_frames(frames, metric: str) -> tuple:
@@ -180,12 +178,12 @@ def prepare(seqs, metric: str) -> Prepared:
 
 
 def _angular_band(dim: int) -> tuple:
-    """The squared chords ``(lo, hi)`` outside of which ``pair_cost``
-    recomputes an angular cost from its difference vector.
+    """The squared chords ``(lo, hi)`` outside of which
+    ``frame_cost_matrix`` recomputes an angular cost from its frames.
 
     ``err`` past ``lo`` the cost's slope in chord^2 is 2.5, or less where
     2.5 err would pass 5e-13, half the 1e-12 oracle tolerance; see
-    ``pair_cost``.
+    ``frame_cost_matrix``.
     """
     err = (4 * dim + 8) * 2.0 ** -53
     slope = min(2.5, 5e-13 / err)
@@ -194,13 +192,15 @@ def _angular_band(dim: int) -> tuple:
     return edge, 4.0 - edge
 
 
-def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
-    """Framewise cost matrices between prepared sequences, ``... x T x S``.
+def frame_cost_matrix(parts, x_rows, y_rows, metric: str) -> np.ndarray:
+    """Framewise costs between rows of a prepared store, ``... x T x S``.
 
-    The components of ``x`` and ``y`` may carry the same leading batch
-    axes (``... x T x D`` against ``... x S x D``); each batch slice is
-    then the one-pair expression over that pair's own frames, computed
-    by a ``matmul`` of its own, so its bits do not depend on the batch.
+    ``parts`` are a store's components (``Prepared.parts``); ``x_rows``
+    (``... x T``) and ``y_rows`` (``... x S``) index its rows, with the
+    same leading batch axes. Only the components the metric reads are
+    gathered. Each batch slice is the one-pair expression over that
+    pair's own rows, computed by a ``matmul`` of its own, so its bits
+    depend neither on the batch nor on the store's other rows.
 
     For ``angular``, the squared chord between unit rows is
     ``n_x + n_y - 2 x . y``, with ``n`` their prepared squared norms and
@@ -220,9 +220,13 @@ def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
     D = 64 and 2.9e-13 at D = 256; at D = 512 the band is
     chord^2 < 0.053. Past D = 2,249 no slope is small enough, and every
     cell is recomputed.
+
+    For ``kl`` the cost is ``sum p log p - p . log q``, the row term of
+    x less one ``matmul`` of its floored rows with y's logs.
     """
     if metric == "angular":
-        (ux, nx), (uy, ny) = x, y
+        ux, nx = (np.take(f, x_rows, axis=0) for f in parts)
+        uy, ny = (np.take(f, y_rows, axis=0) for f in parts)
         # chord^2, then the cost, in one buffer
         chord2 = nx[..., :, None] + ny[..., None, :]
         dot = ux @ np.swapaxes(uy, -1, -2)
@@ -246,12 +250,15 @@ def pair_cost(x: tuple, y: tuple, metric: str) -> np.ndarray:
         np.arcsin(cost, out=cost)
         cost *= 2.0
         return np.subtract(np.pi, cost, out=cost, where=far)
-    p, _, row_term = x
-    return row_term[..., :, None] - p @ np.swapaxes(y[1], -1, -2)
+    p, row_term = (np.take(parts[k], x_rows, axis=0) for k in (0, 2))
+    log_q = np.take(parts[1], y_rows, axis=0)
+    return row_term[..., :, None] - p @ np.swapaxes(log_q, -1, -2)
 
 
-def _checked_pair(rx, ry, metric: str) -> Prepared:
-    """``prepare`` of two non-empty T x D matrices of one D, checked."""
+def dtw_distance(rx, ry, metric: str = "angular") -> float:
+    """Mean framewise distance along the optimal DTW alignment path of two
+    non-empty T x D frame matrices of one D (or ``FeatureSequence``s),
+    each frame checked against ``metric``."""
     frames = [np.asarray(getattr(x, "frames", x), dtype=np.float64) for x in (rx, ry)]
     if any(f.ndim != 2 or f.shape[0] < 1 for f in frames):
         raise ValidationError("expected a non-empty T x D frame matrix")
@@ -261,20 +268,7 @@ def _checked_pair(rx, ry, metric: str) -> Prepared:
     for bad, reason in (invalid_frames(f, metric) for f in frames):
         if bad.any():
             raise ValidationError(reason)
-    return prepare(frames, metric)
-
-
-def frame_cost_matrix(rx, ry, metric: str = "angular") -> np.ndarray:
-    """All pairwise framewise distances between two sequences (T x S)."""
-    both = _checked_pair(rx, ry, metric)
-    t = both.lengths[0]
-    return pair_cost(tuple(p[:t] for p in both.parts),
-                     tuple(p[t:] for p in both.parts), metric)
-
-
-def dtw_distance(rx, ry, metric: str = "angular") -> float:
-    """Mean framewise distance along the optimal DTW alignment path."""
-    return float(dtw_pairs(_checked_pair(rx, ry, metric), [0], [1], metric)[0])
+    return float(dtw_pairs(prepare(frames, metric), [0], [1], metric)[0])
 
 
 def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:
@@ -285,9 +279,11 @@ def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:
     are planned over runs so that each chunk's padded T x S x B cost
     tensor stays within ``CHUNK_CELLS`` cells (a pair larger than that
     runs alone), and only one chunk's costs are alive at a time. Within a
-    chunk, each run's frames are gathered straight from the store's
-    components and its costs come from one ``pair_cost`` call, split only
-    where the call would build more than ``RUN_ELEMENTS`` elements.
+    chunk, each run's costs come from one ``frame_cost_matrix`` call over
+    its pairs' row indices, split only where the call would build more
+    than ``RUN_ELEMENTS`` elements. The cost function and the kernel are
+    called by their module-global names, so a tracer that wraps them
+    (``perfbench/spans.py``) times the real stages.
 
     For ``angular``, each unordered pair runs once, in the orientation
     whose first sequence is the shorter (fewer distinct shapes), and the
@@ -306,7 +302,6 @@ def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:
         rows, cols = keys // n, keys % n
         flip = lengths[rows] > lengths[cols]
         rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
-    x_reads, y_reads = _READS[metric]
     dim = parts[0].shape[1]
     order = np.lexsort((lengths[cols], lengths[rows]))
     t_len, s_len = lengths[rows[order]], lengths[cols[order]]
@@ -340,13 +335,8 @@ def dtw_pairs(store: Prepared, rows, cols, metric: str) -> np.ndarray:
             step = max(1, RUN_ELEMENTS // ((t + s) * dim + t * s))
             for a in range(lo, hi, step):
                 b = min(hi, a + step)
-                fx = x_start[a:b, None] + np.arange(t)
-                fy = y_start[a:b, None] + np.arange(s)
-                x = tuple(np.take(f, fx, axis=0) if k in x_reads else None
-                          for k, f in enumerate(parts))
-                y = tuple(np.take(f, fy, axis=0) if k in y_reads else None
-                          for k, f in enumerate(parts))
-                costs = pair_cost(x, y, metric)
+                costs = frame_cost_matrix(parts, x_start[a:b, None] + np.arange(t),
+                                          y_start[a:b, None] + np.arange(s), metric)
                 cost[:t, :s, a - start:b - start] = costs.transpose(1, 2, 0)
         chunk = order[start:stop]
         total, length, *mirrored = _kernel.dtw_accumulate(

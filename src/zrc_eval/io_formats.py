@@ -17,7 +17,8 @@ feature archive  : one file per utterance inside a directory, either text
                    rate f32, T u64, then T*D little-endian f32, row-major);
                    ``<utt_id>`` is read from ``<utt_id>.zrcf`` (binary),
                    else ``<utt_id>.txt`` (text), else a bare ``<utt_id>``
-                   file, binary if it starts with the magic
+                   file, binary if it starts with the magic; hidden files
+                   (names starting with ``.``) are not listed as utterances
 unit sequences   : one line per utterance, ``<utt_id> u1 u2 ... uT``, ids unique
 pair manifest    : TSV with header ``pair_id accepted_id rejected_id`` plus
                    arbitrary extra columns, which become tags
@@ -286,13 +287,14 @@ def write_feature_archive(path, fs: FeatureSequence, fmt: str = "binary") -> Pat
 
 
 def list_archive(path) -> list[str]:
-    """Sorted utterance ids present in an archive directory."""
+    """Sorted utterance ids present in an archive directory; hidden files
+    (names starting with ``.``) are not utterances."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"feature archive directory {root} not found")
     ids = set()
     for p in root.iterdir():
-        if p.is_file():
+        if p.is_file() and not p.name.startswith("."):
             ids.add(p.stem if p.suffix in (".zrcf", ".txt") else p.name)
     return sorted(ids)
 

@@ -60,6 +60,15 @@ def kl_frame_distance(p, q) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
+def pair_costs(x, y, metric: str) -> np.ndarray:
+    """The T x S framewise costs of one raw pair of frame matrices: both
+    prepared into one store, then ``distance.frame_cost_matrix`` over
+    x's rows against y's."""
+    store = distance.prepare([x, y], metric)
+    return distance.frame_cost_matrix(store.parts, np.arange(len(x)),
+                                      len(x) + np.arange(len(y)), metric)
+
+
 # ---------------------------------------------------------------------------
 # DTW oracle: exhaustive monotone-path enumeration
 # ---------------------------------------------------------------------------

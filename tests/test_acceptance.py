@@ -22,6 +22,7 @@ from conftest import (
     build_mini_benchmark,
     cell_score,
     dtw_oracle_fast,
+    pair_costs,
     record_similarities,
     sentence_subset_minimum,
     similarity_score,
@@ -70,8 +71,7 @@ def test_criterion_01_abx_oracle_equivalence():
     """200 random cells match direct cell score + exhaustive DTW, 1e-12, <30s."""
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    oracle_dist = lambda x, y: dtw_oracle_fast(
-        distance.frame_cost_matrix(x, y, "angular"))
+    oracle_dist = lambda x, y: dtw_oracle_fast(pair_costs(x, y, "angular"))
     for cell in range(200):
         d = int(rng.integers(1, 5))
         a = [rng.standard_normal((int(rng.integers(1, 7)), d))
@@ -134,7 +134,7 @@ def test_criterion_03_dtw_oracle():
         d = int(rng.integers(1, 5))
         rx = rng.standard_normal((t, d))
         ry = rng.standard_normal((s, d))
-        cost = distance.frame_cost_matrix(rx, ry, "angular")
+        cost = pair_costs(rx, ry, "angular")
         assert distance.dtw_distance(rx, ry, "angular") == pytest.approx(
             dtw_oracle_fast(cost), abs=1e-12)
     assert time.perf_counter() - start < 10.0

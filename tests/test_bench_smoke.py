@@ -50,8 +50,9 @@ def test_workload_reports_correct(workload):
 
 @pytest.mark.parametrize("workload", ["abx-dense", "abx-units"])
 def test_traced_abx_runs_through_the_wrapped_kernel(workload):
-    # perfbench times the DTW kernel by wrapping distance._kernel.dtw_accumulate;
-    # the ABX engine must still call it there for the dtw.* metrics to count.
+    # perfbench times the DTW kernel by wrapping distance._kernel.dtw_accumulate,
+    # and the cost stage by wrapping distance.frame_cost_matrix; the ABX engine
+    # must still call them there for the dtw.* and distance.* metrics to count.
     # A traced run whose library writes to stdout, or whose patch points
     # went missing, ends without a well-formed result or with metrics left out
     proc = subprocess.run(
@@ -69,6 +70,11 @@ def test_traced_abx_runs_through_the_wrapped_kernel(workload):
     assert [m["name"] for m in listed if m["name"] not in metrics] == []
     assert metrics["dtw.kernel_calls"]["value"] > 0
     assert metrics["dtw.kernel_cells"]["value"] > 0
+    # the cost stage is timed too: every cost cell is real, and the
+    # kernel's cells include the chunks' padding
+    assert metrics["distance.cost_matrix_calls"]["value"] > 0
+    assert (0 < metrics["distance.cost_cells"]["value"]
+            < metrics["dtw.kernel_cells"]["value"])
 
 
 def test_traced_lm_pipeline_runs_through_the_wrapped_entry_points():

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,26 @@ class TestPipelines:
                     "--out", str(model_path)]) == 0
         assert scoring.load_ngram_model(model_path).order == 2
 
+    def test_hidden_files_are_not_utterances(self, tmp_path):
+        # a stray .DS_Store in the archive changes no byte of the codebook
+        # or of the units
+        frames = np.random.default_rng(5).standard_normal((3, 6, 3))
+        written = []
+        for name in ("clean", "hidden"):
+            features = tmp_path / name / "f"
+            for k, utterance in enumerate(frames):
+                io_formats.write_feature_archive(
+                    features, FeatureSequence(f"u{k}", 100.0, utterance), "binary")
+            if name == "hidden":
+                (features / ".DS_Store").write_bytes(b"\x00\x00\x00\x01Bud1")
+            codebook, units = tmp_path / name / "c.zrck", tmp_path / name / "u.txt"
+            assert run(["kmeans-train", "--features", str(features), "--k", "2",
+                        "--seed", "7", "--out", str(codebook)]) == 0
+            assert run(["quantize", "--codebook", str(codebook), "--features",
+                        str(features), "--out", str(units)]) == 0
+            written.append((codebook.read_bytes(), units.read_bytes()))
+        assert written[0] == written[1]
+
     def test_abx_report(self, mini_benchmark, tmp_path):
         out = tmp_path / "abx.json"
         assert run(["abx", "--items", str(mini_benchmark / "items.item"),
@@ -607,6 +628,23 @@ class TestImports:
             capture_output=True, text=True, env=env, timeout=300, check=True)
         seen = json.loads(done.stdout.splitlines()[-1])
         assert seen == {"codes": [0, 0], "scipy": []}
+
+    def test_star_import_binds_the_api_and_no_module(self):
+        # the stdlib ``types`` stays bound beside the package's public names
+        namespace = {"types": types}
+        exec("from zrc_eval import *", namespace)
+        assert namespace.pop("types") is types
+        del namespace["__builtins__"]
+        assert [n for n, v in namespace.items() if isinstance(v, types.ModuleType)] == []
+        assert sorted(namespace) == [
+            "AbxResult", "Assignment", "CandidateSet", "Codebook", "FeatureSequence",
+            "FormatError", "MetricReport", "NgramModel", "ScoredPair",
+            "SimilarityRecord", "SpanConfig", "TriphoneToken", "UnitSequence",
+            "ValidationError", "abx_evaluate", "chain_rule_logprob", "dtw_distance",
+            "kmeans_fit", "layer_sweep", "ngram_train", "one_hot_encode",
+            "paired_accuracy", "pool", "quantize", "read_codebook",
+            "sample_sentence_pairs", "sample_word_pairs", "span_pseudo_logprob",
+            "spearman", "stratum_objectives", "write_codebook"]
 
 
 class TestDeterminism:

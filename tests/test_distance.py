@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import angular_frame_distance, dtw_oracle, kl_frame_distance
+from conftest import angular_frame_distance, dtw_oracle, kl_frame_distance, pair_costs
 from zrc_eval import _dtw_py, distance
 from zrc_eval.errors import ValidationError
 from zrc_eval.types import FeatureSequence
@@ -58,6 +58,41 @@ def angular_sides(x, y):
     both = distance.prepare([x, y], "angular")
     return [tuple(p[:len(x)] for p in both.parts),
             tuple(p[len(x):] for p in both.parts)]
+
+
+def assert_batch_slices_are_the_pair_alone(metric, rng, draw):
+    """Every pair of a batch has the cost bits of its rows in a store of
+    their own, alone among the other utterances' rows, at every position
+    of the batch and under two batch axes of row indices; the x and y
+    frames of each shape and D come from ``draw(rng, n, dim)``."""
+    for dim in (1, 3, 50, 64, 257):
+        for t, s, batch in ((1, 5, 6), (4, 1, 5), (1, 1, 4), (3, 6, 7), (9, 12, 5)):
+            x, y = draw(rng, batch * max(t, s), dim)
+            xs, ys = np.split(x[:batch * t], batch), np.split(y[:batch * s], batch)
+            # every pair's utterances among all the others, in shuffled order
+            seqs = xs + ys
+            order = rng.permutation(len(seqs))
+            store = distance.prepare([seqs[i] for i in order], metric)
+            at = np.empty(len(seqs), dtype=np.intp)
+            at[order] = store.offsets
+            x_rows = at[:batch, None] + np.arange(t)
+            y_rows = at[batch:, None] + np.arange(s)
+            got = distance.frame_cost_matrix(store.parts, x_rows, y_rows, metric)
+            assert got.shape == (batch, t, s)
+            for k in range(batch):
+                alone = pair_costs(xs[k], ys[k], metric)
+                assert np.array_equal(got[k], alone)
+                assert np.array_equal(distance.frame_cost_matrix(
+                    store.parts, x_rows[k], y_rows[k], metric), alone)
+            for shift in range(1, batch):
+                moved = distance.frame_cost_matrix(
+                    store.parts, np.roll(x_rows, shift, axis=0),
+                    np.roll(y_rows, shift, axis=0), metric)
+                assert np.array_equal(np.roll(moved, -shift, axis=0), got)
+            if batch == 6:
+                two = distance.frame_cost_matrix(store.parts, x_rows.reshape(2, 3, t),
+                                                 y_rows.reshape(2, 3, s), metric)
+                assert np.array_equal(two, got.reshape(2, 3, t, s))
 
 
 def angular_difference_form(ux, uy):
@@ -123,8 +158,8 @@ class TestAngular:
         normal /= np.linalg.norm(normal, axis=1)[:, None]
         theta = np.pi - gap * rng.uniform(0.5, 2.0, 8)
         y = np.cos(theta)[:, None] * unit + np.sin(theta)[:, None] * normal
-        (ux, nx), (uy, ny) = angular_sides(x, y)
-        got = np.diag(distance.pair_cost((ux, nx), (uy, ny), "angular"))
+        (ux, _), (uy, _) = angular_sides(x, y)
+        got = np.diag(pair_costs(x, y, "angular"))
         total = ux.astype(np.longdouble) + uy.astype(np.longdouble)
         norm = np.sqrt(np.sum(total * total, axis=1))
         exact = np.arccos(np.longdouble(-1)) - 2 * np.arcsin(norm / 2)
@@ -184,7 +219,7 @@ class TestDtw:
             t, s, d = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 5)
             rx = rng.standard_normal((t, d))
             ry = rng.standard_normal((s, d))
-            cost = distance.frame_cost_matrix(rx, ry, "angular")
+            cost = pair_costs(rx, ry, "angular")
             assert distance.dtw_distance(rx, ry, "angular") == pytest.approx(
                 dtw_oracle(cost), abs=1e-12)
 
@@ -195,7 +230,7 @@ class TestDtw:
         for _ in range(200):
             rx = eye[rng.integers(0, 3, size=rng.integers(1, 7))]
             ry = eye[rng.integers(0, 3, size=rng.integers(1, 7))]
-            cost = distance.frame_cost_matrix(rx, ry, "angular")
+            cost = pair_costs(rx, ry, "angular")
             assert distance.dtw_distance(rx, ry, "angular") == dtw_oracle(cost)
         # integer costs in {0, 1, 2} make all three predecessors tie
         for _ in range(200):
@@ -431,7 +466,7 @@ class TestDtw:
         for _ in range(50):
             rx = rng.dirichlet(np.ones(3), size=int(rng.integers(1, 6)))
             ry = rng.dirichlet(np.ones(3), size=int(rng.integers(1, 6)))
-            cost = distance.frame_cost_matrix(rx, ry, "kl")
+            cost = pair_costs(rx, ry, "kl")
             assert distance.dtw_distance(rx, ry, "kl") == pytest.approx(
                 dtw_oracle(cost), abs=1e-12)
 
@@ -504,8 +539,9 @@ class TestCostMatrix:
         # band those forms are within about the bound of the exact cost
         # too, so the two are within twice it
         rng = np.random.default_rng(dim)
-        (ux, nx), (uy, ny) = angular_sides(*adversarial_frames(rng, 60, dim))
-        got = distance.pair_cost((ux, nx), (uy, ny), "angular")
+        x, y = adversarial_frames(rng, 60, dim)
+        (ux, _), (uy, _) = angular_sides(x, y)
+        got = pair_costs(x, y, "angular")
         err = (4 * dim + 8) * 2.0 ** -53
         bound = min(2.5 * err, 5e-13)
         lo, hi = distance._angular_band(dim)
@@ -538,44 +574,31 @@ class TestCostMatrix:
         assert 0.0404 <= lo <= 1.95
 
     def test_angular_batch_slice_is_the_pair_alone_at_any_position(self):
-        # every pair of a batch has the bits it has computed alone, and
-        # keeps them at every position of the batch and under two batch axes
-        rng = np.random.default_rng(22)
-        for dim in (1, 3, 64, 257):
-            for t, s, batch in ((1, 5, 6), (4, 1, 5), (1, 1, 4), (3, 6, 7), (9, 12, 5)):
-                x, y = adversarial_frames(rng, batch * max(t, s), dim)
-                sides = [(u.reshape(batch, n, dim), norms.reshape(batch, n))
-                         for (u, norms), n in zip(angular_sides(x[:batch * t],
-                                                                y[:batch * s]), (t, s))]
-                got = distance.pair_cost(*sides, "angular")
-                assert got.shape == (batch, t, s)
-                for k in range(batch):
-                    alone = distance.pair_cost(*[(u[k].copy(), n[k].copy())
-                                                 for u, n in sides], "angular")
-                    assert np.array_equal(got[k], alone)
-                for shift in range(1, batch):
-                    moved = [(np.roll(u, shift, axis=0), np.roll(n, shift, axis=0))
-                             for u, n in sides]
-                    assert np.array_equal(np.roll(distance.pair_cost(
-                        *moved, "angular"), -shift, axis=0), got)
-                if batch == 6:
-                    two = [(u.reshape(2, 3, *u.shape[1:]), n.reshape(2, 3, -1))
-                           for u, n in sides]
-                    assert np.array_equal(distance.pair_cost(*two, "angular"),
-                                          got.reshape(2, 3, t, s))
+        assert_batch_slices_are_the_pair_alone(
+            "angular", np.random.default_rng(22), adversarial_frames)
+
+    @pytest.mark.parametrize("frames", ["one-hot", "dirichlet"])
+    def test_kl_batch_slice_is_the_pair_alone_at_any_position(self, frames):
+        if frames == "one-hot":
+            def draw(rng, n, dim):
+                return np.eye(dim)[rng.integers(0, dim, (2, n))]
+        else:
+            def draw(rng, n, dim):
+                return rng.dirichlet(np.full(dim, 0.5), (2, n))
+        assert_batch_slices_are_the_pair_alone("kl", np.random.default_rng(23), draw)
 
     def test_entries_match_scalar_distances(self):
         rng = np.random.default_rng(13)
         fx = rng.standard_normal((4, 3))
         fy = rng.standard_normal((5, 3))
-        cost = distance.frame_cost_matrix(fx, fy, "angular")
+        cost = pair_costs(fx, fy, "angular")
         for i in range(4):
             for j in range(5):
                 assert cost[i, j] == pytest.approx(
                     angular_frame_distance(fx[i], fy[j]), abs=1e-12)
         px = rng.dirichlet(np.ones(3), size=4)
         qy = rng.dirichlet(np.ones(3), size=5)
-        cost = distance.frame_cost_matrix(px, qy, "kl")
+        cost = pair_costs(px, qy, "kl")
         for i in range(4):
             for j in range(5):
                 assert cost[i, j] == pytest.approx(

@@ -205,6 +205,12 @@ class TestFeatureArchive:
         io.write_feature_archive(tmp_path, FeatureSequence("a", 1.0, [[1.0]]), "text")
         assert io.list_archive(tmp_path) == ["a", "b"]
 
+    def test_list_archive_skips_hidden_files(self, tmp_path):
+        io.write_feature_archive(tmp_path, FeatureSequence("u0", 1.0, [[1.0]]), "binary")
+        (tmp_path / ".DS_Store").write_bytes(b"\x00\x00\x00\x01Bud1")
+        (tmp_path / ".u1.txt").write_text("dim=1 rate=1\n1\n")
+        assert io.list_archive(tmp_path) == ["u0"]
+
 
 def binary_feature_file(path, frames, rate=100.0, n_frames=None, dim=None):
     """A ZRCF file with the given header fields and f32 body."""
