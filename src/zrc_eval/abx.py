@@ -32,10 +32,10 @@ from .types import FeatureSequence, UnitSequence
 log = logging.getLogger(__name__)
 
 # (a, b, x) comparisons held by one group of contexts, which share one
-# DTW pass: bounds the flat index arrays, and the group's (token, probe)
-# pairs at twice as many, as each comparison reads two pairs and every
-# pair is read, (a, x) with every b and (b, x) with every a != x (a
-# within cell keeps 2+ tokens a side)
+# DTW pass. It bounds the group's (token, probe) pairs at twice as many,
+# as each comparison reads two pairs and every pair is read, and its flat
+# (a, b, x) arrays, whose triples include x = a in within cells: at most
+# twice the comparisons, as such a cell keeps 2+ tokens a side
 SCORE_COMPARISONS = 1 << 15
 
 
@@ -95,25 +95,6 @@ def _comparisons(cells, sizes) -> np.ndarray:
     return sizes[a_cat] * sizes[b_cat] * (sizes[x_cat] - (a_cat == x_cat))
 
 
-def _requests(members, bounds, p, q, n) -> tuple:
-    """The (token, probe) pairs of the category blocks ``p`` x ``q``.
-
-    ``members`` and ``bounds`` are as ``_score_cells`` takes them, and
-    ``n`` is the number of tokens. The blocks' entries are their
-    categories' products, row-major, block after block; a token is never
-    paired with itself. Blocks of disjoint categories hold distinct
-    pairs, so sorting the entries' keys gives every pair once, in
-    row-major order. Returns ``(rows, cols, entry)``: the pairs, and the
-    block entry each one is.
-    """
-    starts, sizes = bounds
-    run, i, j = _product(sizes[p], sizes[q])
-    keys = members[starts[p][run] + i] * n + members[starts[q][run] + j]
-    entry = np.flatnonzero((p != q)[run] | (i != j))
-    entry = entry[np.argsort(keys[entry])]
-    return (*np.divmod(keys[entry], n), entry)
-
-
 def _score_cells(store, members, bounds, cells, metric) -> np.ndarray:
     """Directed cell scores over one ``Prepared`` store of tokens.
 
@@ -124,15 +105,18 @@ def _score_cells(store, members, bounds, cells, metric) -> np.ndarray:
     token is never its own probe.
 
     The cells compare the distances of their distinct (A, X) and (B, X)
-    category blocks, whose pairs (see ``_requests``) all go through one
-    ``dtw_pairs`` call. One product then lists every cell's (a, b, x)
-    comparisons, which read their two distances from the blocks' entries.
-    Errors, ties and comparisons are summed per cell as exact integer
-    counts.
+    category blocks. One product lists every block entry, and all but a
+    token paired with itself go through one ``dtw_pairs`` call, in block
+    order: blocks of disjoint categories hold distinct pairs. A self
+    entry stays NaN, which is neither ``<`` nor ``==`` any distance, so
+    the (a, b, x) triple with x = a counts as neither error nor tie. A
+    second product lists every cell's triples, which read their two
+    distances from the block entries; in a within cell they are at most
+    twice its comparisons. Errors, ties and comparisons are summed per
+    cell as exact integer counts.
     """
     starts, sizes = bounds
     a_cat, b_cat, x_cat = cells
-    same = a_cat == x_cat
     count = _comparisons(cells, sizes)
     if not count.all():
         raise ValidationError("empty ABX cell")
@@ -140,24 +124,23 @@ def _score_cells(store, members, bounds, cells, metric) -> np.ndarray:
     blocks, block = np.unique(np.concatenate((a_cat, b_cat)) * sizes.size
                               + np.concatenate((x_cat, x_cat)), return_inverse=True)
     p, q = np.divmod(blocks, sizes.size)
-    rows, cols, entry = _requests(members, bounds, p, q, len(store))
-    entries = sizes[p] * sizes[q]
-    dist = np.empty(entries.sum())
-    dist[entry] = dtw_pairs(store, rows, cols, metric)
+    run, i, j = _product(sizes[p], sizes[q])
+    rows, cols = members[starts[p][run] + i], members[starts[q][run] + j]
+    pair = rows != cols
+    dist = np.full(run.size, np.nan)
+    dist[pair] = dtw_pairs(store, rows[pair], cols[pair], metric)
 
-    # the (a, b) pairs of every cell, then their probes x, skipping a's
-    # own token where X is A; an entry is its block's first + row * width + x
+    # the (a, b) pairs of every cell, then their probes x; an entry is its
+    # block's first + row * width + x
     cell, a, b = _product(sizes[a_cat], sizes[b_cat])
     width = sizes[x_cat][cell]
-    n = width - same[cell]
-    head = np.cumsum(n) - n
-    x = np.arange(n.sum())
-    if same.any():
-        x += x >= np.repeat(np.where(same[cell], head + a, x.size), n)
+    ab, x = _product(width)
+    entries = sizes[p] * sizes[q]
     first = np.cumsum(entries) - entries
-    d_ax = dist[np.repeat(first[block[:a_cat.size]][cell] + a * width - head, n) + x]
-    d_bx = dist[np.repeat(first[block[a_cat.size:]][cell] + b * width - head, n) + x]
-    heads = np.cumsum(count) - count
+    d_ax = dist[(first[block[:a_cat.size]][cell] + a * width)[ab] + x]
+    d_bx = dist[(first[block[a_cat.size:]][cell] + b * width)[ab] + x]
+    triples = sizes[a_cat] * sizes[b_cat] * sizes[x_cat]
+    heads = np.cumsum(triples) - triples
     errors = np.add.reduceat(d_bx < d_ax, heads, dtype=np.intp)
     ties = np.add.reduceat(d_bx == d_ax, heads, dtype=np.intp)
     return (errors + 0.5 * ties) / count
@@ -402,18 +385,20 @@ def abx_evaluate(items, features, mode: str, metric="angular",
                             cat_phone[a1[head]].tolist(), cat_phone[b1[head]].tolist()):
         run = means[h:h + k]
         by_pair.setdefault((phones[p1], phones[p2]), []).append(sum(run) / k)
-    pair_scores = {}
+    pair_scores, keys = {}, {}  # phone pair -> its mean; report key -> pair
     for pair in sorted(by_pair):
         context_means = by_pair[pair]
         pair_scores[pair] = sum(context_means) / len(context_means)
+        key = "-".join(pair)
+        if keys.setdefault(key, pair) != pair:
+            raise _at(where, f"phone pairs {keys[key]} and {pair} both report as {key!r}")
     aggregate = sum(pair_scores.values()) / len(pair_scores)
 
     return AbxResult(
         mode=mode,
         error_rate=100.0 * aggregate,
         cell_count=a1.size,
-        by_phone_pair={f"{p1}-{p2}": 100.0 * s
-                       for (p1, p2), s in sorted(pair_scores.items())},
+        by_phone_pair={key: 100.0 * pair_scores[pair] for key, pair in keys.items()},
         dropped_tokens=dropped,
         clamped_tokens=clamped,
         skipped_cells=skipped,

@@ -271,6 +271,9 @@ def cmd_score_semantic(args) -> int:
         raise UsageError(f"--layer {args.layer} out of range for "
                          f"{len(args.features)} archives")
     records = io.read_similarity_gold(args.gold)
+    for record in records:
+        if record.dataset == "records":
+            raise _at(record.where, "dataset name 'records' is reserved for the record count")
     # each utterance read -> the where of the first record that reads it
     reader = {utt: record.where for record in reversed(records)
               for refs in metrics_mod.record_refs(record) for _, utt in refs}

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 from contextlib import nullcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,7 +100,8 @@ class TestAsymmetricCell:
     def test_table_holds_only_requested_directions(self, metric, monkeypatch):
         # a separate probe pool asks for d(a, x) and d(b, x) but never
         # d(x, a): the mirrored half of an angular pair is left out; each
-        # requested pair goes to dtw_pairs once, in row-major order
+        # requested pair goes to dtw_pairs once, here in row-major order,
+        # as the (A, X) then (B, X) blocks list tokens 0-3 against X
         rng = np.random.default_rng(18)
         seqs = [rng.dirichlet(np.ones(3), size=int(rng.integers(1, 6)))
                 for _ in range(6)]
@@ -399,21 +401,30 @@ class TestAbxEvaluate:
         assert abx.abx_evaluate(tokens, tmp_path, mode, metric) == want
         assert len(calls) == len(contexts) and sum(calls) == 2 * want.cell_count
 
+    @staticmethod
+    def random_context(rng, least=1, most=4) -> tuple:
+        """A context of 6-13 tokens split into 4 categories, and ``least``
+        to ``most`` directions over them, some probing with their A
+        tokens."""
+        n = int(rng.integers(6, 14))
+        cuts = np.sort(rng.choice(np.arange(1, n), 3, replace=False))
+        categories = [c.tolist() for c in np.split(rng.permutation(n), cuts)]
+        directions = []
+        for _ in range(int(rng.integers(least, most + 1))):
+            a, b, x = rng.choice(len(categories), 3, replace=False)
+            same = bool(rng.integers(2)) and len(categories[a]) > 1
+            x = a if same else x
+            directions.append((categories[a], categories[b], categories[x], same))
+        return n, directions
+
     def test_requests_are_the_compared_pairs(self, monkeypatch):
         # every (a, x) and (b, x) pair of a direction, never (x, x), each
-        # once and in row-major order, over categories that split the tokens
+        # once, over categories that split the tokens; in no set order, as
+        # dtw_pairs gives each pair the same bits in any order
         rng = np.random.default_rng(29)
         asked = record_pairs(monkeypatch)
         for _ in range(30):
-            n = int(rng.integers(6, 14))
-            cuts = np.sort(rng.choice(np.arange(1, n), 3, replace=False))
-            categories = [c.tolist() for c in np.split(rng.permutation(n), cuts)]
-            directions = []
-            for _ in range(int(rng.integers(1, 5))):
-                a, b, x = rng.choice(len(categories), 3, replace=False)
-                same = bool(rng.integers(2)) and len(categories[a]) > 1
-                x = a if same else x
-                directions.append((categories[a], categories[b], categories[x], same))
+            n, directions = self.random_context(rng)
             need = np.zeros((n, n), dtype=bool)
             for a, b, x, _ in directions:
                 need[np.ix_(a, x)] = True
@@ -421,8 +432,34 @@ class TestAbxEvaluate:
             np.fill_diagonal(need, False)
             asked.clear()
             context_scores([np.ones((1, 1))] * n, directions)
-            assert [(i, j) for i, j, _ in asked] == list(zip(*map(np.ndarray.tolist,
-                                                                 np.nonzero(need))))
+            pairs = [(i, j) for i, j, _ in asked]
+            assert len(set(pairs)) == len(pairs)
+            assert sorted(pairs) == list(zip(*map(np.ndarray.tolist, np.nonzero(need))))
+
+    def test_tie_heavy_shared_blocks_match_exact_counts(self):
+        # distances from a 3-valued table tie everywhere; directions share
+        # blocks, some probing with their A tokens, whose self slots must
+        # count for nothing: each score is the exact triple-loop count
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n, directions = self.random_context(rng, 2, 5)
+            table = rng.integers(0, 3, size=(n, n)).astype(float)
+            tokens = [np.full((1, 1), float(k)) for k in range(n)]
+            with per_pair_abx(lambda u, v: table[int(u[0, 0]), int(v[0, 0])]):
+                scores = context_scores(tokens, directions)
+            want = []
+            for a_idx, b_idx, x_idx, same in directions:
+                halves = count = 0
+                for x in x_idx:
+                    for a in a_idx:
+                        if same and a == x:
+                            continue
+                        for b in b_idx:
+                            halves += 2 * (table[b, x] < table[a, x]) \
+                                + (table[b, x] == table[a, x])
+                            count += 1
+                want.append(float(Fraction(int(halves), 2 * count)))
+            assert scores.tolist() == want
 
     @pytest.mark.parametrize("mode", ["within", "across"])
     def test_kernel_runs_each_unordered_angular_pair_once(self, tmp_path,

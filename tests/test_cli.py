@@ -107,6 +107,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {items}: no valid ABX cells in within mode\n")
 
+    @staticmethod
+    def phone_items(tmp_path, phones):
+        """An item file of one context and speaker, two random 2-frame
+        tokens for each centre phone, and their archive."""
+        features = tmp_path / "features"
+        rng = np.random.default_rng(37)
+        tokens = []
+        for k, center in enumerate(np.repeat(phones, 2).tolist()):
+            io_formats.write_feature_archive(features, FeatureSequence(
+                f"u{k}", 100.0, rng.standard_normal((2, 3))), "binary")
+            tokens.append(TriphoneToken(f"u{k}", 0.0, 0.02, center, "A", "T", "s1"))
+        items = tmp_path / "x.item"
+        io_formats.write_item_file(tokens, items)
+        return items, features
+
+    def test_phone_pairs_reported_under_one_key_name_both(self, tmp_path, capsys):
+        # (a, b-c) and (a-b, c) both print as a-b-c: no score is dropped
+        items, features = self.phone_items(tmp_path, ["a", "b-c", "a-b", "c"])
+        argv = ["abx", "--items", str(items), "--features", str(features),
+                "--mode", "within", "--out", str(tmp_path / "r.json")]
+        expected = (f"{items}: phone pairs ('a', 'b-c') and ('a-b', 'c') both "
+                    "report as 'a-b-c'")
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
+    def test_hyphenated_phones_without_a_clash_are_reported(self, tmp_path):
+        reports = []
+        for phones in (["a-b", "c"], ["ab", "c"]):
+            items, features = self.phone_items(tmp_path / phones[0], phones)
+            out = tmp_path / phones[0] / "r.json"
+            assert run(["abx", "--items", str(items), "--features", str(features),
+                        "--mode", "within", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert list(reports[0]["subsets"]) == ["a-b-c"]
+        assert reports[0]["subsets"]["a-b-c"] == reports[1]["subsets"]["ab-c"]
+        assert reports[0]["aggregate"] == reports[1]["aggregate"]
+
     def test_angular_frames_of_any_finite_magnitude(self, tmp_path, capsys):
         # a text archive holds any finite value: no frame is taken for a
         # zero one, no squared norm overflows, and each token is scored by
@@ -618,6 +657,22 @@ print(json.dumps({"codes": codes,
 """
 
 
+# runs each argv of the JSON list argv[1] through the CLI; prints the exit
+# codes and the thread count BLAS reports (None where it cannot be asked)
+_THREADS_SCRIPT = """
+import ctypes, json, sys
+from zrc_eval import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+try:
+    with open("/proc/self/maps") as maps:
+        path = next(line.split()[-1] for line in maps if "openblas" in line)
+    threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
+except (OSError, StopIteration, AttributeError):
+    threads = None
+print(json.dumps({"codes": codes, "threads": threads}))
+"""
+
+
 class TestImports:
     def test_subcommands_never_import_scipy(self, mini_benchmark, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -657,6 +712,50 @@ class TestDeterminism:
                  "--seed", "42", "--restarts", "8", "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_outputs_ignore_blas_thread_count(self, mini_benchmark, tmp_path):
+        # each setting is made in a fresh process's environment, before
+        # numpy loads: abx (both metrics and modes), kmeans-train, quantize
+        # and score-semantic write the same bytes on 1 and 2 BLAS threads
+        rng = np.random.default_rng(41)
+        features = tmp_path / "features"
+        tokens = []
+        for k in range(36):
+            io_formats.write_feature_archive(features, FeatureSequence(
+                f"u{k}", 100.0, rng.dirichlet(np.ones(32), int(rng.integers(20, 40)))),
+                "binary")
+            tokens.append(TriphoneToken(f"u{k}", 0.0, int(rng.integers(3, 9)) / 100,
+                                        "BPD"[k % 3], "AI"[k // 18], "T", f"s{k // 3 % 2}"))
+        items = tmp_path / "x.item"
+        io_formats.write_item_file(tokens, items)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            argv = [["abx", "--items", str(items), "--features", str(features),
+                     "--mode", mode, "--distance", metric,
+                     "--out", str(out / f"{mode}-{metric}.json")]
+                    for mode in ("within", "across") for metric in ("angular", "kl")]
+            argv += [["kmeans-train", "--features", str(features), "--k", "16",
+                      "--seed", "3", "--out", str(out / "c.zrck"),
+                      "--report", str(out / "km.json")],
+                     ["quantize", "--codebook", str(out / "c.zrck"), "--features",
+                      str(features), "--out", str(out / "units.txt")],
+                     ["score-semantic", "--gold", str(mini_benchmark / "gold.tsv"),
+                      "--features", str(mini_benchmark / "hidden0"),
+                      str(mini_benchmark / "hidden1"), "--pooling", "sweep",
+                      "--out", str(out / "sem.json")]]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, json.dumps(argv)],
+                                  capture_output=True, text=True, env=env, timeout=300,
+                                  check=True)
+            seen = json.loads(done.stdout.splitlines()[-1])
+            assert seen["codes"] == [0] * 7, done.stderr
+            assert seen["threads"] in (int(threads), None)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 8 and outputs[1] == outputs[0]
 
 
 def _codebook_file(path, centroids, rate=100.0):
@@ -991,6 +1090,19 @@ class TestGoldRefErrors:
         argv = ["score-semantic", "--gold", str(gold), "--features", str(layer),
                 "--out", str(layer.parent / "r.json")]
         expected = f"{gold}: line 3: cosine undefined for zero vectors"
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        error = raised(argv)
+        assert type(error) is ValidationError and str(error) == expected
+
+    def test_dataset_named_records_names_its_first_line(self, layer, capsys):
+        # the report's counts give "records" the total record count
+        gold = layer.parent / "gold.tsv"
+        gold.write_text(self.HEADER + "a\tb\t5\tD\t:u1\t:u2\n"
+                        "c\td\t5\trecords\t:u1\t:u2\n" "e\tf\t6\trecords\t:u2\t:u1\n")
+        argv = ["score-semantic", "--gold", str(gold), "--features", str(layer),
+                "--out", str(layer.parent / "r.json")]
+        expected = f"{gold}: line 3: dataset name 'records' is reserved for the record count"
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
         error = raised(argv)
